@@ -2,16 +2,39 @@
 
 Time is round-granular: an operation's invocation time is the round its first
 message was sent and its response time is the round of its response event.
-``op precedes op'`` iff response(op) < invoke(op').  Ordering is decided in
-polynomial time for unique-value histories by grouping each write with its
-readers and testing the induced cluster constraints for acyclicity; a
-brute-force enumeration over all precedence-respecting total orders serves as
-an independent oracle for small histories.
+``op precedes op'`` iff response(op) < invoke(op'), so operations that share a
+round are concurrent.  Written values must be unique.
+
+Validity sorts the writes by invoke and keeps, for each suffix of that order,
+the write that responds first.  A read of w's value is stale iff, among the
+writes invoked after w responds (found by bisection), the first to respond
+does so before the read is invoked; a read of the default value is invalid iff
+some write responds before the read is invoked.
+
+Ordering uses the zone characterisation of atomicity for unique-value
+histories (Gibbons & Korach, SIAM J. Comput. 1997; Anderson et al., HotDep
+2010).  A cluster is a write with the reads that returned its value; the reads
+of the default value form the initial cluster.  A cluster's zone runs from
+``lo``, its earliest response (-inf for the initial cluster, whose fictional
+write precedes every operation), to ``hi``, its latest invoke.  In an
+explaining total order each cluster is a contiguous block, and cluster A must
+come before cluster B iff lo(A) < hi(B).  Such an order exists iff that
+relation is acyclic, and it has a cycle only if two clusters must each come
+before the other: a shortest cycle A0 -> A1 -> ... of length >= 3 has no
+chord A(i-1) -> A(i+1), so lo(Ai) < hi(A(i+1)) <= lo(A(i-1)) for every i, and
+lo would fall strictly all the way round.  One sweep over the clusters sorted
+by ``lo`` finds such a pair.
+
+Both checks take O(ops log ops) time and O(ops) memory.  A brute-force
+enumeration over all precedence-respecting total orders serves as an
+independent oracle for small histories.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -105,13 +128,19 @@ def check_validity(history: Sequence[Op]) -> Verdict:
     """
     ops = _completed(history)
     writes = _writes_by_value(ops)
+    by_invoke = sorted(writes.values(), key=lambda w: w.invoke)
+    invokes = [w.invoke for w in by_invoke]
+    # first_done[i]: the write that responds first among by_invoke[i:]
+    first_done = by_invoke[:]
+    for i in range(len(first_done) - 2, -1, -1):
+        if first_done[i + 1].response < first_done[i].response:
+            first_done[i] = first_done[i + 1]
     witnesses = []
     for read in ops:
         if read.kind != "read":
             continue
-        preceding = [w for w in writes.values() if precedes(w, read)]
         if read.value is BOTTOM:
-            if preceding:
+            if first_done and precedes(first_done[0], read):
                 witnesses.append({"op_id": read.op_id, "returned": None,
                                   "reason": "default value after a completed write"})
             continue
@@ -124,109 +153,106 @@ def check_validity(history: Sequence[Op]) -> Verdict:
             witnesses.append({"op_id": read.op_id, "returned": read.value,
                               "reason": "read precedes its write"})
             continue
-        stale = [w2 for w2 in preceding if precedes(w, w2)]
-        if stale:
+        # the writes invoked after w responded; the first of them to respond
+        # overwrites w for this read if it responds before the read starts
+        later = bisect.bisect_right(invokes, w.response)
+        if later < len(first_done) and precedes(first_done[later], read):
             witnesses.append({"op_id": read.op_id, "returned": read.value,
                               "reason": "overwritten value",
-                              "newer_write": stale[0].op_id})
+                              "newer_write": first_done[later].op_id})
     return Verdict("validity", not witnesses, witnesses)
 
 
 _INIT = object()  # cluster of the fictional initial write of the default value
 
 
-def _clusters(ops: Sequence[Op]):
-    """Group each read with the write it read from.  Raises on orphans."""
-    writes = _writes_by_value(ops)
-    cluster = {}
-    orphan = None
-    for op in ops:
-        if op.kind == "write":
-            cluster[op.op_id] = op.value
-        elif op.value is BOTTOM:
-            cluster[op.op_id] = _INIT
-        elif op.value in writes:
-            cluster[op.op_id] = op.value
-        else:
-            orphan = op
-            break
-    return writes, cluster, orphan
+@dataclass
+class _Zone:
+    """A write with its readers: their earliest response and latest invoke.
+
+    The initial-value cluster has no write and ``lo`` = -inf, for the
+    fictional initial write that responds before every operation.
+    """
+
+    write: Optional[Op]
+    lo: float = math.inf
+    lo_op: Optional[Op] = None
+    hi: float = -math.inf
+    hi_op: Optional[Op] = None
+
+    def add(self, op: Op) -> None:
+        if op.response < self.lo:
+            self.lo, self.lo_op = op.response, op
+        if op.invoke > self.hi:
+            self.hi, self.hi_op = op.invoke, op
 
 
 def check_ordering(history: Sequence[Op]) -> Verdict:
     """Does a precedence-respecting total order explain every read?
 
-    In any explaining order, a write and its readers form a contiguous block,
-    so one exists iff the precedence constraints lifted to those blocks are
-    acyclic (with the initial-value block first).
+    In any explaining order, a write and its readers form a contiguous block
+    (the initial-value block first), so one exists iff no two blocks must
+    each come before the other; see the module docstring.
     """
     ops = _completed(history)
-    writes, cluster, orphan = _clusters(ops)
-    if orphan is not None:
-        return Verdict("ordering", False,
-                       [{"op_id": orphan.op_id, "returned": orphan.value,
-                         "reason": "value never written"}])
+    writes = _writes_by_value(ops)
+    for op in ops:
+        if op.kind == "read" and op.value is not BOTTOM and op.value not in writes:
+            return Verdict("ordering", False,
+                           [{"op_id": op.op_id, "returned": op.value,
+                             "reason": "value never written"}])
     # a read must not finish before the write it observed starts
     for op in ops:
-        if op.kind == "read" and cluster[op.op_id] is not _INIT:
+        if op.kind == "read" and op.value is not BOTTOM:
             w = writes[op.value]
             if precedes(op, w):
                 return Verdict("ordering", False,
                                [{"op_id": op.op_id, "read_from": w.op_id,
                                  "reason": "read precedes its write"}])
-    keys = [_INIT] + list(writes)
-    edges: dict = {k: set() for k in keys}
-    edge_witness: dict = {}
-    for k in writes:
-        edges[_INIT].add(k)
-        edge_witness[(_INIT, k)] = {"reason": "initial value precedes every write"}
-    for a, b in itertools.permutations(ops, 2):
-        ca, cb = cluster[a.op_id], cluster[b.op_id]
-        if ca != cb and precedes(a, b):
-            if cb not in edges[ca]:
-                edges[ca].add(cb)
-                edge_witness[(ca, cb)] = {"before_op": a.op_id, "after_op": b.op_id}
-    cycle = _find_cycle(keys, edges)
-    if cycle is None:
+    zones = {_INIT: _Zone(None, lo=-math.inf)}
+    zones.update((value, _Zone(w)) for value, w in writes.items())
+    for op in ops:
+        zones[_INIT if op.kind == "read" and op.value is BOTTOM else op.value].add(op)
+    pair = _mutual_pair(zones.values())
+    if pair is None:
         return Verdict("ordering", True)
-    witness = []
-    for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
-        witness.append({"from_write": None if src is _INIT else writes[src].op_id,
-                        "to_write": None if dst is _INIT else writes[dst].op_id,
-                        **edge_witness.get((src, dst), {})})
-    return Verdict("ordering", False, witness)
+
+    def edge(src: _Zone, dst: _Zone) -> dict:
+        return {"from_write": None if src.write is None else src.write.op_id,
+                "to_write": None if dst.write is None else dst.write.op_id,
+                **({"reason": "initial value precedes every write"}
+                   if src.write is None else
+                   {"before_op": src.lo_op.op_id, "after_op": dst.hi_op.op_id})}
+
+    a, b = pair
+    return Verdict("ordering", False, [edge(a, b), edge(b, a)])
 
 
-def _find_cycle(keys, edges):
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {k: WHITE for k in keys}
-    parent = {}
-    for start in keys:
-        if color[start] != WHITE:
+def _mutual_pair(zones: Iterable[_Zone]) -> Optional[tuple[_Zone, _Zone]]:
+    """Two clusters A != B with lo(A) < hi(B) and lo(B) < hi(A), or None.
+
+    With the clusters sorted by ``lo``, those that must precede B form a
+    prefix; the largest ``hi`` in it (or the runner-up, when the largest is
+    B's own) says whether one of them must also follow B.
+    """
+    zones = sorted(zones, key=lambda z: z.lo)
+    los = [z.lo for z in zones]
+    top = []  # top[i]: indices of the two largest hi among zones[:i + 1]
+    best = second = None
+    for i, z in enumerate(zones):
+        if best is None or z.hi > zones[best].hi:
+            best, second = i, best
+        elif second is None or z.hi > zones[second].hi:
+            second = i
+        top.append((best, second))
+    for j, z in enumerate(zones):
+        before = bisect.bisect_left(los, z.hi)
+        if before == 0:
             continue
-        stack = [(start, iter(sorted(edges[start], key=repr)))]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    cycle = [nxt]
-                    cur = node
-                    while cur != nxt:
-                        cycle.append(cur)
-                        cur = parent[cur]
-                    cycle.reverse()
-                    return cycle
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    parent[nxt] = node
-                    stack.append((nxt, iter(sorted(edges[nxt], key=repr))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
+        best, second = top[before - 1]
+        other = second if best == j else best
+        if other is not None and z.lo < zones[other].hi:
+            return zones[other], z
     return None
 
 

@@ -24,12 +24,33 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 
 
+# libyaml's loader where PyYAML was built with it; same results, far faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _load_yaml(path):
+    try:
+        with open(path) as fh:
+            return yaml.load(fh, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path} is not valid YAML: {' '.join(str(exc).split())}") from None
+
+
 def _load_config_file(path):
-    with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
+    data = _load_yaml(path) or {}
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
     return data
+
+
+def _fraction(text, name):
+    try:
+        x = float(text)
+    except ValueError:
+        raise ConfigError(f"workload {name} {text!r} is not a number") from None
+    if not 0.0 <= x <= 1.0:
+        raise ConfigError(f"workload {name} {x} outside [0, 1]")
+    return x
 
 
 def _load_workload(workload_spec, rounds):
@@ -37,18 +58,20 @@ def _load_workload(workload_spec, rounds):
     if (workload_spec is None or workload_spec == "random"
             or workload_spec.startswith("random:")):
         parts = workload_spec.split(":") if workload_spec else []
-        rate = float(parts[1]) if len(parts) > 1 else 0.2
-        ratio = float(parts[2]) if len(parts) > 2 else 0.5
+        rate = _fraction(parts[1], "op_rate") if len(parts) > 1 else 0.2
+        ratio = _fraction(parts[2], "read_ratio") if len(parts) > 2 else 0.5
         return RandomWorkload(op_rate=rate, read_ratio=ratio)
     path = pathlib.Path(workload_spec)
     if not path.exists():
         raise ConfigError(f"workload file {workload_spec} does not exist")
-    with open(path) as fh:
-        entries = yaml.safe_load(fh) or []
     directives = []
-    for e in entries:
-        directives.append(Directive(round=int(e["round"]), client=int(e["client"]),
-                                    op=e["op"], value=e.get("value")))
+    for e in _load_yaml(path) or []:
+        try:
+            directives.append(Directive(round=int(e["round"]), client=int(e["client"]),
+                                        op=e["op"], value=e.get("value")))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"workload file {workload_spec}: bad directive {e!r} "
+                              f"({type(exc).__name__}: {exc})") from None
     return directives
 
 
@@ -140,7 +163,7 @@ def cmd_run(config_file, model, n, f, rounds, seed, clients, workload, adversary
         result, verdicts = _run_one(
             model, n, f, rounds, seed, clients, workload, adversary,
             allow_inadmissible, trace_messages, do_check)
-    except ConfigError as exc:
+    except (ConfigError, hc.CheckerInputError) as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     _write_artifacts(result, verdicts, out_dir, trace_out, report_out)
@@ -239,8 +262,30 @@ def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
     table = "\n".join(lines) + "\n"
     click.echo(table, nl=False)
     if out_path:
-        pathlib.Path(out_path).write_text(table)
+        out = pathlib.Path(out_path)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(table)
     sys.exit(EXIT_OK if all(r["pass"] for r in rows) else EXIT_VIOLATION)
+
+
+def _read_history(path):
+    """Checker operations from a file of JSON operation records, one a line."""
+    ops = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path} line {lineno}: not JSON ({exc.msg})") from None
+            if not isinstance(record, dict):
+                raise ConfigError(f"{path} line {lineno}: not a JSON object")
+            try:
+                ops += hc.history_from_records([record])
+            except KeyError as exc:
+                raise ConfigError(f"{path} line {lineno}: record lacks key {exc}") from None
+    return ops
 
 
 @main.command("check")
@@ -248,17 +293,10 @@ def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
 @click.option("--crashed", default="", help="comma-separated crashed client ids")
 def cmd_check(history_file, crashed):
     """Check a standalone history file (one JSON operation record per line)."""
-    records = []
-    with open(history_file) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
     crashed_ids = {int(x) for x in crashed.split(",") if x.strip()}
     try:
-        ops = hc.history_from_records(records)
-        verdicts = hc.check_all(ops, crashed_ids)
-    except hc.CheckerInputError as exc:
+        verdicts = hc.check_all(_read_history(history_file), crashed_ids)
+    except (ConfigError, hc.CheckerInputError) as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     ok = True

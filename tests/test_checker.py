@@ -1,12 +1,16 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobyreg.checker import (BRUTE_FORCE_CAP, CheckerInputError, Op,
                              OracleRefusal, brute_force_linearizable,
                              check_all, check_ordering, check_termination,
                              check_validity, history_from_records, precedes)
 from mobyreg.protocol import BOTTOM
+from oracles import cluster_graph_ordering, validity_by_definition
 
 
 def W(op_id, value, invoke, response, client=0):
@@ -58,6 +62,13 @@ def test_validity_default_value_ok_without_preceding_write():
     assert check_validity([R(0, BOTTOM, 1, 2)]).passed
     # a concurrent write does not forbid the default value
     assert check_validity([W(0, 5, 1, 3), R(1, BOTTOM, 2, 3)]).passed
+
+
+def test_validity_default_value_after_the_first_write_to_respond():
+    # the write invoked first responds last; the other one has completed
+    hist = [W(0, 3, 1, 5), W(1, 5, 2, 2, client=2), R(2, BOTTOM, 4, 5)]
+    v = check_validity(hist)
+    assert not v.passed and "default" in v.witness[0]["reason"]
 
 
 def test_validity_concurrent_write_offers_either_value():
@@ -206,6 +217,120 @@ def test_ordering_implies_validity_on_random_histories():
         hist = random_history(rng)
         if check_ordering(hist).passed:
             assert check_validity(hist).passed, hist
+
+
+def build_history(shapes, n_clients, wild=0):
+    """Operations from ``(client, gap, span, at, done, is_write, pick)``.
+
+    An operation starts ``gap`` rounds after its client's previous one ends,
+    spans ``span`` more rounds, and takes effect in round ``invoke + at``
+    (capped at its response), ties going by op id; ``done == 0`` means it
+    never responds, and such a write never takes effect.  A read with
+    ``pick`` < 48 returns the last value in effect (or the default value),
+    so with only such reads the history is linearizable by construction.
+    Larger picks return one of the two values in effect before it, or from
+    60 on the default value; picks below ``wild`` return a value never
+    written or any written value, even a later one.
+    """
+    next_free = [1] * n_clients
+    timed = []
+    for op_id, (client, gap, span, at, done, is_write, pick) in enumerate(shapes):
+        invoke = next_free[client] + gap
+        next_free[client] = invoke + span + 1
+        response = invoke + span if done else None
+        timed.append((invoke + min(at, span), op_id, client, invoke, response,
+                      is_write, pick))
+    values = [f"v{t[1]}" for t in timed if t[5]]
+    in_effect = []
+    ops = []
+    for _, op_id, client, invoke, response, is_write, pick in sorted(timed):
+        if is_write:
+            if response is not None:
+                in_effect.append(f"v{op_id}")
+            ops.append(W(op_id, f"v{op_id}", invoke, response, client=client))
+            continue
+        if pick < wild // 2:
+            value = "never-written"
+        elif pick < wild:
+            value = (values + [BOTTOM])[pick % (len(values) + 1)]
+        elif pick >= 60:
+            value = BOTTOM
+        else:
+            back = 0 if pick < 48 else 1 if pick < 58 else 2
+            value = in_effect[-1 - back] if back < len(in_effect) else BOTTOM
+        ops.append(R(op_id, value, invoke, response, client=client))
+    return sorted(ops, key=lambda op: op.op_id)
+
+
+@st.composite
+def histories(draw, max_ops):
+    """Histories with unique written values, many operations sharing rounds,
+    a few incomplete operations, and stale or inexplicable reads."""
+    n_clients = draw(st.integers(1, 5))
+    n_ops = draw(st.integers(0, max_ops))
+    shape = st.tuples(st.integers(0, n_clients - 1), st.integers(0, 2),
+                      st.integers(0, 2), st.integers(0, 2), st.integers(0, 9),
+                      st.booleans(), st.integers(0, 63))
+    shapes = draw(st.lists(shape, min_size=n_ops, max_size=n_ops))
+    return build_history(shapes, n_clients, wild=draw(st.sampled_from([0, 2, 8])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(histories(max_ops=40))
+def test_ordering_check_agrees_with_cluster_graph_and_brute_force(hist):
+    fast = check_ordering(hist)
+    assert fast.passed == cluster_graph_ordering(hist).passed
+    if sum(op.complete for op in hist) <= BRUTE_FORCE_CAP:
+        assert fast.passed == brute_force_linearizable(hist).passed
+    if not fast.passed and "from_write" in fast.witness[0]:
+        # the witness is a 2-cycle of real precedence edges between clusters
+        first, second = fast.witness
+        assert (first["to_write"], second["to_write"]) == \
+            (second["from_write"], first["from_write"])
+        by_id = {op.op_id: op for op in hist}
+        for edge in fast.witness:
+            if "before_op" in edge:
+                assert precedes(by_id[edge["before_op"]], by_id[edge["after_op"]])
+            else:
+                assert edge["from_write"] is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(histories(max_ops=200))
+def test_validity_check_matches_the_definition(hist):
+    fast = check_validity(hist)
+    slow = validity_by_definition(hist)
+    assert fast.passed == slow.passed
+
+    def strip(witness):
+        return [{k: v for k, v in w.items() if k != "newer_write"} for w in witness]
+
+    assert strip(fast.witness) == strip(slow.witness)
+    by_id = {op.op_id: op for op in hist}
+    writes = {op.value: op for op in hist if op.kind == "write"}
+    for w in fast.witness:
+        if "newer_write" in w:
+            read, newer = by_id[w["op_id"]], by_id[w["newer_write"]]
+            assert newer.kind == "write"
+            assert precedes(writes[read.value], newer) and precedes(newer, read)
+
+
+def test_check_all_on_a_long_history():
+    rng = random.Random(2024)
+    shapes = [(op_id % 24, rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2),
+               1, rng.random() < 0.5, 0) for op_id in range(20_000)]
+    hist = build_history(shapes, 24)
+    assert all(v.passed for v in check_all(hist).values())
+    # the last read returns the first value written, long overwritten
+    first = next(op for op in hist if op.kind == "write")
+    k = max(i for i, op in enumerate(hist) if op.kind == "read")
+    hist[k] = dataclasses.replace(hist[k], value=first.value)
+    verdicts = check_all(hist)
+    assert verdicts["termination"].passed
+    assert verdicts["validity"].witness[0]["op_id"] == hist[k].op_id
+    assert verdicts["validity"].witness[0]["reason"] == "overwritten value"
+    assert len(verdicts["validity"].witness) == 1
+    assert not verdicts["ordering"].passed
 
 
 # ------------------------------------------------------------ adapters -----

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 import yaml
 from click.testing import CliRunner
 
@@ -100,3 +101,72 @@ def test_check_command_roundtrip(tmp_path):
     records[1]["result"] = 7  # never written
     hist.write_text("".join(json.dumps(r) + "\n" for r in records))
     assert invoke("check", str(hist)).exit_code == 1
+
+
+def assert_config_error(result, *fragments):
+    """Exit 2 with a one-line message, and no traceback."""
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("configuration error: ")
+    assert result.output.count("\n") == 1, result.output
+    for fragment in fragments:
+        assert fragment in result.output
+
+
+def test_run_repeated_written_value_is_config_error(tmp_path):
+    wl = tmp_path / "dup.yaml"
+    wl.write_text(yaml.safe_dump([
+        {"round": 1, "client": 0, "op": "write", "value": 5},
+        {"round": 3, "client": 1, "op": "write", "value": 5},
+    ]))
+    result = invoke("run", "--model", "sasaki", "--n", "9", "--f", "2",
+                    "--rounds", "5", "--workload", str(wl),
+                    "--out-dir", str(tmp_path))
+    assert_config_error(result, "duplicate written value 5")
+
+
+@pytest.mark.parametrize("spec, fragment", [
+    ("random:abc", "'abc' is not a number"),
+    ("random:1.5:0.5", "op_rate 1.5 outside [0, 1]"),
+    ("random:0.5:-0.1", "read_ratio -0.1 outside [0, 1]"),
+])
+def test_run_bad_random_workload_is_config_error(tmp_path, spec, fragment):
+    result = invoke("run", "--rounds", "5", "--workload", spec,
+                    "--out-dir", str(tmp_path))
+    assert_config_error(result, fragment)
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ('[{"round": 1, "op": "read"}]', "KeyError: 'client'"),
+    ('[{"round": "one", "client": 0, "op": "read"}]', "ValueError"),
+    ("[5]", "bad directive 5"),
+    ("- {round: 1\n- x", "is not valid YAML"),
+])
+def test_run_malformed_directives_are_config_error(tmp_path, text, fragment):
+    wl = tmp_path / "wl.yaml"
+    wl.write_text(text)
+    result = invoke("run", "--rounds", "5", "--workload", str(wl),
+                    "--out-dir", str(tmp_path))
+    assert_config_error(result, fragment)
+
+
+def test_sweep_out_creates_missing_directories(tmp_path):
+    out = tmp_path / "new" / "dir" / "table.tsv"
+    result = invoke("sweep", "--models", "buhrman", "--f-values", "1",
+                    "--seeds", "0", "--rounds", "10", "--out", str(out))
+    assert result.exit_code == 0, result.output
+    assert out.read_text().splitlines()[0].startswith("model\t")
+
+
+@pytest.mark.parametrize("line, fragment", [
+    ("{not json", "line 2: not JSON"),
+    ('{"op_id": 1, "client": 1}', "line 2: record lacks key 'kind'"),
+    ("[1, 2]", "line 2: not a JSON object"),
+])
+def test_check_malformed_line_is_config_error(tmp_path, line, fragment):
+    write = {"op_id": 0, "client": 0, "kind": "write", "argument": 5,
+             "result": "write_confirmation", "invoke_round": 1,
+             "response_round": 1, "failed": False}
+    hist = tmp_path / "h.jsonl"
+    hist.write_text(json.dumps(write) + "\n" + line + "\n")
+    assert_config_error(invoke("check", str(hist)), fragment)
