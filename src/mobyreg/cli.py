@@ -30,7 +30,7 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 def _load_yaml(path):
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # the YAML reader detects the encoding
             return yaml.load(fh, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path} is not valid YAML: {' '.join(str(exc).split())}") from None
@@ -40,7 +40,17 @@ def _load_config_file(path):
     data = _load_yaml(path) or {}
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
+    for key in ("model", "workload", "adversary"):
+        if not isinstance(data.get(key, ""), str):
+            raise ConfigError(f"config file {path}: {key} {data[key]!r} is not a string")
     return data
+
+
+def _config_int(value, key):
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} {value!r} is not an integer") from None
 
 
 def _fraction(text, name):
@@ -64,14 +74,21 @@ def _load_workload(workload_spec, rounds):
     path = pathlib.Path(workload_spec)
     if not path.exists():
         raise ConfigError(f"workload file {workload_spec} does not exist")
+    entries = _load_yaml(path) or []
+    if not isinstance(entries, list):
+        raise ConfigError(f"workload file {workload_spec} must hold a list of directives")
     directives = []
-    for e in _load_yaml(path) or []:
+    for e in entries:
         try:
-            directives.append(Directive(round=int(e["round"]), client=int(e["client"]),
-                                        op=e["op"], value=e.get("value")))
-        except (KeyError, TypeError, ValueError) as exc:
+            d = Directive(round=int(e["round"]), client=int(e["client"]),
+                          op=e["op"], value=e.get("value"))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"workload file {workload_spec}: bad directive {e!r} "
                               f"({type(exc).__name__}: {exc})") from None
+        if isinstance(d.value, (list, dict)):
+            raise ConfigError(f"workload file {workload_spec}: bad directive {e!r} "
+                              f"(value must be a scalar)")
+        directives.append(d)
     return directives
 
 
@@ -144,18 +161,17 @@ def cmd_run(config_file, model, n, f, rounds, seed, clients, workload, adversary
             allow_inadmissible, trace_out, report_out, out_dir, do_check,
             trace_messages):
     """Run one simulation, write artifacts, and check the register properties."""
-    file_cfg = _load_config_file(config_file) if config_file else {}
-
     def pick(flag, key, default):
         return flag if flag is not None else file_cfg.get(key, default)
 
     try:
+        file_cfg = _load_config_file(config_file) if config_file else {}
         model = pick(model, "model", "garay")
-        n = int(pick(n, "n", 7))
-        f = int(pick(f, "f", 2))
-        rounds = int(pick(rounds, "rounds", 100))
-        seed = int(pick(seed, "seed", 0))
-        clients = int(pick(clients, "clients", 3))
+        n = _config_int(pick(n, "n", 7), "n")
+        f = _config_int(pick(f, "f", 2), "f")
+        rounds = _config_int(pick(rounds, "rounds", 100), "rounds")
+        seed = _config_int(pick(seed, "seed", 0), "seed")
+        clients = _config_int(pick(clients, "clients", 3), "clients")
         workload = pick(workload, "workload", "random")
         adversary = pick(adversary, "adversary", "random")
         allow_inadmissible = allow_inadmissible or bool(
@@ -268,23 +284,49 @@ def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
     sys.exit(EXIT_OK if all(r["pass"] for r in rows) else EXIT_VIOLATION)
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _record_type_error(record):
+    """What the checker cannot use in a history record's fields, or None."""
+    if record["kind"] not in ("write", "read"):
+        return f"kind {record['kind']!r} is neither 'write' nor 'read'"
+    for key in ("op_id", "client", "invoke_round", "response_round"):
+        x = record.get(key)
+        if not (_is_int(x) or (x is None and key == "response_round")):
+            return f"{key} {x!r} is not an integer"
+    for key in ("argument", "result"):
+        if isinstance(record.get(key), (list, dict)):
+            return f"{key} {record[key]!r} is not a scalar"
+    return None
+
+
 def _read_history(path):
     """Checker operations from a file of JSON operation records, one a line."""
     ops = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path} line {lineno}: not JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise ConfigError(f"{path} line {lineno}: not a JSON object")
-            try:
-                ops += hc.history_from_records([record])
-            except KeyError as exc:
-                raise ConfigError(f"{path} line {lineno}: record lacks key {exc}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(
+                        f"{path} line {lineno}: not JSON ({exc.msg})") from None
+                if not isinstance(record, dict):
+                    raise ConfigError(f"{path} line {lineno}: not a JSON object")
+                try:
+                    ops += hc.history_from_records([record])
+                except KeyError as exc:
+                    raise ConfigError(
+                        f"{path} line {lineno}: record lacks key {exc}") from None
+                problem = _record_type_error(record)
+                if problem:
+                    raise ConfigError(f"{path} line {lineno}: {problem}")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path} is not UTF-8 text") from None
     return ops
 
 
@@ -293,8 +335,9 @@ def _read_history(path):
 @click.option("--crashed", default="", help="comma-separated crashed client ids")
 def cmd_check(history_file, crashed):
     """Check a standalone history file (one JSON operation record per line)."""
-    crashed_ids = {int(x) for x in crashed.split(",") if x.strip()}
     try:
+        crashed_ids = {_config_int(x, "--crashed id") for x in crashed.split(",")
+                       if x.strip()}
         verdicts = hc.check_all(_read_history(history_file), crashed_ids)
     except (ConfigError, hc.CheckerInputError) as exc:
         click.echo(f"configuration error: {exc}", err=True)

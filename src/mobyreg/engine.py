@@ -6,6 +6,13 @@ phase (channels are reliable and authenticated).  The adversary relocates its
 agents per the fault model, corrupts occupied servers, and substitutes their
 outgoing messages.  The run records an operation history, per-round agreement
 probes, an event trace, and any property violations.
+
+Servers receive only broadcasts, so every server gets the same inbox, and
+each enters the receive phase with empty round buffers: an agent corrupts its
+host before ``server_begin_round`` empties ``echo_vals`` and
+``current_writes``, and the send phase empties ``current_reads`` on every
+branch.  So the engine sorts and tallies that one inbox, and decides
+adoption, once per round: O(n) work, not n inbox copies and n tallies.
 """
 
 from __future__ import annotations
@@ -281,14 +288,15 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         behavior = {i: effective_behavior(model, status[i]) for i in range(n)}
 
         # --- begin round -------------------------------------------------
+        # corrupt first: begin_round then empties the buffers (module docstring)
         for i in range(n):
+            if i in pre_send:
+                servers[i] = strategy.corrupt_state(
+                    r, i, rng_stream(seed, "corrupt", r, i), servers[i])
+                restored[i] = False
             report = (oracle_enabled and not restored[i]
                       and status[i] is not FaultStatus.FAULTY)
             servers[i] = server_begin_round(servers[i], report)
-        for i in sorted(pre_send):
-            servers[i] = strategy.corrupt_state(
-                r, i, rng_stream(seed, "corrupt", r, i), servers[i])
-            restored[i] = False
 
         # --- operation injection (queued at the previous compute) --------
         if scripted is not None:
@@ -358,14 +366,11 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                     raise ConfigError(f"illegal agent move {src}->{dst} in round {r}")
                 moved.discard(src)
                 moved.add(dst)
-                # Departing host: restored code reinitializes the round-local
-                # buffers; the register value keeps the agent's corruption and
-                # pending readers stay known.
-                servers[src] = replace(
-                    servers[src], echo_vals={}, current_writes={},
-                    value=strategy.corrupt_value(
-                        r, src, rng_stream(seed, "corrupt-leave", r, src),
-                        servers[src].value))
+                # Departing host: its round buffers are still empty, the
+                # register value keeps the agent's corruption.
+                servers[src] = replace(servers[src], value=strategy.corrupt_value(
+                    r, src, rng_stream(seed, "corrupt-leave", r, src),
+                    servers[src].value))
                 restored[src] = False
                 trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
             post_occupied = frozenset(moved)
@@ -373,35 +378,26 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                 raise ConfigError("occupied set exceeds f after movement")
 
         # --- receive phase --------------------------------------------------
-        server_inbox: dict[int, list] = {i: [] for i in range(n)}
+        # one inbox, tally and adoption decision for all servers (module docstring)
+        server_inbox: list = []
         client_inbox: dict[int, list] = {c: [] for c in range(n_clients)}
-        sent_count = 0
-        delivered_count = 0
         for skind, sid, dest, msg in outbox:
-            sent_count += 1
             if dest == SERVERS:
-                for i in range(n):
-                    server_inbox[i].append((skind, sid, msg))
-                    delivered_count += 1
-            else:
-                if dest in client_inbox:
-                    client_inbox[dest].append((skind, sid, msg))
-                    delivered_count += 1
-        # broadcasts fan out to all n servers; point-to-point delivers once
-        expected = sum(n if dest == SERVERS else 1 for _, _, dest, _ in outbox)
-        assert delivered_count == expected, "reliable-channel accounting broke"
+                server_inbox.append((skind, sid, msg))
+            elif dest in client_inbox:
+                client_inbox[dest].append((skind, sid, msg))
 
         def sorted_inbox(entries):
             entries.sort(key=lambda e: (e[0], e[1]))
             return [(sid, msg) for _, sid, msg in entries]
 
-        for i in range(n):
-            inbox = sorted_inbox(server_inbox[i])
-            if record_messages:
-                for sid, msg in inbox:
-                    trace(r, "receive", "deliver", f"s{i}",
-                          {"from": sid, "msg": _msg_payload(msg)})
-            servers[i] = server_receive(servers[i], inbox)
+        inbox = sorted_inbox(server_inbox)
+        if record_messages:
+            delivered = [{"from": sid, "msg": _msg_payload(msg)} for sid, msg in inbox]
+            for i in range(n):
+                for payload in delivered:
+                    trace(r, "receive", "deliver", f"s{i}", payload)
+        tally = server_receive(ServerState(), inbox)
         for c in range(n_clients):
             if c in crashed:
                 continue
@@ -413,9 +409,12 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             clients[c] = client_receive(clients[c], inbox)
 
         # --- compute phase ---------------------------------------------------
+        tally, note = server_compute(tally, s_threshold)
         for i in range(n):
-            st, note = server_compute(servers[i], s_threshold)
-            servers[i] = st
+            st = servers[i]
+            servers[i] = ServerState(
+                tally.value if note.adopted else st.value, tally.echo_vals,
+                tally.current_writes, tally.current_reads, st.cured)
             if note.tied_values:
                 trace(r, "compute", "state_transition", f"s{i}",
                       {"diagnostic": "echo threshold tie",

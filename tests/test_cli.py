@@ -3,6 +3,8 @@ import json
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mobyreg.cli import main
 
@@ -141,6 +143,10 @@ def test_run_bad_random_workload_is_config_error(tmp_path, spec, fragment):
     ('[{"round": "one", "client": 0, "op": "read"}]', "ValueError"),
     ("[5]", "bad directive 5"),
     ("- {round: 1\n- x", "is not valid YAML"),
+    ('[{"round": 1, "client": 0, "op": "write", "value": [1, 2]}]',
+     "value must be a scalar"),
+    ('[{"round": .inf, "client": 0, "op": "read"}]', "OverflowError"),
+    ("5", "must hold a list of directives"),
 ])
 def test_run_malformed_directives_are_config_error(tmp_path, text, fragment):
     wl = tmp_path / "wl.yaml"
@@ -170,3 +176,78 @@ def test_check_malformed_line_is_config_error(tmp_path, line, fragment):
     hist = tmp_path / "h.jsonl"
     hist.write_text(json.dumps(write) + "\n" + line + "\n")
     assert_config_error(invoke("check", str(hist)), fragment)
+
+
+WRITE_RECORD = {"op_id": 0, "client": 0, "kind": "write", "argument": 5,
+                "result": "write_confirmation", "invoke_round": 1,
+                "response_round": 1, "failed": False}
+READ_RECORD = {"op_id": 1, "client": 1, "kind": "read", "argument": None,
+               "result": 5, "invoke_round": 2, "response_round": 3, "failed": False}
+
+
+@pytest.mark.parametrize("field, value, fragment", [
+    ("write.argument", [1, 2], "line 1: argument [1, 2] is not a scalar"),
+    ("read.result", {"a": 1}, "line 2: result {'a': 1} is not a scalar"),
+    ("write.invoke_round", "1", "line 1: invoke_round '1' is not an integer"),
+    ("read.response_round", 2.5, "line 2: response_round 2.5 is not an integer"),
+    ("read.client", [1], "line 2: client [1] is not an integer"),
+    ("read.kind", "scan", "line 2: kind 'scan' is neither"),
+])
+def test_check_mistyped_field_is_config_error(tmp_path, field, value, fragment):
+    records = {"write": dict(WRITE_RECORD), "read": dict(READ_RECORD)}
+    which, key = field.split(".")
+    records[which][key] = value
+    hist = tmp_path / "h.jsonl"
+    hist.write_text("".join(json.dumps(r) + "\n" for r in records.values()))
+    assert_config_error(invoke("check", str(hist)), fragment)
+
+
+def test_check_bad_crashed_ids_and_bad_bytes_are_config_error(tmp_path):
+    hist = tmp_path / "h.jsonl"
+    hist.write_text(json.dumps(WRITE_RECORD) + "\n")
+    assert_config_error(invoke("check", str(hist), "--crashed", "0,x"),
+                        "--crashed id 'x' is not an integer")
+    hist.write_bytes(b'{"op_id": "\xff"}\n')
+    assert_config_error(invoke("check", str(hist)), "is not UTF-8 text")
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("n: [1]", "n [1] is not an integer"),
+    ("rounds: abc", "rounds 'abc' is not an integer"),
+    ("model: 5", "model 5 is not a string"),
+    ("- {round: 1\n- x", "is not valid YAML"),
+])
+def test_run_mistyped_config_file_is_config_error(tmp_path, text, fragment):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    result = invoke("run", "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert_config_error(result, fragment)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+    | st.sampled_from(["write", "read", "x"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+# a valid record with some fields replaced by arbitrary JSON and some removed
+RECORDS = st.builds(
+    lambda base, changes, dropped: {k: v for k, v in {**base, **changes}.items()
+                                    if k not in dropped},
+    st.sampled_from([WRITE_RECORD, READ_RECORD]),
+    st.dictionaries(st.sampled_from(sorted(WRITE_RECORD)), JSON, max_size=3),
+    st.sets(st.sampled_from(sorted(WRITE_RECORD)), max_size=2))
+HISTORY_LINES = st.lists(
+    RECORDS.map(json.dumps) | JSON.map(json.dumps) | st.text(max_size=8), max_size=4)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=HISTORY_LINES)
+def test_check_never_ends_in_a_traceback(tmp_path, lines):
+    hist = tmp_path / "h.jsonl"
+    hist.write_text("".join(line.replace("\n", " ") + "\n" for line in lines))
+    result = invoke("check", str(hist))
+    assert result.exit_code in (0, 1, 2), result.output
+    assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
+    assert "Traceback" not in result.output

@@ -1,5 +1,7 @@
+import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +11,8 @@ from mobyreg.checker import check_all, history_from_records
 from mobyreg.engine import (Directive, RandomWorkload, probe_agreement, run,
                             tightness_demo, validate_directives)
 from mobyreg.model import ConfigError, ModelId, make_config
-from mobyreg.protocol import BOTTOM, ServerState
+from mobyreg.protocol import (BOTTOM, ServerState, server_begin_round,
+                              server_send)
 
 
 def m1_config(n=7, f=2):
@@ -222,3 +225,102 @@ def test_random_runs_satisfy_register_properties(model):
     assert all(v.passed for v in verdicts.values()), {
         k: v.witness for k, v in verdicts.items() if not v.passed}
     assert res.violations == []
+
+
+# ------------------------------------------------- shared receive phase ----
+
+def run_digest(res):
+    """SHA-256 over a run's trace lines, history, probes and failures."""
+    h = hashlib.sha256(res.trace_lines().encode())
+    for part in ([r.as_dict() for r in res.history], res.probes,
+                 res.violations, res.protocol_failures):
+        h.update(json.dumps(part, sort_keys=True, default=str).encode())
+    return h.hexdigest()
+
+
+def _random_run(model, n, f, **kwargs):
+    return run(make_config(model, n, f), RandomWalk(), RandomWorkload(op_rate=0.5),
+               rounds=60, seed=7, n_clients=3, **kwargs)
+
+
+GOLDEN_RUNS = {
+    "garay-random": (
+        lambda: _random_run("garay", 7, 2),
+        "0f003c0af2e8e4ca1cde4d294591fbc846e3b973620418d02e9b5c312908a7c4"),
+    "bonnet-random": (
+        lambda: _random_run("bonnet", 9, 2),
+        "26d9e7080d6cafc5c76117407ee10f93825af6dfda03521b2cae781cce79e0e8"),
+    "sasaki-random": (
+        lambda: _random_run("sasaki", 9, 2),
+        "376bb195d828bbc0ed99eb3524c6c9d31a84871d4f8e657e207e4aa3c8006dff"),
+    "buhrman-random": (
+        lambda: _random_run("buhrman", 5, 2),
+        "9517df5be510cc3de24170676b64b5cf8c7be358632b8b3e57835bb0c6e52a4c"),
+    "sasaki-inadmissible-messages": (
+        lambda: _random_run("sasaki", 8, 2, allow_inadmissible=True,
+                            record_messages=True),
+        "736b85342412045eae897469d59a1ad09f7f834e4096c44dffdfc415a46ebe01"),
+    "buhrman-in-send-moves": (
+        lambda: run(make_config("buhrman", 5, 2),
+                    Scripted({1: {0, 1}, 2: {2, 1}, 4: {3, 4}}, fake_value="evil"),
+                    [Directive(1, 3, "write", "good"), Directive(2, 0, "read"),
+                     Directive(4, 1, "write", "better"), Directive(5, 2, "read")],
+                    rounds=6, seed=0, n_clients=4, record_messages=True),
+        "7bcd84ab834a9cec586cc45c3ba93a32796de109672a9714971b18b3e273de8a"),
+    "garay-inadmissible-echo-ties": (
+        lambda: run(make_config("garay", 6, 2), Stationary(fake_value="evil"),
+                    RandomWorkload(op_rate=0.5), rounds=30, seed=3, n_clients=3,
+                    allow_inadmissible=True, record_messages=True),
+        "23851d21e3c1fd90e10872a7a7b18576450b15bd54bfee9836b08b9bc04416cc"),
+}
+
+GOLDEN_TIGHTNESS = {
+    (ModelId.GARAY, 1): "bd5e7242b085500398e9af8dc93f3bbd8dfed93bcd45842cbba45a89201bc081",
+    (ModelId.GARAY, 2): "b943137d6676963cff7373b709e7f0c7656527c3dd56d85e87144773dc9560b5",
+    (ModelId.BONNET, 1): "390cbc2d20b2536298c06063b2b84179984d7ecb1f82fedadb0fdbb97e8676c6",
+    (ModelId.BONNET, 2): "a1bfcc93acdd080cf2ef738e353f1a24999a414586b3b2f7c505359eab6ed9d7",
+    (ModelId.SASAKI, 1): "32656eb60b76dc2ad704c5d4557a1207f8e0a1b2ce1e2be81e8713c8c32511c5",
+    (ModelId.SASAKI, 2): "f7a6f55b29317d4872ac3b8f7a0ac1b467f5cd9bb9e1020f2552f40d25b9daac",
+    (ModelId.BUHRMAN, 1): "3f12b954743d780005f0b0eada62997be2fc34f6e4c26f6bfaaad57e465c1ae0",
+    (ModelId.BUHRMAN, 2): "f276c662c9d141a3153edeaa5477ddfacce2ff4471dcbea444bad4860341f126",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_run_artifacts_match_golden_digest(name):
+    # digests recorded with the per-server receive phase (n inbox copies,
+    # n tallies); the shared tally must reproduce every byte
+    make, digest = GOLDEN_RUNS[name]
+    assert run_digest(make()) == digest
+
+
+@pytest.mark.parametrize("model,f", GOLDEN_TIGHTNESS)
+def test_tightness_report_matches_golden_digest(model, f):
+    report = json.dumps(tightness_demo(model, f), sort_keys=True, default=str)
+    assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_TIGHTNESS[(model, f)]
+
+
+def test_round_buffers_are_empty_before_receive():
+    # the shared tally is sound only because begin_round and send leave
+    # every server's echo_vals, current_writes and current_reads empty
+    dirty = ServerState(value=5, echo_vals={1: 9}, current_writes={7: 9},
+                        current_reads=frozenset({3}))
+    for cured in (False, True):
+        st, _ = server_send(server_begin_round(dirty, cured), 0)
+        assert (st.echo_vals, st.current_writes, st.current_reads) == ({}, {}, frozenset())
+
+    class PlantsBuffers(Scripted):
+        # corrupts the round buffers instead of the value
+        def corrupt_state(self, round_no, server, rng, state):
+            return replace(state, echo_vals={s: "planted" for s in range(9)},
+                           current_writes={99: "planted"})
+
+    # bonnet: the hosts vacated after round 1 send from their own state in
+    # round 2, so a planted buffer that survived into round 1's compute would
+    # show up in their echoes
+    res = run(make_config("bonnet", 9, 2), PlantsBuffers({1: {0, 1}, 2: {2, 3}}),
+              [Directive(1, 0, "write", 5)], rounds=2, seed=0, n_clients=1,
+              record_messages=True)
+    echoes = {ev.actor: ev.payload["msg"]["value"] for ev in res.trace
+              if ev.round == 2 and ev.kind == "send" and ev.payload["msg"]["type"] == "echo"}
+    assert echoes["s0"] == echoes["s1"] == 5
