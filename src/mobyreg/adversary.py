@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 
 from .model import ConfigError, ModelId, SystemConfig
-from .protocol import SERVERS, Echo, Reply, ServerState, replace
+from .protocol import SERVERS, Echo, Reply, ServerState
 
 
 class FaultStatus(enum.Enum):
@@ -127,16 +127,21 @@ class Strategy:
         reinitialized by the restored code anyway, and bookkeeping such as
         pending reads is kept so the adversary can answer readers in kind.
         """
-        return replace(state, value=self.corrupt_value(round_no, server, rng, state.value))
+        return ServerState(self.corrupt_value(round_no, server, rng, state.value),
+                           state.echo_vals, state.current_writes, state.current_reads,
+                           state.cured)
 
     def byzantine_outgoing(self, config: SystemConfig, round_no: int, server: int,
                            state: ServerState, rng: random.Random) -> tuple:
-        """Send-phase output of a fully Byzantine server.
+        """Send-phase output of a fully Byzantine server: (destination, message) pairs.
 
-        Per-recipient equivocation is allowed; the default pushes one wrong
-        value into the echo exchange and to every pending reader.  Sender
-        identity is always the server's own (the network would reject a
-        forgery).
+        A destination is ``SERVERS`` or an integer, and an integer is always
+        taken as a client id; one that names no client is dropped.  So the
+        server can send one echo, which every server receives (only a
+        sender's first echo counts), while its replies to individual clients
+        may differ.  Messages carry the server's own id: the engine drops a
+        forged id and any Write or Read.  The default pushes one wrong value
+        into the echo exchange and to every pending reader.
         """
         wrong = self.corrupt_value(round_no, server, rng, state.value)
         outgoing = [(SERVERS, Echo(wrong, server))]
@@ -187,39 +192,6 @@ class RandomWalk(Strategy):
         return frozenset(rng.sample(range(config.n), config.f))
 
 
-class SplitVote(Strategy):
-    """Scripted occupation pushing a single alternative value.
-
-    Encodes the indistinguishability constructions from the impossibility
-    proofs: every occupied server presents ``fake_value`` so that a reader at
-    the resilience boundary sees two values with equal support.
-    """
-
-    name = "split_vote"
-
-    def __init__(self, fake_value: object, schedule: dict):
-        if fake_value is None:
-            raise ConfigError("split_vote needs a non-default fake value")
-        self.fake_value = fake_value
-        self.schedule = {int(r): frozenset(s) for r, s in schedule.items()}
-
-    def target_set(self, config, round_no, prev, rng):
-        if not self.schedule:
-            return frozenset()
-        applicable = [r for r in self.schedule if r <= round_no]
-        if not applicable:
-            return frozenset()
-        return self.schedule[max(applicable)]
-
-    def byzantine_outgoing(self, config, round_no, server, state, rng):
-        # Stay silent toward the servers (a Byzantine option): the proof
-        # scenarios only need the reader's reply multiset balanced, and at
-        # the boundary even f planted echoes would clear the (degenerate)
-        # maintenance threshold and disturb correct servers.
-        return tuple((cid, Reply(self.fake_value, server))
-                     for cid in sorted(state.current_reads))
-
-
 class Scripted(Strategy):
     """Explicit round -> occupied-set plan (missing rounds: keep the last)."""
 
@@ -234,6 +206,30 @@ class Scripted(Strategy):
         if not applicable:
             return frozenset()
         return self.schedule[max(applicable)]
+
+
+class SplitVote(Scripted):
+    """Scripted occupation pushing a single alternative value.
+
+    Encodes the indistinguishability constructions from the impossibility
+    proofs: every occupied server presents ``fake_value`` so that a reader at
+    the resilience boundary sees two values with equal support.
+    """
+
+    name = "split_vote"
+
+    def __init__(self, fake_value: object, schedule: dict):
+        if fake_value is None:
+            raise ConfigError("split_vote needs a non-default fake value")
+        super().__init__(schedule, fake_value)
+
+    def byzantine_outgoing(self, config, round_no, server, state, rng):
+        # Stay silent toward the servers (a Byzantine option): the proof
+        # scenarios only need the reader's reply multiset balanced, and at
+        # the boundary even f planted echoes would clear the (degenerate)
+        # maintenance threshold and disturb correct servers.
+        return tuple((cid, Reply(self.fake_value, server))
+                     for cid in sorted(state.current_reads))
 
 
 STRATEGIES = {

@@ -96,6 +96,7 @@ def _write_artifacts(result: RunResult, verdicts, out_dir, trace_out, report_out
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = pathlib.Path(trace_out) if trace_out else out / "trace.jsonl"
+    trace_path.parent.mkdir(parents=True, exist_ok=True)
     trace_path.write_text(result.trace_lines())
     (out / "history.jsonl").write_text(
         "".join(json.dumps(rec.as_dict(), sort_keys=True, default=str) + "\n"
@@ -112,6 +113,7 @@ def _write_artifacts(result: RunResult, verdicts, out_dir, trace_out, report_out
         json.dumps(probe_report, indent=2, sort_keys=True, default=str) + "\n")
     verdict_path = pathlib.Path(report_out) if report_out else out / "verdicts.json"
     if verdicts is not None:
+        verdict_path.parent.mkdir(parents=True, exist_ok=True)
         verdict_path.write_text(json.dumps(
             {name: {"passed": v.passed, "witness": v.witness}
              for name, v in verdicts.items()},
@@ -182,7 +184,11 @@ def cmd_run(config_file, model, n, f, rounds, seed, clients, workload, adversary
     except (ConfigError, hc.CheckerInputError) as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    _write_artifacts(result, verdicts, out_dir, trace_out, report_out)
+    try:
+        _write_artifacts(result, verdicts, out_dir, trace_out, report_out)
+    except OSError as exc:
+        click.echo(f"configuration error: cannot write artifacts: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
 
     failed = list(result.violations)
     if verdicts:

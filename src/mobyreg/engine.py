@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .adversary import (Behavior, FaultStatus, Occupancy, Strategy,
@@ -131,11 +131,8 @@ class TraceEvent:
     actor: str
     payload: dict
 
-    def as_line(self) -> str:
-        return json.dumps(
-            {"round": self.round, "phase": self.phase, "kind": self.kind,
-             "actor": self.actor, "payload": self.payload},
-            sort_keys=True, separators=(",", ":"), default=str)
+
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str).encode
 
 
 @dataclass
@@ -152,7 +149,40 @@ class RunResult:
     crashed_clients: frozenset = frozenset()
 
     def trace_lines(self) -> str:
-        return "\n".join(ev.as_line() for ev in self.trace) + ("\n" if self.trace else "")
+        """The trace as JSON lines: each event's five fields, keys sorted, compact.
+
+        Sorted, the keys come as actor, kind, payload, phase, round, so a line
+        is spliced from a cached head, the encoded payload and a cached tail.
+        A payload object is encoded once per round however many events share
+        it (a server-inbox entry has one ``deliver`` event per server); every
+        event stays alive in ``self.trace``, so an ``id`` is not reused here.
+        """
+        heads: dict = {}
+        payloads: dict = {}
+        tails: dict = {}
+        lines = []
+        round_no = None
+        for ev in self.trace:
+            if ev.round != round_no:
+                round_no = ev.round
+                round_text = _ENCODE(round_no)
+                payloads.clear()
+                tails.clear()
+            key = ev.actor, ev.kind
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = (
+                    f'{{"actor":{_ENCODE(ev.actor)},"kind":{_ENCODE(ev.kind)},"payload":')
+            payload = payloads.get(id(ev.payload))
+            if payload is None:
+                payload = payloads[id(ev.payload)] = _ENCODE(ev.payload)
+            tail = tails.get(ev.phase)
+            if tail is None:
+                tail = tails[ev.phase] = (
+                    f',"phase":{_ENCODE(ev.phase)},"round":{round_text}}}')
+            lines.append(head + payload + tail)
+        lines.append("")  # the last line's newline, without copying the text
+        return "\n".join(lines)
 
     @property
     def min_support(self) -> Optional[int]:
@@ -338,7 +368,9 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                 byz_senders.add(i)
                 out_msgs = strategy.byzantine_outgoing(
                     config, r, i, servers[i], rng_stream(seed, "byz", r, i))
-                servers[i] = replace(servers[i], current_reads=frozenset())
+                st = servers[i]
+                servers[i] = ServerState(st.value, st.echo_vals, st.current_writes,
+                                         frozenset(), st.cured)
                 for dest, msg in out_msgs:
                     if _payload_sender_id(msg) != i or isinstance(msg, (Write, Read)):
                         # authenticated channels: a server cannot forge another
@@ -368,9 +400,11 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                 moved.add(dst)
                 # Departing host: its round buffers are still empty, the
                 # register value keeps the agent's corruption.
-                servers[src] = replace(servers[src], value=strategy.corrupt_value(
-                    r, src, rng_stream(seed, "corrupt-leave", r, src),
-                    servers[src].value))
+                st = servers[src]
+                servers[src] = ServerState(
+                    strategy.corrupt_value(r, src, rng_stream(seed, "corrupt-leave", r, src),
+                                           st.value),
+                    st.echo_vals, st.current_writes, st.current_reads, st.cured)
                 restored[src] = False
                 trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
             post_occupied = frozenset(moved)

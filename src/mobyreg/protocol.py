@@ -92,7 +92,7 @@ class ServerState:
 
 def server_begin_round(state: ServerState, cured_report: bool) -> ServerState:
     """Empty the round-local buffers and refresh the cure flag."""
-    return replace(state, echo_vals={}, current_writes={}, cured=bool(cured_report))
+    return ServerState(state.value, {}, {}, state.current_reads, bool(cured_report))
 
 
 def server_send(state: ServerState, server_id: int) -> tuple[ServerState, PhaseOutput]:
@@ -107,7 +107,9 @@ def server_send(state: ServerState, server_id: int) -> tuple[ServerState, PhaseO
         outgoing.append((SERVERS, Echo(state.value, server_id)))
         for cid in sorted(state.current_reads):
             outgoing.append((cid, Reply(state.value, server_id)))
-    return replace(state, current_reads=frozenset()), PhaseOutput(tuple(outgoing))
+    return (ServerState(state.value, state.echo_vals, state.current_writes, frozenset(),
+                        state.cured),
+            PhaseOutput(tuple(outgoing)))
 
 
 def server_receive(state: ServerState,
@@ -214,6 +216,8 @@ def client_invoke_read(state: ClientState) -> ClientState:
 
 def stamp_client_id(state: ClientState, client_id: int) -> ClientState:
     """Fill the sender id into queued messages (the engine knows the id)."""
+    if not state.to_send:
+        return state
     stamped = tuple(
         replace(m, client=client_id) if isinstance(m, (Write, Read)) else m
         for m in state.to_send)
@@ -230,7 +234,8 @@ def client_send(state: ClientState, round_no: int) -> tuple[ClientState, PhaseOu
     op_start = state.op_start
     if op_start is None and (state.reading or state.writing):
         op_start = round_no
-    return replace(state, to_send=(), op_start=op_start), PhaseOutput(outgoing)
+    return (ClientState((), state.reading, state.writing, op_start, state.replies),
+            PhaseOutput(outgoing))
 
 
 def client_receive(state: ClientState,
@@ -240,7 +245,8 @@ def client_receive(state: ClientState,
     for sender, msg in inbox:
         if isinstance(msg, Reply):
             replies.setdefault(msg.server, msg.value)
-    return replace(state, replies=replies)
+    return ClientState(state.to_send, state.reading, state.writing, state.op_start,
+                       replies)
 
 
 def client_compute(state: ClientState, round_no: int,

@@ -4,9 +4,12 @@
 by pair and searches it for a cycle, in O(ops²) time and memory.
 ``validity_by_definition`` transcribes the validity definition, testing every
 write against every read.  Both assume unique written values.
+``trace_line`` encodes one trace event on its own, the reference for
+``RunResult.trace_lines``.
 """
 
 import itertools
+import json
 
 from mobyreg.checker import Verdict, precedes
 from mobyreg.protocol import BOTTOM
@@ -131,3 +134,11 @@ def _find_cycle(keys, edges):
                 color[node] = BLACK
                 stack.pop()
     return None
+
+
+def trace_line(ev):
+    """One trace event as ``json.dumps`` writes it, without its newline."""
+    return json.dumps(
+        {"round": ev.round, "phase": ev.phase, "kind": ev.kind,
+         "actor": ev.actor, "payload": ev.payload},
+        sort_keys=True, separators=(",", ":"), default=str)

@@ -164,6 +164,30 @@ def test_sweep_out_creates_missing_directories(tmp_path):
     assert out.read_text().splitlines()[0].startswith("model\t")
 
 
+def test_run_artifact_paths_in_missing_directories_are_created(tmp_path):
+    trace = tmp_path / "new" / "trace.jsonl"
+    report = tmp_path / "other" / "dir" / "verdicts.json"
+    result = invoke("run", "--rounds", "5", "--out-dir", str(tmp_path / "out"),
+                    "--trace-out", str(trace), "--report-out", str(report))
+    assert result.exit_code == 0, result.output
+    assert trace.read_text().endswith("\n")
+    assert set(json.loads(report.read_text())) == {"termination", "validity", "ordering"}
+
+
+@pytest.mark.parametrize("option, target", [
+    ("--out-dir", "file"),                # an existing file
+    ("--trace-out", "file/trace.jsonl"),  # a parent that is a file
+    ("--report-out", "."),                # an existing directory
+])
+def test_run_unwritable_artifact_path_is_config_error(tmp_path, option, target):
+    (tmp_path / "file").write_text("")
+    args = ["run", "--rounds", "5", option, str(tmp_path / target)]
+    if option != "--out-dir":
+        args += ["--out-dir", str(tmp_path / "out")]
+    result = invoke(*args)
+    assert_config_error(result, "cannot write artifacts")
+
+
 @pytest.mark.parametrize("line, fragment", [
     ("{not json", "line 2: not JSON"),
     ('{"op_id": 1, "client": 1}', "line 2: record lacks key 'kind'"),

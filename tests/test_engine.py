@@ -1,3 +1,4 @@
+import datetime
 import hashlib
 import json
 from collections import Counter
@@ -13,6 +14,7 @@ from mobyreg.engine import (Directive, RandomWorkload, probe_agreement, run,
 from mobyreg.model import ConfigError, ModelId, make_config
 from mobyreg.protocol import (BOTTOM, ServerState, server_begin_round,
                               server_send)
+from oracles import trace_line
 
 
 def m1_config(n=7, f=2):
@@ -45,6 +47,7 @@ def test_empty_workload_is_quiet():
 def test_zero_rounds():
     res = run(m1_config(), NoFaults(), [], rounds=0, seed=0)
     assert res.history == [] and res.probes == []
+    assert res.trace_lines() == ""
 
 
 def test_read_before_any_write_returns_default():
@@ -238,6 +241,22 @@ def run_digest(res):
     return h.hexdigest()
 
 
+def _exotic_values_run():
+    # every written value crosses the wire in shared deliver payloads and
+    # comes back in read results and probes; the date needs default=str
+    wl = [Directive(1, 0, "write", "naïve ☃ 值"), Directive(1, 1, "write", 'say "hi"'),
+          Directive(2, 2, "read"), Directive(2, 0, "write", "back\\slash\n"),
+          Directive(3, 1, "write", 2.5), Directive(3, 3, "read"),
+          Directive(4, 0, "write", float("nan")), Directive(4, 2, "read"),
+          Directive(5, 1, "write", True),
+          Directive(6, 3, "write", datetime.date(2026, 10, 18)), Directive(6, 0, "read"),
+          Directive(7, 1, "write", float("inf")), Directive(7, 2, "read"),
+          Directive(8, 3, "read")]
+    return run(make_config("garay", 7, 2),
+               Scripted({1: {0, 1}, 4: {5, 6}}, fake_value='ƒake "v" \\'), wl,
+               rounds=10, seed=5, n_clients=4, record_messages=True)
+
+
 def _random_run(model, n, f, **kwargs):
     return run(make_config(model, n, f), RandomWalk(), RandomWorkload(op_rate=0.5),
                rounds=60, seed=7, n_clients=3, **kwargs)
@@ -272,6 +291,9 @@ GOLDEN_RUNS = {
                     RandomWorkload(op_rate=0.5), rounds=30, seed=3, n_clients=3,
                     allow_inadmissible=True, record_messages=True),
         "23851d21e3c1fd90e10872a7a7b18576450b15bd54bfee9836b08b9bc04416cc"),
+    "garay-exotic-values-messages": (
+        _exotic_values_run,
+        "4217070d72fb71993e668ba27b7d02ad499b1d5fe6e48c4bcac05234ec112f1d"),
 }
 
 GOLDEN_TIGHTNESS = {
@@ -289,9 +311,28 @@ GOLDEN_TIGHTNESS = {
 @pytest.mark.parametrize("name", GOLDEN_RUNS)
 def test_run_artifacts_match_golden_digest(name):
     # digests recorded with the per-server receive phase (n inbox copies,
-    # n tallies); the shared tally must reproduce every byte
+    # n tallies), the exotic-values one with a json.dumps call per trace
+    # event; the shared tally and the spliced trace must reproduce every byte
     make, digest = GOLDEN_RUNS[name]
     assert run_digest(make()) == digest
+
+
+@pytest.mark.parametrize("name,phase,kind", [
+    ("sasaki-inadmissible-messages", "receive", "deliver"),
+    ("buhrman-in-send-moves", "send", "fault_move"),
+    ("garay-inadmissible-echo-ties", "compute", "state_transition"),
+    ("garay-exotic-values-messages", "compute", "op_response"),
+])
+def test_trace_lines_match_the_per_event_encoding(name, phase, kind):
+    # trace_lines encodes a payload shared by the n deliver events of a
+    # server-inbox entry once; each line must still be the event's own encoding
+    res = GOLDEN_RUNS[name][0]()
+    assert any((ev.phase, ev.kind) == (phase, kind) for ev in res.trace)
+    shared = Counter(id(ev.payload) for ev in res.trace if ev.kind == "deliver")
+    assert max(shared.values()) == res.config.n
+    text = res.trace_lines()
+    assert text.endswith("\n")
+    assert text.split("\n")[:-1] == [trace_line(ev) for ev in res.trace]
 
 
 @pytest.mark.parametrize("model,f", GOLDEN_TIGHTNESS)
