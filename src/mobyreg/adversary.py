@@ -3,8 +3,15 @@
 A strategy decides, per round, which servers the agents occupy (and, in the
 Buhrman model, how they relocate during the send phase), what a corrupted
 server's value becomes, and what messages a fully Byzantine server emits.
-All decisions draw from deterministic per-(round, server) random streams so
-any counterexample reproduces from its seed.
+
+Every decision draws from its own random stream, named by the run's seed and
+a key such as ``("corrupt", round, server)``: ``rng_stream`` hashes the name
+with SHA-256 and starts a splitmix64 generator (Steele, Lea & Flood, *Fast
+Splittable Pseudorandom Number Generators*, OOPSLA 2014) at the digest's
+first 8 bytes.  Streams are independent per (round, server), so any
+counterexample reproduces from its seed, and a stream costs a hash and a
+small object: the engine makes about one per occupied, cured or departing
+server per round, most of them drawn from once or not at all.
 
 Channels stay authenticated: nothing here can forge a sender id, and servers
 can only ever emit Echo/Reply messages under their own id.
@@ -51,10 +58,63 @@ def effective_behavior(model: ModelId, status: FaultStatus) -> Behavior:
     return Behavior.HONEST
 
 
+_MASK64 = (1 << 64) - 1
+
+
+class _Stream(random.Random):
+    """splitmix64 behind the ``random.Random`` API.
+
+    Only ``random`` and ``getrandbits`` draw; ``randrange``, ``sample``,
+    ``choice``, ``shuffle``, ``gauss`` and the rest are the base class's,
+    built on those two.  The base Mersenne Twister is never seeded or read:
+    ``seed``, ``getstate`` and ``setstate`` act on the 64-bit counter.
+    """
+
+    __slots__ = ("_state",)  # read and written on every draw
+
+    def __init__(self, key: int = 0):
+        self.seed(key)
+
+    def seed(self, key: int = 0) -> None:
+        self._state = key & _MASK64
+        self.gauss_next = None
+
+    def getstate(self) -> tuple:
+        return self._state, self.gauss_next
+
+    def setstate(self, state: tuple) -> None:
+        self._state, self.gauss_next = state
+
+    def random(self) -> float:
+        return self.getrandbits(53) * 2.0 ** -53
+
+    def getrandbits(self, k: int) -> int:
+        """The top ``k`` bits of the next ceil(k / 64) outputs, concatenated."""
+        if k > 64:
+            words = -(-k // 64)
+            x = 0
+            for _ in range(words):
+                x = x << 64 | self.getrandbits(64)
+            return x >> (64 * words - k)
+        if k <= 0:
+            if k < 0:
+                raise ValueError("number of bits must be non-negative")
+            return 0
+        z = self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return (z ^ (z >> 31)) >> (64 - k)
+
+
 def rng_stream(seed: int, *key) -> random.Random:
-    """Deterministic generator for one named decision stream."""
+    """Deterministic generator for one named decision stream.
+
+    The stream ``(seed,) + key`` is keyed by the first 8 bytes of the SHA-256
+    digest of its ``repr``; its draws are the splitmix64 sequence from that
+    key.  Equal names give equal sequences, in any process.
+    """
     digest = hashlib.sha256(repr((seed,) + key).encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return _Stream(int.from_bytes(digest[:8], "big"))
 
 
 @dataclass(frozen=True)

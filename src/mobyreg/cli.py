@@ -92,12 +92,17 @@ def _load_workload(workload_spec, rounds):
     return directives
 
 
+def _write_file(path, text):
+    """Write ``text`` to ``path``, creating missing parent directories."""
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
 def _write_artifacts(result: RunResult, verdicts, out_dir, trace_out, report_out):
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trace_path = pathlib.Path(trace_out) if trace_out else out / "trace.jsonl"
-    trace_path.parent.mkdir(parents=True, exist_ok=True)
-    trace_path.write_text(result.trace_lines())
+    _write_file(trace_out or out / "trace.jsonl", result.trace_lines())
     (out / "history.jsonl").write_text(
         "".join(json.dumps(rec.as_dict(), sort_keys=True, default=str) + "\n"
                 for rec in result.history))
@@ -111,10 +116,8 @@ def _write_artifacts(result: RunResult, verdicts, out_dir, trace_out, report_out
     }
     (out / "probe_report.json").write_text(
         json.dumps(probe_report, indent=2, sort_keys=True, default=str) + "\n")
-    verdict_path = pathlib.Path(report_out) if report_out else out / "verdicts.json"
     if verdicts is not None:
-        verdict_path.parent.mkdir(parents=True, exist_ok=True)
-        verdict_path.write_text(json.dumps(
+        _write_file(report_out or out / "verdicts.json", json.dumps(
             {name: {"passed": v.passed, "witness": v.witness}
              for name, v in verdicts.items()},
             indent=2, sort_keys=True, default=str) + "\n")
@@ -219,6 +222,13 @@ def cmd_tightness(model, f, seed, report_out):
     except ConfigError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
+    if report_out:
+        try:
+            _write_file(report_out,
+                        json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")
+        except OSError as exc:
+            click.echo(f"configuration error: cannot write report: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
     click.echo(f"model {report['model']}: n={report['n']} f={report['f']} "
                f"(boundary, threshold {report['threshold']})")
     click.echo(f"reader reply support: "
@@ -226,9 +236,6 @@ def cmd_tightness(model, f, seed, report_out):
                + (f", {report['silent']} silent" if report["silent"] else ""))
     click.echo("protocol failure emitted: "
                + ("yes" if report["failure_emitted"] else "NO"))
-    if report_out:
-        pathlib.Path(report_out).write_text(
-            json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")
     sys.exit(EXIT_OK)
 
 
@@ -282,11 +289,13 @@ def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
     for row in rows:
         lines.append("\t".join(str(row[h]) for h in header))
     table = "\n".join(lines) + "\n"
-    click.echo(table, nl=False)
     if out_path:
-        out = pathlib.Path(out_path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(table)
+        try:
+            _write_file(out_path, table)
+        except OSError as exc:
+            click.echo(f"configuration error: cannot write table: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
+    click.echo(table, nl=False)
     sys.exit(EXIT_OK if all(r["pass"] for r in rows) else EXIT_VIOLATION)
 
 
@@ -333,6 +342,8 @@ def _read_history(path):
                     raise ConfigError(f"{path} line {lineno}: {problem}")
     except UnicodeDecodeError:
         raise ConfigError(f"{path} is not UTF-8 text") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read history: {exc}") from None
     return ops
 
 

@@ -123,7 +123,7 @@ class OpRecord:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     round: int
     phase: str
@@ -255,6 +255,8 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
     oracle_enabled = config.params.oracle_enabled
     s_threshold = config.selection_threshold
     n, f = config.n, config.f
+    # faulty servers act Byzantine in every model; cured ones only in some
+    cured_byzantine = effective_behavior(model, FaultStatus.CURED) is Behavior.BYZANTINE
 
     scripted: Optional[list[Directive]] = None
     generator: Optional[RandomWorkload] = None
@@ -309,13 +311,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                "cured": sorted(cured_now),
                "planned_moves": [list(m) for m in occ.moves]})
 
-        status = {
-            i: (FaultStatus.FAULTY if i in pre_send
-                else FaultStatus.CURED if i in cured_now
-                else FaultStatus.CORRECT)
-            for i in range(n)
-        }
-        behavior = {i: effective_behavior(model, status[i]) for i in range(n)}
+        byzantine = pre_send | cured_now if cured_byzantine else pre_send
 
         # --- begin round -------------------------------------------------
         # corrupt first: begin_round then empties the buffers (module docstring)
@@ -324,8 +320,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                 servers[i] = strategy.corrupt_state(
                     r, i, rng_stream(seed, "corrupt", r, i), servers[i])
                 restored[i] = False
-            report = (oracle_enabled and not restored[i]
-                      and status[i] is not FaultStatus.FAULTY)
+            report = oracle_enabled and not restored[i] and i not in pre_send
             servers[i] = server_begin_round(servers[i], report)
 
         # --- operation injection (queued at the previous compute) --------
@@ -362,10 +357,8 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             clients[c] = cst
             for dest, msg in out.outgoing:
                 outbox.append(("client", c, dest, msg))
-        byz_senders: set[int] = set()
         for i in range(n):
-            if behavior[i] is Behavior.BYZANTINE:
-                byz_senders.add(i)
+            if i in byzantine:
                 out_msgs = strategy.byzantine_outgoing(
                     config, r, i, servers[i], rng_stream(seed, "byz", r, i))
                 st = servers[i]
@@ -494,7 +487,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         probe = {"round": r, "modal": modal, "support": support,
                  "non_faulty": n - len(post_occupied),
                  "pre_send_occupied": sorted(pre_send),
-                 "byzantine_senders": sorted(byz_senders),
+                 "byzantine_senders": sorted(byzantine),
                  "end_occupied": sorted(post_occupied)}
         result.probes.append(probe)
         trace(r, "end", "probe", "engine", dict(probe))

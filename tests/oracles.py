@@ -6,10 +6,17 @@ by pair and searches it for a cycle, in O(ops²) time and memory.
 write against every read.  Both assume unique written values.
 ``trace_line`` encodes one trace event on its own, the reference for
 ``RunResult.trace_lines``.
+``mt_rng_stream`` is the Mersenne Twister stream derivation that
+``mobyreg.adversary.rng_stream`` replaced: the same key, a seeded
+``random.Random``.  Injected as ``mobyreg.engine.rng_stream``, it reproduces
+the traces recorded before the change, so the rest of the engine can be
+checked byte for byte.
 """
 
+import hashlib
 import itertools
 import json
+import random
 
 from mobyreg.checker import Verdict, precedes
 from mobyreg.protocol import BOTTOM
@@ -142,3 +149,9 @@ def trace_line(ev):
         {"round": ev.round, "phase": ev.phase, "kind": ev.kind,
          "actor": ev.actor, "payload": ev.payload},
         sort_keys=True, separators=(",", ":"), default=str)
+
+
+def mt_rng_stream(seed, *key):
+    """``random.Random`` seeded with the first 8 bytes of the stream name's SHA-256."""
+    digest = hashlib.sha256(repr((seed,) + key).encode("utf-8")).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))

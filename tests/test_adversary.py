@@ -1,3 +1,8 @@
+import copy
+import pickle
+import random
+from collections import Counter
+
 import pytest
 
 from mobyreg.adversary import (Behavior, FaultStatus, NoFaults, RandomWalk,
@@ -156,3 +161,71 @@ def test_make_strategy_names():
     assert isinstance(make_strategy("random"), RandomWalk)
     with pytest.raises(ConfigError):
         make_strategy("omniscient")
+
+
+# ---------------------------------------------------------- random streams ---
+
+def test_stream_is_a_random_generator_named_by_its_key():
+    assert isinstance(rng_stream(0, "sched", 1), random.Random)
+    a = rng_stream(9, "corrupt", 3, 4)
+    b = rng_stream(9, "corrupt", 3, 4)
+    assert [a.getrandbits(64) for _ in range(50)] == [b.getrandbits(64) for _ in range(50)]
+    firsts = {rng_stream(seed, kind, r, i).getrandbits(64)
+              for seed in (0, 1) for kind in ("corrupt", "byz") for r in range(1, 20)
+              for i in range(10)}
+    assert len(firsts) == 2 * 2 * 19 * 10
+
+
+def test_stream_draws_the_splitmix64_sequence():
+    # reference outputs of splitmix64 from state 0
+    r = rng_stream(0)
+    r.seed(0)
+    assert [r.getrandbits(64) for _ in range(4)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
+
+
+def test_stream_random_stays_in_the_unit_interval():
+    r = rng_stream(3, "unit")
+    xs = [r.random() for _ in range(20_000)]
+    assert all(0.0 <= x < 1.0 for x in xs)
+    assert abs(sum(xs) / len(xs) - 0.5) < 0.01
+
+
+def test_stream_serves_the_random_api():
+    r = rng_stream(5, "api")
+    assert all(0 <= r.randrange(6) < 6 for _ in range(200))
+    assert all(-3 <= r.randint(-3, 3) <= 3 for _ in range(200))
+    assert {r.choice("abc") for _ in range(200)} == set("abc")
+    picked = r.sample(range(121), 30)
+    assert len(set(picked)) == 30 and all(0 <= x < 121 for x in picked)
+    deck = list(range(52))
+    r.shuffle(deck)
+    assert sorted(deck) == list(range(52)) and deck != list(range(52))
+    wide = [r.getrandbits(200) for _ in range(20)]
+    assert all(0 <= x < 1 << 200 for x in wide) and max(wide).bit_length() > 190
+    assert r.getrandbits(0) == 0
+    with pytest.raises(ValueError):
+        r.getrandbits(-1)
+    gs = [r.gauss(10.0, 2.0) for _ in range(2_000)]
+    assert abs(sum(gs) / len(gs) - 10.0) < 0.3
+
+
+def test_stream_state_round_trips():
+    r = rng_stream(8, "state")
+    r.gauss(0.0, 1.0)  # leaves the second normal deviate cached
+    state = r.getstate()
+    clone, pickled = copy.copy(r), pickle.loads(pickle.dumps(r))
+    ahead = [r.gauss(0.0, 1.0), r.random(), r.randrange(1 << 30)]
+    r.setstate(state)
+    for g in (r, clone, pickled):
+        assert [g.gauss(0.0, 1.0), g.random(), g.randrange(1 << 30)] == ahead
+
+
+def test_first_draws_of_distinct_streams_are_uniform():
+    # the engine draws about once from each (round, server) stream, so the
+    # first draws across streams must be uniform; fixed keys, no flakes
+    counts = Counter(rng_stream(77, "corrupt", r, i).randrange(6)
+                     for r in range(600) for i in range(100))
+    expected = 60_000 / 6
+    chi2 = sum((counts[face] - expected) ** 2 / expected for face in range(6))
+    assert chi2 < 30.0  # 5 degrees of freedom: p < 2e-5

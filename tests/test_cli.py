@@ -188,6 +188,31 @@ def test_run_unwritable_artifact_path_is_config_error(tmp_path, option, target):
     assert_config_error(result, "cannot write artifacts")
 
 
+def test_tightness_report_in_missing_directories_is_created(tmp_path):
+    report = tmp_path / "new" / "dir" / "r.json"
+    result = invoke("tightness", "--model", "garay", "--f", "1",
+                    "--report-out", str(report))
+    assert result.exit_code == 0, result.output
+    assert json.loads(report.read_text())["failure_emitted"] is True
+
+
+@pytest.mark.parametrize("args, fragment", [
+    (["check", "."], "cannot read history"),
+    (["sweep", "--models", "buhrman", "--f-values", "1", "--seeds", "0",
+      "--rounds", "5", "--out", "."], "cannot write table"),
+    (["tightness", "--model", "garay", "--f", "1", "--report-out", "."],
+     "cannot write report"),
+    (["tightness", "--model", "garay", "--f", "1", "--report-out", "file/r.json"],
+     "cannot write report"),
+])
+def test_unreadable_or_unwritable_path_is_config_error(tmp_path, monkeypatch,
+                                                       args, fragment):
+    # "." is an existing directory; "file" is an existing file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    assert_config_error(invoke(*args), fragment)
+
+
 @pytest.mark.parametrize("line, fragment", [
     ("{not json", "line 2: not JSON"),
     ('{"op_id": 1, "client": 1}', "line 2: record lacks key 'kind'"),

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import mobyreg.engine
 from mobyreg.adversary import (NoFaults, RandomWalk, Scripted, SplitVote,
                                Stationary, Sweep)
 from mobyreg.checker import check_all, history_from_records
@@ -14,7 +15,7 @@ from mobyreg.engine import (Directive, RandomWorkload, probe_agreement, run,
 from mobyreg.model import ConfigError, ModelId, make_config
 from mobyreg.protocol import (BOTTOM, ServerState, server_begin_round,
                               server_send)
-from oracles import trace_line
+from oracles import mt_rng_stream, trace_line
 
 
 def m1_config(n=7, f=2):
@@ -262,37 +263,48 @@ def _random_run(model, n, f, **kwargs):
                rounds=60, seed=7, n_clients=3, **kwargs)
 
 
+# name: (make, digest with the Mersenne Twister streams of tests/oracles.py,
+# digest with the splitmix64 streams of rng_stream).  The scripted runs
+# draw from no stream, so both digests are the same.
 GOLDEN_RUNS = {
     "garay-random": (
         lambda: _random_run("garay", 7, 2),
-        "0f003c0af2e8e4ca1cde4d294591fbc846e3b973620418d02e9b5c312908a7c4"),
+        "0f003c0af2e8e4ca1cde4d294591fbc846e3b973620418d02e9b5c312908a7c4",
+        "6d5b191f9477bf3bdeedf23158ca01aa1466b6e19763d55867e258f56edb333c"),
     "bonnet-random": (
         lambda: _random_run("bonnet", 9, 2),
-        "26d9e7080d6cafc5c76117407ee10f93825af6dfda03521b2cae781cce79e0e8"),
+        "26d9e7080d6cafc5c76117407ee10f93825af6dfda03521b2cae781cce79e0e8",
+        "fd079d11c3733c49c87b95deab2748a79348694b13d0d53144762b4c59e5da8a"),
     "sasaki-random": (
         lambda: _random_run("sasaki", 9, 2),
-        "376bb195d828bbc0ed99eb3524c6c9d31a84871d4f8e657e207e4aa3c8006dff"),
+        "376bb195d828bbc0ed99eb3524c6c9d31a84871d4f8e657e207e4aa3c8006dff",
+        "728773883c36d0a773ab04e9dc1ce33e8774addfb0f42fdcfb744d46b726513e"),
     "buhrman-random": (
         lambda: _random_run("buhrman", 5, 2),
-        "9517df5be510cc3de24170676b64b5cf8c7be358632b8b3e57835bb0c6e52a4c"),
+        "9517df5be510cc3de24170676b64b5cf8c7be358632b8b3e57835bb0c6e52a4c",
+        "581dd766314e35ec743841eee4c65f6578c8e69af8c1e3a8d74dd0a4d6c6ebdf"),
     "sasaki-inadmissible-messages": (
         lambda: _random_run("sasaki", 8, 2, allow_inadmissible=True,
                             record_messages=True),
-        "736b85342412045eae897469d59a1ad09f7f834e4096c44dffdfc415a46ebe01"),
+        "736b85342412045eae897469d59a1ad09f7f834e4096c44dffdfc415a46ebe01",
+        "be7561fff5c690326142899c726ce5ff47d191263dba3b3e0390af4cf7972e94"),
     "buhrman-in-send-moves": (
         lambda: run(make_config("buhrman", 5, 2),
                     Scripted({1: {0, 1}, 2: {2, 1}, 4: {3, 4}}, fake_value="evil"),
                     [Directive(1, 3, "write", "good"), Directive(2, 0, "read"),
                      Directive(4, 1, "write", "better"), Directive(5, 2, "read")],
                     rounds=6, seed=0, n_clients=4, record_messages=True),
+        "7bcd84ab834a9cec586cc45c3ba93a32796de109672a9714971b18b3e273de8a",
         "7bcd84ab834a9cec586cc45c3ba93a32796de109672a9714971b18b3e273de8a"),
     "garay-inadmissible-echo-ties": (
         lambda: run(make_config("garay", 6, 2), Stationary(fake_value="evil"),
                     RandomWorkload(op_rate=0.5), rounds=30, seed=3, n_clients=3,
                     allow_inadmissible=True, record_messages=True),
-        "23851d21e3c1fd90e10872a7a7b18576450b15bd54bfee9836b08b9bc04416cc"),
+        "23851d21e3c1fd90e10872a7a7b18576450b15bd54bfee9836b08b9bc04416cc",
+        "c7368f9e92b346d8679c0f9e7d73bba885d68e1c9988f4388ab306ca8023f965"),
     "garay-exotic-values-messages": (
         _exotic_values_run,
+        "4217070d72fb71993e668ba27b7d02ad499b1d5fe6e48c4bcac05234ec112f1d",
         "4217070d72fb71993e668ba27b7d02ad499b1d5fe6e48c4bcac05234ec112f1d"),
 }
 
@@ -309,11 +321,20 @@ GOLDEN_TIGHTNESS = {
 
 
 @pytest.mark.parametrize("name", GOLDEN_RUNS)
-def test_run_artifacts_match_golden_digest(name):
+def test_run_artifacts_match_golden_digest(name, monkeypatch):
     # digests recorded with the per-server receive phase (n inbox copies,
     # n tallies), the exotic-values one with a json.dumps call per trace
-    # event; the shared tally and the spliced trace must reproduce every byte
-    make, digest = GOLDEN_RUNS[name]
+    # event, all with Mersenne Twister streams; given those streams, the
+    # shared tally, the spliced trace and the O(f) fault bookkeeping must
+    # reproduce every byte
+    make, digest, _ = GOLDEN_RUNS[name]
+    monkeypatch.setattr(mobyreg.engine, "rng_stream", mt_rng_stream)
+    assert run_digest(make()) == digest
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_run_artifacts_match_golden_digest_with_splitmix_streams(name):
+    make, _, digest = GOLDEN_RUNS[name]
     assert run_digest(make()) == digest
 
 
