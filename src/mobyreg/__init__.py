@@ -1,16 +1,13 @@
 """Mobile-Byzantine-tolerant MWMR atomic register: protocol, simulator, checker."""
 
-from .model import (ConfigError, ModelId, ModelParams, SystemConfig, admissible,
-                    lookup, make_config, threshold)
+from .model import ConfigError, ModelId, ModelParams, SystemConfig, lookup, make_config
 from .protocol import (BOTTOM, ClientState, Echo, Read, Reply, ServerState,
                        UsageError, Write)
-from .adversary import (Behavior, FaultStatus, NoFaults, RandomWalk, Scripted,
-                        SplitVote, Stationary, Strategy, Sweep,
-                        effective_behavior, make_strategy)
+from .adversary import (NoFaults, RandomWalk, Scripted, SplitVote, Stationary,
+                        Strategy, Sweep, make_strategy)
 from .engine import (Directive, RandomWorkload, RunResult, probe_agreement, run,
                      tightness_demo)
-from .checker import (CheckerInputError, Op, OracleRefusal, Verdict,
-                      brute_force_linearizable, check_all, check_ordering,
+from .checker import (CheckerInputError, Op, Verdict, check_all, check_ordering,
                       check_termination, check_validity, history_from_records,
                       precedes)
 

@@ -13,49 +13,19 @@ counterexample reproduces from its seed, and a stream costs a hash and a
 small object: the engine makes about one per occupied, cured or departing
 server per round, most of them drawn from once or not at all.
 
-Channels stay authenticated: nothing here can forge a sender id, and servers
-can only ever emit Echo/Reply messages under their own id.
+Channels stay authenticated: messages carry no sender id, the channel
+supplies it, so a strategy cannot forge one.  The engine drops any Write or
+Read a Byzantine server emits.
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .model import ConfigError, ModelId, SystemConfig
+from .model import ConfigError, SystemConfig
 from .protocol import SERVERS, Echo, Reply, ServerState
-
-
-class FaultStatus(enum.Enum):
-    CORRECT = "correct"
-    FAULTY = "faulty"
-    CURED = "cured"
-
-
-class Behavior(enum.Enum):
-    HONEST = "honest"
-    BYZANTINE = "byzantine"
-    # Cured and aware of it: the protocol's own cured branch suppresses sends.
-    CURED_SILENT_CAPABLE = "cured_silent_capable"
-    # Cured, unaware, but in control of its sends: runs the normal protocol
-    # over whatever corrupted state the agent left, so every recipient gets
-    # the same content.
-    CURED_CONSTRAINED = "cured_constrained"
-
-
-def effective_behavior(model: ModelId, status: FaultStatus) -> Behavior:
-    """Map a server's fault status to its power for the current round."""
-    if status is FaultStatus.FAULTY:
-        return Behavior.BYZANTINE
-    if status is FaultStatus.CURED:
-        if model is ModelId.SASAKI:
-            return Behavior.BYZANTINE  # acts Byzantine one extra round
-        if model is ModelId.BONNET:
-            return Behavior.CURED_CONSTRAINED
-        return Behavior.CURED_SILENT_CAPABLE  # Garay, Buhrman
-    return Behavior.HONEST
 
 
 _MASK64 = (1 << 64) - 1
@@ -123,19 +93,11 @@ class Occupancy:
 
     ``pre_send`` is the occupied set when the send phase starts.  ``moves``
     are (src, dst) relocations during the send phase and may be nonempty only
-    in the Buhrman model, where agents travel with the messages.
+    in a model whose agents travel with the messages (``moves_in_send``).
     """
 
     pre_send: frozenset
     moves: tuple = ()
-
-    @property
-    def post(self) -> frozenset:
-        occ = set(self.pre_send)
-        for src, dst in self.moves:
-            occ.discard(src)
-            occ.add(dst)
-        return frozenset(occ)
 
 
 def _paired_moves(prev: frozenset, target: frozenset) -> tuple:
@@ -157,6 +119,13 @@ class Strategy:
 
     def occupancy(self, config: SystemConfig, round_no: int,
                   prev: frozenset, rng: random.Random) -> Occupancy:
+        """The round's occupation; the one place its rules are enforced.
+
+        The target holds at most f known servers.  Agents take it at round
+        start, or in a ``moves_in_send`` model by paired (src, dst) moves
+        during the send phase.  The engine applies the result as it is, so
+        subclasses override ``target_set``, not this.
+        """
         target = frozenset(self.target_set(config, round_no, prev, rng))
         if len(target) > config.f:
             raise ConfigError(
@@ -164,7 +133,7 @@ class Strategy:
                 f"round {round_no}, but f={config.f}")
         if any(s < 0 or s >= config.n for s in target):
             raise ConfigError(f"strategy {self.name!r} targets an unknown server")
-        if config.params.model is ModelId.BUHRMAN and round_no > 1:
+        if config.params.moves_in_send and round_no > 1:
             # Agents only relocate with the messages: the pre-send set is
             # last round's set and the difference becomes in-send movement.
             return Occupancy(pre_send=prev, moves=_paired_moves(prev, target))
@@ -199,14 +168,14 @@ class Strategy:
         taken as a client id; one that names no client is dropped.  So the
         server can send one echo, which every server receives (only a
         sender's first echo counts), while its replies to individual clients
-        may differ.  Messages carry the server's own id: the engine drops a
-        forged id and any Write or Read.  The default pushes one wrong value
+        may differ.  The channel supplies the sender, ``server``, and the
+        engine drops any Write or Read.  The default pushes one wrong value
         into the echo exchange and to every pending reader.
         """
         wrong = self.corrupt_value(round_no, server, rng, state.value)
-        outgoing = [(SERVERS, Echo(wrong, server))]
+        outgoing = [(SERVERS, Echo(wrong))]
         for cid in sorted(state.current_reads):
-            outgoing.append((cid, Reply(wrong, server)))
+            outgoing.append((cid, Reply(wrong)))
         return tuple(outgoing)
 
 
@@ -288,7 +257,7 @@ class SplitVote(Scripted):
         # scenarios only need the reader's reply multiset balanced, and at
         # the boundary even f planted echoes would clear the (degenerate)
         # maintenance threshold and disturb correct servers.
-        return tuple((cid, Reply(self.fake_value, server))
+        return tuple((cid, Reply(self.fake_value))
                      for cid in sorted(state.current_reads))
 
 

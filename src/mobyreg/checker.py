@@ -25,15 +25,12 @@ chord A(i-1) -> A(i+1), so lo(Ai) < hi(A(i+1)) <= lo(A(i-1)) for every i, and
 lo would fall strictly all the way round.  One sweep over the clusters sorted
 by ``lo`` finds such a pair.
 
-Both checks take O(ops log ops) time and O(ops) memory.  A brute-force
-enumeration over all precedence-respecting total orders serves as an
-independent oracle for small histories.
+Both checks take O(ops log ops) time and O(ops) memory.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -43,10 +40,6 @@ from .protocol import BOTTOM
 
 class CheckerInputError(ValueError):
     """The history violates a checker precondition (e.g. duplicate values)."""
-
-
-class OracleRefusal(RuntimeError):
-    """The brute-force oracle does not scale to this history."""
 
 
 @dataclass(frozen=True)
@@ -254,39 +247,6 @@ def _mutual_pair(zones: Iterable[_Zone]) -> Optional[tuple[_Zone, _Zone]]:
         if other is not None and z.lo < zones[other].hi:
             return zones[other], z
     return None
-
-
-BRUTE_FORCE_CAP = 9
-
-
-def brute_force_linearizable(history: Sequence[Op]) -> Verdict:
-    """Enumerate every precedence-respecting total order; independent oracle."""
-    ops = _completed(history)
-    if len(ops) > BRUTE_FORCE_CAP:
-        raise OracleRefusal(f"{len(ops)} operations exceed the "
-                            f"{BRUTE_FORCE_CAP}-operation oracle cap")
-    _writes_by_value(ops)  # enforce the unique-value precondition
-    for perm in itertools.permutations(ops):
-        ok = True
-        for i, a in enumerate(perm):
-            for b in perm[i + 1:]:
-                if precedes(b, a):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        last = BOTTOM
-        for op in perm:
-            if op.kind == "write":
-                last = op.value
-            elif op.value is not last and op.value != last:
-                break
-        else:
-            return Verdict("ordering_oracle", True)
-    return Verdict("ordering_oracle", False,
-                   [{"reason": "no precedence-respecting order explains the reads"}])
 
 
 def check_all(history: Sequence[Op],

@@ -15,7 +15,7 @@ import click
 import yaml
 
 from . import checker as hc
-from .adversary import Strategy, make_strategy
+from .adversary import make_strategy
 from .engine import Directive, RandomWorkload, RunResult, run, tightness_demo
 from .model import ConfigError, ModelId, lookup, make_config
 
@@ -92,20 +92,22 @@ def _load_workload(workload_spec, rounds):
     return directives
 
 
-def _write_file(path, text):
+def _write_file(path, text, what):
     """Write ``text`` to ``path``, creating missing parent directories."""
     path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what}: {exc}") from None
 
 
 def _write_artifacts(result: RunResult, verdicts, out_dir, trace_out, report_out):
     out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_file(trace_out or out / "trace.jsonl", result.trace_lines())
-    (out / "history.jsonl").write_text(
-        "".join(json.dumps(rec.as_dict(), sort_keys=True, default=str) + "\n"
-                for rec in result.history))
+    _write_file(trace_out or out / "trace.jsonl", result.trace_lines(), "artifacts")
+    _write_file(out / "history.jsonl",
+                "".join(json.dumps(rec.as_dict(), sort_keys=True, default=str) + "\n"
+                        for rec in result.history), "artifacts")
     probe_report = {
         "rounds": result.rounds,
         "seed": result.seed,
@@ -114,13 +116,14 @@ def _write_artifacts(result: RunResult, verdicts, out_dir, trace_out, report_out
         "protocol_failures": result.protocol_failures,
         "probes": result.probes,
     }
-    (out / "probe_report.json").write_text(
-        json.dumps(probe_report, indent=2, sort_keys=True, default=str) + "\n")
+    _write_file(out / "probe_report.json",
+                json.dumps(probe_report, indent=2, sort_keys=True, default=str) + "\n",
+                "artifacts")
     if verdicts is not None:
         _write_file(report_out or out / "verdicts.json", json.dumps(
             {name: {"passed": v.passed, "witness": v.witness}
              for name, v in verdicts.items()},
-            indent=2, sort_keys=True, default=str) + "\n")
+            indent=2, sort_keys=True, default=str) + "\n", "artifacts")
 
 
 def _run_one(model, n, f, rounds, seed, clients, workload_spec, adversary,
@@ -138,7 +141,18 @@ def _run_one(model, n, f, rounds, seed, clients, workload_spec, adversary,
     return result, verdicts
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group: malformed input ends any command with exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ConfigError, hc.CheckerInputError) as exc:
+            click.echo(f"configuration error: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
+
+
+@click.group(cls=_Main)
 def main():
     """Mobile-Byzantine-tolerant atomic register simulator and checker."""
 
@@ -169,29 +183,21 @@ def cmd_run(config_file, model, n, f, rounds, seed, clients, workload, adversary
     def pick(flag, key, default):
         return flag if flag is not None else file_cfg.get(key, default)
 
-    try:
-        file_cfg = _load_config_file(config_file) if config_file else {}
-        model = pick(model, "model", "garay")
-        n = _config_int(pick(n, "n", 7), "n")
-        f = _config_int(pick(f, "f", 2), "f")
-        rounds = _config_int(pick(rounds, "rounds", 100), "rounds")
-        seed = _config_int(pick(seed, "seed", 0), "seed")
-        clients = _config_int(pick(clients, "clients", 3), "clients")
-        workload = pick(workload, "workload", "random")
-        adversary = pick(adversary, "adversary", "random")
-        allow_inadmissible = allow_inadmissible or bool(
-            file_cfg.get("allow_inadmissible", False))
-        result, verdicts = _run_one(
-            model, n, f, rounds, seed, clients, workload, adversary,
-            allow_inadmissible, trace_messages, do_check)
-    except (ConfigError, hc.CheckerInputError) as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    try:
-        _write_artifacts(result, verdicts, out_dir, trace_out, report_out)
-    except OSError as exc:
-        click.echo(f"configuration error: cannot write artifacts: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    file_cfg = _load_config_file(config_file) if config_file else {}
+    model = pick(model, "model", "garay")
+    n = _config_int(pick(n, "n", 7), "n")
+    f = _config_int(pick(f, "f", 2), "f")
+    rounds = _config_int(pick(rounds, "rounds", 100), "rounds")
+    seed = _config_int(pick(seed, "seed", 0), "seed")
+    clients = _config_int(pick(clients, "clients", 3), "clients")
+    workload = pick(workload, "workload", "random")
+    adversary = pick(adversary, "adversary", "random")
+    allow_inadmissible = allow_inadmissible or bool(
+        file_cfg.get("allow_inadmissible", False))
+    result, verdicts = _run_one(
+        model, n, f, rounds, seed, clients, workload, adversary,
+        allow_inadmissible, trace_messages, do_check)
+    _write_artifacts(result, verdicts, out_dir, trace_out, report_out)
 
     failed = list(result.violations)
     if verdicts:
@@ -205,8 +211,7 @@ def cmd_run(config_file, model, n, f, rounds, seed, clients, workload, adversary
     elif result.probes:
         click.echo(f"agreement probe: pass (min support {result.min_support})")
     click.echo(f"history: {len(result.history)} operations over {rounds} rounds")
-    sys.exit(EXIT_VIOLATION if (failed and make_config(model, n, f).admissible)
-             else EXIT_OK)
+    sys.exit(EXIT_VIOLATION if (failed and result.config.admissible) else EXIT_OK)
 
 
 @main.command("tightness")
@@ -216,19 +221,11 @@ def cmd_run(config_file, model, n, f, rounds, seed, clients, workload, adversary
 @click.option("--report-out", default=None)
 def cmd_tightness(model, f, seed, report_out):
     """Reproduce the boundary indistinguishability scenario for one model."""
-    try:
-        mid = ModelId.parse(model)
-        report = tightness_demo(mid, f, seed=seed)
-    except ConfigError as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    report = tightness_demo(ModelId.parse(model), f, seed=seed)
     if report_out:
-        try:
-            _write_file(report_out,
-                        json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")
-        except OSError as exc:
-            click.echo(f"configuration error: cannot write report: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
+        _write_file(report_out,
+                    json.dumps(report, indent=2, sort_keys=True, default=str) + "\n",
+                    "report")
     click.echo(f"model {report['model']}: n={report['n']} f={report['f']} "
                f"(boundary, threshold {report['threshold']})")
     click.echo(f"reader reply support: "
@@ -263,17 +260,13 @@ def _sweep_cell(args):
 @click.option("--out", "out_path", default=None, help="write the TSV table here")
 def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
     """Run a models x f x seeds grid at n = alpha*f + 1; emit a summary table."""
-    try:
-        model_list = [m.strip() for m in models.split(",") if m.strip()]
-        f_list = [int(x) for x in f_values.split(",") if x.strip()]
-        seed_list = [int(x) for x in seeds.split(",") if x.strip()]
-        if not model_list or not f_list or not seed_list:
-            raise ConfigError("models, f-values, and seeds must all be nonempty")
-        for m in model_list:
-            ModelId.parse(m)
-    except (ConfigError, ValueError) as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    model_list = [m.strip() for m in models.split(",") if m.strip()]
+    f_list = [_config_int(x, "--f-values entry") for x in f_values.split(",") if x.strip()]
+    seed_list = [_config_int(x, "--seeds entry") for x in seeds.split(",") if x.strip()]
+    if not model_list or not f_list or not seed_list:
+        raise ConfigError("models, f-values, and seeds must all be nonempty")
+    for m in model_list:
+        ModelId.parse(m)
 
     cells = [(m, f, s, rounds, clients)
              for m in model_list for f in f_list for s in seed_list]
@@ -290,11 +283,7 @@ def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
         lines.append("\t".join(str(row[h]) for h in header))
     table = "\n".join(lines) + "\n"
     if out_path:
-        try:
-            _write_file(out_path, table)
-        except OSError as exc:
-            click.echo(f"configuration error: cannot write table: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
+        _write_file(out_path, table, "table")
     click.echo(table, nl=False)
     sys.exit(EXIT_OK if all(r["pass"] for r in rows) else EXIT_VIOLATION)
 
@@ -352,13 +341,9 @@ def _read_history(path):
 @click.option("--crashed", default="", help="comma-separated crashed client ids")
 def cmd_check(history_file, crashed):
     """Check a standalone history file (one JSON operation record per line)."""
-    try:
-        crashed_ids = {_config_int(x, "--crashed id") for x in crashed.split(",")
-                       if x.strip()}
-        verdicts = hc.check_all(_read_history(history_file), crashed_ids)
-    except (ConfigError, hc.CheckerInputError) as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    crashed_ids = {_config_int(x, "--crashed id") for x in crashed.split(",")
+                   if x.strip()}
+    verdicts = hc.check_all(_read_history(history_file), crashed_ids)
     ok = True
     for name, v in verdicts.items():
         click.echo(f"{name}: {'pass' if v.passed else 'FAIL'}")

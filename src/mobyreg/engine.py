@@ -22,15 +22,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .adversary import (Behavior, FaultStatus, Occupancy, Strategy,
-                        effective_behavior, rng_stream)
-from .model import ConfigError, ModelId, SystemConfig
+from .adversary import SplitVote, Strategy, rng_stream
+from .model import ConfigError, ModelId, SystemConfig, lookup
 from .protocol import (BOTTOM, SERVERS, ClientState, Echo, Read, ReadFailed,
-                       ReadOk, Reply, ServerState, Write, WriteAck,
-                       client_compute, client_invoke_read,
-                       client_invoke_write, client_receive, client_send,
-                       server_begin_round, server_compute, server_receive,
-                       server_send, stamp_client_id, value_key)
+                       ReadOk, Reply, ServerState, WriteAck, client_compute,
+                       client_invoke_read, client_invoke_write, client_receive,
+                       client_send, server_begin_round, server_compute,
+                       server_receive, server_send, value_key)
 
 # ---------------------------------------------------------------------------
 # Workloads
@@ -213,20 +211,14 @@ def probe_agreement(server_states: dict, faulty: frozenset) -> tuple[object, int
 # Message helpers
 # ---------------------------------------------------------------------------
 
-def _msg_payload(msg) -> dict:
-    d = {"type": type(msg).__name__.lower()}
-    for name in ("value", "server", "client"):
-        if hasattr(msg, name):
-            d[name] = getattr(msg, name)
+def _msg_payload(msg, sender: int) -> dict:
+    """A message as traces show it: its type, its value, and the sender the
+    channel supplied, under "server" (Echo, Reply) or "client" (Write, Read)."""
+    d = {"type": type(msg).__name__.lower(),
+         "server" if isinstance(msg, (Echo, Reply)) else "client": sender}
+    if not isinstance(msg, Read):
+        d["value"] = msg.value
     return d
-
-
-def _payload_sender_id(msg) -> Optional[int]:
-    if isinstance(msg, (Echo, Reply)):
-        return msg.server
-    if isinstance(msg, (Write, Read)):
-        return msg.client
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +243,10 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             f"n={config.n} <= alpha*f={config.params.alpha * config.f} for model "
             f"{config.params.model}; pass allow_inadmissible to run a bound demo")
 
-    model = config.params.model
     oracle_enabled = config.params.oracle_enabled
+    cured_byzantine = config.params.cured_byzantine
     s_threshold = config.selection_threshold
     n, f = config.n, config.f
-    # faulty servers act Byzantine in every model; cured ones only in some
-    cured_byzantine = effective_behavior(model, FaultStatus.CURED) is Behavior.BYZANTINE
 
     scripted: Optional[list[Directive]] = None
     generator: Optional[RandomWorkload] = None
@@ -296,12 +286,8 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
               {"op_id": rec.op_id, "kind": d.op, "value": d.value})
 
     for r in range(1, rounds + 1):
-        # --- agent movement (round start for M1-M3; M4 moves during send) ---
+        # --- agent movement (at round start, or during send: moves_in_send) ---
         occ = strategy.occupancy(config, r, occupied, rng_stream(seed, "sched", r))
-        if model is not ModelId.BUHRMAN and occ.moves:
-            raise ConfigError("in-send movement is only legal in the Buhrman model")
-        if len(occ.pre_send) > f:
-            raise ConfigError("occupied set exceeds f")
         pre_send = occ.pre_send
         cured_now = occupied - pre_send      # vacated at this round's start
         for i in cured_now:
@@ -311,6 +297,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                "cured": sorted(cured_now),
                "planned_moves": [list(m) for m in occ.moves]})
 
+        # occupied servers send as Byzantine ones in every model
         byzantine = pre_send | cured_now if cured_byzantine else pre_send
 
         # --- begin round -------------------------------------------------
@@ -353,9 +340,9 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         for c in range(n_clients):
             if c in crashed:
                 continue
-            cst, out = client_send(stamp_client_id(clients[c], c), r)
+            cst, out = client_send(clients[c], r)
             clients[c] = cst
-            for dest, msg in out.outgoing:
+            for dest, msg in out:
                 outbox.append(("client", c, dest, msg))
         for i in range(n):
             if i in byzantine:
@@ -365,30 +352,27 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                 servers[i] = ServerState(st.value, st.echo_vals, st.current_writes,
                                          frozenset(), st.cured)
                 for dest, msg in out_msgs:
-                    if _payload_sender_id(msg) != i or isinstance(msg, (Write, Read)):
-                        # authenticated channels: a server cannot forge another
-                        # sender's id nor pose as a client
+                    if not isinstance(msg, (Echo, Reply)):
+                        # authenticated channels: a server cannot pose as a client
                         trace(r, "send", "violation", f"s{i}",
                               {"reason": "forged sender rejected"})
                         continue
                     outbox.append(("server", i, dest, msg))
             else:
-                st, out = server_send(servers[i], i)
+                st, out = server_send(servers[i])
                 servers[i] = st
-                for dest, msg in out.outgoing:
+                for dest, msg in out:
                     outbox.append(("server", i, dest, msg))
         if record_messages:
             for skind, sid, dest, msg in outbox:
                 trace(r, "send", "send", f"{skind[0]}{sid}",
-                      {"dest": dest, "msg": _msg_payload(msg)})
+                      {"dest": dest, "msg": _msg_payload(msg, sid)})
 
-        # --- Buhrman in-send movement --------------------------------------
+        # --- in-send movement (moves_in_send models) ---------------------------
         post_occupied = pre_send
         if occ.moves:
             moved = set(pre_send)
             for src, dst in occ.moves:
-                if src not in moved or dst in moved:
-                    raise ConfigError(f"illegal agent move {src}->{dst} in round {r}")
                 moved.discard(src)
                 moved.add(dst)
                 # Departing host: its round buffers are still empty, the
@@ -401,8 +385,6 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                 restored[src] = False
                 trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
             post_occupied = frozenset(moved)
-            if len(post_occupied) > f:
-                raise ConfigError("occupied set exceeds f after movement")
 
         # --- receive phase --------------------------------------------------
         # one inbox, tally and adoption decision for all servers (module docstring)
@@ -420,7 +402,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
 
         inbox = sorted_inbox(server_inbox)
         if record_messages:
-            delivered = [{"from": sid, "msg": _msg_payload(msg)} for sid, msg in inbox]
+            delivered = [{"from": sid, "msg": _msg_payload(msg, sid)} for sid, msg in inbox]
             for i in range(n):
                 for payload in delivered:
                     trace(r, "receive", "deliver", f"s{i}", payload)
@@ -432,7 +414,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             if record_messages:
                 for sid, msg in inbox:
                     trace(r, "receive", "deliver", f"c{c}",
-                          {"from": sid, "msg": _msg_payload(msg)})
+                          {"from": sid, "msg": _msg_payload(msg, sid)})
             clients[c] = client_receive(clients[c], inbox)
 
         # --- compute phase ---------------------------------------------------
@@ -518,17 +500,14 @@ def tightness_demo(model: ModelId, f: int = 2, *, seed: int = 0) -> dict:
     the reader's reply multiset between the written and a planted value, so
     no selection rule can be correct and the read fails.
     """
-    from .model import lookup
-    from .adversary import SplitVote
-
     params = lookup(model)
     n = params.alpha * f
     config = SystemConfig(n=n, f=f, params=params)
     first_wave = frozenset(range(f))
     second_wave = frozenset(range(f, 2 * f))
-    if model is ModelId.BUHRMAN:
-        # With n = 2f the f occupied servers already balance the f correct
-        # ones at the reader; the agents need not move at all.
+    if params.moves_in_send:
+        # Buhrman: with n = 2f the f occupied servers already balance the f
+        # correct ones at the reader; the agents need not move at all.
         schedule = {1: first_wave}
     else:
         # Occupy one set while the value is written and the read requested,

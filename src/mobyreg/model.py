@@ -43,44 +43,34 @@ class ModelId(enum.Enum):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Per-model tuning: resilience denominator, vote discount, cure oracle."""
+    """One model's row: its resilience arithmetic and the facts that set it apart.
+
+    ``oracle_enabled``: a cured server learns that it was cured (and stays
+    silent for a round).  ``cured_byzantine``: a server vacated at round
+    start still sends as a Byzantine one for that round.  ``moves_in_send``:
+    agents relocate with the send phase's messages, not at round start.
+    """
 
     model: ModelId
     alpha: int
     beta: int
     oracle_enabled: bool
+    cured_byzantine: bool
+    moves_in_send: bool
 
 
-_TABLE: dict[ModelId, ModelParams] = {
-    ModelId.GARAY: ModelParams(ModelId.GARAY, alpha=3, beta=2, oracle_enabled=True),
-    ModelId.BONNET: ModelParams(ModelId.BONNET, alpha=4, beta=2, oracle_enabled=False),
-    ModelId.SASAKI: ModelParams(ModelId.SASAKI, alpha=4, beta=2, oracle_enabled=False),
-    ModelId.BUHRMAN: ModelParams(ModelId.BUHRMAN, alpha=2, beta=1, oracle_enabled=True),
-}
+_TABLE: dict[ModelId, ModelParams] = {p.model: p for p in (
+    #           model            alpha beta oracle cured_byz moves_in_send
+    ModelParams(ModelId.GARAY,   3,    2,   True,  False,    False),
+    ModelParams(ModelId.BONNET,  4,    2,   False, False,    False),
+    ModelParams(ModelId.SASAKI,  4,    2,   False, True,     False),
+    ModelParams(ModelId.BUHRMAN, 2,    1,   True,  False,    True),
+)}
 
 
 def lookup(model: ModelId) -> ModelParams:
     """Return the parameter row for a fault model.  Total function."""
     return _TABLE[model]
-
-
-def admissible(n: int, f: int, params: ModelParams) -> bool:
-    """True iff the server count clears the model's lower bound (n > alpha*f)."""
-    return n > params.alpha * f
-
-
-def threshold(n: int, f: int, params: ModelParams) -> int:
-    """Selection threshold s = n - beta*f.
-
-    Rejects inadmissible configurations; simulation code that deliberately
-    runs at or below the bound must compute the raw formula itself (see
-    ``SystemConfig.selection_threshold``).
-    """
-    if not admissible(n, f, params):
-        raise ConfigError(
-            f"inadmissible configuration: n={n} <= alpha*f={params.alpha * f} "
-            f"for model {params.model}")
-    return n - params.beta * f
 
 
 @dataclass(frozen=True)
@@ -99,16 +89,13 @@ class SystemConfig:
 
     @property
     def admissible(self) -> bool:
-        return admissible(self.n, self.f, self.params)
+        """True iff the server count clears the model's lower bound (n > alpha*f)."""
+        return self.n > self.params.alpha * self.f
 
     @property
     def selection_threshold(self) -> int:
-        """Raw s = n - beta*f, with no admissibility gate (for bound demos)."""
+        """s = n - beta*f, with no admissibility gate (bound demos run below it)."""
         return self.n - self.params.beta * self.f
-
-    def threshold(self) -> int:
-        """Checked selection threshold; raises ConfigError when inadmissible."""
-        return threshold(self.n, self.f, self.params)
 
 
 def make_config(model: ModelId | str, n: int, f: int) -> SystemConfig:

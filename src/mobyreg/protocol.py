@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 BOTTOM = None
 
@@ -35,44 +35,33 @@ def value_key(v: object) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Messages
+#
+# A message names no sender: the authenticated channel delivers each one as
+# a (sender id, message) pair.  A phase's output is a tuple of (destination,
+# message) pairs, the destination being SERVERS or a client id.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Echo:
     value: object
-    server: int
 
 
 @dataclass(frozen=True)
 class Write:
     value: object
-    client: int
 
 
 @dataclass(frozen=True)
 class Read:
-    client: int
+    pass
 
 
 @dataclass(frozen=True)
 class Reply:
     value: object
-    server: int
 
 
 Message = Union[Echo, Write, Read, Reply]
-
-
-@dataclass(frozen=True)
-class PhaseOutput:
-    """Messages leaving a process during one phase.
-
-    ``outgoing`` entries are (destination, message) pairs where the
-    destination is either the SERVERS broadcast sentinel or a client id.
-    """
-
-    outgoing: tuple = ()
-    response: object = None
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +84,7 @@ def server_begin_round(state: ServerState, cured_report: bool) -> ServerState:
     return ServerState(state.value, {}, {}, state.current_reads, bool(cured_report))
 
 
-def server_send(state: ServerState, server_id: int) -> tuple[ServerState, PhaseOutput]:
+def server_send(state: ServerState) -> tuple[ServerState, tuple]:
     """Echo the stored value and answer reads recorded last round.
 
     A server that knows it is cured stays silent, but the pending read set is
@@ -104,12 +93,12 @@ def server_send(state: ServerState, server_id: int) -> tuple[ServerState, PhaseO
     """
     outgoing: list = []
     if not state.cured:
-        outgoing.append((SERVERS, Echo(state.value, server_id)))
+        outgoing.append((SERVERS, Echo(state.value)))
         for cid in sorted(state.current_reads):
-            outgoing.append((cid, Reply(state.value, server_id)))
+            outgoing.append((cid, Reply(state.value)))
     return (ServerState(state.value, state.echo_vals, state.current_writes, frozenset(),
                         state.cured),
-            PhaseOutput(tuple(outgoing)))
+            tuple(outgoing))
 
 
 def server_receive(state: ServerState,
@@ -124,11 +113,11 @@ def server_receive(state: ServerState,
     current_reads = set(state.current_reads)
     for sender, msg in inbox:
         if isinstance(msg, Echo):
-            echo_vals.setdefault(msg.server, msg.value)
+            echo_vals.setdefault(sender, msg.value)
         elif isinstance(msg, Write):
-            current_writes.setdefault(msg.client, msg.value)
+            current_writes.setdefault(sender, msg.value)
         elif isinstance(msg, Read):
-            current_reads.add(msg.client)
+            current_reads.add(sender)
         # Reply messages addressed to servers are ignored.
     return replace(state, echo_vals=echo_vals, current_writes=current_writes,
                    current_reads=frozenset(current_reads))
@@ -139,7 +128,6 @@ class ComputeNote:
     """What the compute phase did to the stored value (for probes/oracle)."""
 
     adopted: bool = False
-    source: Optional[str] = None        # "write" | "echo"
     tied_values: tuple = ()             # >1 entries only in inadmissible runs
 
 
@@ -154,13 +142,13 @@ def server_compute(state: ServerState, s_threshold: int) -> tuple[ServerState, C
     if state.current_writes:
         top_client = max(state.current_writes)
         return (replace(state, value=state.current_writes[top_client]),
-                ComputeNote(adopted=True, source="write"))
+                ComputeNote(adopted=True))
     counts = Counter(state.echo_vals.values())
     qualifying = sorted((v for v, c in counts.items() if c >= s_threshold),
                         key=value_key)
     if qualifying:
         return (replace(state, value=qualifying[0]),
-                ComputeNote(adopted=True, source="echo",
+                ComputeNote(adopted=True,
                             tied_values=tuple(qualifying) if len(qualifying) > 1 else ()))
     return state, ComputeNote()
 
@@ -205,26 +193,16 @@ def client_invoke_write(state: ClientState, value: object) -> ClientState:
         raise UsageError("write() invoked while another operation is in progress")
     if value is BOTTOM:
         raise UsageError("the default value cannot be written")
-    return replace(state, to_send=state.to_send + (Write(value, -1),), writing=True)
+    return replace(state, to_send=state.to_send + (Write(value),), writing=True)
 
 
 def client_invoke_read(state: ClientState) -> ClientState:
     if state.reading or state.writing:
         raise UsageError("read() invoked while another operation is in progress")
-    return replace(state, to_send=state.to_send + (Read(-1),), reading=True)
+    return replace(state, to_send=state.to_send + (Read(),), reading=True)
 
 
-def stamp_client_id(state: ClientState, client_id: int) -> ClientState:
-    """Fill the sender id into queued messages (the engine knows the id)."""
-    if not state.to_send:
-        return state
-    stamped = tuple(
-        replace(m, client=client_id) if isinstance(m, (Write, Read)) else m
-        for m in state.to_send)
-    return replace(state, to_send=stamped)
-
-
-def client_send(state: ClientState, round_no: int) -> tuple[ClientState, PhaseOutput]:
+def client_send(state: ClientState, round_no: int) -> tuple[ClientState, tuple]:
     """Broadcast queued requests; remember the round an operation started.
 
     ``op_start`` is only set when empty so a read keeps its start round
@@ -234,8 +212,7 @@ def client_send(state: ClientState, round_no: int) -> tuple[ClientState, PhaseOu
     op_start = state.op_start
     if op_start is None and (state.reading or state.writing):
         op_start = round_no
-    return (ClientState((), state.reading, state.writing, op_start, state.replies),
-            PhaseOutput(outgoing))
+    return ClientState((), state.reading, state.writing, op_start, state.replies), outgoing
 
 
 def client_receive(state: ClientState,
@@ -244,7 +221,7 @@ def client_receive(state: ClientState,
     replies = dict(state.replies)
     for sender, msg in inbox:
         if isinstance(msg, Reply):
-            replies.setdefault(msg.server, msg.value)
+            replies.setdefault(sender, msg.value)
     return ClientState(state.to_send, state.reading, state.writing, state.op_start,
                        replies)
 

@@ -4,6 +4,8 @@
 by pair and searches it for a cycle, in O(ops²) time and memory.
 ``validity_by_definition`` transcribes the validity definition, testing every
 write against every read.  Both assume unique written values.
+``brute_force_linearizable`` enumerates every precedence-respecting total
+order of a small history.
 ``trace_line`` encodes one trace event on its own, the reference for
 ``RunResult.trace_lines``.
 ``mt_rng_stream`` is the Mersenne Twister stream derivation that
@@ -18,7 +20,7 @@ import itertools
 import json
 import random
 
-from mobyreg.checker import Verdict, precedes
+from mobyreg.checker import CheckerInputError, Verdict, precedes
 from mobyreg.protocol import BOTTOM
 
 _INIT = object()  # cluster of the fictional initial write of the default value
@@ -27,6 +29,44 @@ _INIT = object()  # cluster of the fictional initial write of the default value
 def _completed_and_writes(history):
     ops = [op for op in history if op.complete]
     return ops, {op.value: op for op in ops if op.kind == "write"}
+
+
+class OracleRefusal(RuntimeError):
+    """The brute-force oracle does not scale to this history."""
+
+
+BRUTE_FORCE_CAP = 9
+
+
+def brute_force_linearizable(history):
+    """Enumerate every precedence-respecting total order; independent oracle."""
+    ops, writes = _completed_and_writes(history)
+    if len(ops) > BRUTE_FORCE_CAP:
+        raise OracleRefusal(f"{len(ops)} operations exceed the "
+                            f"{BRUTE_FORCE_CAP}-operation oracle cap")
+    if len(writes) < sum(op.kind == "write" for op in ops):
+        raise CheckerInputError("duplicate written value; the oracle needs unique values")
+    for perm in itertools.permutations(ops):
+        ok = True
+        for i, a in enumerate(perm):
+            for b in perm[i + 1:]:
+                if precedes(b, a):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        last = BOTTOM
+        for op in perm:
+            if op.kind == "write":
+                last = op.value
+            elif op.value is not last and op.value != last:
+                break
+        else:
+            return Verdict("ordering_oracle", True)
+    return Verdict("ordering_oracle", False,
+                   [{"reason": "no precedence-respecting order explains the reads"}])
 
 
 def validity_by_definition(history):

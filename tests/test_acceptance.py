@@ -11,12 +11,11 @@ import random
 import pytest
 
 from mobyreg.adversary import RandomWalk
-from mobyreg.checker import (brute_force_linearizable, check_all,
-                             check_ordering, history_from_records)
+from mobyreg.checker import check_all, check_ordering, history_from_records
 from mobyreg.engine import RandomWorkload, run, tightness_demo
 from mobyreg.model import ModelId, lookup, make_config
-from mobyreg.protocol import (Echo, ServerState, Write, server_receive,
-                              value_key)
+from mobyreg.protocol import Echo, ServerState, Write, server_receive
+from oracles import brute_force_linearizable
 
 MODELS = [ModelId.GARAY, ModelId.BONNET, ModelId.SASAKI, ModelId.BUHRMAN]
 F_VALUES = [1, 2, 3]
@@ -124,9 +123,9 @@ def test_acceptance_6_runs_are_deterministic_and_order_insensitive(capsys):
     for _ in range(200):
         inbox = []
         for sid in rng.sample(range(9), rng.randint(0, 9)):
-            inbox.append((sid, Echo(value=f"v{rng.randint(0, 3)}", server=sid)))
+            inbox.append((sid, Echo(value=f"v{rng.randint(0, 3)}")))
         for cid in rng.sample(range(4), rng.randint(0, 4)):
-            inbox.append((cid, Write(value=f"w{rng.randint(0, 3)}", client=cid)))
+            inbox.append((cid, Write(value=f"w{rng.randint(0, 3)}")))
         shuffled = inbox[:]
         rng.shuffle(shuffled)
         a = server_receive(ServerState(), inbox)

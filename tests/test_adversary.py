@@ -1,16 +1,16 @@
 import copy
+import enum
 import pickle
 import random
 from collections import Counter
 
 import pytest
 
-from mobyreg.adversary import (Behavior, FaultStatus, NoFaults, RandomWalk,
-                               Scripted, SplitVote, Stationary, Strategy,
-                               Sweep, effective_behavior, make_strategy,
-                               rng_stream)
-from mobyreg.model import ConfigError, ModelId, make_config
-from mobyreg.protocol import Echo, Reply, ServerState
+from mobyreg.adversary import (NoFaults, RandomWalk, Scripted, SplitVote,
+                               Stationary, Sweep, make_strategy, rng_stream)
+from mobyreg.engine import Directive, run
+from mobyreg.model import ConfigError, ModelId, lookup, make_config
+from mobyreg.protocol import SERVERS, Echo, Read, Reply, ServerState, Write
 
 
 def cfg(model="garay", n=7, f=2):
@@ -50,7 +50,7 @@ def test_every_strategy_respects_fault_budget():
         for r in range(1, 30):
             occ = strat.occupancy(c, r, prev, rng_stream(7, r))
             assert len(occ.pre_send) <= c.f
-            prev = occ.post
+            prev = occ.pre_send  # bonnet moves at round start only
 
 
 def test_scripted_overbudget_is_config_error():
@@ -70,11 +70,13 @@ def test_buhrman_movement_happens_during_send():
     s = Scripted({1: {0, 1}, 2: {0, 4}})
     occ1 = s.occupancy(c, 1, frozenset(), rng_stream(0, 1))
     assert occ1.pre_send == frozenset({0, 1}) and occ1.moves == ()
-    occ2 = s.occupancy(c, 2, occ1.post, rng_stream(0, 2))
+    occ2 = s.occupancy(c, 2, occ1.pre_send, rng_stream(0, 2))
     # the pre-send set is still last round's; the change rides on the send
     assert occ2.pre_send == frozenset({0, 1})
     assert occ2.moves == ((1, 4),)
-    assert occ2.post == frozenset({0, 4})
+    probes = run(c, s, [], rounds=2, seed=0).probes
+    assert [p["pre_send_occupied"] for p in probes] == [[0, 1], [0, 1]]
+    assert [p["end_occupied"] for p in probes] == [[0, 1], [0, 4]]
 
 
 def test_round_start_models_never_move_mid_send():
@@ -86,6 +88,23 @@ def test_round_start_models_never_move_mid_send():
 
 # ----------------------------------------------------------- cured powers ---
 
+class Behavior(enum.Enum):
+    BYZANTINE = "byzantine"
+    # cured and aware of it (oracle): the protocol's cured branch keeps it silent
+    CURED_SILENT_CAPABLE = "cured_silent_capable"
+    # cured and unaware: runs the protocol over the state the agent left
+    CURED_CONSTRAINED = "cured_constrained"
+
+
+def cured_power(params):
+    """A cured server's power for its first round, read off its model's row."""
+    if params.cured_byzantine:
+        return Behavior.BYZANTINE
+    if params.oracle_enabled:
+        return Behavior.CURED_SILENT_CAPABLE
+    return Behavior.CURED_CONSTRAINED
+
+
 @pytest.mark.parametrize("model,expected", [
     (ModelId.GARAY, Behavior.CURED_SILENT_CAPABLE),
     (ModelId.BONNET, Behavior.CURED_CONSTRAINED),
@@ -93,13 +112,25 @@ def test_round_start_models_never_move_mid_send():
     (ModelId.BUHRMAN, Behavior.CURED_SILENT_CAPABLE),
 ])
 def test_cured_behavior_per_model(model, expected):
-    assert effective_behavior(model, FaultStatus.CURED) is expected
+    assert cured_power(lookup(model)) is expected
 
 
 def test_faulty_is_byzantine_and_correct_is_honest():
+    # occupied servers send as Byzantine ones in every model, servers vacated
+    # at round start only where the model's row says so, and no others do
     for model in ModelId:
-        assert effective_behavior(model, FaultStatus.FAULTY) is Behavior.BYZANTINE
-        assert effective_behavior(model, FaultStatus.CORRECT) is Behavior.HONEST
+        c = cfg(model=model.value, n=9, f=2)
+        res = run(c, RandomWalk(), [], rounds=30, seed=1)
+        moves = [ev.payload for ev in res.trace
+                 if (ev.phase, ev.kind) == ("round_start", "fault_move")]
+        # in-send movers leave their hosts during send, never at round start
+        cured_at_start = any(move["cured"] for move in moves)
+        assert cured_at_start != c.params.moves_in_send
+        for probe, move in zip(res.probes, moves, strict=True):
+            expected = set(move["occupied"])
+            if c.params.cured_byzantine:
+                expected |= set(move["cured"])
+            assert set(probe["byzantine_senders"]) == expected
 
 
 # -------------------------------------------------------------- corruption ---
@@ -137,23 +168,49 @@ def test_default_byzantine_output_equivocates_to_readers():
     s = Stationary(fake_value="evil")
     st = ServerState(value="v", current_reads=frozenset({3, 1}))
     out = s.byzantine_outgoing(cfg(), 2, 0, st, rng_stream(0, 2, 0))
-    assert ("servers", Echo("evil", 0)) in out
-    assert (1, Reply("evil", 0)) in out and (3, Reply("evil", 0)) in out
+    assert ("servers", Echo("evil")) in out
+    assert (1, Reply("evil")) in out and (3, Reply("evil")) in out
 
 
 def test_byzantine_output_carries_true_sender_id():
-    # authenticated channels: every strategy signs with the real server id
-    for strat in (Stationary(fake_value="x"), RandomWalk(), SplitVote("x", {1: {0}})):
-        st = ServerState(value="v", current_reads=frozenset({1}))
-        for dest, msg in strat.byzantine_outgoing(cfg(), 1, 4, st, rng_stream(0, 1, 4)):
-            assert msg.server == 4
+    # authenticated channels: the engine names each message's sender itself,
+    # so every send and delivery of an occupied server is under its own id
+    res = run(cfg(), Stationary({4}, fake_value="x"),
+              [Directive(1, 0, "write", "good"), Directive(2, 1, "read")],
+              rounds=3, seed=0, n_clients=2, record_messages=True)
+    byzantine = [ev for ev in res.trace if ev.kind in ("send", "deliver")
+                 and ev.payload["msg"].get("value") == "x"]
+    assert {ev.payload["msg"]["type"] for ev in byzantine} == {"echo", "reply"}
+    for ev in byzantine:
+        sender = ev.actor if ev.kind == "send" else f"s{ev.payload['from']}"
+        assert sender == f"s{ev.payload['msg']['server']}" == "s4"
+
+
+def test_byzantine_write_and_read_are_dropped():
+    # a server may not pose as a client: the engine drops its Write and Read
+    class PosesAsClient(Stationary):
+        def byzantine_outgoing(self, config, round_no, server, state, rng):
+            return ((SERVERS, Write("x")), (SERVERS, Read()))
+
+    res = run(cfg(), PosesAsClient({4}), [Directive(2, 0, "read")],
+              rounds=4, seed=0, n_clients=1, record_messages=True)
+    # honest servers echo their value every round, and the probes cover the
+    # last one: no "x" anywhere means no server ever adopted it
+    sends = [ev for ev in res.trace if ev.kind == "send"]
+    assert "x" not in [ev.payload["msg"].get("value") for ev in sends]
+    assert "x" not in [p["modal"] for p in res.probes]
+    assert "s4" not in {ev.actor for ev in sends}
+    rejected = [ev for ev in res.trace if ev.kind == "violation" and ev.actor == "s4"]
+    assert [ev.round for ev in rejected] == [1, 1, 2, 2, 3, 3, 4, 4]
+    assert {ev.payload["reason"] for ev in rejected} == {"forged sender rejected"}
+    assert res.history[0].result is None
 
 
 def test_split_vote_does_not_echo():
     s = SplitVote("evil", {1: {0}})
     st = ServerState(value="v", current_reads=frozenset({1}))
     out = s.byzantine_outgoing(cfg(), 1, 0, st, rng_stream(0, 1, 0))
-    assert out == ((1, Reply("evil", 0)),)
+    assert out == ((1, Reply("evil")),)
 
 
 def test_make_strategy_names():

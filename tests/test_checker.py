@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobyreg.checker import (BRUTE_FORCE_CAP, CheckerInputError, Op,
-                             OracleRefusal, brute_force_linearizable,
-                             check_all, check_ordering, check_termination,
-                             check_validity, history_from_records, precedes)
+from mobyreg.checker import (CheckerInputError, Op, check_all, check_ordering,
+                             check_termination, check_validity,
+                             history_from_records, precedes)
 from mobyreg.protocol import BOTTOM
-from oracles import cluster_graph_ordering, validity_by_definition
+from oracles import (BRUTE_FORCE_CAP, OracleRefusal, brute_force_linearizable,
+                     cluster_graph_ordering, validity_by_definition)
 
 
 def W(op_id, value, invoke, response, client=0):

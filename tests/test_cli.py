@@ -156,6 +156,18 @@ def test_run_malformed_directives_are_config_error(tmp_path, text, fragment):
     assert_config_error(result, fragment)
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("option, value, fragment", [
+    ("--rounds", "-1", "rounds must be >= 0, got -1"),
+    ("--clients", "0", "need at least one client, got 0"),
+    ("--f-values", "1,x", "--f-values entry 'x' is not an integer"),
+], ids=["rounds", "clients", "f-values"])
+def test_sweep_bad_cell_option_is_config_error(option, value, fragment, jobs):
+    result = invoke("sweep", "--models", "garay,buhrman", "--f-values", "1",
+                    "--seeds", "0,1", "--rounds", "5", "--jobs", jobs, option, value)
+    assert_config_error(result, fragment)
+
+
 def test_sweep_out_creates_missing_directories(tmp_path):
     out = tmp_path / "new" / "dir" / "table.tsv"
     result = invoke("sweep", "--models", "buhrman", "--f-values", "1",

@@ -368,7 +368,7 @@ def test_round_buffers_are_empty_before_receive():
     dirty = ServerState(value=5, echo_vals={1: 9}, current_writes={7: 9},
                         current_reads=frozenset({3}))
     for cured in (False, True):
-        st, _ = server_send(server_begin_round(dirty, cured), 0)
+        st, _ = server_send(server_begin_round(dirty, cured))
         assert (st.echo_vals, st.current_writes, st.current_reads) == ({}, {}, frozenset())
 
     class PlantsBuffers(Scripted):

@@ -1,21 +1,25 @@
 import pytest
 
-from mobyreg.model import (ConfigError, ModelId, ModelParams, SystemConfig,
-                           admissible, lookup, make_config, threshold)
+from mobyreg.model import ConfigError, ModelId, SystemConfig, lookup, make_config
 
-# frozen copy of the parameter table; lookup must match it bit for bit
-EXPECTED = {
-    ModelId.GARAY: (3, 2, True),
-    ModelId.BONNET: (4, 2, False),
-    ModelId.SASAKI: (4, 2, False),
-    ModelId.BUHRMAN: (2, 1, True),
+# frozen copy of the parameter table; lookup must match it bit for bit.
+# A cured server knows it (oracle) in garay and buhrman and stays silent; in
+# bonnet it runs the protocol over its corrupted state; in sasaki it sends as
+# a Byzantine server one extra round.  Buhrman agents move with the messages.
+EXPECTED = {  # alpha, beta, oracle_enabled, cured_byzantine, moves_in_send
+    ModelId.GARAY: (3, 2, True, False, False),
+    ModelId.BONNET: (4, 2, False, False, False),
+    ModelId.SASAKI: (4, 2, False, True, False),
+    ModelId.BUHRMAN: (2, 1, True, False, True),
 }
 
 
 def test_lookup_matches_table():
-    for mid, (alpha, beta, oracle) in EXPECTED.items():
+    for mid, row in EXPECTED.items():
         p = lookup(mid)
-        assert (p.model, p.alpha, p.beta, p.oracle_enabled) == (mid, alpha, beta, oracle)
+        assert p.model is mid
+        assert (p.alpha, p.beta, p.oracle_enabled, p.cured_byzantine,
+                p.moves_in_send) == row
 
 
 def test_exactly_four_models():
@@ -41,7 +45,7 @@ def test_parse_unknown_rejected():
     (5, 2, ModelId.BUHRMAN, 3),
 ])
 def test_threshold_examples(n, f, model, expected):
-    assert threshold(n, f, lookup(model)) == expected
+    assert make_config(model, n, f).selection_threshold == expected
 
 
 @pytest.mark.parametrize("n,f,model,expected", [
@@ -53,12 +57,7 @@ def test_threshold_examples(n, f, model, expected):
     (5, 2, ModelId.BUHRMAN, True),
 ])
 def test_admissible(n, f, model, expected):
-    assert admissible(n, f, lookup(model)) is expected
-
-
-def test_threshold_rejects_inadmissible():
-    with pytest.raises(ConfigError):
-        threshold(6, 2, lookup(ModelId.GARAY))
+    assert make_config(model, n, f).admissible is expected
 
 
 def test_threshold_exceeds_f_whenever_admissible():
@@ -67,8 +66,9 @@ def test_threshold_exceeds_f_whenever_admissible():
         p = lookup(mid)
         for f in range(1, 11):
             for n in range(p.alpha * f + 1, p.alpha * f + 11):
-                assert admissible(n, f, p)
-                assert threshold(n, f, p) > f
+                cfg = SystemConfig(n=n, f=f, params=p)
+                assert cfg.admissible
+                assert cfg.selection_threshold > f
 
 
 def test_system_config_checks_bounds():
@@ -80,12 +80,10 @@ def test_system_config_checks_bounds():
 
 def test_system_config_threshold_and_raw_formula():
     cfg = make_config("garay", 7, 2)
-    assert cfg.admissible and cfg.threshold() == 3
+    assert cfg.admissible and cfg.selection_threshold == 3
     boundary = make_config("garay", 6, 2)
     assert not boundary.admissible
     assert boundary.selection_threshold == 2  # raw formula, for bound demos
-    with pytest.raises(ConfigError):
-        boundary.threshold()
 
 
 def test_model_serialization_names():

@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +10,7 @@ from mobyreg.protocol import (BOTTOM, SERVERS, ClientState, Echo, Read,
                               UsageError, Write, WriteAck, client_compute,
                               client_invoke_read, client_invoke_write,
                               client_receive, client_send, server_begin_round,
-                              server_compute, server_receive, server_send,
-                              stamp_client_id)
+                              server_compute, server_receive, server_send)
 
 # ----------------------------------------------------------------- server ---
 
@@ -40,32 +38,32 @@ def test_begin_round_oracle_disabled_report_is_false():
 
 def test_send_echo_and_replies():
     st_ = ServerState(value="v", current_reads=frozenset({3}))
-    new, out = server_send(st_, server_id=1)
-    assert out.outgoing == ((SERVERS, Echo("v", 1)), (3, Reply("v", 1)))
+    new, out = server_send(st_)
+    assert out == ((SERVERS, Echo("v")), (3, Reply("v")))
     assert new.current_reads == frozenset()
 
 
 def test_send_cured_is_silent_but_still_drops_reads():
     st_ = ServerState(value="v", current_reads=frozenset({3}), cured=True)
-    new, out = server_send(st_, server_id=1)
-    assert out.outgoing == ()
+    new, out = server_send(st_)
+    assert out == ()
     assert new.current_reads == frozenset()
 
 
 def test_send_no_pending_reads():
-    new, out = server_send(ServerState(value="v"), server_id=2)
-    assert out.outgoing == ((SERVERS, Echo("v", 2)),)
+    new, out = server_send(ServerState(value="v"))
+    assert out == ((SERVERS, Echo("v")),)
 
 
 def test_receive_accumulates():
-    inbox = [(1, Echo(5, 1)), (2, Echo(5, 2)), (7, Write(9, 7))]
+    inbox = [(1, Echo(5)), (2, Echo(5)), (7, Write(9))]
     st_ = server_receive(ServerState(), inbox)
     assert st_.echo_vals == {1: 5, 2: 5}
     assert st_.current_writes == {7: 9}
 
 
 def test_receive_reads():
-    st_ = server_receive(ServerState(), [(2, Read(2)), (4, Read(4))])
+    st_ = server_receive(ServerState(), [(2, Read()), (4, Read())])
     assert st_.current_reads == frozenset({2, 4})
 
 
@@ -75,21 +73,21 @@ def test_receive_empty_is_identity():
 
 
 def test_receive_rejects_duplicate_senders():
-    inbox = [(1, Echo("a", 1)), (1, Echo("b", 1)), (2, Write(1, 2)), (2, Write(2, 2))]
+    inbox = [(1, Echo("a")), (1, Echo("b")), (2, Write(1)), (2, Write(2))]
     st_ = server_receive(ServerState(), inbox)
     assert st_.echo_vals == {1: "a"}
     assert st_.current_writes == {2: 1}
 
 
 def test_receive_ignores_replies():
-    st_ = server_receive(ServerState(), [(1, Reply("v", 1))])
+    st_ = server_receive(ServerState(), [(1, Reply("v"))])
     assert st_ == ServerState()
 
 
 def test_compute_write_takes_highest_client_id():
     st_ = ServerState(current_writes={7: 9, 2: 4})
     out, note = server_compute(st_, s_threshold=3)
-    assert out.value == 9 and note.adopted and note.source == "write"
+    assert out.value == 9 and note.adopted
 
 
 def test_compute_write_selection_is_order_insensitive():
@@ -103,7 +101,7 @@ def test_compute_write_selection_is_order_insensitive():
 def test_compute_echo_threshold():
     echo_vals = {i: 3 for i in range(5)}
     out, note = server_compute(ServerState(echo_vals=echo_vals), s_threshold=5)
-    assert out.value == 3 and note.source == "echo"
+    assert out.value == 3 and note.adopted
 
 
 def test_compute_below_threshold_keeps_value():
@@ -125,8 +123,7 @@ def test_compute_tie_breaks_to_smallest_and_reports():
 def test_invoke_write_queues_message():
     st_ = client_invoke_write(ClientState(), 7)
     assert st_.writing and not st_.reading
-    st_ = stamp_client_id(st_, 4)
-    assert st_.to_send == (Write(7, 4),)
+    assert st_.to_send == (Write(7),)
 
 
 def test_invoke_write_while_reading_is_usage_error():
@@ -150,8 +147,8 @@ def test_invoke_write_rejects_default_value():
 
 
 def test_invoke_read_queues_message():
-    st_ = stamp_client_id(client_invoke_read(ClientState()), 2)
-    assert st_.reading and st_.to_send == (Read(2),)
+    st_ = client_invoke_read(ClientState())
+    assert st_.reading and st_.to_send == (Read(),)
 
 
 def test_invoke_read_while_writing_is_usage_error():
@@ -160,22 +157,22 @@ def test_invoke_read_while_writing_is_usage_error():
 
 
 def test_send_sets_op_start_once():
-    st_ = stamp_client_id(client_invoke_read(ClientState()), 1)
+    st_ = client_invoke_read(ClientState())
     st_, out = client_send(st_, round_no=4)
-    assert out.outgoing == ((SERVERS, Read(1)),)
+    assert out == ((SERVERS, Read()),)
     assert st_.op_start == 4 and st_.to_send == ()
     # next round: op_start must survive so the read knows its start round
     st_, out = client_send(st_, round_no=5)
-    assert out.outgoing == () and st_.op_start == 4
+    assert out == () and st_.op_start == 4
 
 
 def test_send_idle_is_noop():
     st_, out = client_send(ClientState(), round_no=3)
-    assert out.outgoing == () and st_.op_start is None
+    assert out == () and st_.op_start is None
 
 
 def test_client_receive_accumulates_and_dedupes():
-    inbox = [(1, Reply("v", 1)), (2, Reply("w", 2)), (1, Reply("x", 1))]
+    inbox = [(1, Reply("v")), (2, Reply("w")), (1, Reply("x"))]
     st_ = client_receive(ClientState(), inbox)
     assert st_.replies == {1: "v", 2: "w"}
     assert client_receive(ClientState(), []) == ClientState()
@@ -224,10 +221,10 @@ def test_compute_no_pending_op_is_identity():
 # ------------------------------------------------------------- properties ---
 
 def test_phase_functions_are_deterministic():
-    inbox = [(1, Echo("v", 1)), (3, Write(2, 3)), (4, Read(4))]
+    inbox = [(1, Echo("v")), (3, Write(2)), (4, Read())]
     st_ = ServerState(value="u", current_reads=frozenset({9}))
     assert server_receive(st_, inbox) == server_receive(st_, inbox)
-    assert server_send(st_, 0) == server_send(st_, 0)
+    assert server_send(st_) == server_send(st_)
     assert server_compute(server_receive(st_, inbox), 1) == \
         server_compute(server_receive(st_, inbox), 1)
 
@@ -251,9 +248,9 @@ def test_at_most_one_value_can_reach_threshold_when_admissible():
 @settings(max_examples=50, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_receive_is_inbox_order_insensitive(rnd):
-    inbox = [(i, Echo(f"v{i % 3}", i)) for i in range(6)]
-    inbox += [(10 + i, Write(f"w{i}", 10 + i)) for i in range(3)]
-    inbox += [(20, Read(20)), (21, Read(21))]
+    inbox = [(i, Echo(f"v{i % 3}")) for i in range(6)]
+    inbox += [(10 + i, Write(f"w{i}")) for i in range(3)]
+    inbox += [(20, Read()), (21, Read())]
     shuffled = list(inbox)
     rnd.shuffle(shuffled)
     base = server_receive(ServerState(), inbox)
