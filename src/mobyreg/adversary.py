@@ -29,15 +29,18 @@ from .protocol import SERVERS, Echo, Reply, ServerState
 
 
 _MASK64 = (1 << 64) - 1
+# splitmix64: the counter's increment and the two multipliers of its mix
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 class _Stream(random.Random):
     """splitmix64 behind the ``random.Random`` API.
 
-    Only ``random`` and ``getrandbits`` draw; ``randrange``, ``sample``,
-    ``choice``, ``shuffle``, ``gauss`` and the rest are the base class's,
-    built on those two.  The base Mersenne Twister is never seeded or read:
-    ``seed``, ``getstate`` and ``setstate`` act on the 64-bit counter.
+    Only ``random``, ``getrandbits`` and ``_randbelow`` draw; ``randrange``,
+    ``sample``, ``choice``, ``shuffle``, ``gauss`` and the rest are the base
+    class's, built on those three.  The base Mersenne Twister is never
+    seeded or read: ``seed``, ``getstate`` and ``setstate`` act on the
+    64-bit counter.
     """
 
     __slots__ = ("_state",)  # read and written on every draw
@@ -70,10 +73,32 @@ class _Stream(random.Random):
             if k < 0:
                 raise ValueError("number of bits must be non-negative")
             return 0
-        z = self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = self._state = (self._state + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return (z ^ (z >> 31)) >> (64 - k)
+
+    def _randbelow(self, n: int) -> int:
+        """A uniform integer in [0, n), for n > 0.
+
+        The base class's rejection loop (``_randbelow_with_getrandbits``):
+        draw the top k = n.bit_length() bits of the next output until they
+        fall below n.  Run here in one method, it makes no ``getrandbits``
+        call per draw; the outputs it takes and returns are the same.
+        """
+        k = n.bit_length()
+        if k > 64:
+            return self._randbelow_with_getrandbits(n)
+        shift = 64 - k
+        state = self._state
+        while True:
+            z = state = (state + _GAMMA) & _MASK64
+            z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            r = (z ^ (z >> 31)) >> shift
+            if r < n:
+                self._state = state
+                return r
 
 
 def rng_stream(seed: int, *key) -> random.Random:
@@ -100,12 +125,6 @@ class Occupancy:
     moves: tuple = ()
 
 
-def _paired_moves(prev: frozenset, target: frozenset) -> tuple:
-    leaving = sorted(prev - target)
-    arriving = sorted(target - prev)
-    return tuple(zip(leaving, arriving))
-
-
 class Strategy:
     """Base adversary: subclasses pick the per-round target occupation."""
 
@@ -123,8 +142,11 @@ class Strategy:
 
         The target holds at most f known servers.  Agents take it at round
         start, or in a ``moves_in_send`` model by paired (src, dst) moves
-        during the send phase.  The engine applies the result as it is, so
-        subclasses override ``target_set``, not this.
+        during the send phase; there, after round 1, the target must have
+        as many servers as the current occupation, since an agent that
+        travels with the messages can neither appear nor vanish.  The engine
+        applies the result as it is, so subclasses override ``target_set``,
+        not this.
         """
         target = frozenset(self.target_set(config, round_no, prev, rng))
         if len(target) > config.f:
@@ -136,7 +158,13 @@ class Strategy:
         if config.params.moves_in_send and round_no > 1:
             # Agents only relocate with the messages: the pre-send set is
             # last round's set and the difference becomes in-send movement.
-            return Occupancy(pre_send=prev, moves=_paired_moves(prev, target))
+            if len(target) != len(prev):
+                raise ConfigError(
+                    f"strategy {self.name!r} moves {len(prev)} agents onto "
+                    f"{len(target)} servers in round {round_no}; in model "
+                    f"{config.params.model} agents move only with the messages")
+            moves = zip(sorted(prev - target), sorted(target - prev))
+            return Occupancy(pre_send=prev, moves=tuple(moves))
         return Occupancy(pre_send=target)
 
     def corrupt_value(self, round_no: int, server: int,

@@ -156,30 +156,6 @@ def check_validity(history: Sequence[Op]) -> Verdict:
     return Verdict("validity", not witnesses, witnesses)
 
 
-_INIT = object()  # cluster of the fictional initial write of the default value
-
-
-@dataclass
-class _Zone:
-    """A write with its readers: their earliest response and latest invoke.
-
-    The initial-value cluster has no write and ``lo`` = -inf, for the
-    fictional initial write that responds before every operation.
-    """
-
-    write: Optional[Op]
-    lo: float = math.inf
-    lo_op: Optional[Op] = None
-    hi: float = -math.inf
-    hi_op: Optional[Op] = None
-
-    def add(self, op: Op) -> None:
-        if op.response < self.lo:
-            self.lo, self.lo_op = op.response, op
-        if op.invoke > self.hi:
-            self.hi, self.hi_op = op.invoke, op
-
-
 def check_ordering(history: Sequence[Op]) -> Verdict:
     """Does a precedence-respecting total order explain every read?
 
@@ -202,50 +178,63 @@ def check_ordering(history: Sequence[Op]) -> Verdict:
                 return Verdict("ordering", False,
                                [{"op_id": op.op_id, "read_from": w.op_id,
                                  "reason": "read precedes its write"}])
-    zones = {_INIT: _Zone(None, lo=-math.inf)}
-    zones.update((value, _Zone(w)) for value, w in writes.items())
+    # cluster 0 is the initial value's (no write, lo = -inf: its fictional
+    # write responds before every operation), cluster k the k-th write's;
+    # lo/hi hold each cluster's earliest response and latest invoke, and
+    # lo_op/hi_op the operations that set them
+    cluster_write = [None, *writes.values()]
+    index = {value: k for k, value in enumerate(writes, 1)}
+    size = len(cluster_write)
+    lo, lo_op = [math.inf] * size, [None] * size
+    hi, hi_op = [-math.inf] * size, [None] * size
+    lo[0] = -math.inf
     for op in ops:
-        zones[_INIT if op.kind == "read" and op.value is BOTTOM else op.value].add(op)
-    pair = _mutual_pair(zones.values())
+        k = 0 if op.kind == "read" and op.value is BOTTOM else index[op.value]
+        if op.response < lo[k]:
+            lo[k], lo_op[k] = op.response, op
+        if op.invoke > hi[k]:
+            hi[k], hi_op[k] = op.invoke, op
+    pair = _mutual_pair(lo, hi)
     if pair is None:
         return Verdict("ordering", True)
 
-    def edge(src: _Zone, dst: _Zone) -> dict:
-        return {"from_write": None if src.write is None else src.write.op_id,
-                "to_write": None if dst.write is None else dst.write.op_id,
+    def edge(src: int, dst: int) -> dict:
+        return {"from_write": None if src == 0 else cluster_write[src].op_id,
+                "to_write": None if dst == 0 else cluster_write[dst].op_id,
                 **({"reason": "initial value precedes every write"}
-                   if src.write is None else
-                   {"before_op": src.lo_op.op_id, "after_op": dst.hi_op.op_id})}
+                   if src == 0 else
+                   {"before_op": lo_op[src].op_id, "after_op": hi_op[dst].op_id})}
 
     a, b = pair
     return Verdict("ordering", False, [edge(a, b), edge(b, a)])
 
 
-def _mutual_pair(zones: Iterable[_Zone]) -> Optional[tuple[_Zone, _Zone]]:
+def _mutual_pair(lo: list, hi: list) -> Optional[tuple[int, int]]:
     """Two clusters A != B with lo(A) < hi(B) and lo(B) < hi(A), or None.
 
     With the clusters sorted by ``lo``, those that must precede B form a
     prefix; the largest ``hi`` in it (or the runner-up, when the largest is
     B's own) says whether one of them must also follow B.
     """
-    zones = sorted(zones, key=lambda z: z.lo)
-    los = [z.lo for z in zones]
-    top = []  # top[i]: indices of the two largest hi among zones[:i + 1]
-    best = second = None
-    for i, z in enumerate(zones):
-        if best is None or z.hi > zones[best].hi:
-            best, second = i, best
-        elif second is None or z.hi > zones[second].hi:
-            second = i
-        top.append((best, second))
-    for j, z in enumerate(zones):
-        before = bisect.bisect_left(los, z.hi)
+    order = sorted(range(len(lo)), key=lo.__getitem__)
+    los = [lo[k] for k in order]
+    # best[i], second[i]: the clusters of the two largest hi in order[:i + 1]
+    best, second = [], []
+    top = runner_up = None
+    for k in order:
+        if top is None or hi[k] > hi[top]:
+            top, runner_up = k, top
+        elif runner_up is None or hi[k] > hi[runner_up]:
+            runner_up = k
+        best.append(top)
+        second.append(runner_up)
+    for k in order:
+        before = bisect.bisect_left(los, hi[k])
         if before == 0:
             continue
-        best, second = top[before - 1]
-        other = second if best == j else best
-        if other is not None and z.lo < zones[other].hi:
-            return zones[other], z
+        other = second[before - 1] if best[before - 1] == k else best[before - 1]
+        if other is not None and lo[k] < hi[other]:
+            return other, k
     return None
 
 

@@ -11,14 +11,27 @@ Servers receive only broadcasts, so every server gets the same inbox, and
 each enters the receive phase with empty round buffers: an agent corrupts its
 host before ``server_begin_round`` empties ``echo_vals`` and
 ``current_writes``, and the send phase empties ``current_reads`` on every
-branch.  So the engine sorts and tallies that one inbox, and decides
-adoption, once per round: O(n) work, not n inbox copies and n tallies.
+branch.  So every server ends the compute phase with the same buffers, and,
+once the round adopts a value, with the same register value too.
+
+The engine therefore keeps one ``shared`` ``ServerState`` for all servers
+and an ``own`` state only for those that may differ: the servers an agent
+occupies or has just left, those whose state is not yet restored, and, in a
+round that adopts nothing, those holding another value.  Invariant: at every
+round boundary a server outside ``own`` has exactly the state ``shared`` and
+is restored.  Each phase function runs once for ``shared``, whose outputs
+stand for every shared server, and once per ``own`` server; a round adopting
+a value returns to ``shared`` each server that no agent holds and that is not
+flagged cured.  The tally counts the shared senders' echo once per sender,
+in server-id order like every other inbox, so which of several equal values
+(1, True, 1.0) is adopted is the same as with a state per server.  State
+work is O(f + clients) per round, not O(n); only ``--trace-messages``
+events, the replies to readers and the tally's echo map grow with n.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -193,16 +206,34 @@ class RunResult:
 # Agreement probe
 # ---------------------------------------------------------------------------
 
-def probe_agreement(server_states: dict, faulty: frozenset) -> tuple[object, int]:
+def probe_agreement(server_states: dict, faulty: frozenset,
+                    shared: Optional[ServerState] = None, n: int = 0) -> tuple[object, int]:
     """Modal value among non-faulty servers and its support.
 
-    In admissible runs the support must reach n - f at the end of every
-    round; the caller records a violation otherwise.
+    Each of the servers 0..n-1 that ``server_states`` leaves out holds
+    ``shared``.  Values count as a ``Counter`` over server-id order counts
+    them, so equal values of different types (1, True, 1.0) are one value,
+    shown as the one of the lowest server id.  In admissible runs the support
+    must reach n - f at the end of every round; the caller records a
+    violation otherwise.
     """
-    values = [st.value for sid, st in server_states.items() if sid not in faulty]
-    if not values:
+    counts: dict = {}
+    missing = n - len(server_states) if shared is not None else 0
+    if missing:
+        first_shared = 0
+        while first_shared in server_states:
+            first_shared += 1
+    for sid in sorted(server_states):
+        if missing and sid > first_shared:
+            counts[shared.value] = counts.get(shared.value, 0) + missing
+            missing = 0
+        if sid not in faulty:
+            value = server_states[sid].value
+            counts[value] = counts.get(value, 0) + 1
+    if missing:
+        counts[shared.value] = counts.get(shared.value, 0) + missing
+    if not counts:
         return BOTTOM, 0
-    counts = Counter(values)
     best = min(counts.items(), key=lambda kv: (-kv[1], value_key(kv[0])))
     return best[0], best[1]
 
@@ -256,9 +287,10 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         scripted = validate_directives(list(workload), rounds, n_clients)
 
     result = RunResult(config=config, rounds=rounds, seed=seed)
-    servers = {i: ServerState() for i in range(n)}
+    shared = ServerState()                   # the state of every server not in own
+    own: dict[int, ServerState] = {}         # servers that may differ (module docstring)
+    unrestored: set[int] = set()             # state not known-good (cure oracle input)
     clients = {c: ClientState() for c in range(n_clients)}
-    restored = {i: True for i in range(n)}   # state known-good (cure oracle input)
     crashed: set[int] = set()
     pending_op: dict[int, OpRecord] = {}     # client -> outstanding operation
     write_counter: dict[int, int] = {c: 0 for c in range(n_clients)}
@@ -290,8 +322,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         occ = strategy.occupancy(config, r, occupied, rng_stream(seed, "sched", r))
         pre_send = occ.pre_send
         cured_now = occupied - pre_send      # vacated at this round's start
-        for i in cured_now:
-            restored[i] = False
+        unrestored |= cured_now
         trace(r, "round_start", "fault_move", "adversary",
               {"occupied": sorted(pre_send),
                "cured": sorted(cured_now),
@@ -302,13 +333,14 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
 
         # --- begin round -------------------------------------------------
         # corrupt first: begin_round then empties the buffers (module docstring)
-        for i in range(n):
-            if i in pre_send:
-                servers[i] = strategy.corrupt_state(
-                    r, i, rng_stream(seed, "corrupt", r, i), servers[i])
-                restored[i] = False
-            report = oracle_enabled and not restored[i] and i not in pre_send
-            servers[i] = server_begin_round(servers[i], report)
+        for i in sorted(pre_send):
+            own[i] = strategy.corrupt_state(
+                r, i, rng_stream(seed, "corrupt", r, i), own.get(i, shared))
+        unrestored |= pre_send
+        shared = server_begin_round(shared, False)
+        for i, st in own.items():
+            own[i] = server_begin_round(
+                st, oracle_enabled and i in unrestored and i not in pre_send)
 
         # --- operation injection (queued at the previous compute) --------
         if scripted is not None:
@@ -336,37 +368,49 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             invoke(r, d)
 
         # --- send phase ---------------------------------------------------
-        outbox: list[tuple[str, int, object, object]] = []  # (kind, id, dest, msg)
+        client_out: list[tuple[int, object, object]] = []  # (client, dest, msg)
         for c in range(n_clients):
             if c in crashed:
                 continue
             cst, out = client_send(clients[c], r)
             clients[c] = cst
             for dest, msg in out:
-                outbox.append(("client", c, dest, msg))
-        for i in range(n):
+                client_out.append((c, dest, msg))
+        # shared_out stands for the messages of every server not in own_out
+        shared, shared_out = server_send(shared)
+        own_out: dict[int, tuple] = {}
+        for i in sorted(own):
+            st = own[i]
             if i in byzantine:
                 out_msgs = strategy.byzantine_outgoing(
-                    config, r, i, servers[i], rng_stream(seed, "byz", r, i))
-                st = servers[i]
-                servers[i] = ServerState(st.value, st.echo_vals, st.current_writes,
-                                         frozenset(), st.cured)
+                    config, r, i, st, rng_stream(seed, "byz", r, i))
+                own[i] = ServerState(st.value, st.echo_vals, st.current_writes,
+                                     frozenset(), st.cured)
+                kept = []
                 for dest, msg in out_msgs:
                     if not isinstance(msg, (Echo, Reply)):
                         # authenticated channels: a server cannot pose as a client
                         trace(r, "send", "violation", f"s{i}",
                               {"reason": "forged sender rejected"})
                         continue
-                    outbox.append(("server", i, dest, msg))
+                    kept.append((dest, msg))
+                own_out[i] = tuple(kept)
             else:
-                st, out = server_send(servers[i])
-                servers[i] = st
-                for dest, msg in out:
-                    outbox.append(("server", i, dest, msg))
+                own[i], own_out[i] = server_send(st)
+
+        def server_messages(ids):
+            """(sender, dest, msg) of the given servers, in their order."""
+            for i in ids:
+                for dest, msg in own_out.get(i, shared_out):
+                    yield i, dest, msg
+
         if record_messages:
-            for skind, sid, dest, msg in outbox:
-                trace(r, "send", "send", f"{skind[0]}{sid}",
-                      {"dest": dest, "msg": _msg_payload(msg, sid)})
+            for c, dest, msg in client_out:
+                trace(r, "send", "send", f"c{c}",
+                      {"dest": dest, "msg": _msg_payload(msg, c)})
+            for i, dest, msg in server_messages(range(n)):
+                trace(r, "send", "send", f"s{i}",
+                      {"dest": dest, "msg": _msg_payload(msg, i)})
 
         # --- in-send movement (moves_in_send models) ---------------------------
         post_occupied = pre_send
@@ -377,63 +421,90 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                 moved.add(dst)
                 # Departing host: its round buffers are still empty, the
                 # register value keeps the agent's corruption.
-                st = servers[src]
-                servers[src] = ServerState(
+                st = own.get(src, shared)
+                own[src] = ServerState(
                     strategy.corrupt_value(r, src, rng_stream(seed, "corrupt-leave", r, src),
                                            st.value),
                     st.echo_vals, st.current_writes, st.current_reads, st.cured)
-                restored[src] = False
+                unrestored.add(src)
                 trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
             post_occupied = frozenset(moved)
 
         # --- receive phase --------------------------------------------------
-        # one inbox, tally and adoption decision for all servers (module docstring)
-        server_inbox: list = []
+        # Inboxes list senders in id order, clients before servers.  The one
+        # server inbox is tallied once: the client and own messages through
+        # server_receive, the shared senders' echo added in id order.
         client_inbox: dict[int, list] = {c: [] for c in range(n_clients)}
-        for skind, sid, dest, msg in outbox:
+        server_inbox = []
+        for c, dest, msg in client_out:
             if dest == SERVERS:
-                server_inbox.append((skind, sid, msg))
+                server_inbox.append((c, msg))
             elif dest in client_inbox:
-                client_inbox[dest].append((skind, sid, msg))
-
-        def sorted_inbox(entries):
-            entries.sort(key=lambda e: (e[0], e[1]))
-            return [(sid, msg) for _, sid, msg in entries]
-
-        inbox = sorted_inbox(server_inbox)
+                client_inbox[dest].append((c, msg))
+        shared_echo = next((msg for dest, msg in shared_out
+                            if dest == SERVERS and isinstance(msg, Echo)), None)
+        shared_to_clients = any(dest != SERVERS for dest, _ in shared_out)
+        tally = server_receive(ServerState(), server_inbox + [
+            (i, msg) for i, dest, msg in server_messages(sorted(own_out))
+            if dest == SERVERS])
+        if shared_echo is not None and len(own_out) < n:
+            echo_vals = dict.fromkeys(range(n), shared_echo.value)
+            for i in own_out:
+                if i in tally.echo_vals:
+                    echo_vals[i] = tally.echo_vals[i]
+                else:
+                    del echo_vals[i]
+            tally = ServerState(tally.value, echo_vals, tally.current_writes,
+                                tally.current_reads, tally.cured)
+        for i, dest, msg in server_messages(range(n) if shared_to_clients
+                                            else sorted(own_out)):
+            if dest != SERVERS and dest in client_inbox:
+                client_inbox[dest].append((i, msg))
         if record_messages:
-            delivered = [{"from": sid, "msg": _msg_payload(msg, sid)} for sid, msg in inbox]
+            delivered = [{"from": sid, "msg": _msg_payload(msg, sid)}
+                         for sid, msg in server_inbox]
+            delivered += [{"from": i, "msg": _msg_payload(msg, i)}
+                          for i, dest, msg in server_messages(range(n)) if dest == SERVERS]
             for i in range(n):
                 for payload in delivered:
                     trace(r, "receive", "deliver", f"s{i}", payload)
-        tally = server_receive(ServerState(), inbox)
         for c in range(n_clients):
             if c in crashed:
                 continue
-            inbox = sorted_inbox(client_inbox[c])
+            inbox = client_inbox[c]
             if record_messages:
                 for sid, msg in inbox:
                     trace(r, "receive", "deliver", f"c{c}",
                           {"from": sid, "msg": _msg_payload(msg, sid)})
-            clients[c] = client_receive(clients[c], inbox)
+            clients[c] = client_receive(clients[c], inbox, r)
 
         # --- compute phase ---------------------------------------------------
         tally, note = server_compute(tally, s_threshold)
-        for i in range(n):
-            st = servers[i]
-            servers[i] = ServerState(
-                tally.value if note.adopted else st.value, tally.echo_vals,
-                tally.current_writes, tally.current_reads, st.cured)
-            if note.tied_values:
+        adopted = note.adopted
+
+        def computed(st: ServerState) -> ServerState:
+            return ServerState(tally.value if adopted else st.value, tally.echo_vals,
+                               tally.current_writes, tally.current_reads, st.cured)
+
+        shared = computed(shared)
+        for i, st in own.items():
+            own[i] = computed(st)
+        if note.tied_values:
+            for i in range(n):
                 trace(r, "compute", "state_transition", f"s{i}",
                       {"diagnostic": "echo threshold tie",
                        "tied": list(note.tied_values)})
-            if note.adopted and i not in post_occupied:
-                restored[i] = True
+        if adopted:
+            # every server an agent does not hold now has the shared state,
+            # unless it is flagged cured until its next begin_round
+            unrestored &= post_occupied
+            for i in [i for i, st in own.items()
+                      if not st.cured and i not in post_occupied]:
+                del own[i]
         for i in sorted(post_occupied):
-            servers[i] = strategy.corrupt_state(
-                r, i, rng_stream(seed, "corrupt-compute", r, i), servers[i])
-            restored[i] = False
+            own[i] = strategy.corrupt_state(
+                r, i, rng_stream(seed, "corrupt-compute", r, i), own.get(i, shared))
+        unrestored |= post_occupied
         for c in range(n_clients):
             if c in crashed:
                 continue
@@ -465,7 +536,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                       dict(failure, reason="protocol_failure"))
 
         # --- end-of-round probe -----------------------------------------------
-        modal, support = probe_agreement(servers, post_occupied)
+        modal, support = probe_agreement(own, post_occupied, shared, n)
         probe = {"round": r, "modal": modal, "support": support,
                  "non_faulty": n - len(post_occupied),
                  "pre_send_occupied": sorted(pre_send),

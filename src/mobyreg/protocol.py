@@ -13,7 +13,7 @@ value, but may never be written by a client.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 BOTTOM = None
@@ -119,8 +119,13 @@ def server_receive(state: ServerState,
         elif isinstance(msg, Read):
             current_reads.add(sender)
         # Reply messages addressed to servers are ignored.
-    return replace(state, echo_vals=echo_vals, current_writes=current_writes,
-                   current_reads=frozenset(current_reads))
+    return ServerState(state.value, echo_vals, current_writes, frozenset(current_reads),
+                       state.cured)
+
+
+def _with_value(state: ServerState, value: object) -> ServerState:
+    return ServerState(value, state.echo_vals, state.current_writes, state.current_reads,
+                       state.cured)
 
 
 @dataclass(frozen=True)
@@ -141,13 +146,13 @@ def server_compute(state: ServerState, s_threshold: int) -> tuple[ServerState, C
     """
     if state.current_writes:
         top_client = max(state.current_writes)
-        return (replace(state, value=state.current_writes[top_client]),
+        return (_with_value(state, state.current_writes[top_client]),
                 ComputeNote(adopted=True))
     counts = Counter(state.echo_vals.values())
     qualifying = sorted((v for v, c in counts.items() if c >= s_threshold),
                         key=value_key)
     if qualifying:
-        return (replace(state, value=qualifying[0]),
+        return (_with_value(state, qualifying[0]),
                 ComputeNote(adopted=True,
                             tied_values=tuple(qualifying) if len(qualifying) > 1 else ()))
     return state, ComputeNote()
@@ -193,13 +198,15 @@ def client_invoke_write(state: ClientState, value: object) -> ClientState:
         raise UsageError("write() invoked while another operation is in progress")
     if value is BOTTOM:
         raise UsageError("the default value cannot be written")
-    return replace(state, to_send=state.to_send + (Write(value),), writing=True)
+    return ClientState(state.to_send + (Write(value),), state.reading, True,
+                       state.op_start, state.replies)
 
 
 def client_invoke_read(state: ClientState) -> ClientState:
     if state.reading or state.writing:
         raise UsageError("read() invoked while another operation is in progress")
-    return replace(state, to_send=state.to_send + (Read(),), reading=True)
+    return ClientState(state.to_send + (Read(),), True, state.writing,
+                       state.op_start, state.replies)
 
 
 def client_send(state: ClientState, round_no: int) -> tuple[ClientState, tuple]:
@@ -215,9 +222,16 @@ def client_send(state: ClientState, round_no: int) -> tuple[ClientState, tuple]:
     return ClientState((), state.reading, state.writing, op_start, state.replies), outgoing
 
 
-def client_receive(state: ClientState,
-                   inbox: Sequence[tuple[int, Message]]) -> ClientState:
-    """Accumulate replies, at most one per distinct server."""
+def client_receive(state: ClientState, inbox: Sequence[tuple[int, Message]],
+                   round_no: int) -> ClientState:
+    """Accumulate a read's replies, at most one per distinct server.
+
+    Replies count only in the read's reply round, the round after its
+    request: any other reply answers no request of this client, and a
+    Byzantine server could plant one early to outvote the honest replies.
+    """
+    if not (state.reading and state.op_start == round_no - 1):
+        return state
     replies = dict(state.replies)
     for sender, msg in inbox:
         if isinstance(msg, Reply):
@@ -230,12 +244,13 @@ def client_compute(state: ClientState, round_no: int,
                    s_threshold: int) -> tuple[ClientState, object]:
     """Finish operations: a write lasts one round, a read exactly two."""
     if state.writing and state.op_start == round_no:
-        return replace(state, writing=False, op_start=None), WriteAck()
+        return (ClientState(state.to_send, state.reading, False, None, state.replies),
+                WriteAck())
     if state.reading and state.op_start == round_no - 1:
         counts = Counter(state.replies.values())
         qualifying = sorted((v for v, c in counts.items() if c >= s_threshold),
                             key=value_key)
-        new_state = replace(state, reading=False, op_start=None, replies={})
+        new_state = ClientState(state.to_send, False, state.writing, None, {})
         if len(qualifying) == 1:
             return new_state, ReadOk(qualifying[0])
         ranked = tuple(sorted(counts.items(), key=lambda kv: (-kv[1], value_key(kv[0]))))

@@ -8,6 +8,10 @@ write against every read.  Both assume unique written values.
 order of a small history.
 ``trace_line`` encodes one trace event on its own, the reference for
 ``RunResult.trace_lines``.
+``per_server_run`` is the round loop that ``mobyreg.engine.run`` replaced:
+one ``ServerState`` per server, every protocol phase called for each of
+them, and the agreement probe counted server by server.  ``run`` must give
+the same artifacts, byte for byte.
 ``mt_rng_stream`` is the Mersenne Twister stream derivation that
 ``mobyreg.adversary.rng_stream`` replaced: the same key, a seeded
 ``random.Random``.  Injected as ``mobyreg.engine.rng_stream``, it reproduces
@@ -19,9 +23,19 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
+from typing import Optional
 
+from mobyreg.adversary import Strategy, rng_stream
 from mobyreg.checker import CheckerInputError, Verdict, precedes
-from mobyreg.protocol import BOTTOM
+from mobyreg.engine import (Directive, OpRecord, RandomWorkload, RunResult,
+                            TraceEvent, Workload, _msg_payload, validate_directives)
+from mobyreg.model import ConfigError, SystemConfig
+from mobyreg.protocol import (BOTTOM, SERVERS, ClientState, Echo, ReadFailed,
+                              ReadOk, Reply, ServerState, WriteAck, client_compute,
+                              client_invoke_read, client_invoke_write, client_receive,
+                              client_send, server_begin_round, server_compute,
+                              server_receive, server_send, value_key)
 
 _INIT = object()  # cluster of the fictional initial write of the default value
 
@@ -195,3 +209,269 @@ def mt_rng_stream(seed, *key):
     """``random.Random`` seeded with the first 8 bytes of the stream name's SHA-256."""
     digest = hashlib.sha256(repr((seed,) + key).encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def _counter_probe(server_states, faulty):
+    """Modal value among non-faulty servers, counted in server-id order."""
+    values = [st.value for sid, st in server_states.items() if sid not in faulty]
+    if not values:
+        return BOTTOM, 0
+    counts = Counter(values)
+    best = min(counts.items(), key=lambda kv: (-kv[1], value_key(kv[0])))
+    return best[0], best[1]
+
+
+def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
+                   rounds: int, seed: int = 0, n_clients: int = 3,
+                   allow_inadmissible: bool = False,
+                   record_messages: bool = False) -> RunResult:
+    """``mobyreg.engine.run`` with a ``ServerState`` per server, every round."""
+    if rounds < 0:
+        raise ConfigError(f"rounds must be >= 0, got {rounds}")
+    if n_clients < 1:
+        raise ConfigError(f"need at least one client, got {n_clients}")
+    if not config.admissible and not allow_inadmissible:
+        raise ConfigError(
+            f"n={config.n} <= alpha*f={config.params.alpha * config.f} for model "
+            f"{config.params.model}; pass allow_inadmissible to run a bound demo")
+
+    oracle_enabled = config.params.oracle_enabled
+    cured_byzantine = config.params.cured_byzantine
+    s_threshold = config.selection_threshold
+    n, f = config.n, config.f
+
+    scripted: Optional[list[Directive]] = None
+    generator: Optional[RandomWorkload] = None
+    if isinstance(workload, RandomWorkload):
+        generator = workload
+    else:
+        scripted = validate_directives(list(workload), rounds, n_clients)
+
+    result = RunResult(config=config, rounds=rounds, seed=seed)
+    servers = {i: ServerState() for i in range(n)}
+    clients = {c: ClientState() for c in range(n_clients)}
+    restored = {i: True for i in range(n)}   # state known-good (cure oracle input)
+    crashed: set[int] = set()
+    pending_op: dict[int, OpRecord] = {}     # client -> outstanding operation
+    write_counter: dict[int, int] = {c: 0 for c in range(n_clients)}
+    occupied: frozenset = frozenset()        # end-of-previous-round agent positions
+    op_seq = 0
+
+    def trace(round_no, phase, kind, actor, payload):
+        result.trace.append(TraceEvent(round_no, phase, kind, actor, payload))
+
+    def invoke(round_no: int, d: Directive) -> None:
+        nonlocal op_seq
+        cst = clients[d.client]
+        if d.op == "write":
+            clients[d.client] = client_invoke_write(cst, d.value)
+        else:
+            clients[d.client] = client_invoke_read(cst)
+        rec = OpRecord(op_id=op_seq, client=d.client, kind=d.op,
+                       argument=d.value if d.op == "write" else None,
+                       invoke_round=round_no)
+        op_seq += 1
+        pending_op[d.client] = rec
+        result.history.append(rec)
+        result.realized_workload.append(d)
+        trace(round_no, "send", "op_invoke", f"c{d.client}",
+              {"op_id": rec.op_id, "kind": d.op, "value": d.value})
+
+    for r in range(1, rounds + 1):
+        # --- agent movement (at round start, or during send: moves_in_send) ---
+        occ = strategy.occupancy(config, r, occupied, rng_stream(seed, "sched", r))
+        pre_send = occ.pre_send
+        cured_now = occupied - pre_send      # vacated at this round's start
+        for i in cured_now:
+            restored[i] = False
+        trace(r, "round_start", "fault_move", "adversary",
+              {"occupied": sorted(pre_send),
+               "cured": sorted(cured_now),
+               "planned_moves": [list(m) for m in occ.moves]})
+
+        # occupied servers send as Byzantine ones in every model
+        byzantine = pre_send | cured_now if cured_byzantine else pre_send
+
+        # --- begin round -------------------------------------------------
+        # corrupt first: begin_round then empties the buffers (module docstring)
+        for i in range(n):
+            if i in pre_send:
+                servers[i] = strategy.corrupt_state(
+                    r, i, rng_stream(seed, "corrupt", r, i), servers[i])
+                restored[i] = False
+            report = oracle_enabled and not restored[i] and i not in pre_send
+            servers[i] = server_begin_round(servers[i], report)
+
+        # --- operation injection (queued at the previous compute) --------
+        if scripted is not None:
+            todays = [d for d in scripted if d.round == r]
+        else:
+            todays = []
+            rng_w = rng_stream(seed, "workload", r)
+            for c in range(n_clients):
+                cst = clients[c]
+                if c in crashed or cst.reading or cst.writing:
+                    continue
+                if rng_w.random() >= generator.op_rate:
+                    continue
+                if rng_w.random() < generator.read_ratio and r + 1 <= rounds:
+                    todays.append(Directive(r, c, "read"))
+                else:
+                    write_counter[c] += 1
+                    todays.append(Directive(r, c, "write", f"c{c}w{write_counter[c]}"))
+        for d in sorted(todays, key=lambda d: d.client):
+            if d.op == "crash":
+                crashed.add(d.client)
+                trace(r, "round_start", "op_invoke", f"c{d.client}", {"kind": "crash"})
+                result.realized_workload.append(d)
+                continue
+            invoke(r, d)
+
+        # --- send phase ---------------------------------------------------
+        outbox: list[tuple[str, int, object, object]] = []  # (kind, id, dest, msg)
+        for c in range(n_clients):
+            if c in crashed:
+                continue
+            cst, out = client_send(clients[c], r)
+            clients[c] = cst
+            for dest, msg in out:
+                outbox.append(("client", c, dest, msg))
+        for i in range(n):
+            if i in byzantine:
+                out_msgs = strategy.byzantine_outgoing(
+                    config, r, i, servers[i], rng_stream(seed, "byz", r, i))
+                st = servers[i]
+                servers[i] = ServerState(st.value, st.echo_vals, st.current_writes,
+                                         frozenset(), st.cured)
+                for dest, msg in out_msgs:
+                    if not isinstance(msg, (Echo, Reply)):
+                        # authenticated channels: a server cannot pose as a client
+                        trace(r, "send", "violation", f"s{i}",
+                              {"reason": "forged sender rejected"})
+                        continue
+                    outbox.append(("server", i, dest, msg))
+            else:
+                st, out = server_send(servers[i])
+                servers[i] = st
+                for dest, msg in out:
+                    outbox.append(("server", i, dest, msg))
+        if record_messages:
+            for skind, sid, dest, msg in outbox:
+                trace(r, "send", "send", f"{skind[0]}{sid}",
+                      {"dest": dest, "msg": _msg_payload(msg, sid)})
+
+        # --- in-send movement (moves_in_send models) ---------------------------
+        post_occupied = pre_send
+        if occ.moves:
+            moved = set(pre_send)
+            for src, dst in occ.moves:
+                moved.discard(src)
+                moved.add(dst)
+                # Departing host: its round buffers are still empty, the
+                # register value keeps the agent's corruption.
+                st = servers[src]
+                servers[src] = ServerState(
+                    strategy.corrupt_value(r, src, rng_stream(seed, "corrupt-leave", r, src),
+                                           st.value),
+                    st.echo_vals, st.current_writes, st.current_reads, st.cured)
+                restored[src] = False
+                trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
+            post_occupied = frozenset(moved)
+
+        # --- receive phase --------------------------------------------------
+        # one inbox, tally and adoption decision for all servers (module docstring)
+        server_inbox: list = []
+        client_inbox: dict[int, list] = {c: [] for c in range(n_clients)}
+        for skind, sid, dest, msg in outbox:
+            if dest == SERVERS:
+                server_inbox.append((skind, sid, msg))
+            elif dest in client_inbox:
+                client_inbox[dest].append((skind, sid, msg))
+
+        def sorted_inbox(entries):
+            entries.sort(key=lambda e: (e[0], e[1]))
+            return [(sid, msg) for _, sid, msg in entries]
+
+        inbox = sorted_inbox(server_inbox)
+        if record_messages:
+            delivered = [{"from": sid, "msg": _msg_payload(msg, sid)} for sid, msg in inbox]
+            for i in range(n):
+                for payload in delivered:
+                    trace(r, "receive", "deliver", f"s{i}", payload)
+        tally = server_receive(ServerState(), inbox)
+        for c in range(n_clients):
+            if c in crashed:
+                continue
+            inbox = sorted_inbox(client_inbox[c])
+            if record_messages:
+                for sid, msg in inbox:
+                    trace(r, "receive", "deliver", f"c{c}",
+                          {"from": sid, "msg": _msg_payload(msg, sid)})
+            clients[c] = client_receive(clients[c], inbox, r)
+
+        # --- compute phase ---------------------------------------------------
+        tally, note = server_compute(tally, s_threshold)
+        for i in range(n):
+            st = servers[i]
+            servers[i] = ServerState(
+                tally.value if note.adopted else st.value, tally.echo_vals,
+                tally.current_writes, tally.current_reads, st.cured)
+            if note.tied_values:
+                trace(r, "compute", "state_transition", f"s{i}",
+                      {"diagnostic": "echo threshold tie",
+                       "tied": list(note.tied_values)})
+            if note.adopted and i not in post_occupied:
+                restored[i] = True
+        for i in sorted(post_occupied):
+            servers[i] = strategy.corrupt_state(
+                r, i, rng_stream(seed, "corrupt-compute", r, i), servers[i])
+            restored[i] = False
+        for c in range(n_clients):
+            if c in crashed:
+                continue
+            cst, response = client_compute(clients[c], r, s_threshold)
+            clients[c] = cst
+            if response is None:
+                continue
+            rec = pending_op.pop(c, None)
+            if rec is None:
+                continue
+            if isinstance(response, WriteAck):
+                rec.response_round = r
+                rec.result = "write_confirmation"
+                trace(r, "compute", "op_response", f"c{c}",
+                      {"op_id": rec.op_id, "kind": "write"})
+            elif isinstance(response, ReadOk):
+                rec.response_round = r
+                rec.result = response.value
+                trace(r, "compute", "op_response", f"c{c}",
+                      {"op_id": rec.op_id, "kind": "read", "value": response.value})
+            elif isinstance(response, ReadFailed):
+                rec.failed = True
+                failure = {"round": r, "client": c, "op_id": rec.op_id,
+                           "reply_counts": [[v, cnt] for v, cnt in response.counts],
+                           "qualifying": list(response.qualifying),
+                           "threshold": s_threshold}
+                result.protocol_failures.append(failure)
+                trace(r, "compute", "violation", f"c{c}",
+                      dict(failure, reason="protocol_failure"))
+
+        # --- end-of-round probe -----------------------------------------------
+        modal, support = _counter_probe(servers, post_occupied)
+        probe = {"round": r, "modal": modal, "support": support,
+                 "non_faulty": n - len(post_occupied),
+                 "pre_send_occupied": sorted(pre_send),
+                 "byzantine_senders": sorted(byzantine),
+                 "end_occupied": sorted(post_occupied)}
+        result.probes.append(probe)
+        trace(r, "end", "probe", "engine", dict(probe))
+        if config.admissible and support < n - f:
+            violation = {"round": r, "kind": "agreement_probe", "modal": modal,
+                         "support": support, "required": n - f}
+            result.violations.append(violation)
+            trace(r, "end", "violation", "engine", dict(violation))
+
+        occupied = post_occupied
+
+    result.crashed_clients = frozenset(crashed)
+    return result

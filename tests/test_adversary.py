@@ -79,6 +79,15 @@ def test_buhrman_movement_happens_during_send():
     assert [p["end_occupied"] for p in probes] == [[0, 1], [0, 4]]
 
 
+@pytest.mark.parametrize("schedule,round_no", [
+    ({1: set(), 3: {0, 1}}, 3),      # agents would appear from nowhere
+    ({1: {0, 1}, 2: {2}}, 2),        # an agent would vanish
+])
+def test_buhrman_target_of_another_size_is_config_error(schedule, round_no):
+    with pytest.raises(ConfigError, match=f"in round {round_no};"):
+        run(cfg(model="buhrman", n=5, f=2), Scripted(schedule), [], rounds=4, seed=0)
+
+
 def test_round_start_models_never_move_mid_send():
     for model in ("garay", "bonnet", "sasaki"):
         c = cfg(model=model, n=9, f=2)
@@ -265,6 +274,28 @@ def test_stream_serves_the_random_api():
         r.getrandbits(-1)
     gs = [r.gauss(10.0, 2.0) for _ in range(2_000)]
     assert abs(sum(gs) / len(gs) - 10.0) < 0.3
+
+
+def test_stream_bounded_draws_match_the_base_class_rejection_loop():
+    # the same stream with the base class's _randbelow, which rejects over
+    # getrandbits(k) calls, must draw exactly the same integers
+    base_draws = type("BaseDraws", (type(rng_stream(0)),),
+                      {"_randbelow": random.Random._randbelow_with_getrandbits})
+
+    def draws(g):
+        deck = list(range(52))
+        g.shuffle(deck)
+        return [g.randrange(1 << 30), g.randrange(1), g.randrange(6), g.randrange(121),
+                g.randrange((1 << 64) - 1), g.randrange(1 << 64), g.randrange(3 << 70),
+                g.randint(-3, 3), g.choice("abcdefg"), g.sample(range(121), 30), deck,
+                g.getrandbits(64)]
+
+    for key in range(50):
+        ours = rng_stream(key, "below")
+        ref = base_draws()
+        ref.setstate(ours.getstate())
+        assert draws(ours) == draws(ref)
+        assert ours.getstate() == ref.getstate()
 
 
 def test_stream_state_round_trips():

@@ -5,6 +5,8 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mobyreg.engine
 from mobyreg.adversary import (NoFaults, RandomWalk, Scripted, SplitVote,
@@ -12,10 +14,10 @@ from mobyreg.adversary import (NoFaults, RandomWalk, Scripted, SplitVote,
 from mobyreg.checker import check_all, history_from_records
 from mobyreg.engine import (Directive, RandomWorkload, probe_agreement, run,
                             tightness_demo, validate_directives)
-from mobyreg.model import ConfigError, ModelId, make_config
-from mobyreg.protocol import (BOTTOM, ServerState, server_begin_round,
+from mobyreg.model import ConfigError, ModelId, lookup, make_config
+from mobyreg.protocol import (BOTTOM, Reply, ServerState, server_begin_round,
                               server_send)
-from oracles import mt_rng_stream, trace_line
+from oracles import mt_rng_stream, per_server_run, trace_line
 
 
 def m1_config(n=7, f=2):
@@ -55,6 +57,25 @@ def test_read_before_any_write_returns_default():
     res = run(m1_config(), NoFaults(), [Directive(1, 0, "read")], rounds=2, seed=0)
     (read,) = res.history
     assert read.result is BOTTOM and read.response_round == 2
+
+
+class PlantsReplies(Scripted):
+    """Each held server sends client 1 a reply it never asked for."""
+
+    def byzantine_outgoing(self, config, round_no, server, state, rng):
+        return ((1, Reply("planted")),)
+
+
+def test_unsolicited_replies_do_not_decide_a_later_read():
+    # the agents visit every server while client 1 is idle; the replies they
+    # plant must not outvote the honest replies to its read of round 6
+    schedule = {1: {0, 1}, 2: {2, 3}, 3: {4, 5}, 4: {6}, 5: set()}
+    wl = [Directive(1, 0, "write", "good"), Directive(6, 1, "read")]
+    res = run(m1_config(), PlantsReplies(schedule), wl, rounds=7, seed=0, n_clients=2)
+    read = res.history[1]
+    assert (read.result, read.response_round) == ("good", 7)
+    verdicts = check_all(history_from_records(res.history), res.crashed_clients)
+    assert all(v.passed for v in verdicts.values())
 
 
 def test_inadmissible_config_needs_explicit_override():
@@ -386,3 +407,115 @@ def test_round_buffers_are_empty_before_receive():
     echoes = {ev.actor: ev.payload["msg"]["value"] for ev in res.trace
               if ev.round == 2 and ev.kind == "send" and ev.payload["msg"]["type"] == "echo"}
     assert echoes["s0"] == echoes["s1"] == 5
+
+
+# ------------------------------------------------ shared server state ------
+
+def test_probe_merges_equal_values_of_different_types_in_id_order():
+    # 1, True and 1.0 are one Counter key, shown as the lowest id's value;
+    # the servers missing from the dict hold the shared state
+    own = {0: ServerState(value=True), 2: ServerState(value=1.0), 5: ServerState(value="x")}
+    value, support = probe_agreement(own, frozenset({5}), ServerState(value=1), 6)
+    assert (repr(value), support) == ("True", 5)
+    value, support = probe_agreement({2: ServerState(value=1.0)}, frozenset(),
+                                     ServerState(value=1), 3)
+    assert (repr(value), support) == ("1", 3)
+
+
+NAN = float("nan")
+# equal across types (1, True, 1.0) or unequal to itself (NaN: one object or
+# fresh ones), so that which server's copy is counted first shows
+WIRE_VALUES = st.integers(0, 4).map(
+    lambda k: (1, True, 1.0, NAN)[k] if k < 4 else float("nan"))
+
+
+class RewritesBookkeeping(Scripted):
+    """Keeps a held server's value but rewrites its pending reads and cure flag.
+
+    The reads it plants depend on the cure flag it finds, so a server whose
+    flag is lost between rounds answers other clients.
+    """
+
+    def corrupt_state(self, round_no, server, rng, state):
+        reads = frozenset({0, 2}) if state.cured else frozenset({1})
+        return ServerState(state.value, state.echo_vals, state.current_writes,
+                           reads, not state.cured)
+
+
+@st.composite
+def engine_inputs(draw):
+    model = draw(st.sampled_from(list(ModelId)))
+    f = draw(st.integers(1, 3))
+    n = lookup(model).alpha * f + draw(st.sampled_from([0, 1, 3]))
+    rounds = draw(st.integers(1, 10))
+    n_clients = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["none", "stationary", "sweep", "random",
+                                 "scripted", "bookkeeping"]))
+    if kind in ("scripted", "bookkeeping"):
+        # a moves_in_send target keeps the size of the current occupation
+        size = draw(st.integers(0, f))
+        sets = st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True)
+        if not lookup(model).moves_in_send:
+            sets = st.lists(st.integers(0, n - 1), max_size=f, unique=True)
+        later = draw(st.lists(st.integers(2, rounds + 1), unique=True, max_size=4))
+        schedule = {r: draw(sets) for r in [1] + later}
+        fake = draw(WIRE_VALUES | st.sampled_from([None, "planted"]))
+        strategy = (Scripted if kind == "scripted" else RewritesBookkeeping)(schedule, fake)
+    elif kind == "stationary":
+        strategy = Stationary(fake_value=draw(WIRE_VALUES | st.none()))
+    else:
+        strategy = {"none": NoFaults, "sweep": Sweep, "random": RandomWalk}[kind]()
+    if draw(st.integers(0, 2)) == 0:
+        workload = RandomWorkload(draw(st.sampled_from([0.3, 1.0])), 0.5)
+    else:
+        workload = []
+        for c in range(n_clients):
+            r = 1 + draw(st.integers(0, 2))
+            while r <= rounds:
+                op = draw(st.sampled_from(["write", "write", "read", "crash"]))
+                if op == "read" and r == rounds:
+                    break
+                value = draw(WIRE_VALUES) if op == "write" else None
+                workload.append(Directive(r, c, op, value))
+                if op == "crash":
+                    break
+                r += (2 if op == "read" else 1) + draw(st.integers(0, 2))
+    return make_config(model, n, f), strategy, workload, dict(
+        rounds=rounds, seed=draw(st.integers(0, 3)), n_clients=n_clients,
+        allow_inadmissible=True, record_messages=draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(engine_inputs())
+@example((make_config("garay", 7, 2), Stationary(fake_value=True),
+          [Directive(1, 0, "write", 1)],
+          dict(rounds=3, seed=0, n_clients=1, record_messages=False)))
+@example((make_config("garay", 7, 2),
+          RewritesBookkeeping({1: {0, 1}, 2: {2, 3}, 3: {0, 1}}, "planted"), [],
+          dict(rounds=3, seed=0, n_clients=3, record_messages=True)))
+def test_shared_state_run_matches_the_per_server_loop(inputs):
+    # first example: servers 0 and 1 echo True, the others 1, and the servers
+    # adopt the one of the lower server id; second: servers 0 and 1 adopt in
+    # round 2 while flagged cured, and their round-3 captor sees the flag
+    config, strategy, workload, kwargs = inputs
+    assert run_digest(run(config, strategy, workload, **kwargs)) == \
+        run_digest(per_server_run(config, strategy, workload, **kwargs))
+
+
+def test_run_without_adoption_keeps_every_server_apart(monkeypatch):
+    # garay n=3, f=2 (inadmissible): from round 2 on, two silent Byzantine
+    # hosts and one silent cured server leave no echo to adopt, so every
+    # server keeps a state of its own: begin_round runs for the shared state
+    # and 2 own ones in round 1, then for the shared state and all 3
+    calls = []
+    begin = mobyreg.engine.server_begin_round
+    monkeypatch.setattr(mobyreg.engine, "server_begin_round",
+                        lambda *a: (calls.append(a), begin(*a))[1])
+    schedule = {r: {(2 * r - 2) % 3, (2 * r - 1) % 3} for r in range(1, 9)}
+    args = (make_config("garay", 3, 2), SplitVote("planted", schedule),
+            [Directive(1, 0, "read")])
+    kwargs = dict(rounds=8, seed=2, n_clients=1, allow_inadmissible=True,
+                  record_messages=True)
+    res = run(*args, **kwargs)
+    assert len(calls) == 3 + 7 * 4
+    assert run_digest(res) == run_digest(per_server_run(*args, **kwargs))

@@ -172,10 +172,22 @@ def test_send_idle_is_noop():
 
 
 def test_client_receive_accumulates_and_dedupes():
+    # a read sent in round 4 takes its replies in round 5
+    reading = ClientState(reading=True, op_start=4)
     inbox = [(1, Reply("v")), (2, Reply("w")), (1, Reply("x"))]
-    st_ = client_receive(ClientState(), inbox)
+    st_ = client_receive(reading, inbox, 5)
     assert st_.replies == {1: "v", 2: "w"}
-    assert client_receive(ClientState(), []) == ClientState()
+    assert client_receive(reading, [], 5) == reading
+
+
+@pytest.mark.parametrize("state,round_no", [
+    (ClientState(), 5),                                  # idle
+    (ClientState(writing=True, op_start=5), 5),          # writing
+    (ClientState(reading=True, op_start=5), 5),          # the read's request round
+    (ClientState(reading=True, op_start=3), 5),          # past the reply round
+])
+def test_client_receive_drops_replies_outside_the_reply_round(state, round_no):
+    assert client_receive(state, [(1, Reply("planted"))], round_no) == state
 
 
 def test_compute_write_confirms_same_round():
