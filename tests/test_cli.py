@@ -285,6 +285,71 @@ def test_run_mistyped_config_file_is_config_error(tmp_path, text, fragment):
     assert_config_error(result, fragment)
 
 
+@pytest.mark.parametrize("text, fragment", [
+    ("n: 7.9", "n 7.9 is not an integer"),
+    ("rounds: true", "rounds True is not an integer"),
+    ("clients: 2.0", "clients 2.0 is not an integer"),
+    ("seed: false", "seed False is not an integer"),
+])
+def test_run_config_integers_are_not_truncated(tmp_path, text, fragment):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    result = invoke("run", "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert_config_error(result, fragment)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("round", 1.9), ("round", True), ("client", 0.5), ("client", False),
+])
+def test_run_directive_integers_are_not_truncated(tmp_path, key, value):
+    directive = {"round": 1, "client": 0, "op": "write", "value": 5, key: value}
+    wl = tmp_path / "wl.yaml"
+    wl.write_text(yaml.safe_dump([directive]))
+    result = invoke("run", "--rounds", "5", "--workload", str(wl),
+                    "--out-dir", str(tmp_path))
+    assert_config_error(result, f"{key} {value!r} is not an integer")
+
+
+def test_run_integer_strings_still_count_as_integers(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text('rounds: "5"\n')
+    wl = tmp_path / "wl.yaml"
+    wl.write_text('[{"round": "1", "client": "0", "op": "write", "value": 5}]')
+    result = invoke("run", "--config", str(cfg), "--workload", str(wl),
+                    "--out-dir", str(tmp_path))
+    assert result.exit_code == 0, result.output
+    assert "1 operations over 5 rounds" in result.output
+
+
+@pytest.mark.parametrize("value", ['"false"', "0", "1", "null", "[]"])
+def test_run_non_boolean_allow_inadmissible_is_config_error(tmp_path, value):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"allow_inadmissible: {value}\n")
+    result = invoke("run", "--config", str(cfg), "--n", "6", "--rounds", "5",
+                    "--out-dir", str(tmp_path))
+    assert_config_error(result, "allow_inadmissible", "is not a boolean")
+
+
+def test_run_boolean_allow_inadmissible_still_runs_the_bound(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("allow_inadmissible: true\n")
+    result = invoke("run", "--config", str(cfg), "--n", "6", "--rounds", "5",
+                    "--out-dir", str(tmp_path))
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("text, key", [
+    ("round: 5", "'round'"),
+    ("model: sasaki\nnodes: 9", "'nodes'"),
+    ("1: 2", "1"),
+])
+def test_run_unknown_config_key_is_config_error(tmp_path, text, key):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    result = invoke("run", "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert_config_error(result, f"unknown key {key};")
+
+
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
     | st.sampled_from(["write", "read", "x"]),

@@ -2,7 +2,6 @@ import datetime
 import hashlib
 import json
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -395,8 +394,8 @@ def test_round_buffers_are_empty_before_receive():
     class PlantsBuffers(Scripted):
         # corrupts the round buffers instead of the value
         def corrupt_state(self, round_no, server, rng, state):
-            return replace(state, echo_vals={s: "planted" for s in range(9)},
-                           current_writes={99: "planted"})
+            return state._replace(echo_vals={s: "planted" for s in range(9)},
+                                  current_writes={99: "planted"})
 
     # bonnet: the hosts vacated after round 1 send from their own state in
     # round 2, so a planted buffer that survived into round 1's compute would

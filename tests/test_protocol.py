@@ -230,6 +230,49 @@ def test_compute_no_pending_op_is_identity():
     assert client_compute(st_, 3, 2) == (st_, None)
 
 
+# ----------------------------------------------------------------- states ---
+
+@pytest.mark.parametrize("state", [ServerState(), ClientState()])
+def test_state_fields_cannot_be_assigned(state):
+    for name in state._fields:
+        with pytest.raises(AttributeError):
+            setattr(state, name, 1)
+    with pytest.raises(AttributeError):
+        state.extra = 1
+
+
+@pytest.mark.parametrize("make, name", [
+    (ServerState, "echo_vals"), (ServerState, "current_writes"),
+    (ClientState, "replies"),
+])
+def test_default_state_mappings_are_read_only(make, name):
+    with pytest.raises(TypeError):
+        getattr(make(), name)[1] = "planted"
+    with pytest.raises(TypeError):
+        del getattr(make(), name)[1]
+    assert getattr(make(), name) == {}
+    assert make() == make()._replace(**{name: {}})
+
+
+def test_replace_derives_a_new_state():
+    st_ = ServerState(value="v", current_reads=frozenset({3}))
+    out = st_._replace(value="w", cured=True)
+    assert out == ServerState("w", {}, {}, frozenset({3}), True)
+    assert st_ == ServerState(value="v", current_reads=frozenset({3}))
+    assert ClientState()._replace(reading=True, op_start=4) == \
+        ClientState((), True, False, 4, {})
+
+
+def test_receive_on_default_states_returns_fresh_dicts():
+    st_ = server_receive(ServerState(), [(1, Echo(5)), (7, Write(9))])
+    assert type(st_.echo_vals) is dict and st_.echo_vals == {1: 5}
+    assert type(st_.current_writes) is dict and st_.current_writes == {7: 9}
+    cst = client_receive(ClientState(reading=True, op_start=4), [(2, Reply("v"))], 5)
+    assert type(cst.replies) is dict and cst.replies == {2: "v"}
+    assert ServerState().echo_vals == {} and ServerState().current_writes == {}
+    assert ClientState().replies == {}
+
+
 # ------------------------------------------------------------- properties ---
 
 def test_phase_functions_are_deterministic():
