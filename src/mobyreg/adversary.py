@@ -133,7 +133,6 @@ class Strategy:
 
     name = "base"
     fake_value: object = None   # fixed corruption value; None means random token
-    corrupts: bool = True       # False leaves occupied state untouched
 
     def target_set(self, config: SystemConfig, round_no: int,
                    prev: frozenset, rng: random.Random) -> frozenset:
@@ -173,8 +172,6 @@ class Strategy:
     def corrupt_value(self, round_no: int, server: int,
                       rng: random.Random, current: object) -> object:
         """The value an occupying (or departing) agent leaves behind."""
-        if not self.corrupts:
-            return current
         if self.fake_value is not None:
             return self.fake_value
         return f"byz-{round_no}-s{server}-{rng.randrange(1 << 30)}"
@@ -183,13 +180,12 @@ class Strategy:
                       rng: random.Random, state: ServerState) -> ServerState:
         """Corrupt an occupied server's local variables.
 
-        Only the register value is rewritten: the per-round buffers are
-        reinitialized by the restored code anyway, and bookkeeping such as
-        pending reads is kept so the adversary can answer readers in kind.
+        Only the register value is rewritten: a server keeps no round
+        buffers, and bookkeeping such as pending reads is kept so the
+        adversary can answer readers in kind.
         """
         return ServerState(self.corrupt_value(round_no, server, rng, state.value),
-                           state.echo_vals, state.current_writes, state.current_reads,
-                           state.cured)
+                           state.current_reads, state.cured)
 
     def byzantine_outgoing(self, config: SystemConfig, round_no: int, server: int,
                            state: ServerState, rng: random.Random) -> tuple:
@@ -212,7 +208,6 @@ class Strategy:
 
 class NoFaults(Strategy):
     name = "none"
-    corrupts = False
 
     def target_set(self, config, round_no, prev, rng):
         return frozenset()

@@ -83,7 +83,7 @@ def _fraction(text, name):
     return x
 
 
-def _load_workload(workload_spec, rounds):
+def _load_workload(workload_spec):
     """'random[:rate[:read_ratio]]' or a YAML/JSON file of directives."""
     if (workload_spec is None or workload_spec == "random"
             or workload_spec.startswith("random:")):
@@ -155,7 +155,7 @@ def _run_one(model, n, f, rounds, seed, clients, workload_spec, adversary,
              allow_inadmissible, record_messages, do_check):
     config = make_config(model, n, f)
     strategy = make_strategy(adversary)
-    workload = _load_workload(workload_spec, rounds)
+    workload = _load_workload(workload_spec)
     result = run(config, strategy, workload, rounds=rounds, seed=seed,
                  n_clients=clients, allow_inadmissible=allow_inadmissible,
                  record_messages=record_messages)

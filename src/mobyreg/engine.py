@@ -7,12 +7,11 @@ agents per the fault model, corrupts occupied servers, and substitutes their
 outgoing messages.  The run records an operation history, per-round agreement
 probes, an event trace, and any property violations.
 
-Servers receive only broadcasts, so every server gets the same inbox, and
-each enters the receive phase with empty round buffers: an agent corrupts its
-host before ``server_begin_round`` empties ``echo_vals`` and
-``current_writes``, and the send phase empties ``current_reads`` on every
-branch.  So every server ends the compute phase with the same buffers, and,
-once the round adopts a value, with the same register value too.
+Servers receive only broadcasts, so every server gets the same inbox, and a
+``ServerState`` keeps no round buffers: a round's echoes and requests are
+collected in a fresh ``Tally``.  So one tally and one adoption decision serve
+every server, and a round that adopts a value ends its compute phase with
+every server holding it.
 
 The engine therefore keeps one ``shared`` ``ServerState`` for all servers
 and an ``own`` state only for those that may differ: the servers an agent
@@ -38,7 +37,7 @@ from typing import Optional, Sequence, Union
 from .adversary import SplitVote, Strategy, rng_stream
 from .model import ConfigError, ModelId, SystemConfig, lookup
 from .protocol import (BOTTOM, SERVERS, ClientState, Echo, Read, ReadFailed,
-                       ReadOk, Reply, ServerState, WriteAck, client_compute,
+                       ReadOk, Reply, ServerState, Tally, WriteAck, client_compute,
                        client_invoke_read, client_invoke_write, client_receive,
                        client_send, server_begin_round, server_compute,
                        server_receive, server_send, value_key)
@@ -72,6 +71,31 @@ class RandomWorkload:
 
     op_rate: float = 0.2
     read_ratio: float = 0.5
+
+    def expand(self, rounds: int, n_clients: int, seed: int) -> list[Directive]:
+        """The directives this workload draws in a run, before round 1.
+
+        Round r draws from the stream ``("workload", r)``, client by client,
+        for each client idle in that round.  A write takes one round and a
+        read two, whatever the servers do, so when a client is next idle is
+        known as soon as its operation is drawn.
+        """
+        directives = []
+        idle_from = [1] * n_clients
+        writes = [0] * n_clients
+        for r in range(1, rounds + 1):
+            rng = rng_stream(seed, "workload", r)
+            for c in range(n_clients):
+                if idle_from[c] > r or rng.random() >= self.op_rate:
+                    continue
+                if rng.random() < self.read_ratio and r < rounds:
+                    directives.append(Directive(r, c, "read"))
+                    idle_from[c] = r + 2
+                else:
+                    writes[c] += 1
+                    directives.append(Directive(r, c, "write", f"c{c}w{writes[c]}"))
+                    idle_from[c] = r + 1
+        return directives
 
 
 Workload = Union[Sequence[Directive], RandomWorkload]
@@ -156,7 +180,6 @@ class RunResult:
     probes: list = field(default_factory=list)        # per-round dicts
     violations: list = field(default_factory=list)    # agreement-probe dips etc.
     protocol_failures: list = field(default_factory=list)
-    realized_workload: list = field(default_factory=list)  # Directive
     crashed_clients: frozenset = frozenset()
 
     def trace_lines(self) -> str:
@@ -207,7 +230,7 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 def probe_agreement(server_states: dict, faulty: frozenset,
-                    shared: Optional[ServerState] = None, n: int = 0) -> tuple[object, int]:
+                    shared: ServerState, n: int) -> tuple[object, int]:
     """Modal value among non-faulty servers and its support.
 
     Each of the servers 0..n-1 that ``server_states`` leaves out holds
@@ -218,7 +241,7 @@ def probe_agreement(server_states: dict, faulty: frozenset,
     violation otherwise.
     """
     counts: dict = {}
-    missing = n - len(server_states) if shared is not None else 0
+    missing = n - len(server_states)
     if missing:
         first_shared = 0
         while first_shared in server_states:
@@ -279,12 +302,11 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
     s_threshold = config.selection_threshold
     n, f = config.n, config.f
 
-    scripted: Optional[list[Directive]] = None
-    generator: Optional[RandomWorkload] = None
     if isinstance(workload, RandomWorkload):
-        generator = workload
-    else:
-        scripted = validate_directives(list(workload), rounds, n_clients)
+        workload = workload.expand(rounds, n_clients, seed)
+    by_round: dict[int, list[Directive]] = {}  # round -> its directives, by client
+    for d in validate_directives(list(workload), rounds, n_clients):
+        by_round.setdefault(d.round, []).append(d)
 
     result = RunResult(config=config, rounds=rounds, seed=seed)
     shared = ServerState()                   # the state of every server not in own
@@ -293,29 +315,10 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
     clients = {c: ClientState() for c in range(n_clients)}
     crashed: set[int] = set()
     pending_op: dict[int, OpRecord] = {}     # client -> outstanding operation
-    write_counter: dict[int, int] = {c: 0 for c in range(n_clients)}
     occupied: frozenset = frozenset()        # end-of-previous-round agent positions
-    op_seq = 0
 
     def trace(round_no, phase, kind, actor, payload):
         result.trace.append(TraceEvent(round_no, phase, kind, actor, payload))
-
-    def invoke(round_no: int, d: Directive) -> None:
-        nonlocal op_seq
-        cst = clients[d.client]
-        if d.op == "write":
-            clients[d.client] = client_invoke_write(cst, d.value)
-        else:
-            clients[d.client] = client_invoke_read(cst)
-        rec = OpRecord(op_id=op_seq, client=d.client, kind=d.op,
-                       argument=d.value if d.op == "write" else None,
-                       invoke_round=round_no)
-        op_seq += 1
-        pending_op[d.client] = rec
-        result.history.append(rec)
-        result.realized_workload.append(d)
-        trace(round_no, "send", "op_invoke", f"c{d.client}",
-              {"op_id": rec.op_id, "kind": d.op, "value": d.value})
 
     for r in range(1, rounds + 1):
         # --- agent movement (at round start, or during send: moves_in_send) ---
@@ -332,7 +335,6 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         byzantine = pre_send | cured_now if cured_byzantine else pre_send
 
         # --- begin round -------------------------------------------------
-        # corrupt first: begin_round then empties the buffers (module docstring)
         for i in sorted(pre_send):
             own[i] = strategy.corrupt_state(
                 r, i, rng_stream(seed, "corrupt", r, i), own.get(i, shared))
@@ -343,29 +345,22 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                 st, oracle_enabled and i in unrestored and i not in pre_send)
 
         # --- operation injection (queued at the previous compute) --------
-        if scripted is not None:
-            todays = [d for d in scripted if d.round == r]
-        else:
-            todays = []
-            rng_w = rng_stream(seed, "workload", r)
-            for c in range(n_clients):
-                cst = clients[c]
-                if c in crashed or cst.reading or cst.writing:
-                    continue
-                if rng_w.random() >= generator.op_rate:
-                    continue
-                if rng_w.random() < generator.read_ratio and r + 1 <= rounds:
-                    todays.append(Directive(r, c, "read"))
-                else:
-                    write_counter[c] += 1
-                    todays.append(Directive(r, c, "write", f"c{c}w{write_counter[c]}"))
-        for d in sorted(todays, key=lambda d: d.client):
+        for d in by_round.get(r, ()):
             if d.op == "crash":
                 crashed.add(d.client)
                 trace(r, "round_start", "op_invoke", f"c{d.client}", {"kind": "crash"})
-                result.realized_workload.append(d)
                 continue
-            invoke(r, d)
+            cst = clients[d.client]
+            if d.op == "write":
+                clients[d.client] = client_invoke_write(cst, d.value)
+            else:
+                clients[d.client] = client_invoke_read(cst)
+            rec = pending_op[d.client] = OpRecord(
+                op_id=len(result.history), client=d.client, kind=d.op,
+                argument=d.value if d.op == "write" else None, invoke_round=r)
+            result.history.append(rec)
+            trace(r, "send", "op_invoke", f"c{d.client}",
+                  {"op_id": rec.op_id, "kind": d.op, "value": d.value})
 
         # --- send phase ---------------------------------------------------
         client_out: list[tuple[int, object, object]] = []  # (client, dest, msg)
@@ -384,8 +379,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             if i in byzantine:
                 out_msgs = strategy.byzantine_outgoing(
                     config, r, i, st, rng_stream(seed, "byz", r, i))
-                own[i] = ServerState(st.value, st.echo_vals, st.current_writes,
-                                     frozenset(), st.cured)
+                own[i] = ServerState(st.value, frozenset(), st.cured)
                 kept = []
                 for dest, msg in out_msgs:
                     if not isinstance(msg, (Echo, Reply)):
@@ -419,13 +413,12 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             for src, dst in occ.moves:
                 moved.discard(src)
                 moved.add(dst)
-                # Departing host: its round buffers are still empty, the
-                # register value keeps the agent's corruption.
+                # Departing host: the register value keeps the agent's corruption.
                 st = own.get(src, shared)
                 own[src] = ServerState(
                     strategy.corrupt_value(r, src, rng_stream(seed, "corrupt-leave", r, src),
                                            st.value),
-                    st.echo_vals, st.current_writes, st.current_reads, st.cured)
+                    st.current_reads, st.cured)
                 unrestored.add(src)
                 trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
             post_occupied = frozenset(moved)
@@ -444,7 +437,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         shared_echo = next((msg for dest, msg in shared_out
                             if dest == SERVERS and isinstance(msg, Echo)), None)
         shared_to_clients = any(dest != SERVERS for dest, _ in shared_out)
-        tally = server_receive(ServerState(), server_inbox + [
+        tally = server_receive(Tally(), server_inbox + [
             (i, msg) for i, dest, msg in server_messages(sorted(own_out))
             if dest == SERVERS])
         if shared_echo is not None and len(own_out) < n:
@@ -454,8 +447,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                     echo_vals[i] = tally.echo_vals[i]
                 else:
                     del echo_vals[i]
-            tally = ServerState(tally.value, echo_vals, tally.current_writes,
-                                tally.current_reads, tally.cured)
+            tally = Tally(echo_vals, tally.current_writes, tally.current_reads)
         for i, dest, msg in server_messages(range(n) if shared_to_clients
                                             else sorted(own_out)):
             if dest != SERVERS and dest in client_inbox:
@@ -479,12 +471,12 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             clients[c] = client_receive(clients[c], inbox, r)
 
         # --- compute phase ---------------------------------------------------
-        tally, note = server_compute(tally, s_threshold)
+        note = server_compute(tally, s_threshold)
         adopted = note.adopted
 
         def computed(st: ServerState) -> ServerState:
-            return ServerState(tally.value if adopted else st.value, tally.echo_vals,
-                               tally.current_writes, tally.current_reads, st.cured)
+            return ServerState(note.value if adopted else st.value, tally.current_reads,
+                               st.cured)
 
         shared = computed(shared)
         for i, st in own.items():
@@ -571,6 +563,8 @@ def tightness_demo(model: ModelId, f: int = 2, *, seed: int = 0) -> dict:
     the reader's reply multiset between the written and a planted value, so
     no selection rule can be correct and the read fails.
     """
+    if f < 1:
+        raise ConfigError(f"a tightness demo needs f >= 1, got f={f}")
     params = lookup(model)
     n = params.alpha * f
     config = SystemConfig(n=n, f=f, params=params)

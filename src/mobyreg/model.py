@@ -82,10 +82,10 @@ class SystemConfig:
     params: ModelParams
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.f < 0:
             raise ConfigError(f"f must be >= 0, got {self.f}")
+        if self.n < 1:
+            raise ConfigError(f"n must be >= 1, got {self.n}")
 
     @property
     def admissible(self) -> bool:

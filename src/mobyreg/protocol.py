@@ -1,8 +1,8 @@
 """Pure state machines for the register servers and clients.
 
-Every phase is a function from (state, inputs) to (state, outputs); nothing
-here performs I/O or mutates its arguments, so identical inputs always yield
-identical outputs.  The simulation engine owns timing, delivery, and fault
+Every phase is a function from a state, or a round's ``Tally``, and its
+inputs to new ones and outputs; nothing here performs I/O or mutates its
+arguments, so identical inputs always yield identical outputs.  The simulation engine owns timing, delivery, and fault
 injection.
 
 Wire values are opaque, hashable payloads.  ``BOTTOM`` (``None``) is the
@@ -84,18 +84,26 @@ _EMPTY: Mapping = MappingProxyType({})
 # ---------------------------------------------------------------------------
 
 class ServerState(NamedTuple):
+    """What a server keeps from one round to the next; its buffers are a ``Tally``."""
+
     value: object = BOTTOM
+    current_reads: frozenset = frozenset()  # readers to answer in the next send
+    cured: bool = False
+
+
+class Tally(NamedTuple):
+    """What one round's receive phase collects for its compute phase."""
+
     # one entry per distinct sender: duplicate messages from a sender in one
     # round are rejected, so a faulty server cannot vote twice
     echo_vals: Mapping = _EMPTY        # server id -> value
     current_writes: Mapping = _EMPTY   # client id -> value
     current_reads: frozenset = frozenset()
-    cured: bool = False
 
 
 def server_begin_round(state: ServerState, cured_report: bool) -> ServerState:
-    """Empty the round-local buffers and refresh the cure flag."""
-    return ServerState(state.value, _EMPTY, _EMPTY, state.current_reads, bool(cured_report))
+    """Refresh the cure flag."""
+    return ServerState(state.value, state.current_reads, bool(cured_report))
 
 
 def server_send(state: ServerState) -> tuple[ServerState, tuple]:
@@ -110,21 +118,18 @@ def server_send(state: ServerState) -> tuple[ServerState, tuple]:
         outgoing.append((SERVERS, Echo(state.value)))
         for cid in sorted(state.current_reads):
             outgoing.append((cid, Reply(state.value)))
-    return (ServerState(state.value, state.echo_vals, state.current_writes, frozenset(),
-                        state.cured),
-            tuple(outgoing))
+    return ServerState(state.value, frozenset(), state.cured), tuple(outgoing)
 
 
-def server_receive(state: ServerState,
-                   inbox: Sequence[tuple[int, Message]]) -> ServerState:
-    """Accumulate this round's echoes, write requests, and read requests.
+def server_receive(tally: Tally, inbox: Sequence[tuple[int, Message]]) -> Tally:
+    """Accumulate echoes, write requests, and read requests into ``tally``.
 
     ``inbox`` holds (authenticated sender id, message) pairs.  Only the first
     message of each kind from a given sender counts.
     """
-    echo_vals = dict(state.echo_vals)
-    current_writes = dict(state.current_writes)
-    current_reads = set(state.current_reads)
+    echo_vals = dict(tally.echo_vals)
+    current_writes = dict(tally.current_writes)
+    current_reads = set(tally.current_reads)
     for sender, msg in inbox:
         if isinstance(msg, Echo):
             echo_vals.setdefault(sender, msg.value)
@@ -133,43 +138,38 @@ def server_receive(state: ServerState,
         elif isinstance(msg, Read):
             current_reads.add(sender)
         # Reply messages addressed to servers are ignored.
-    return ServerState(state.value, echo_vals, current_writes, frozenset(current_reads),
-                       state.cured)
-
-
-def _with_value(state: ServerState, value: object) -> ServerState:
-    return ServerState(value, state.echo_vals, state.current_writes, state.current_reads,
-                       state.cured)
+    return Tally(echo_vals, current_writes, frozenset(current_reads))
 
 
 @dataclass(frozen=True)
 class ComputeNote:
-    """What the compute phase did to the stored value (for probes/oracle)."""
+    """The compute phase's decision: whether to adopt ``value``, and any tie."""
 
     adopted: bool = False
+    value: object = BOTTOM              # the value to store, when adopted
     tied_values: tuple = ()             # >1 entries only in inadmissible runs
 
 
-def server_compute(state: ServerState, s_threshold: int) -> tuple[ServerState, ComputeNote]:
+def server_compute(tally: Tally, s_threshold: int) -> ComputeNote:
     """Adopt this round's written value, else a sufficiently echoed one.
 
     With concurrent writes the value paired with the highest client id wins,
     so every server picks the same one.  Among echoes, a value needs at least
     ``s_threshold`` distinct senders; a tie (impossible in admissible
-    configurations) is broken toward the smallest value and reported.
+    configurations) is broken toward the smallest value and reported.  The
+    server then holds ``note.value`` if adopted, else its own value, and the
+    tally's ``current_reads``.
     """
-    if state.current_writes:
-        top_client = max(state.current_writes)
-        return (_with_value(state, state.current_writes[top_client]),
-                ComputeNote(adopted=True))
-    counts = Counter(state.echo_vals.values())
+    if tally.current_writes:
+        top_client = max(tally.current_writes)
+        return ComputeNote(adopted=True, value=tally.current_writes[top_client])
+    counts = Counter(tally.echo_vals.values())
     qualifying = sorted((v for v, c in counts.items() if c >= s_threshold),
                         key=value_key)
     if qualifying:
-        return (_with_value(state, qualifying[0]),
-                ComputeNote(adopted=True,
-                            tied_values=tuple(qualifying) if len(qualifying) > 1 else ()))
-    return state, ComputeNote()
+        return ComputeNote(adopted=True, value=qualifying[0],
+                           tied_values=tuple(qualifying) if len(qualifying) > 1 else ())
+    return ComputeNote()
 
 
 # ---------------------------------------------------------------------------

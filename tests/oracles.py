@@ -10,8 +10,9 @@ order of a small history.
 ``RunResult.trace_lines``.
 ``per_server_run`` is the round loop that ``mobyreg.engine.run`` replaced:
 one ``ServerState`` per server, every protocol phase called for each of
-them, and the agreement probe counted server by server.  ``run`` must give
-the same artifacts, byte for byte.
+them, the agreement probe counted server by server, and a random workload
+drawn inside the round loop from each client's state, where ``run`` expands
+it before round 1.  ``run`` must give the same artifacts, byte for byte.
 ``mt_rng_stream`` is the Mersenne Twister stream derivation that
 ``mobyreg.adversary.rng_stream`` replaced: the same key, a seeded
 ``random.Random``.  Injected as ``mobyreg.engine.rng_stream``, it reproduces
@@ -32,7 +33,7 @@ from mobyreg.engine import (Directive, OpRecord, RandomWorkload, RunResult,
                             TraceEvent, Workload, _msg_payload, validate_directives)
 from mobyreg.model import ConfigError, SystemConfig
 from mobyreg.protocol import (BOTTOM, SERVERS, ClientState, Echo, ReadFailed,
-                              ReadOk, Reply, ServerState, WriteAck, client_compute,
+                              ReadOk, Reply, ServerState, Tally, WriteAck, client_compute,
                               client_invoke_read, client_invoke_write, client_receive,
                               client_send, server_begin_round, server_compute,
                               server_receive, server_send, value_key)
@@ -273,7 +274,6 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
         op_seq += 1
         pending_op[d.client] = rec
         result.history.append(rec)
-        result.realized_workload.append(d)
         trace(round_no, "send", "op_invoke", f"c{d.client}",
               {"op_id": rec.op_id, "kind": d.op, "value": d.value})
 
@@ -293,7 +293,6 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
         byzantine = pre_send | cured_now if cured_byzantine else pre_send
 
         # --- begin round -------------------------------------------------
-        # corrupt first: begin_round then empties the buffers (module docstring)
         for i in range(n):
             if i in pre_send:
                 servers[i] = strategy.corrupt_state(
@@ -323,7 +322,6 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
             if d.op == "crash":
                 crashed.add(d.client)
                 trace(r, "round_start", "op_invoke", f"c{d.client}", {"kind": "crash"})
-                result.realized_workload.append(d)
                 continue
             invoke(r, d)
 
@@ -341,8 +339,7 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
                 out_msgs = strategy.byzantine_outgoing(
                     config, r, i, servers[i], rng_stream(seed, "byz", r, i))
                 st = servers[i]
-                servers[i] = ServerState(st.value, st.echo_vals, st.current_writes,
-                                         frozenset(), st.cured)
+                servers[i] = ServerState(st.value, frozenset(), st.cured)
                 for dest, msg in out_msgs:
                     if not isinstance(msg, (Echo, Reply)):
                         # authenticated channels: a server cannot pose as a client
@@ -367,13 +364,12 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
             for src, dst in occ.moves:
                 moved.discard(src)
                 moved.add(dst)
-                # Departing host: its round buffers are still empty, the
-                # register value keeps the agent's corruption.
+                # Departing host: the register value keeps the agent's corruption.
                 st = servers[src]
                 servers[src] = ServerState(
                     strategy.corrupt_value(r, src, rng_stream(seed, "corrupt-leave", r, src),
                                            st.value),
-                    st.echo_vals, st.current_writes, st.current_reads, st.cured)
+                    st.current_reads, st.cured)
                 restored[src] = False
                 trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
             post_occupied = frozenset(moved)
@@ -398,7 +394,7 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
             for i in range(n):
                 for payload in delivered:
                     trace(r, "receive", "deliver", f"s{i}", payload)
-        tally = server_receive(ServerState(), inbox)
+        tally = server_receive(Tally(), inbox)
         for c in range(n_clients):
             if c in crashed:
                 continue
@@ -410,12 +406,11 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
             clients[c] = client_receive(clients[c], inbox, r)
 
         # --- compute phase ---------------------------------------------------
-        tally, note = server_compute(tally, s_threshold)
+        note = server_compute(tally, s_threshold)
         for i in range(n):
             st = servers[i]
-            servers[i] = ServerState(
-                tally.value if note.adopted else st.value, tally.echo_vals,
-                tally.current_writes, tally.current_reads, st.cured)
+            servers[i] = ServerState(note.value if note.adopted else st.value,
+                                     tally.current_reads, st.cured)
             if note.tied_values:
                 trace(r, "compute", "state_transition", f"s{i}",
                       {"diagnostic": "echo threshold tie",

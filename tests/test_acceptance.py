@@ -14,7 +14,7 @@ from mobyreg.adversary import RandomWalk
 from mobyreg.checker import check_all, check_ordering, history_from_records
 from mobyreg.engine import RandomWorkload, run, tightness_demo
 from mobyreg.model import ModelId, lookup, make_config
-from mobyreg.protocol import Echo, ServerState, Write, server_receive
+from mobyreg.protocol import Echo, Tally, Write, server_receive
 from oracles import brute_force_linearizable
 
 MODELS = [ModelId.GARAY, ModelId.BONNET, ModelId.SASAKI, ModelId.BUHRMAN]
@@ -128,8 +128,8 @@ def test_acceptance_6_runs_are_deterministic_and_order_insensitive(capsys):
             inbox.append((cid, Write(value=f"w{rng.randint(0, 3)}")))
         shuffled = inbox[:]
         rng.shuffle(shuffled)
-        a = server_receive(ServerState(), inbox)
-        b = server_receive(ServerState(), shuffled)
+        a = server_receive(Tally(), inbox)
+        b = server_receive(Tally(), shuffled)
         if a != b:
             stable = False
             break

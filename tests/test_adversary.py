@@ -158,12 +158,6 @@ def test_random_corruption_reproduces_from_seed():
     assert a == b and a != c
 
 
-def test_noop_corruption_leaves_state_alone():
-    s = NoFaults()
-    st = ServerState(value="v", current_reads=frozenset({2}))
-    assert s.corrupt_state(1, 0, rng_stream(0, 1, 0), st) == st
-
-
 def test_corruption_keeps_pending_reads():
     s = Stationary()
     st = ServerState(value="v", current_reads=frozenset({2, 5}))

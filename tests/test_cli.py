@@ -168,6 +168,19 @@ def test_sweep_bad_cell_option_is_config_error(option, value, fragment, jobs):
     assert_config_error(result, fragment)
 
 
+@pytest.mark.parametrize("args, fragment", [
+    (("tightness", "--model", "garay", "--f", "-1"), "needs f >= 1, got f=-1"),
+    (("tightness", "--model", "buhrman", "--f", "0"), "needs f >= 1, got f=0"),
+    (("sweep", "--models", "garay", "--f-values", "-1", "--seeds", "0", "--rounds", "5"),
+     "f must be >= 0, got -1"),
+    (("run", "--n", "0", "--f", "-1", "--rounds", "5"), "f must be >= 0, got -1"),
+], ids=["tightness-negative", "tightness-zero", "sweep", "run"])
+def test_bad_fault_budget_is_named_not_a_derived_n(tmp_path, args, fragment):
+    result = invoke(*args, *(("--out-dir", str(tmp_path)) if args[0] == "run" else ()))
+    assert_config_error(result, fragment)
+    assert "n must be" not in result.output
+
+
 def test_sweep_out_creates_missing_directories(tmp_path):
     out = tmp_path / "new" / "dir" / "table.tsv"
     result = invoke("sweep", "--models", "buhrman", "--f-values", "1",

@@ -14,8 +14,7 @@ from mobyreg.checker import check_all, history_from_records
 from mobyreg.engine import (Directive, RandomWorkload, probe_agreement, run,
                             tightness_demo, validate_directives)
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
-from mobyreg.protocol import (BOTTOM, Reply, ServerState, server_begin_round,
-                              server_send)
+from mobyreg.protocol import BOTTOM, Reply, ServerState
 from oracles import mt_rng_stream, per_server_run, trace_line
 
 
@@ -114,6 +113,25 @@ def test_crashed_clients_pending_op_stays_open():
     assert verdicts["termination"].passed  # crashed client is excluded
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0, 1), st.floats(0, 1), st.integers(0, 30), st.integers(1, 6),
+       st.integers(0, 2**32))
+def test_expanded_random_workload_is_valid(op_rate, read_ratio, rounds, n_clients, seed):
+    directives = RandomWorkload(op_rate, read_ratio).expand(rounds, n_clients, seed)
+    assert validate_directives(directives, rounds, n_clients) == directives
+
+
+def test_random_workload_is_drawn_before_round_1(monkeypatch):
+    keys = []
+    draw = mobyreg.engine.rng_stream
+    monkeypatch.setattr(mobyreg.engine, "rng_stream",
+                        lambda seed, *key: (keys.append(key), draw(seed, *key))[1])
+    res = run(m1_config(), RandomWalk(), RandomWorkload(op_rate=0.5), rounds=20, seed=4)
+    assert res.history
+    assert keys[:20] == [("workload", r) for r in range(1, 21)]
+    assert all(key[0] != "workload" for key in keys[20:])
+
+
 # ----------------------------------------------------------- determinism ---
 
 def test_repeat_run_gives_byte_identical_trace():
@@ -152,7 +170,7 @@ def test_round_local_delivery():
 def test_probe_agreement_counts_nonfaulty_modal():
     states = {0: ServerState(value=9), 1: ServerState(value=9),
               2: ServerState(value=9), 3: ServerState(value=4)}
-    value, support = probe_agreement(states, faulty=frozenset({3}))
+    value, support = probe_agreement(states, frozenset({3}), ServerState(), 4)
     assert (value, support) == (9, 3)
 
 
@@ -382,32 +400,6 @@ def test_tightness_report_matches_golden_digest(model, f):
     assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_TIGHTNESS[(model, f)]
 
 
-def test_round_buffers_are_empty_before_receive():
-    # the shared tally is sound only because begin_round and send leave
-    # every server's echo_vals, current_writes and current_reads empty
-    dirty = ServerState(value=5, echo_vals={1: 9}, current_writes={7: 9},
-                        current_reads=frozenset({3}))
-    for cured in (False, True):
-        st, _ = server_send(server_begin_round(dirty, cured))
-        assert (st.echo_vals, st.current_writes, st.current_reads) == ({}, {}, frozenset())
-
-    class PlantsBuffers(Scripted):
-        # corrupts the round buffers instead of the value
-        def corrupt_state(self, round_no, server, rng, state):
-            return state._replace(echo_vals={s: "planted" for s in range(9)},
-                                  current_writes={99: "planted"})
-
-    # bonnet: the hosts vacated after round 1 send from their own state in
-    # round 2, so a planted buffer that survived into round 1's compute would
-    # show up in their echoes
-    res = run(make_config("bonnet", 9, 2), PlantsBuffers({1: {0, 1}, 2: {2, 3}}),
-              [Directive(1, 0, "write", 5)], rounds=2, seed=0, n_clients=1,
-              record_messages=True)
-    echoes = {ev.actor: ev.payload["msg"]["value"] for ev in res.trace
-              if ev.round == 2 and ev.kind == "send" and ev.payload["msg"]["type"] == "echo"}
-    assert echoes["s0"] == echoes["s1"] == 5
-
-
 # ------------------------------------------------ shared server state ------
 
 def test_probe_merges_equal_values_of_different_types_in_id_order():
@@ -437,8 +429,7 @@ class RewritesBookkeeping(Scripted):
 
     def corrupt_state(self, round_no, server, rng, state):
         reads = frozenset({0, 2}) if state.cured else frozenset({1})
-        return ServerState(state.value, state.echo_vals, state.current_writes,
-                           reads, not state.cured)
+        return ServerState(state.value, reads, not state.cured)
 
 
 @st.composite

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobyreg.model import ModelId, lookup
-from mobyreg.protocol import (BOTTOM, SERVERS, ClientState, Echo, Read,
-                              ReadFailed, ReadOk, Reply, ServerState,
+from mobyreg.protocol import (BOTTOM, SERVERS, ClientState, ComputeNote, Echo,
+                              Read, ReadFailed, ReadOk, Reply, ServerState, Tally,
                               UsageError, Write, WriteAck, client_compute,
                               client_invoke_read, client_invoke_write,
                               client_receive, client_send, server_begin_round,
@@ -14,18 +14,15 @@ from mobyreg.protocol import (BOTTOM, SERVERS, ClientState, Echo, Read,
 
 # ----------------------------------------------------------------- server ---
 
-def test_begin_round_resets_buffers():
-    st_ = ServerState(value=5, echo_vals={1: 9}, current_writes={7: 9},
-                      current_reads=frozenset({3}))
+def test_begin_round_keeps_pending_reads():
+    st_ = ServerState(value=5, current_reads=frozenset({3}), cured=True)
     out = server_begin_round(st_, cured_report=False)
-    assert out.echo_vals == {} and out.current_writes == {}
-    assert not out.cured
-    assert out.current_reads == frozenset({3})  # reads survive the boundary
+    assert out == ServerState(5, frozenset({3}), False)  # reads survive the boundary
 
 
 def test_begin_round_sets_cured_flag():
-    out = server_begin_round(ServerState(), cured_report=True)
-    assert out.cured and out.echo_vals == {} and out.current_writes == {}
+    out = server_begin_round(ServerState(value=5), cured_report=True)
+    assert out == ServerState(5, frozenset(), True)
 
 
 def test_begin_round_oracle_disabled_report_is_false():
@@ -57,64 +54,61 @@ def test_send_no_pending_reads():
 
 def test_receive_accumulates():
     inbox = [(1, Echo(5)), (2, Echo(5)), (7, Write(9))]
-    st_ = server_receive(ServerState(), inbox)
-    assert st_.echo_vals == {1: 5, 2: 5}
-    assert st_.current_writes == {7: 9}
+    tally = server_receive(Tally(), inbox)
+    assert tally.echo_vals == {1: 5, 2: 5}
+    assert tally.current_writes == {7: 9}
+    more = server_receive(tally, [(3, Echo(6)), (4, Read())])
+    assert more == Tally({1: 5, 2: 5, 3: 6}, {7: 9}, frozenset({4}))
 
 
 def test_receive_reads():
-    st_ = server_receive(ServerState(), [(2, Read()), (4, Read())])
-    assert st_.current_reads == frozenset({2, 4})
+    tally = server_receive(Tally(), [(2, Read()), (4, Read())])
+    assert tally.current_reads == frozenset({2, 4})
 
 
 def test_receive_empty_is_identity():
-    st_ = ServerState(value="v", echo_vals={1: "v"})
-    assert server_receive(st_, []) == st_
+    tally = Tally(echo_vals={1: "v"}, current_reads=frozenset({3}))
+    assert server_receive(tally, []) == tally
 
 
 def test_receive_rejects_duplicate_senders():
     inbox = [(1, Echo("a")), (1, Echo("b")), (2, Write(1)), (2, Write(2))]
-    st_ = server_receive(ServerState(), inbox)
-    assert st_.echo_vals == {1: "a"}
-    assert st_.current_writes == {2: 1}
+    tally = server_receive(Tally(), inbox)
+    assert tally.echo_vals == {1: "a"}
+    assert tally.current_writes == {2: 1}
 
 
 def test_receive_ignores_replies():
-    st_ = server_receive(ServerState(), [(1, Reply("v"))])
-    assert st_ == ServerState()
+    assert server_receive(Tally(), [(1, Reply("v"))]) == Tally()
 
 
 def test_compute_write_takes_highest_client_id():
-    st_ = ServerState(current_writes={7: 9, 2: 4})
-    out, note = server_compute(st_, s_threshold=3)
-    assert out.value == 9 and note.adopted
+    note = server_compute(Tally(current_writes={7: 9, 2: 4}), s_threshold=3)
+    assert note.value == 9 and note.adopted
 
 
 def test_compute_write_selection_is_order_insensitive():
     entries = [(7, 9), (2, 4), (5, 1)]
     for perm in itertools.permutations(entries):
-        st_ = ServerState(current_writes=dict(perm))
-        out, _ = server_compute(st_, s_threshold=3)
-        assert out.value == 9
+        assert server_compute(Tally(current_writes=dict(perm)), s_threshold=3).value == 9
 
 
 def test_compute_echo_threshold():
     echo_vals = {i: 3 for i in range(5)}
-    out, note = server_compute(ServerState(echo_vals=echo_vals), s_threshold=5)
-    assert out.value == 3 and note.adopted
+    note = server_compute(Tally(echo_vals=echo_vals), s_threshold=5)
+    assert note.value == 3 and note.adopted
 
 
 def test_compute_below_threshold_keeps_value():
     echo_vals = {i: 3 for i in range(4)}
-    out, note = server_compute(ServerState(value="old", echo_vals=echo_vals),
-                               s_threshold=5)
-    assert out.value == "old" and not note.adopted
+    # adopting nothing, the server keeps its value
+    assert server_compute(Tally(echo_vals=echo_vals), s_threshold=5) == ComputeNote()
 
 
 def test_compute_tie_breaks_to_smallest_and_reports():
     echo_vals = {0: "b", 1: "b", 2: "a", 3: "a"}
-    out, note = server_compute(ServerState(echo_vals=echo_vals), s_threshold=2)
-    assert out.value == "a"
+    note = server_compute(Tally(echo_vals=echo_vals), s_threshold=2)
+    assert note.value == "a" and note.adopted
     assert set(note.tied_values) == {"a", "b"}
 
 
@@ -232,7 +226,7 @@ def test_compute_no_pending_op_is_identity():
 
 # ----------------------------------------------------------------- states ---
 
-@pytest.mark.parametrize("state", [ServerState(), ClientState()])
+@pytest.mark.parametrize("state", [ServerState(), ClientState(), Tally()])
 def test_state_fields_cannot_be_assigned(state):
     for name in state._fields:
         with pytest.raises(AttributeError):
@@ -242,7 +236,7 @@ def test_state_fields_cannot_be_assigned(state):
 
 
 @pytest.mark.parametrize("make, name", [
-    (ServerState, "echo_vals"), (ServerState, "current_writes"),
+    (Tally, "echo_vals"), (Tally, "current_writes"),
     (ClientState, "replies"),
 ])
 def test_default_state_mappings_are_read_only(make, name):
@@ -257,19 +251,19 @@ def test_default_state_mappings_are_read_only(make, name):
 def test_replace_derives_a_new_state():
     st_ = ServerState(value="v", current_reads=frozenset({3}))
     out = st_._replace(value="w", cured=True)
-    assert out == ServerState("w", {}, {}, frozenset({3}), True)
+    assert out == ServerState("w", frozenset({3}), True)
     assert st_ == ServerState(value="v", current_reads=frozenset({3}))
     assert ClientState()._replace(reading=True, op_start=4) == \
         ClientState((), True, False, 4, {})
 
 
 def test_receive_on_default_states_returns_fresh_dicts():
-    st_ = server_receive(ServerState(), [(1, Echo(5)), (7, Write(9))])
-    assert type(st_.echo_vals) is dict and st_.echo_vals == {1: 5}
-    assert type(st_.current_writes) is dict and st_.current_writes == {7: 9}
+    tally = server_receive(Tally(), [(1, Echo(5)), (7, Write(9))])
+    assert type(tally.echo_vals) is dict and tally.echo_vals == {1: 5}
+    assert type(tally.current_writes) is dict and tally.current_writes == {7: 9}
     cst = client_receive(ClientState(reading=True, op_start=4), [(2, Reply("v"))], 5)
     assert type(cst.replies) is dict and cst.replies == {2: "v"}
-    assert ServerState().echo_vals == {} and ServerState().current_writes == {}
+    assert Tally().echo_vals == {} and Tally().current_writes == {}
     assert ClientState().replies == {}
 
 
@@ -278,10 +272,11 @@ def test_receive_on_default_states_returns_fresh_dicts():
 def test_phase_functions_are_deterministic():
     inbox = [(1, Echo("v")), (3, Write(2)), (4, Read())]
     st_ = ServerState(value="u", current_reads=frozenset({9}))
-    assert server_receive(st_, inbox) == server_receive(st_, inbox)
+    tally = Tally(echo_vals={2: "u"})
+    assert server_receive(tally, inbox) == server_receive(tally, inbox)
     assert server_send(st_) == server_send(st_)
-    assert server_compute(server_receive(st_, inbox), 1) == \
-        server_compute(server_receive(st_, inbox), 1)
+    assert server_compute(server_receive(tally, inbox), 1) == \
+        server_compute(server_receive(tally, inbox), 1)
 
 
 def test_at_most_one_value_can_reach_threshold_when_admissible():
@@ -308,7 +303,7 @@ def test_receive_is_inbox_order_insensitive(rnd):
     inbox += [(20, Read()), (21, Read())]
     shuffled = list(inbox)
     rnd.shuffle(shuffled)
-    base = server_receive(ServerState(), inbox)
-    other = server_receive(ServerState(), shuffled)
+    base = server_receive(Tally(), inbox)
+    other = server_receive(Tally(), shuffled)
     assert base == other
     assert server_compute(base, 3) == server_compute(other, 3)
