@@ -3,6 +3,10 @@
 A strategy decides, per round, which servers the agents occupy (and, in the
 Buhrman model, how they relocate during the send phase), what a corrupted
 server's value becomes, and what messages a fully Byzantine server emits.
+A server keeps nothing but its value across rounds, so ``corrupt_value`` is
+the one corruption hook: an agent rewrites the value of each server it holds
+or leaves, and answers the pending readers, which every server knows from the
+last round's tally, through ``byzantine_outgoing``.
 
 Every decision draws from its own random stream, named by the run's seed and
 a key such as ``("corrupt", round, server)``: ``rng_stream`` hashes the name
@@ -28,7 +32,7 @@ import random
 from dataclasses import dataclass
 
 from .model import ConfigError, SystemConfig
-from .protocol import SERVERS, Echo, Reply, ServerState
+from .protocol import SERVERS, Echo, Reply
 
 
 _MASK64 = (1 << 64) - 1
@@ -169,26 +173,14 @@ class Strategy:
             return Occupancy(pre_send=prev, moves=tuple(moves))
         return Occupancy(pre_send=target)
 
-    def corrupt_value(self, round_no: int, server: int,
-                      rng: random.Random, current: object) -> object:
+    def corrupt_value(self, round_no: int, server: int, rng: random.Random) -> object:
         """The value an occupying (or departing) agent leaves behind."""
         if self.fake_value is not None:
             return self.fake_value
         return f"byz-{round_no}-s{server}-{rng.randrange(1 << 30)}"
 
-    def corrupt_state(self, round_no: int, server: int,
-                      rng: random.Random, state: ServerState) -> ServerState:
-        """Corrupt an occupied server's local variables.
-
-        Only the register value is rewritten: a server keeps no round
-        buffers, and bookkeeping such as pending reads is kept so the
-        adversary can answer readers in kind.
-        """
-        return ServerState(self.corrupt_value(round_no, server, rng, state.value),
-                           state.current_reads, state.cured)
-
     def byzantine_outgoing(self, config: SystemConfig, round_no: int, server: int,
-                           state: ServerState, rng: random.Random) -> tuple:
+                           readers: frozenset, rng: random.Random) -> tuple:
         """Send-phase output of a fully Byzantine server: (destination, message) pairs.
 
         A destination is ``SERVERS`` or an integer, and an integer is always
@@ -197,13 +189,11 @@ class Strategy:
         sender's first echo counts), while its replies to individual clients
         may differ.  The channel supplies the sender, ``server``, and the
         engine drops any Write or Read.  The default pushes one wrong value
-        into the echo exchange and to every pending reader.
+        into the echo exchange and to every pending reader in ``readers``.
         """
-        wrong = self.corrupt_value(round_no, server, rng, state.value)
-        outgoing = [(SERVERS, Echo(wrong))]
-        for cid in sorted(state.current_reads):
-            outgoing.append((cid, Reply(wrong)))
-        return tuple(outgoing)
+        wrong = self.corrupt_value(round_no, server, rng)
+        return ((SERVERS, Echo(wrong)),) + tuple((cid, Reply(wrong))
+                                                 for cid in sorted(readers))
 
 
 class NoFaults(Strategy):
@@ -278,13 +268,12 @@ class SplitVote(Scripted):
             raise ConfigError("split_vote needs a non-default fake value")
         super().__init__(schedule, fake_value)
 
-    def byzantine_outgoing(self, config, round_no, server, state, rng):
+    def byzantine_outgoing(self, config, round_no, server, readers, rng):
         # Stay silent toward the servers (a Byzantine option): the proof
         # scenarios only need the reader's reply multiset balanced, and at
         # the boundary even f planted echoes would clear the (degenerate)
         # maintenance threshold and disturb correct servers.
-        return tuple((cid, Reply(self.fake_value))
-                     for cid in sorted(state.current_reads))
+        return tuple((cid, Reply(self.fake_value)) for cid in sorted(readers))
 
 
 STRATEGIES = {

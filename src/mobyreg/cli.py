@@ -88,6 +88,9 @@ def _load_workload(workload_spec):
     if (workload_spec is None or workload_spec == "random"
             or workload_spec.startswith("random:")):
         parts = workload_spec.split(":") if workload_spec else []
+        if len(parts) > 3:
+            raise ConfigError(
+                f"workload {workload_spec!r} is not random[:rate[:read_ratio]]")
         rate = _fraction(parts[1], "op_rate") if len(parts) > 1 else 0.2
         ratio = _fraction(parts[2], "read_ratio") if len(parts) > 2 else 0.5
         return RandomWorkload(op_rate=rate, read_ratio=ratio)

@@ -8,24 +8,27 @@ outgoing messages.  The run records an operation history, per-round agreement
 probes, an event trace, and any property violations.
 
 Servers receive only broadcasts, so every server gets the same inbox, and a
-``ServerState`` keeps no round buffers: a round's echoes and requests are
-collected in a fresh ``Tally``.  So one tally and one adoption decision serve
+server keeps only its register value from one round to the next.  A round's
+echoes and requests are collected in a fresh ``Tally``; the readers every
+server answers in the next send are that tally's ``current_reads``, and in a
+model with a cure oracle the servers that know they are cured are the
+unrestored ones no agent holds.  So one tally and one adoption decision serve
 every server, and a round that adopts a value ends its compute phase with
 every server holding it.
 
-The engine therefore keeps one ``shared`` ``ServerState`` for all servers
-and an ``own`` state only for those that may differ: the servers an agent
-occupies or has just left, those whose state is not yet restored, and, in a
-round that adopts nothing, those holding another value.  Invariant: at every
-round boundary a server outside ``own`` has exactly the state ``shared`` and
-is restored.  Each phase function runs once for ``shared``, whose outputs
-stand for every shared server, and once per ``own`` server; a round adopting
-a value returns to ``shared`` each server that no agent holds and that is not
-flagged cured.  The tally counts the shared senders' echo once per sender,
-in server-id order like every other inbox, so which of several equal values
-(1, True, 1.0) is adopted is the same as with a state per server.  State
-work is O(f + clients) per round, not O(n); only ``--trace-messages``
-events, the replies to readers and the tally's echo map grow with n.
+The engine therefore keeps one ``shared`` value for all servers and an
+``own`` value only for those that may differ: the servers an agent occupies
+or has just left, those whose state is not yet restored, and, in a round
+that adopts nothing, those holding another value.  Invariant: at every round
+boundary a server outside ``own`` holds ``shared`` and is restored.  A send
+runs once for ``shared``, whose messages stand for every shared server, and
+once per ``own`` server; a round adopting a value makes it ``shared``, empties
+``own``, and lets the agents corrupt their hosts again.  The tally counts the
+shared senders' echo once per sender, in server-id order like every other
+inbox, so which of several equal values (1, True, 1.0) is adopted is the same
+as with a value per server.  State work is O(f + clients) per round, not
+O(n); only ``--trace-messages`` events, the replies to readers and the
+tally's echo map grow with n.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from typing import Optional, Sequence, Union
 from .adversary import SplitVote, Strategy, rng_stream
 from .model import ConfigError, ModelId, SystemConfig, lookup
 from .protocol import (BOTTOM, SERVERS, ClientState, Echo, Read, ReadFailed,
-                       ReadOk, Reply, ServerState, Tally, WriteAck, client_compute,
+                       ReadOk, Reply, Tally, WriteAck, client_compute,
                        client_invoke_read, client_invoke_write, client_receive,
-                       client_send, server_begin_round, server_compute,
-                       server_receive, server_send, value_key)
+                       client_send, server_compute, server_receive, server_send,
+                       value_key)
 
 # ---------------------------------------------------------------------------
 # Workloads
@@ -116,6 +119,8 @@ def validate_directives(directives: Sequence[Directive], rounds: int,
             raise ConfigError(f"directive client {d.client} outside 0..{n_clients - 1}")
         if d.client in crashed:
             raise ConfigError(f"client {d.client} acts after crashing")
+        if d.op != "write" and d.value is not BOTTOM:
+            raise ConfigError(f"a {d.op} directive takes no value, got {d.value!r}")
         if d.op == "crash":
             crashed.add(d.client)
             continue
@@ -229,32 +234,32 @@ class RunResult:
 # Agreement probe
 # ---------------------------------------------------------------------------
 
-def probe_agreement(server_states: dict, faulty: frozenset,
-                    shared: ServerState, n: int) -> tuple[object, int]:
+def probe_agreement(values: dict, faulty: frozenset,
+                    shared_value: object, n: int) -> tuple[object, int]:
     """Modal value among non-faulty servers and its support.
 
-    Each of the servers 0..n-1 that ``server_states`` leaves out holds
-    ``shared``.  Values count as a ``Counter`` over server-id order counts
-    them, so equal values of different types (1, True, 1.0) are one value,
-    shown as the one of the lowest server id.  In admissible runs the support
-    must reach n - f at the end of every round; the caller records a
+    Each of the servers 0..n-1 that ``values`` leaves out holds
+    ``shared_value``.  Values count as a ``Counter`` over server-id order
+    counts them, so equal values of different types (1, True, 1.0) are one
+    value, shown as the one of the lowest server id.  In admissible runs the
+    support must reach n - f at the end of every round; the caller records a
     violation otherwise.
     """
     counts: dict = {}
-    missing = n - len(server_states)
+    missing = n - len(values)
     if missing:
         first_shared = 0
-        while first_shared in server_states:
+        while first_shared in values:
             first_shared += 1
-    for sid in sorted(server_states):
+    for sid in sorted(values):
         if missing and sid > first_shared:
-            counts[shared.value] = counts.get(shared.value, 0) + missing
+            counts[shared_value] = counts.get(shared_value, 0) + missing
             missing = 0
         if sid not in faulty:
-            value = server_states[sid].value
+            value = values[sid]
             counts[value] = counts.get(value, 0) + 1
     if missing:
-        counts[shared.value] = counts.get(shared.value, 0) + missing
+        counts[shared_value] = counts.get(shared_value, 0) + missing
     if not counts:
         return BOTTOM, 0
     best = min(counts.items(), key=lambda kv: (-kv[1], value_key(kv[0])))
@@ -309,8 +314,9 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         by_round.setdefault(d.round, []).append(d)
 
     result = RunResult(config=config, rounds=rounds, seed=seed)
-    shared = ServerState()                   # the state of every server not in own
-    own: dict[int, ServerState] = {}         # servers that may differ (module docstring)
+    shared: object = BOTTOM                  # the value of every server not in own
+    own: dict[int, object] = {}              # servers that may differ (module docstring)
+    readers: frozenset = frozenset()         # last round's tally.current_reads
     unrestored: set[int] = set()             # state not known-good (cure oracle input)
     clients = {c: ClientState() for c in range(n_clients)}
     crashed: set[int] = set()
@@ -336,13 +342,10 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
 
         # --- begin round -------------------------------------------------
         for i in sorted(pre_send):
-            own[i] = strategy.corrupt_state(
-                r, i, rng_stream(seed, "corrupt", r, i), own.get(i, shared))
+            own[i] = strategy.corrupt_value(r, i, rng_stream(seed, "corrupt", r, i))
         unrestored |= pre_send
-        shared = server_begin_round(shared, False)
-        for i, st in own.items():
-            own[i] = server_begin_round(
-                st, oracle_enabled and i in unrestored and i not in pre_send)
+        # the cure oracle tells each unrestored server no agent holds
+        cured = unrestored - pre_send if oracle_enabled else frozenset()
 
         # --- operation injection (queued at the previous compute) --------
         for d in by_round.get(r, ()):
@@ -372,14 +375,12 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             for dest, msg in out:
                 client_out.append((c, dest, msg))
         # shared_out stands for the messages of every server not in own_out
-        shared, shared_out = server_send(shared)
+        shared_out = server_send(shared, readers, False)
         own_out: dict[int, tuple] = {}
         for i in sorted(own):
-            st = own[i]
             if i in byzantine:
                 out_msgs = strategy.byzantine_outgoing(
-                    config, r, i, st, rng_stream(seed, "byz", r, i))
-                own[i] = ServerState(st.value, frozenset(), st.cured)
+                    config, r, i, readers, rng_stream(seed, "byz", r, i))
                 kept = []
                 for dest, msg in out_msgs:
                     if not isinstance(msg, (Echo, Reply)):
@@ -390,7 +391,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                     kept.append((dest, msg))
                 own_out[i] = tuple(kept)
             else:
-                own[i], own_out[i] = server_send(st)
+                own_out[i] = server_send(own[i], readers, i in cured)
 
         def server_messages(ids):
             """(sender, dest, msg) of the given servers, in their order."""
@@ -414,11 +415,8 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                 moved.discard(src)
                 moved.add(dst)
                 # Departing host: the register value keeps the agent's corruption.
-                st = own.get(src, shared)
-                own[src] = ServerState(
-                    strategy.corrupt_value(r, src, rng_stream(seed, "corrupt-leave", r, src),
-                                           st.value),
-                    st.current_reads, st.cured)
+                own[src] = strategy.corrupt_value(
+                    r, src, rng_stream(seed, "corrupt-leave", r, src))
                 unrestored.add(src)
                 trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
             post_occupied = frozenset(moved)
@@ -472,30 +470,19 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
 
         # --- compute phase ---------------------------------------------------
         note = server_compute(tally, s_threshold)
-        adopted = note.adopted
-
-        def computed(st: ServerState) -> ServerState:
-            return ServerState(note.value if adopted else st.value, tally.current_reads,
-                               st.cured)
-
-        shared = computed(shared)
-        for i, st in own.items():
-            own[i] = computed(st)
+        readers = tally.current_reads
         if note.tied_values:
             for i in range(n):
                 trace(r, "compute", "state_transition", f"s{i}",
                       {"diagnostic": "echo threshold tie",
                        "tied": list(note.tied_values)})
-        if adopted:
-            # every server an agent does not hold now has the shared state,
-            # unless it is flagged cured until its next begin_round
+        if note.adopted:
+            # every server holds the adopted value; the agents' hosts lose it again
+            shared = note.value
+            own.clear()
             unrestored &= post_occupied
-            for i in [i for i, st in own.items()
-                      if not st.cured and i not in post_occupied]:
-                del own[i]
         for i in sorted(post_occupied):
-            own[i] = strategy.corrupt_state(
-                r, i, rng_stream(seed, "corrupt-compute", r, i), own.get(i, shared))
+            own[i] = strategy.corrupt_value(r, i, rng_stream(seed, "corrupt-compute", r, i))
         unrestored |= post_occupied
         for c in range(n_clients):
             if c in crashed:

@@ -1,9 +1,12 @@
 """Pure state machines for the register servers and clients.
 
-Every phase is a function from a state, or a round's ``Tally``, and its
-inputs to new ones and outputs; nothing here performs I/O or mutates its
-arguments, so identical inputs always yield identical outputs.  The simulation engine owns timing, delivery, and fault
-injection.
+A server keeps only its register value from one round to the next: the
+readers it answers and whether it knows it is cured are the round's data,
+and a round's echoes and requests are collected in a ``Tally``.  Every phase
+is a function from a value, a client state or a tally, and its inputs to new
+ones and outputs; nothing here performs I/O or mutates its arguments, so
+identical inputs always yield identical outputs.  The simulation engine owns
+timing, delivery, and fault injection.
 
 Wire values are opaque, hashable payloads.  ``BOTTOM`` (``None``) is the
 register's default content and is representable on the wire like any other
@@ -68,12 +71,12 @@ Message = Union[Echo, Write, Read, Reply]
 # ---------------------------------------------------------------------------
 # States
 #
-# Protocol states are immutable NamedTuples: the engine builds a few hundred
-# a round, and a tuple is built in well under half the time of a frozen
-# dataclass, which sets each field through ``object.__setattr__``.  The empty
-# default of a mapping field is one shared read-only view, so no state can
-# fill another's default in place.  Derive a state by ``_replace``.  Messages
-# stay dataclasses: tuples of different message types would compare equal.
+# A client state and a round's tally are immutable NamedTuples, built in well
+# under half the time of a frozen dataclass, which sets each field through
+# ``object.__setattr__``.  The empty default of a mapping field is one shared
+# read-only view, so no state can fill another's default in place.  Derive a
+# state by ``_replace``.  Messages stay dataclasses: tuples of different
+# message types would compare equal.
 # ---------------------------------------------------------------------------
 
 _EMPTY: Mapping = MappingProxyType({})
@@ -83,14 +86,6 @@ _EMPTY: Mapping = MappingProxyType({})
 # Server
 # ---------------------------------------------------------------------------
 
-class ServerState(NamedTuple):
-    """What a server keeps from one round to the next; its buffers are a ``Tally``."""
-
-    value: object = BOTTOM
-    current_reads: frozenset = frozenset()  # readers to answer in the next send
-    cured: bool = False
-
-
 class Tally(NamedTuple):
     """What one round's receive phase collects for its compute phase."""
 
@@ -98,27 +93,18 @@ class Tally(NamedTuple):
     # round are rejected, so a faulty server cannot vote twice
     echo_vals: Mapping = _EMPTY        # server id -> value
     current_writes: Mapping = _EMPTY   # client id -> value
-    current_reads: frozenset = frozenset()
+    current_reads: frozenset = frozenset()  # readers to answer in the next send
 
 
-def server_begin_round(state: ServerState, cured_report: bool) -> ServerState:
-    """Refresh the cure flag."""
-    return ServerState(state.value, state.current_reads, bool(cured_report))
+def server_send(value: object, readers: frozenset, cured: bool) -> tuple:
+    """Echo the stored value and answer the reads recorded last round.
 
-
-def server_send(state: ServerState) -> tuple[ServerState, tuple]:
-    """Echo the stored value and answer reads recorded last round.
-
-    A server that knows it is cured stays silent, but the pending read set is
-    emptied on both branches: readers waiting on a silent cured server are
+    A server that knows it is cured stays silent: readers waiting on it are
     dropped (at most f per round, which the protocol tolerates).
     """
-    outgoing: list = []
-    if not state.cured:
-        outgoing.append((SERVERS, Echo(state.value)))
-        for cid in sorted(state.current_reads):
-            outgoing.append((cid, Reply(state.value)))
-    return ServerState(state.value, frozenset(), state.cured), tuple(outgoing)
+    if cured:
+        return ()
+    return ((SERVERS, Echo(value)),) + tuple((cid, Reply(value)) for cid in sorted(readers))
 
 
 def server_receive(tally: Tally, inbox: Sequence[tuple[int, Message]]) -> Tally:
@@ -156,9 +142,9 @@ def server_compute(tally: Tally, s_threshold: int) -> ComputeNote:
     With concurrent writes the value paired with the highest client id wins,
     so every server picks the same one.  Among echoes, a value needs at least
     ``s_threshold`` distinct senders; a tie (impossible in admissible
-    configurations) is broken toward the smallest value and reported.  The
-    server then holds ``note.value`` if adopted, else its own value, and the
-    tally's ``current_reads``.
+    configurations) is broken toward the smallest value and reported.  A
+    server then holds ``note.value`` if adopted, else keeps its value, and
+    answers the tally's ``current_reads`` in the next send.
     """
     if tally.current_writes:
         top_client = max(tally.current_writes)

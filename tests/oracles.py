@@ -9,10 +9,12 @@ order of a small history.
 ``trace_line`` encodes one trace event on its own, the reference for
 ``RunResult.trace_lines``.
 ``per_server_run`` is the round loop that ``mobyreg.engine.run`` replaced:
-one ``ServerState`` per server, every protocol phase called for each of
-them, the agreement probe counted server by server, and a random workload
-drawn inside the round loop from each client's state, where ``run`` expands
-it before round 1.  ``run`` must give the same artifacts, byte for byte.
+a value, pending reads and a cure flag kept for each server, every protocol
+phase called for each of them, the agreement probe counted server by server,
+and a random workload drawn inside the round loop from each client's state,
+where ``run`` expands it before round 1.  ``run`` keeps only a value, and
+takes the readers and cure flags as round data; it must give the same
+artifacts, byte for byte.
 ``mt_rng_stream`` is the Mersenne Twister stream derivation that
 ``mobyreg.adversary.rng_stream`` replaced: the same key, a seeded
 ``random.Random``.  Injected as ``mobyreg.engine.rng_stream``, it reproduces
@@ -33,10 +35,10 @@ from mobyreg.engine import (Directive, OpRecord, RandomWorkload, RunResult,
                             TraceEvent, Workload, _msg_payload, validate_directives)
 from mobyreg.model import ConfigError, SystemConfig
 from mobyreg.protocol import (BOTTOM, SERVERS, ClientState, Echo, ReadFailed,
-                              ReadOk, Reply, ServerState, Tally, WriteAck, client_compute,
+                              ReadOk, Reply, Tally, WriteAck, client_compute,
                               client_invoke_read, client_invoke_write, client_receive,
-                              client_send, server_begin_round, server_compute,
-                              server_receive, server_send, value_key)
+                              client_send, server_compute, server_receive, server_send,
+                              value_key)
 
 _INIT = object()  # cluster of the fictional initial write of the default value
 
@@ -212,9 +214,9 @@ def mt_rng_stream(seed, *key):
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _counter_probe(server_states, faulty):
+def _counter_probe(values, faulty):
     """Modal value among non-faulty servers, counted in server-id order."""
-    values = [st.value for sid, st in server_states.items() if sid not in faulty]
+    values = [v for sid, v in values.items() if sid not in faulty]
     if not values:
         return BOTTOM, 0
     counts = Counter(values)
@@ -226,7 +228,7 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
                    rounds: int, seed: int = 0, n_clients: int = 3,
                    allow_inadmissible: bool = False,
                    record_messages: bool = False) -> RunResult:
-    """``mobyreg.engine.run`` with a ``ServerState`` per server, every round."""
+    """``mobyreg.engine.run`` with each server's value, reads and cure flag, every round."""
     if rounds < 0:
         raise ConfigError(f"rounds must be >= 0, got {rounds}")
     if n_clients < 1:
@@ -249,7 +251,9 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
         scripted = validate_directives(list(workload), rounds, n_clients)
 
     result = RunResult(config=config, rounds=rounds, seed=seed)
-    servers = {i: ServerState() for i in range(n)}
+    values = {i: BOTTOM for i in range(n)}
+    reads = {i: frozenset() for i in range(n)}  # readers to answer in the next send
+    cured = {i: False for i in range(n)}
     clients = {c: ClientState() for c in range(n_clients)}
     restored = {i: True for i in range(n)}   # state known-good (cure oracle input)
     crashed: set[int] = set()
@@ -295,11 +299,9 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
         # --- begin round -------------------------------------------------
         for i in range(n):
             if i in pre_send:
-                servers[i] = strategy.corrupt_state(
-                    r, i, rng_stream(seed, "corrupt", r, i), servers[i])
+                values[i] = strategy.corrupt_value(r, i, rng_stream(seed, "corrupt", r, i))
                 restored[i] = False
-            report = oracle_enabled and not restored[i] and i not in pre_send
-            servers[i] = server_begin_round(servers[i], report)
+            cured[i] = oracle_enabled and not restored[i] and i not in pre_send
 
         # --- operation injection (queued at the previous compute) --------
         if scripted is not None:
@@ -337,9 +339,8 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
         for i in range(n):
             if i in byzantine:
                 out_msgs = strategy.byzantine_outgoing(
-                    config, r, i, servers[i], rng_stream(seed, "byz", r, i))
-                st = servers[i]
-                servers[i] = ServerState(st.value, frozenset(), st.cured)
+                    config, r, i, reads[i], rng_stream(seed, "byz", r, i))
+                reads[i] = frozenset()
                 for dest, msg in out_msgs:
                     if not isinstance(msg, (Echo, Reply)):
                         # authenticated channels: a server cannot pose as a client
@@ -348,8 +349,8 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
                         continue
                     outbox.append(("server", i, dest, msg))
             else:
-                st, out = server_send(servers[i])
-                servers[i] = st
+                out = server_send(values[i], reads[i], cured[i])
+                reads[i] = frozenset()
                 for dest, msg in out:
                     outbox.append(("server", i, dest, msg))
         if record_messages:
@@ -365,11 +366,8 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
                 moved.discard(src)
                 moved.add(dst)
                 # Departing host: the register value keeps the agent's corruption.
-                st = servers[src]
-                servers[src] = ServerState(
-                    strategy.corrupt_value(r, src, rng_stream(seed, "corrupt-leave", r, src),
-                                           st.value),
-                    st.current_reads, st.cured)
+                values[src] = strategy.corrupt_value(
+                    r, src, rng_stream(seed, "corrupt-leave", r, src))
                 restored[src] = False
                 trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
             post_occupied = frozenset(moved)
@@ -408,9 +406,9 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
         # --- compute phase ---------------------------------------------------
         note = server_compute(tally, s_threshold)
         for i in range(n):
-            st = servers[i]
-            servers[i] = ServerState(note.value if note.adopted else st.value,
-                                     tally.current_reads, st.cured)
+            if note.adopted:
+                values[i] = note.value
+            reads[i] = tally.current_reads
             if note.tied_values:
                 trace(r, "compute", "state_transition", f"s{i}",
                       {"diagnostic": "echo threshold tie",
@@ -418,8 +416,8 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
             if note.adopted and i not in post_occupied:
                 restored[i] = True
         for i in sorted(post_occupied):
-            servers[i] = strategy.corrupt_state(
-                r, i, rng_stream(seed, "corrupt-compute", r, i), servers[i])
+            values[i] = strategy.corrupt_value(
+                r, i, rng_stream(seed, "corrupt-compute", r, i))
             restored[i] = False
         for c in range(n_clients):
             if c in crashed:
@@ -452,7 +450,7 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
                       dict(failure, reason="protocol_failure"))
 
         # --- end-of-round probe -----------------------------------------------
-        modal, support = _counter_probe(servers, post_occupied)
+        modal, support = _counter_probe(values, post_occupied)
         probe = {"round": r, "modal": modal, "support": support,
                  "non_faulty": n - len(post_occupied),
                  "pre_send_occupied": sorted(pre_send),

@@ -10,7 +10,7 @@ from mobyreg.adversary import (NoFaults, RandomWalk, Scripted, SplitVote,
                                Stationary, Sweep, make_strategy, rng_stream)
 from mobyreg.engine import Directive, run
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
-from mobyreg.protocol import SERVERS, Echo, Read, Reply, ServerState, Write
+from mobyreg.protocol import SERVERS, Echo, Read, Reply, Write
 
 
 def cfg(model="garay", n=7, f=2):
@@ -146,33 +146,26 @@ def test_faulty_is_byzantine_and_correct_is_honest():
 
 def test_split_vote_plants_its_value():
     s = SplitVote("evil", {1: {0}})
-    st = s.corrupt_state(3, 0, rng_stream(0, 3, 0), ServerState(value="good"))
-    assert st.value == "evil"
+    assert s.corrupt_value(3, 0, rng_stream(0, 3, 0)) == "evil"
 
 
 def test_random_corruption_reproduces_from_seed():
     s = Stationary()
-    a = s.corrupt_value(3, 1, rng_stream(42, 3, 1), "v")
-    b = s.corrupt_value(3, 1, rng_stream(42, 3, 1), "v")
-    c = s.corrupt_value(3, 1, rng_stream(43, 3, 1), "v")
+    a = s.corrupt_value(3, 1, rng_stream(42, 3, 1))
+    b = s.corrupt_value(3, 1, rng_stream(42, 3, 1))
+    c = s.corrupt_value(3, 1, rng_stream(43, 3, 1))
     assert a == b and a != c
-
-
-def test_corruption_keeps_pending_reads():
-    s = Stationary()
-    st = ServerState(value="v", current_reads=frozenset({2, 5}))
-    out = s.corrupt_state(1, 0, rng_stream(0, 1, 0), st)
-    assert out.current_reads == frozenset({2, 5})
+    assert a.startswith("byz-3-s1-")
 
 
 # ------------------------------------------------------ byzantine sending ---
 
 def test_default_byzantine_output_equivocates_to_readers():
     s = Stationary(fake_value="evil")
-    st = ServerState(value="v", current_reads=frozenset({3, 1}))
-    out = s.byzantine_outgoing(cfg(), 2, 0, st, rng_stream(0, 2, 0))
-    assert ("servers", Echo("evil")) in out
-    assert (1, Reply("evil")) in out and (3, Reply("evil")) in out
+    out = s.byzantine_outgoing(cfg(), 2, 0, frozenset({3, 1}), rng_stream(0, 2, 0))
+    assert out == ((SERVERS, Echo("evil")), (1, Reply("evil")), (3, Reply("evil")))
+    assert s.byzantine_outgoing(cfg(), 2, 0, frozenset(), rng_stream(0, 2, 0)) == \
+        ((SERVERS, Echo("evil")),)
 
 
 def test_byzantine_output_carries_true_sender_id():
@@ -192,7 +185,7 @@ def test_byzantine_output_carries_true_sender_id():
 def test_byzantine_write_and_read_are_dropped():
     # a server may not pose as a client: the engine drops its Write and Read
     class PosesAsClient(Stationary):
-        def byzantine_outgoing(self, config, round_no, server, state, rng):
+        def byzantine_outgoing(self, config, round_no, server, readers, rng):
             return ((SERVERS, Write("x")), (SERVERS, Read()))
 
     res = run(cfg(), PosesAsClient({4}), [Directive(2, 0, "read")],
@@ -211,8 +204,7 @@ def test_byzantine_write_and_read_are_dropped():
 
 def test_split_vote_does_not_echo():
     s = SplitVote("evil", {1: {0}})
-    st = ServerState(value="v", current_reads=frozenset({1}))
-    out = s.byzantine_outgoing(cfg(), 1, 0, st, rng_stream(0, 1, 0))
+    out = s.byzantine_outgoing(cfg(), 1, 0, frozenset({1}), rng_stream(0, 1, 0))
     assert out == ((1, Reply("evil")),)
 
 

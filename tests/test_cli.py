@@ -131,6 +131,7 @@ def test_run_repeated_written_value_is_config_error(tmp_path):
     ("random:abc", "'abc' is not a number"),
     ("random:1.5:0.5", "op_rate 1.5 outside [0, 1]"),
     ("random:0.5:-0.1", "read_ratio -0.1 outside [0, 1]"),
+    ("random:0.5:0.5:9", "'random:0.5:0.5:9' is not random[:rate[:read_ratio]]"),
 ])
 def test_run_bad_random_workload_is_config_error(tmp_path, spec, fragment):
     result = invoke("run", "--rounds", "5", "--workload", spec,
@@ -146,6 +147,8 @@ def test_run_bad_random_workload_is_config_error(tmp_path, spec, fragment):
     ('[{"round": 1, "client": 0, "op": "write", "value": [1, 2]}]',
      "value must be a scalar"),
     ('[{"round": .inf, "client": 0, "op": "read"}]', "OverflowError"),
+    ('[{"round": 1, "client": 0, "op": "read", "value": 5}]',
+     "a read directive takes no value, got 5"),
     ("5", "must hold a list of directives"),
 ])
 def test_run_malformed_directives_are_config_error(tmp_path, text, fragment):

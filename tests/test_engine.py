@@ -14,7 +14,7 @@ from mobyreg.checker import check_all, history_from_records
 from mobyreg.engine import (Directive, RandomWorkload, probe_agreement, run,
                             tightness_demo, validate_directives)
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
-from mobyreg.protocol import BOTTOM, Reply, ServerState
+from mobyreg.protocol import BOTTOM, Reply
 from oracles import mt_rng_stream, per_server_run, trace_line
 
 
@@ -60,7 +60,7 @@ def test_read_before_any_write_returns_default():
 class PlantsReplies(Scripted):
     """Each held server sends client 1 a reply it never asked for."""
 
-    def byzantine_outgoing(self, config, round_no, server, state, rng):
+    def byzantine_outgoing(self, config, round_no, server, readers, rng):
         return ((1, Reply("planted")),)
 
 
@@ -96,6 +96,12 @@ def test_directive_validation_rejects_act_after_crash():
     with pytest.raises(ConfigError):
         validate_directives([Directive(1, 0, "crash"), Directive(2, 0, "read")],
                             rounds=5, n_clients=1)
+
+
+@pytest.mark.parametrize("op", ["read", "crash"])
+def test_directive_validation_rejects_a_value_on_read_or_crash(op):
+    with pytest.raises(ConfigError, match=f"a {op} directive takes no value, got 5"):
+        validate_directives([Directive(1, 0, op, 5)], rounds=5, n_clients=1)
 
 
 def test_directive_validation_rejects_unfinishable_read():
@@ -168,9 +174,8 @@ def test_round_local_delivery():
 # ----------------------------------------------------------------- probe ---
 
 def test_probe_agreement_counts_nonfaulty_modal():
-    states = {0: ServerState(value=9), 1: ServerState(value=9),
-              2: ServerState(value=9), 3: ServerState(value=4)}
-    value, support = probe_agreement(states, frozenset({3}), ServerState(), 4)
+    values = {0: 9, 1: 9, 2: 9, 3: 4}
+    value, support = probe_agreement(values, frozenset({3}), BOTTOM, 4)
     assert (value, support) == (9, 3)
 
 
@@ -404,12 +409,11 @@ def test_tightness_report_matches_golden_digest(model, f):
 
 def test_probe_merges_equal_values_of_different_types_in_id_order():
     # 1, True and 1.0 are one Counter key, shown as the lowest id's value;
-    # the servers missing from the dict hold the shared state
-    own = {0: ServerState(value=True), 2: ServerState(value=1.0), 5: ServerState(value="x")}
-    value, support = probe_agreement(own, frozenset({5}), ServerState(value=1), 6)
+    # the servers missing from the dict hold the shared value
+    own = {0: True, 2: 1.0, 5: "x"}
+    value, support = probe_agreement(own, frozenset({5}), 1, 6)
     assert (repr(value), support) == ("True", 5)
-    value, support = probe_agreement({2: ServerState(value=1.0)}, frozenset(),
-                                     ServerState(value=1), 3)
+    value, support = probe_agreement({2: 1.0}, frozenset(), 1, 3)
     assert (repr(value), support) == ("1", 3)
 
 
@@ -420,18 +424,6 @@ WIRE_VALUES = st.integers(0, 4).map(
     lambda k: (1, True, 1.0, NAN)[k] if k < 4 else float("nan"))
 
 
-class RewritesBookkeeping(Scripted):
-    """Keeps a held server's value but rewrites its pending reads and cure flag.
-
-    The reads it plants depend on the cure flag it finds, so a server whose
-    flag is lost between rounds answers other clients.
-    """
-
-    def corrupt_state(self, round_no, server, rng, state):
-        reads = frozenset({0, 2}) if state.cured else frozenset({1})
-        return ServerState(state.value, reads, not state.cured)
-
-
 @st.composite
 def engine_inputs(draw):
     model = draw(st.sampled_from(list(ModelId)))
@@ -439,9 +431,8 @@ def engine_inputs(draw):
     n = lookup(model).alpha * f + draw(st.sampled_from([0, 1, 3]))
     rounds = draw(st.integers(1, 10))
     n_clients = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["none", "stationary", "sweep", "random",
-                                 "scripted", "bookkeeping"]))
-    if kind in ("scripted", "bookkeeping"):
+    kind = draw(st.sampled_from(["none", "stationary", "sweep", "random", "scripted"]))
+    if kind == "scripted":
         # a moves_in_send target keeps the size of the current occupation
         size = draw(st.integers(0, f))
         sets = st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True)
@@ -450,7 +441,7 @@ def engine_inputs(draw):
         later = draw(st.lists(st.integers(2, rounds + 1), unique=True, max_size=4))
         schedule = {r: draw(sets) for r in [1] + later}
         fake = draw(WIRE_VALUES | st.sampled_from([None, "planted"]))
-        strategy = (Scripted if kind == "scripted" else RewritesBookkeeping)(schedule, fake)
+        strategy = Scripted(schedule, fake)
     elif kind == "stationary":
         strategy = Stationary(fake_value=draw(WIRE_VALUES | st.none()))
     else:
@@ -481,12 +472,12 @@ def engine_inputs(draw):
           [Directive(1, 0, "write", 1)],
           dict(rounds=3, seed=0, n_clients=1, record_messages=False)))
 @example((make_config("garay", 7, 2),
-          RewritesBookkeeping({1: {0, 1}, 2: {2, 3}, 3: {0, 1}}, "planted"), [],
+          Scripted({1: {0, 1}, 2: {2, 3}, 3: {0, 1}}, "planted"), [],
           dict(rounds=3, seed=0, n_clients=3, record_messages=True)))
 def test_shared_state_run_matches_the_per_server_loop(inputs):
     # first example: servers 0 and 1 echo True, the others 1, and the servers
     # adopt the one of the lower server id; second: servers 0 and 1 adopt in
-    # round 2 while flagged cured, and their round-3 captor sees the flag
+    # round 2 while flagged cured, and agents take them again in round 3
     config, strategy, workload, kwargs = inputs
     assert run_digest(run(config, strategy, workload, **kwargs)) == \
         run_digest(per_server_run(config, strategy, workload, **kwargs))
@@ -495,17 +486,18 @@ def test_shared_state_run_matches_the_per_server_loop(inputs):
 def test_run_without_adoption_keeps_every_server_apart(monkeypatch):
     # garay n=3, f=2 (inadmissible): from round 2 on, two silent Byzantine
     # hosts and one silent cured server leave no echo to adopt, so every
-    # server keeps a state of its own: begin_round runs for the shared state
-    # and 2 own ones in round 1, then for the shared state and all 3
+    # server keeps a value of its own: server_send runs for the shared value
+    # alone in round 1, whose own servers are both Byzantine, then for the
+    # shared value and the cured server
     calls = []
-    begin = mobyreg.engine.server_begin_round
-    monkeypatch.setattr(mobyreg.engine, "server_begin_round",
-                        lambda *a: (calls.append(a), begin(*a))[1])
+    send = mobyreg.engine.server_send
+    monkeypatch.setattr(mobyreg.engine, "server_send",
+                        lambda *a: (calls.append(a), send(*a))[1])
     schedule = {r: {(2 * r - 2) % 3, (2 * r - 1) % 3} for r in range(1, 9)}
     args = (make_config("garay", 3, 2), SplitVote("planted", schedule),
             [Directive(1, 0, "read")])
     kwargs = dict(rounds=8, seed=2, n_clients=1, allow_inadmissible=True,
                   record_messages=True)
     res = run(*args, **kwargs)
-    assert len(calls) == 3 + 7 * 4
+    assert len(calls) == 1 + 7 * 2
     assert run_digest(res) == run_digest(per_server_run(*args, **kwargs))

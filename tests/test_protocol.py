@@ -6,50 +6,24 @@ from hypothesis import strategies as st
 
 from mobyreg.model import ModelId, lookup
 from mobyreg.protocol import (BOTTOM, SERVERS, ClientState, ComputeNote, Echo,
-                              Read, ReadFailed, ReadOk, Reply, ServerState, Tally,
-                              UsageError, Write, WriteAck, client_compute,
-                              client_invoke_read, client_invoke_write,
-                              client_receive, client_send, server_begin_round,
+                              Read, ReadFailed, ReadOk, Reply, Tally, UsageError,
+                              Write, WriteAck, client_compute, client_invoke_read,
+                              client_invoke_write, client_receive, client_send,
                               server_compute, server_receive, server_send)
 
 # ----------------------------------------------------------------- server ---
 
-def test_begin_round_keeps_pending_reads():
-    st_ = ServerState(value=5, current_reads=frozenset({3}), cured=True)
-    out = server_begin_round(st_, cured_report=False)
-    assert out == ServerState(5, frozenset({3}), False)  # reads survive the boundary
-
-
-def test_begin_round_sets_cured_flag():
-    out = server_begin_round(ServerState(value=5), cured_report=True)
-    assert out == ServerState(5, frozenset(), True)
-
-
-def test_begin_round_oracle_disabled_report_is_false():
-    # Bonnet/Sasaki: the cure oracle always answers false, even right after
-    # an agent left; the caller simply never passes True.
-    assert not lookup(ModelId.BONNET).oracle_enabled
-    out = server_begin_round(ServerState(value=1), cured_report=False)
-    assert not out.cured
-
-
 def test_send_echo_and_replies():
-    st_ = ServerState(value="v", current_reads=frozenset({3}))
-    new, out = server_send(st_)
-    assert out == ((SERVERS, Echo("v")), (3, Reply("v")))
-    assert new.current_reads == frozenset()
+    out = server_send("v", frozenset({3, 1}), False)
+    assert out == ((SERVERS, Echo("v")), (1, Reply("v")), (3, Reply("v")))
 
 
 def test_send_cured_is_silent_but_still_drops_reads():
-    st_ = ServerState(value="v", current_reads=frozenset({3}), cured=True)
-    new, out = server_send(st_)
-    assert out == ()
-    assert new.current_reads == frozenset()
+    assert server_send("v", frozenset({3}), True) == ()
 
 
 def test_send_no_pending_reads():
-    new, out = server_send(ServerState(value="v"))
-    assert out == ((SERVERS, Echo("v")),)
+    assert server_send("v", frozenset(), False) == ((SERVERS, Echo("v")),)
 
 
 def test_receive_accumulates():
@@ -226,7 +200,7 @@ def test_compute_no_pending_op_is_identity():
 
 # ----------------------------------------------------------------- states ---
 
-@pytest.mark.parametrize("state", [ServerState(), ClientState(), Tally()])
+@pytest.mark.parametrize("state", [ClientState(), Tally()])
 def test_state_fields_cannot_be_assigned(state):
     for name in state._fields:
         with pytest.raises(AttributeError):
@@ -249,12 +223,9 @@ def test_default_state_mappings_are_read_only(make, name):
 
 
 def test_replace_derives_a_new_state():
-    st_ = ServerState(value="v", current_reads=frozenset({3}))
-    out = st_._replace(value="w", cured=True)
-    assert out == ServerState("w", frozenset({3}), True)
-    assert st_ == ServerState(value="v", current_reads=frozenset({3}))
-    assert ClientState()._replace(reading=True, op_start=4) == \
-        ClientState((), True, False, 4, {})
+    st_ = ClientState(reading=True)
+    assert st_._replace(op_start=4) == ClientState((), True, False, 4, {})
+    assert st_ == ClientState(reading=True)
 
 
 def test_receive_on_default_states_returns_fresh_dicts():
@@ -271,10 +242,10 @@ def test_receive_on_default_states_returns_fresh_dicts():
 
 def test_phase_functions_are_deterministic():
     inbox = [(1, Echo("v")), (3, Write(2)), (4, Read())]
-    st_ = ServerState(value="u", current_reads=frozenset({9}))
     tally = Tally(echo_vals={2: "u"})
     assert server_receive(tally, inbox) == server_receive(tally, inbox)
-    assert server_send(st_) == server_send(st_)
+    readers = frozenset({9})
+    assert server_send("u", readers, False) == server_send("u", readers, False)
     assert server_compute(server_receive(tally, inbox), 1) == \
         server_compute(server_receive(tally, inbox), 1)
 
