@@ -16,9 +16,12 @@ first 8 bytes.  Streams are independent per (round, server), so any
 counterexample reproduces from its seed.  A stream costs about 2.3–2.9 µs
 in CPython 3.11, of which the ``repr`` and SHA-256 of its name take about
 1.3 µs and the generator object 0.4 µs; deriving the key by splitmix64
-instead would save about 0.7 µs.  The engine makes about one stream per
-occupied, cured or departing server per round, most of them drawn from once
-or not at all.
+instead would save about 0.7 µs.  Per round, the engine makes one ``sched``
+stream, one ``byz`` stream per Byzantine sender, and a corruption stream only
+for a corruption a correct party reads: none in an admissible garay, sasaki or buhrman run, and
+one per cured server's send in bonnet.  A RandomWalk round of sasaki at
+n = 121, f = 30 builds about 55 streams, against 115 when every corruption
+was drawn as it was made.
 
 Channels stay authenticated: messages carry no sender id, the channel
 supplies it, so a strategy cannot forge one.  The engine drops any Write or
@@ -174,7 +177,12 @@ class Strategy:
         return Occupancy(pre_send=target)
 
     def corrupt_value(self, round_no: int, server: int, rng: random.Random) -> object:
-        """The value an occupying (or departing) agent leaves behind."""
+        """The value an occupying (or departing) agent leaves behind.
+
+        The value may depend only on ``(round_no, server, rng)``: the engine
+        calls this when a correct party first reads the value, which may be
+        late, in another order than the corruptions were made, or never.
+        """
         if self.fake_value is not None:
             return self.fake_value
         return f"byz-{round_no}-s{server}-{rng.randrange(1 << 30)}"

@@ -294,6 +294,8 @@ def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
         raise ConfigError("models, f-values, and seeds must all be nonempty")
     for m in model_list:
         ModelId.parse(m)
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
 
     cells = [(m, f, s, rounds, clients)
              for m in model_list for f in f_list for s in seed_list]
@@ -323,9 +325,16 @@ def _record_type_error(record):
         x = record.get(key)
         if not (_is_int(x) or (x is None and key == "response_round")):
             return f"{key} {x!r} is not an integer"
+    response = record.get("response_round")
+    if response is not None and response < record["invoke_round"]:
+        return f"response_round {response} is before invoke_round {record['invoke_round']}"
+    if not isinstance(record.get("failed", False), bool):
+        return f"failed {record['failed']!r} is not a boolean"
     for key in ("argument", "result"):
         if isinstance(record.get(key), (list, dict)):
             return f"{key} {record[key]!r} is not a scalar"
+    if record["kind"] == "write" and record["argument"] is None:
+        return "a write's argument is null, the register's initial value"
     return None
 
 

@@ -29,6 +29,16 @@ inbox, so which of several equal values (1, True, 1.0) is adopted is the same
 as with a value per server.  State work is O(f + clients) per round, not
 O(n); only ``--trace-messages`` events, the replies to readers and the
 tally's echo map grow with n.
+
+An agent's corruption is drawn when a correct party first reads it, not when
+the agent leaves it: ``own`` holds a marker naming the draw's stream, and the
+send of a server that is neither Byzantine nor cured, or the end-of-round
+probe of a server no agent holds, draws it with the same call and the same
+stream name.  Streams are keyed, so a draw made late, in another order or not
+at all changes no other draw.  Most corruptions are overwritten unread: every
+occupied server sends as a Byzantine one, and the next adoption overwrites
+the rest.  In admissible garay, sasaki and buhrman runs no corruption is
+drawn at all; in bonnet, only those its cured servers send.
 """
 
 from __future__ import annotations
@@ -284,6 +294,20 @@ def _msg_payload(msg, sender: int) -> dict:
 # Simulation
 # ---------------------------------------------------------------------------
 
+class _Unread:
+    """A corruption not yet drawn: the ``(kind, round)`` of its stream.
+
+    One marker stands for every server an agent corrupts in one phase of a
+    round; the server is the key it is stored under in ``own``.
+    """
+
+    __slots__ = ("kind", "round")
+
+    def __init__(self, kind: str, round_no: int):
+        self.kind = kind
+        self.round = round_no
+
+
 def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         rounds: int, seed: int = 0, n_clients: int = 3,
         allow_inadmissible: bool = False,
@@ -326,6 +350,14 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
     def trace(round_no, phase, kind, actor, payload):
         result.trace.append(TraceEvent(round_no, phase, kind, actor, payload))
 
+    def read(i):
+        """Server i's own value, drawing an agent's corruption when first read."""
+        value = own[i]
+        if type(value) is _Unread:
+            value = own[i] = strategy.corrupt_value(
+                value.round, i, rng_stream(seed, value.kind, value.round, i))
+        return value
+
     for r in range(1, rounds + 1):
         # --- agent movement (at round start, or during send: moves_in_send) ---
         occ = strategy.occupancy(config, r, occupied, rng_stream(seed, "sched", r))
@@ -341,8 +373,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         byzantine = pre_send | cured_now if cured_byzantine else pre_send
 
         # --- begin round -------------------------------------------------
-        for i in sorted(pre_send):
-            own[i] = strategy.corrupt_value(r, i, rng_stream(seed, "corrupt", r, i))
+        own.update(dict.fromkeys(pre_send, _Unread("corrupt", r)))
         unrestored |= pre_send
         # the cure oracle tells each unrestored server no agent holds
         cured = unrestored - pre_send if oracle_enabled else frozenset()
@@ -390,8 +421,10 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                         continue
                     kept.append((dest, msg))
                 own_out[i] = tuple(kept)
+            elif i in cured:
+                own_out[i] = server_send(own[i], readers, True)  # reads no value
             else:
-                own_out[i] = server_send(own[i], readers, i in cured)
+                own_out[i] = server_send(read(i), readers, False)
 
         def server_messages(ids):
             """(sender, dest, msg) of the given servers, in their order."""
@@ -411,12 +444,12 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         post_occupied = pre_send
         if occ.moves:
             moved = set(pre_send)
+            leave = _Unread("corrupt-leave", r)
             for src, dst in occ.moves:
                 moved.discard(src)
                 moved.add(dst)
                 # Departing host: the register value keeps the agent's corruption.
-                own[src] = strategy.corrupt_value(
-                    r, src, rng_stream(seed, "corrupt-leave", r, src))
+                own[src] = leave
                 unrestored.add(src)
                 trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
             post_occupied = frozenset(moved)
@@ -481,8 +514,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             shared = note.value
             own.clear()
             unrestored &= post_occupied
-        for i in sorted(post_occupied):
-            own[i] = strategy.corrupt_value(r, i, rng_stream(seed, "corrupt-compute", r, i))
+        own.update(dict.fromkeys(post_occupied, _Unread("corrupt-compute", r)))
         unrestored |= post_occupied
         for c in range(n_clients):
             if c in crashed:
@@ -515,6 +547,9 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                       dict(failure, reason="protocol_failure"))
 
         # --- end-of-round probe -----------------------------------------------
+        for i, value in own.items():
+            if type(value) is _Unread and i not in post_occupied:
+                read(i)
         modal, support = probe_agreement(own, post_occupied, shared, n)
         probe = {"round": r, "modal": modal, "support": support,
                  "non_faulty": n - len(post_occupied),

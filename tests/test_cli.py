@@ -87,6 +87,16 @@ def test_sweep_empty_lists_are_config_error():
     assert invoke("sweep", "--seeds", "").exit_code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_is_config_error(jobs, monkeypatch):
+    cells = []
+    monkeypatch.setattr("mobyreg.cli._sweep_cell", cells.append)
+    result = invoke("sweep", "--models", "garay", "--f-values", "1", "--seeds", "0",
+                    "--rounds", "5", "--jobs", jobs)
+    assert_config_error(result, f"--jobs must be >= 1, got {jobs}")
+    assert cells == []
+
+
 def test_check_command_roundtrip(tmp_path):
     hist = tmp_path / "h.jsonl"
     records = [
@@ -269,6 +279,9 @@ READ_RECORD = {"op_id": 1, "client": 1, "kind": "read", "argument": None,
     ("read.response_round", 2.5, "line 2: response_round 2.5 is not an integer"),
     ("read.client", [1], "line 2: client [1] is not an integer"),
     ("read.kind", "scan", "line 2: kind 'scan' is neither"),
+    ("read.response_round", 1, "line 2: response_round 1 is before invoke_round 2"),
+    ("read.failed", "yes", "line 2: failed 'yes' is not a boolean"),
+    ("write.argument", None, "line 1: a write's argument is null"),
 ])
 def test_check_mistyped_field_is_config_error(tmp_path, field, value, fragment):
     records = {"write": dict(WRITE_RECORD), "read": dict(READ_RECORD)}

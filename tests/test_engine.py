@@ -64,6 +64,13 @@ class PlantsReplies(Scripted):
         return ((1, Reply("planted")),)
 
 
+class SilentAgents(Scripted):
+    """Held servers send nothing; the values agents leave are random tokens."""
+
+    def byzantine_outgoing(self, config, round_no, server, readers, rng):
+        return ()
+
+
 def test_unsolicited_replies_do_not_decide_a_later_read():
     # the agents visit every server while client 1 is idle; the replies they
     # plant must not outvote the honest replies to its read of round 6
@@ -399,6 +406,29 @@ def test_trace_lines_match_the_per_event_encoding(name, phase, kind):
     assert text.split("\n")[:-1] == [trace_line(ev) for ev in res.trace]
 
 
+@pytest.mark.parametrize("name", [name for name in GOLDEN_RUNS
+                                  if name.endswith("-random")])
+def test_only_corruptions_a_correct_party_reads_build_streams(name, monkeypatch):
+    # admissible runs adopt a value every round, which overwrites every
+    # corruption before a correct party reads it, except the value a bonnet
+    # cured server sends in the round after its agent leaves
+    kinds = Counter()
+    draw = mobyreg.engine.rng_stream
+    monkeypatch.setattr(mobyreg.engine, "rng_stream",
+                        lambda seed, *key: (kinds.update([key[0]]), draw(seed, *key))[1])
+    res = GOLDEN_RUNS[name][0]()
+    assert kinds["byz"] > 0
+    corrupt = {k: kinds[k] for k in ("corrupt", "corrupt-leave", "corrupt-compute")
+               if kinds[k]}
+    if name != "bonnet-random":
+        assert corrupt == {}
+        return
+    cured_sends = sum(len(ev.payload["cured"]) for ev in res.trace
+                      if (ev.phase, ev.kind) == ("round_start", "fault_move"))
+    assert set(corrupt) == {"corrupt-compute"}
+    assert 0 < corrupt["corrupt-compute"] <= cured_sends
+
+
 @pytest.mark.parametrize("model,f", GOLDEN_TIGHTNESS)
 def test_tightness_report_matches_golden_digest(model, f):
     report = json.dumps(tightness_demo(model, f), sort_keys=True, default=str)
@@ -474,10 +504,17 @@ def engine_inputs(draw):
 @example((make_config("garay", 7, 2),
           Scripted({1: {0, 1}, 2: {2, 3}, 3: {0, 1}}, "planted"), [],
           dict(rounds=3, seed=0, n_clients=3, record_messages=True)))
+@example((make_config("sasaki", 4, 2),
+          SilentAgents({1: {0, 1}, 2: {2, 3}, 3: {0, 1}}), [Directive(1, 0, "read")],
+          dict(rounds=3, seed=0, n_clients=1, allow_inadmissible=True,
+               record_messages=True)))
 def test_shared_state_run_matches_the_per_server_loop(inputs):
     # first example: servers 0 and 1 echo True, the others 1, and the servers
     # adopt the one of the lower server id; second: servers 0 and 1 adopt in
-    # round 2 while flagged cured, and agents take them again in round 3
+    # round 2 while flagged cured, and agents take them again in round 3;
+    # third: from round 2 on no server echoes, so nothing is adopted, and the
+    # random tokens the agents left on the cured servers are first drawn by
+    # the end-of-round probe
     config, strategy, workload, kwargs = inputs
     assert run_digest(run(config, strategy, workload, **kwargs)) == \
         run_digest(per_server_run(config, strategy, workload, **kwargs))
