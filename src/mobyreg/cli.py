@@ -296,11 +296,17 @@ def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
         ModelId.parse(m)
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    if rounds < 0:
+        raise ConfigError(f"--rounds must be >= 0, got {rounds}")
+    if clients < 1:
+        raise ConfigError(f"--clients: need at least one client, got {clients}")
 
     cells = [(m, f, s, rounds, clients)
              for m in model_list for f in f_list for s in seed_list]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork-started pool starts all its workers at the first submit
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(c) for c in cells]

@@ -28,7 +28,10 @@ shared senders' echo once per sender, in server-id order like every other
 inbox, so which of several equal values (1, True, 1.0) is adopted is the same
 as with a value per server.  State work is O(f + clients) per round, not
 O(n); only ``--trace-messages`` events, the replies to readers and the
-tally's echo map grow with n.
+tally's echo map grow with n.  For the same reason a broadcast's delivery is
+one ``deliver`` event in memory, with actor ``servers``; ``trace_lines``
+writes it once per server, so ``trace.jsonl`` still has a line for each
+server and delivery.
 
 An agent's corruption is drawn when a correct party first reads it, not when
 the agent leaves it: ``own`` holds a marker naming the draw's stream, and the
@@ -202,34 +205,52 @@ class RunResult:
 
         Sorted, the keys come as actor, kind, payload, phase, round, so a line
         is spliced from a cached head, the encoded payload and a cached tail.
-        A payload object is encoded once per round however many events share
-        it (a server-inbox entry has one ``deliver`` event per server); every
-        event stays alive in ``self.trace``, so an ``id`` is not reused here.
+        A broadcast's delivery is one event in memory, with actor ``servers``,
+        and one line per server on disk: a run of such events of one round
+        and phase is written server by server, s0 to s(n-1), each server's
+        lines in event order, each payload encoded once.  This gives the
+        bytes of one event per server and delivery, in that order.
         """
         heads: dict = {}
-        payloads: dict = {}
         tails: dict = {}
         lines = []
+        block = []        # payload + tail of each delivery in the current run
+        block_tail = None
         round_no = None
+
+        def head(actor, kind):
+            text = heads.get((actor, kind))
+            if text is None:
+                text = heads[actor, kind] = (
+                    f'{{"actor":{_ENCODE(actor)},"kind":{_ENCODE(kind)},"payload":')
+            return text
+
+        def flush():
+            for i in range(self.config.n):
+                server_head = head(f"s{i}", "deliver")
+                lines.append(server_head + ("\n" + server_head).join(block))
+            block.clear()
+
         for ev in self.trace:
             if ev.round != round_no:
                 round_no = ev.round
                 round_text = _ENCODE(round_no)
-                payloads.clear()
                 tails.clear()
-            key = ev.actor, ev.kind
-            head = heads.get(key)
-            if head is None:
-                head = heads[key] = (
-                    f'{{"actor":{_ENCODE(ev.actor)},"kind":{_ENCODE(ev.kind)},"payload":')
-            payload = payloads.get(id(ev.payload))
-            if payload is None:
-                payload = payloads[id(ev.payload)] = _ENCODE(ev.payload)
             tail = tails.get(ev.phase)
             if tail is None:
                 tail = tails[ev.phase] = (
                     f',"phase":{_ENCODE(ev.phase)},"round":{round_text}}}')
-            lines.append(head + payload + tail)
+            if ev.actor == SERVERS and ev.kind == "deliver":
+                if block and tail != block_tail:
+                    flush()
+                block_tail = tail
+                block.append(_ENCODE(ev.payload) + tail)
+                continue
+            if block:
+                flush()
+            lines.append(head(ev.actor, ev.kind) + _ENCODE(ev.payload) + tail)
+        if block:
+            flush()
         lines.append("")  # the last line's newline, without copying the text
         return "\n".join(lines)
 
@@ -488,9 +509,8 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                          for sid, msg in server_inbox]
             delivered += [{"from": i, "msg": _msg_payload(msg, i)}
                           for i, dest, msg in server_messages(range(n)) if dest == SERVERS]
-            for i in range(n):
-                for payload in delivered:
-                    trace(r, "receive", "deliver", f"s{i}", payload)
+            for payload in delivered:  # every server gets the same inbox
+                trace(r, "receive", "deliver", SERVERS, payload)
         for c in range(n_clients):
             if c in crashed:
                 continue

@@ -97,6 +97,52 @@ def test_sweep_jobs_below_one_is_config_error(jobs, monkeypatch):
     assert cells == []
 
 
+class RecordingPool:
+    """An executor that records its size and runs every cell in this process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, seeds, workers", [
+    ("64", "0,1", [2]), ("3", "0,1,2,3", [3]), ("8", "0", []),
+], ids=["more-jobs-than-cells", "fewer-jobs-than-cells", "one-cell"])
+def test_sweep_pool_has_no_more_workers_than_cells(jobs, seeds, workers, monkeypatch):
+    sizes = []
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(sizes, max_workers))
+    result = invoke("sweep", "--models", "buhrman", "--f-values", "1", "--seeds", seeds,
+                    "--rounds", "5", "--jobs", jobs)
+    assert result.exit_code == 0, result.output
+    assert sizes == workers
+    assert len(result.output.splitlines()) == 1 + len(seeds.split(","))
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--rounds", "-1", "--rounds must be >= 0, got -1"),
+    ("--clients", "0", "--clients: need at least one client, got 0"),
+], ids=["rounds", "clients"])
+def test_sweep_bad_cell_option_fails_before_any_cell_or_worker(option, value, message,
+                                                               monkeypatch):
+    cells, sizes = [], []
+    monkeypatch.setattr("mobyreg.cli._sweep_cell", cells.append)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(sizes, max_workers))
+    result = invoke("sweep", "--models", "garay", "--f-values", "1", "--seeds", "0,1",
+                    "--rounds", "5", "--jobs", "2", option, value)
+    assert_config_error(result, message)
+    assert cells == [] and sizes == []
+
+
 def test_check_command_roundtrip(tmp_path):
     hist = tmp_path / "h.jsonl"
     records = [

@@ -4,17 +4,17 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import mobyreg.engine
 from mobyreg.adversary import (NoFaults, RandomWalk, Scripted, SplitVote,
                                Stationary, Sweep)
 from mobyreg.checker import check_all, history_from_records
-from mobyreg.engine import (Directive, RandomWorkload, probe_agreement, run,
-                            tightness_demo, validate_directives)
+from mobyreg.engine import (Directive, RandomWorkload, RunResult, TraceEvent,
+                            probe_agreement, run, tightness_demo, validate_directives)
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
-from mobyreg.protocol import BOTTOM, Reply
+from mobyreg.protocol import BOTTOM, SERVERS, Reply
 from oracles import mt_rng_stream, per_server_run, trace_line
 
 
@@ -394,16 +394,41 @@ def test_run_artifacts_match_golden_digest_with_splitmix_streams(name):
     ("garay-inadmissible-echo-ties", "compute", "state_transition"),
     ("garay-exotic-values-messages", "compute", "op_response"),
 ])
-def test_trace_lines_match_the_per_event_encoding(name, phase, kind):
-    # trace_lines encodes a payload shared by the n deliver events of a
-    # server-inbox entry once; each line must still be the event's own encoding
-    res = GOLDEN_RUNS[name][0]()
+def test_trace_lines_match_the_per_event_encoding(name, phase, kind, monkeypatch):
+    # run() traces a broadcast's delivery once, with actor "servers", and
+    # trace_lines writes it at every server; the per-server loop traces one
+    # deliver event per server, and each line must be that event's encoding
+    make = GOLDEN_RUNS[name][0]
+    res = make()
     assert any((ev.phase, ev.kind) == (phase, kind) for ev in res.trace)
-    shared = Counter(id(ev.payload) for ev in res.trace if ev.kind == "deliver")
-    assert max(shared.values()) == res.config.n
+
+    def messages(events):
+        return Counter((ev.round, json.dumps(ev.payload["msg"], sort_keys=True, default=str))
+                       for ev in events)
+
+    sent = messages(ev for ev in res.trace
+                    if ev.kind == "send" and ev.payload["dest"] == SERVERS)
+    delivered = [ev for ev in res.trace if ev.kind == "deliver"]
+    assert sent and messages(ev for ev in delivered if ev.actor == SERVERS) == sent
+    assert all(ev.actor == SERVERS or ev.actor[0] == "c" for ev in delivered)
+    monkeypatch.setitem(globals(), "run", per_server_run)  # what make() calls
+    reference = make().trace
+    assert not any(ev.actor == SERVERS for ev in reference)
     text = res.trace_lines()
     assert text.endswith("\n")
-    assert text.split("\n")[:-1] == [trace_line(ev) for ev in res.trace]
+    assert text.split("\n")[:-1] == [trace_line(ev) for ev in reference]
+
+
+def test_trace_lines_write_each_round_and_phase_of_deliveries_apart():
+    # adjacent "servers" deliveries of another round or phase start a new run
+    res = RunResult(config=make_config("garay", 4, 1), rounds=2, seed=0)
+    echo = [{"from": 0, "msg": {"type": "echo", "server": 0, "value": v}} for v in "ab"]
+    res.trace = [TraceEvent(1, "receive", "deliver", SERVERS, echo[0]),
+                 TraceEvent(2, "receive", "deliver", SERVERS, echo[1]),
+                 TraceEvent(2, "compute", "deliver", SERVERS, echo[0])]
+    assert res.trace_lines().split("\n")[:-1] == [
+        trace_line(TraceEvent(ev.round, ev.phase, ev.kind, f"s{i}", ev.payload))
+        for ev in res.trace for i in range(4)]
 
 
 @pytest.mark.parametrize("name", [name for name in GOLDEN_RUNS
@@ -458,20 +483,35 @@ WIRE_VALUES = st.integers(0, 4).map(
 def engine_inputs(draw):
     model = draw(st.sampled_from(list(ModelId)))
     f = draw(st.integers(1, 3))
-    n = lookup(model).alpha * f + draw(st.sampled_from([0, 1, 3]))
+    kind = draw(st.sampled_from(
+        ["none", "stationary", "sweep", "random", "scripted", "silent"]))
+    if kind == "silent":
+        # f + 1 to 2f servers, inadmissible in every model: the silent agents
+        # and the servers they just left can then be all of them, which
+        # leaves no echo to adopt
+        n = draw(st.integers(f + 1, 2 * f))
+    else:
+        n = lookup(model).alpha * f + draw(st.sampled_from([0, 1, 3]))
     rounds = draw(st.integers(1, 10))
     n_clients = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["none", "stationary", "sweep", "random", "scripted"]))
-    if kind == "scripted":
-        # a moves_in_send target keeps the size of the current occupation
-        size = draw(st.integers(0, f))
-        sets = st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True)
-        if not lookup(model).moves_in_send:
+    if kind in ("scripted", "silent"):
+        if kind == "silent":
+            # the whole budget on any servers, so that the agents move often
+            sets = st.permutations(range(n)).map(lambda order: order[:f])
+        elif lookup(model).moves_in_send:
+            # a moves_in_send target keeps the size of the current occupation
+            size = draw(st.integers(0, f))
+            sets = st.lists(st.integers(0, n - 1), min_size=size, max_size=size,
+                            unique=True)
+        else:
             sets = st.lists(st.integers(0, n - 1), max_size=f, unique=True)
         later = draw(st.lists(st.integers(2, rounds + 1), unique=True, max_size=4))
         schedule = {r: draw(sets) for r in [1] + later}
-        fake = draw(WIRE_VALUES | st.sampled_from([None, "planted"]))
-        strategy = Scripted(schedule, fake)
+        if kind == "silent":
+            strategy = SilentAgents(schedule)
+        else:
+            fake = draw(WIRE_VALUES | st.sampled_from([None, "planted"]))
+            strategy = Scripted(schedule, fake)
     elif kind == "stationary":
         strategy = Stationary(fake_value=draw(WIRE_VALUES | st.none()))
     else:
@@ -538,3 +578,26 @@ def test_run_without_adoption_keeps_every_server_apart(monkeypatch):
     res = run(*args, **kwargs)
     assert len(calls) == 1 + 7 * 2
     assert run_digest(res) == run_digest(per_server_run(*args, **kwargs))
+
+
+def test_generated_inputs_reach_rounds_without_adoption(monkeypatch):
+    # the differential test above must also see rounds that keep servers
+    # apart, where own values diverge and the probe draws the agents' tokens
+    adopted = []
+    compute = mobyreg.engine.server_compute
+    monkeypatch.setattr(mobyreg.engine, "server_compute",
+                        lambda *a: (adopted.append(compute(*a)), adopted[-1])[1])
+
+    def keeps_servers_apart(inputs):
+        config, strategy, workload, kwargs = inputs
+        adopted.clear()
+        run(config, strategy, workload, **kwargs)
+        return not all(note.adopted for note in adopted)
+
+    config, strategy, workload, kwargs = find(
+        engine_inputs(), keeps_servers_apart,
+        settings=settings(max_examples=1000, database=None, derandomize=True,
+                          phases=[Phase.generate]))
+    assert isinstance(strategy, SilentAgents) and not config.admissible
+    assert run_digest(run(config, strategy, workload, **kwargs)) == \
+        run_digest(per_server_run(config, strategy, workload, **kwargs))
