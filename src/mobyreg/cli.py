@@ -26,6 +26,8 @@ EXIT_CONFIG = 2
 
 # libyaml's loader where PyYAML was built with it; same results, far faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# json.dumps(rec, sort_keys=True, default=str) without a new encoder per record
+_HISTORY_ENCODE = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
 def _load_yaml(path):
@@ -134,8 +136,8 @@ def _write_artifacts(result: RunResult, verdicts, out_dir, trace_out, report_out
     out = pathlib.Path(out_dir)
     _write_file(trace_out or out / "trace.jsonl", result.trace_lines(), "artifacts")
     _write_file(out / "history.jsonl",
-                "".join(json.dumps(rec.as_dict(), sort_keys=True, default=str) + "\n"
-                        for rec in result.history), "artifacts")
+                "".join(_HISTORY_ENCODE(rec.as_dict()) + "\n" for rec in result.history),
+                "artifacts")
     probe_report = {
         "rounds": result.rounds,
         "seed": result.seed,

@@ -31,7 +31,9 @@ O(n); only ``--trace-messages`` events, the replies to readers and the
 tally's echo map grow with n.  For the same reason a broadcast's delivery is
 one ``deliver`` event in memory, with actor ``servers``; ``trace_lines``
 writes it once per server, so ``trace.jsonl`` still has a line for each
-server and delivery.
+server and delivery.  A send or delivery is a ``MessageEvent`` that holds the
+message and builds no payload dict: ``trace_lines`` splices its line from the
+message, and its ``payload`` is built only when read.
 
 An agent's corruption is drawn when a correct party first reads it, not when
 the agent leaves it: ``own`` holds a marker naming the draw's stream, and the
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .adversary import SplitVote, Strategy, rng_stream
 from .model import ConfigError, ModelId, SystemConfig, lookup
@@ -185,6 +187,28 @@ class TraceEvent:
     payload: dict
 
 
+class MessageEvent(NamedTuple):
+    """A send or delivery: the message itself, not its payload dict.
+
+    ``key`` is ``"dest"`` for a send and ``"from"`` for a delivery, ``party``
+    the destination or the sender under that key, and ``sender`` the id the
+    channel supplied.  ``payload`` builds the ``TraceEvent`` payload when read.
+    """
+
+    round: int
+    phase: str
+    kind: str
+    actor: str
+    key: str
+    party: object
+    sender: int
+    msg: object
+
+    @property
+    def payload(self) -> dict:
+        return {self.key: self.party, "msg": _msg_payload(self.msg, self.sender)}
+
+
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str).encode
 
 
@@ -194,7 +218,7 @@ class RunResult:
     rounds: int
     seed: int
     history: list = field(default_factory=list)       # OpRecord
-    trace: list = field(default_factory=list)         # TraceEvent
+    trace: list = field(default_factory=list)         # TraceEvent, MessageEvent
     probes: list = field(default_factory=list)        # per-round dicts
     violations: list = field(default_factory=list)    # agreement-probe dips etc.
     protocol_failures: list = field(default_factory=list)
@@ -205,14 +229,20 @@ class RunResult:
 
         Sorted, the keys come as actor, kind, payload, phase, round, so a line
         is spliced from a cached head, the encoded payload and a cached tail.
-        A broadcast's delivery is one event in memory, with actor ``servers``,
-        and one line per server on disk: a run of such events of one round
-        and phase is written server by server, s0 to s(n-1), each server's
-        lines in event order, each payload encoded once.  This gives the
-        bytes of one event per server and delivery, in that order.
+        A ``MessageEvent``'s payload is spliced too, as ``json`` would write
+        its ``payload`` dict: ``{"<key>":<party>,"msg":{"<role>":<sender>``
+        and the rest of the message, which is encoded once per message object
+        in a call (cache keyed by ``id``; every event holds its message for
+        the call).  A party that is not a plain ``int`` goes through the
+        encoder.  A broadcast's delivery is one event in memory, with actor
+        ``servers``, and one line per server on disk: a run of such events of
+        one round and phase is written server by server, s0 to s(n-1), each
+        server's lines in event order, each payload encoded once.  This gives
+        the bytes of one event per server and delivery, in that order.
         """
         heads: dict = {}
         tails: dict = {}
+        bodies: dict = {}  # id(msg) -> (text before the sender, text after it)
         lines = []
         block = []        # payload + tail of each delivery in the current run
         block_tail = None
@@ -240,15 +270,27 @@ class RunResult:
             if tail is None:
                 tail = tails[ev.phase] = (
                     f',"phase":{_ENCODE(ev.phase)},"round":{round_text}}}')
+            if type(ev) is MessageEvent:
+                body = bodies.get(id(ev.msg))
+                if body is None:
+                    # the sender is the first key, so sender 0's text frames any sender's
+                    before, _, after = _ENCODE(_msg_payload(ev.msg, 0)).partition(":0")
+                    body = bodies[id(ev.msg)] = (f',"msg":{before}:', after + "}")
+                party = ev.party
+                if type(party) is not int:
+                    party = _ENCODE(party)
+                payload = f'{{"{ev.key}":{party}{body[0]}{ev.sender}{body[1]}'
+            else:
+                payload = _ENCODE(ev.payload)
             if ev.actor == SERVERS and ev.kind == "deliver":
                 if block and tail != block_tail:
                     flush()
                 block_tail = tail
-                block.append(_ENCODE(ev.payload) + tail)
+                block.append(payload + tail)
                 continue
             if block:
                 flush()
-            lines.append(head(ev.actor, ev.kind) + _ENCODE(ev.payload) + tail)
+            lines.append(head(ev.actor, ev.kind) + payload + tail)
         if block:
             flush()
         lines.append("")  # the last line's newline, without copying the text
@@ -371,6 +413,11 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
     def trace(round_no, phase, kind, actor, payload):
         result.trace.append(TraceEvent(round_no, phase, kind, actor, payload))
 
+    if record_messages:
+        events = result.trace
+        server_names = [f"s{i}" for i in range(n)]
+        client_names = [f"c{c}" for c in range(n_clients)]
+
     def read(i):
         """Server i's own value, drawing an agent's corruption when first read."""
         value = own[i]
@@ -455,11 +502,11 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
 
         if record_messages:
             for c, dest, msg in client_out:
-                trace(r, "send", "send", f"c{c}",
-                      {"dest": dest, "msg": _msg_payload(msg, c)})
+                events.append(MessageEvent(r, "send", "send", client_names[c],
+                                           "dest", dest, c, msg))
             for i, dest, msg in server_messages(range(n)):
-                trace(r, "send", "send", f"s{i}",
-                      {"dest": dest, "msg": _msg_payload(msg, i)})
+                events.append(MessageEvent(r, "send", "send", server_names[i],
+                                           "dest", dest, i, msg))
 
         # --- in-send movement (moves_in_send models) ---------------------------
         post_occupied = pre_send
@@ -505,20 +552,22 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             if dest != SERVERS and dest in client_inbox:
                 client_inbox[dest].append((i, msg))
         if record_messages:
-            delivered = [{"from": sid, "msg": _msg_payload(msg, sid)}
-                         for sid, msg in server_inbox]
-            delivered += [{"from": i, "msg": _msg_payload(msg, i)}
-                          for i, dest, msg in server_messages(range(n)) if dest == SERVERS]
-            for payload in delivered:  # every server gets the same inbox
-                trace(r, "receive", "deliver", SERVERS, payload)
+            # every server gets the same inbox
+            for sid, msg in server_inbox:
+                events.append(MessageEvent(r, "receive", "deliver", SERVERS,
+                                           "from", sid, sid, msg))
+            for i, dest, msg in server_messages(range(n)):
+                if dest == SERVERS:
+                    events.append(MessageEvent(r, "receive", "deliver", SERVERS,
+                                               "from", i, i, msg))
         for c in range(n_clients):
             if c in crashed:
                 continue
             inbox = client_inbox[c]
             if record_messages:
                 for sid, msg in inbox:
-                    trace(r, "receive", "deliver", f"c{c}",
-                          {"from": sid, "msg": _msg_payload(msg, sid)})
+                    events.append(MessageEvent(r, "receive", "deliver", client_names[c],
+                                               "from", sid, sid, msg))
             clients[c] = client_receive(clients[c], inbox, r)
 
         # --- compute phase ---------------------------------------------------

@@ -419,6 +419,33 @@ def test_trace_lines_match_the_per_event_encoding(name, phase, kind, monkeypatch
     assert text.split("\n")[:-1] == [trace_line(ev) for ev in reference]
 
 
+class StrayReplies(Stationary):
+    """Also sends replies to an unknown client, to ``True`` and to a string."""
+
+    def byzantine_outgoing(self, config, round_no, server, readers, rng):
+        out = super().byzantine_outgoing(config, round_no, server, readers, rng)
+        return out + tuple((dest, Reply("stray")) for dest in (99, True, "elsewhere"))
+
+
+def test_trace_lines_encode_destinations_that_reach_no_client():
+    # a destination is written as json writes it, whatever its type
+    def make(run):
+        return run(m1_config(), StrayReplies({4}, fake_value="evil"),
+                   [Directive(1, 0, "write", "good"), Directive(2, 1, "read")],
+                   rounds=3, seed=0, n_clients=2, record_messages=True)
+
+    res, reference = make(run), make(per_server_run)
+    lines = res.trace_lines().split("\n")[:-1]
+    assert lines == [trace_line(ev) for ev in reference.trace]
+    for dest in ('99', 'true', '"elsewhere"', '"servers"'):
+        assert any(f'"kind":"send","payload":{{"dest":{dest},' in line for line in lines)
+
+    def sends(events):
+        return [ev.payload for ev in events if ev.kind == "send"]
+
+    assert sends(res.trace) == sends(reference.trace)
+
+
 def test_trace_lines_write_each_round_and_phase_of_deliveries_apart():
     # adjacent "servers" deliveries of another round or phase start a new run
     res = RunResult(config=make_config("garay", 4, 1), rounds=2, seed=0)
