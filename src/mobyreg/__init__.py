@@ -1,7 +1,7 @@
 """Mobile-Byzantine-tolerant MWMR atomic register: protocol, simulator, checker."""
 
 from .model import ConfigError, ModelId, ModelParams, SystemConfig, lookup, make_config
-from .protocol import BOTTOM, ClientState, Echo, Read, Reply, Tally, UsageError, Write
+from .protocol import BOTTOM, Echo, Read, Reply, Tally, Write
 from .adversary import (NoFaults, RandomWalk, Scripted, SplitVote, Stationary,
                         Strategy, Sweep, make_strategy)
 from .engine import (Directive, RandomWorkload, RunResult, probe_agreement, run,

@@ -192,7 +192,9 @@ class Strategy:
         """Send-phase output of a fully Byzantine server: (destination, message) pairs.
 
         A destination is ``SERVERS`` or an integer, and an integer is always
-        taken as a client id; one that names no client is dropped.  So the
+        taken as a client id; one that names no client is dropped, and so is
+        any other destination.  A bool is not a client id: ``True`` reaches
+        no client, although it equals 1.  So the
         server can send one echo, which every server receives (only a
         sender's first echo counts), while its replies to individual clients
         may differ.  The channel supplies the sender, ``server``, and the

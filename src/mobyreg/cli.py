@@ -146,9 +146,9 @@ def _write_artifacts(result: RunResult, verdicts, out_dir, trace_out, report_out
         "protocol_failures": result.protocol_failures,
         "probes": result.probes,
     }
+    # compact: with an indent, json falls back to its pure-Python encoder
     _write_file(out / "probe_report.json",
-                json.dumps(probe_report, indent=2, sort_keys=True, default=str) + "\n",
-                "artifacts")
+                json.dumps(probe_report, sort_keys=True, default=str) + "\n", "artifacts")
     if verdicts is not None:
         _write_file(report_out or out / "verdicts.json", json.dumps(
             {name: {"passed": v.passed, "witness": v.witness}
@@ -266,13 +266,11 @@ def cmd_tightness(model, f, seed, report_out):
 
 
 def _sweep_cell(args):
-    model, f, seed, rounds, clients = args
-    params = lookup(ModelId.parse(model))
-    n = params.alpha * f + 1
-    result, verdicts = _run_one(model, n, f, rounds, seed, clients,
+    model, config, seed, rounds, clients = args
+    result, verdicts = _run_one(model, config.n, config.f, rounds, seed, clients,
                                 "random", "random", False, False, True)
     ok = not result.violations and all(v.passed for v in verdicts.values())
-    return {"model": model, "f": f, "n": n, "seed": seed,
+    return {"model": model, "f": config.f, "n": config.n, "seed": seed,
             "pass": ok, "min_support": result.min_support,
             "probe_violations": len(result.violations),
             "ops": len(result.history)}
@@ -294,8 +292,9 @@ def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
     seed_list = [_config_int(x, "--seeds entry") for x in seeds.split(",") if x.strip()]
     if not model_list or not f_list or not seed_list:
         raise ConfigError("models, f-values, and seeds must all be nonempty")
-    for m in model_list:
-        ModelId.parse(m)
+    # every cell's config, built before the first cell runs, rejects a bad f
+    configs = {(m, f): make_config(m, lookup(ModelId.parse(m)).alpha * f + 1, f)
+               for m in model_list for f in f_list}
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     if rounds < 0:
@@ -303,7 +302,7 @@ def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
     if clients < 1:
         raise ConfigError(f"--clients: need at least one client, got {clients}")
 
-    cells = [(m, f, s, rounds, clients)
+    cells = [(m, configs[m, f], s, rounds, clients)
              for m in model_list for f in f_list for s in seed_list]
     # a fork-started pool starts all its workers at the first submit
     workers = min(jobs, len(cells))

@@ -26,14 +26,17 @@ once per ``own`` server; a round adopting a value makes it ``shared``, empties
 ``own``, and lets the agents corrupt their hosts again.  The tally counts the
 shared senders' echo once per sender, in server-id order like every other
 inbox, so which of several equal values (1, True, 1.0) is adopted is the same
-as with a value per server.  State work is O(f + clients) per round, not
-O(n); only ``--trace-messages`` events, the replies to readers and the
-tally's echo map grow with n.  For the same reason a broadcast's delivery is
-one ``deliver`` event in memory, with actor ``servers``; ``trace_lines``
-writes it once per server, so ``trace.jsonl`` still has a line for each
-server and delivery.  A send or delivery is a ``MessageEvent`` that holds the
-message and builds no payload dict: ``trace_lines`` splices its line from the
-message, and its ``payload`` is built only when read.
+as with a value per server.  A client's state is its running operation:
+a write is broadcast and confirmed in one round, and a read is decided from
+the inbox of the round after its request.  State work is O(f + running
+operations) per round, not O(n); only ``--trace-messages`` events, the
+replies to readers and the tally's echo map grow with n.  For the same
+reason a broadcast's delivery is one ``deliver`` event in memory, with actor
+``servers``; ``trace_lines`` writes it once per server, so ``trace.jsonl``
+still has a line for each server and delivery.  A send or delivery is a
+``MessageEvent`` that holds the message and builds no payload dict:
+``trace_lines`` splices its line from the message, and its ``payload`` is
+built only when read.
 
 An agent's corruption is drawn when a correct party first reads it, not when
 the agent leaves it: ``own`` holds a marker naming the draw's stream, and the
@@ -54,10 +57,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .adversary import SplitVote, Strategy, rng_stream
 from .model import ConfigError, ModelId, SystemConfig, lookup
-from .protocol import (BOTTOM, SERVERS, ClientState, Echo, Read, ReadFailed,
-                       ReadOk, Reply, Tally, WriteAck, client_compute,
-                       client_invoke_read, client_invoke_write, client_receive,
-                       client_send, server_compute, server_receive, server_send,
+from .protocol import (BOTTOM, SERVERS, Echo, Read, ReadOk, Reply, Tally, Write,
+                       client_compute, server_compute, server_receive, server_send,
                        value_key)
 
 # ---------------------------------------------------------------------------
@@ -405,9 +406,8 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
     own: dict[int, object] = {}              # servers that may differ (module docstring)
     readers: frozenset = frozenset()         # last round's tally.current_reads
     unrestored: set[int] = set()             # state not known-good (cure oracle input)
-    clients = {c: ClientState() for c in range(n_clients)}
     crashed: set[int] = set()
-    pending_op: dict[int, OpRecord] = {}     # client -> outstanding operation
+    pending_op: dict[int, OpRecord] = {}     # client -> running operation
     occupied: frozenset = frozenset()        # end-of-previous-round agent positions
 
     def trace(round_no, phase, kind, actor, payload):
@@ -446,33 +446,28 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         # the cure oracle tells each unrestored server no agent holds
         cured = unrestored - pre_send if oracle_enabled else frozenset()
 
-        # --- operation injection (queued at the previous compute) --------
+        # --- operation injection ------------------------------------------
+        invoked = []
         for d in by_round.get(r, ()):
             if d.op == "crash":
+                # a crashed client never sends or responds again
                 crashed.add(d.client)
+                pending_op.pop(d.client, None)
                 trace(r, "round_start", "op_invoke", f"c{d.client}", {"kind": "crash"})
                 continue
-            cst = clients[d.client]
-            if d.op == "write":
-                clients[d.client] = client_invoke_write(cst, d.value)
-            else:
-                clients[d.client] = client_invoke_read(cst)
             rec = pending_op[d.client] = OpRecord(
                 op_id=len(result.history), client=d.client, kind=d.op,
                 argument=d.value if d.op == "write" else None, invoke_round=r)
+            invoked.append(rec)
             result.history.append(rec)
             trace(r, "send", "op_invoke", f"c{d.client}",
                   {"op_id": rec.op_id, "kind": d.op, "value": d.value})
 
         # --- send phase ---------------------------------------------------
-        client_out: list[tuple[int, object, object]] = []  # (client, dest, msg)
-        for c in range(n_clients):
-            if c in crashed:
-                continue
-            cst, out = client_send(clients[c], r)
-            clients[c] = cst
-            for dest, msg in out:
-                client_out.append((c, dest, msg))
+        # a client broadcasts each operation it starts; the server inbox
+        # lists them first, in client order
+        client_out = [(rec.client, Write(rec.argument) if rec.kind == "write" else Read())
+                      for rec in invoked if rec.client not in crashed]
         # shared_out stands for the messages of every server not in own_out
         shared_out = server_send(shared, readers, False)
         own_out: dict[int, tuple] = {}
@@ -501,9 +496,9 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                     yield i, dest, msg
 
         if record_messages:
-            for c, dest, msg in client_out:
+            for c, msg in client_out:
                 events.append(MessageEvent(r, "send", "send", client_names[c],
-                                           "dest", dest, c, msg))
+                                           "dest", SERVERS, c, msg))
             for i, dest, msg in server_messages(range(n)):
                 events.append(MessageEvent(r, "send", "send", server_names[i],
                                            "dest", dest, i, msg))
@@ -525,18 +520,15 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         # --- receive phase --------------------------------------------------
         # Inboxes list senders in id order, clients before servers.  The one
         # server inbox is tallied once: the client and own messages through
-        # server_receive, the shared senders' echo added in id order.
-        client_inbox: dict[int, list] = {c: [] for c in range(n_clients)}
-        server_inbox = []
-        for c, dest, msg in client_out:
-            if dest == SERVERS:
-                server_inbox.append((c, msg))
-            elif dest in client_inbox:
-                client_inbox[dest].append((c, msg))
+        # server_receive, the shared senders' echo added in id order.  Only
+        # servers send to clients, and a destination reaches a client only if
+        # it is an int: True equals 1 but names no client.
+        client_inbox: dict[int, list] = {c: [] for c in range(n_clients)
+                                         if c not in crashed}
         shared_echo = next((msg for dest, msg in shared_out
                             if dest == SERVERS and isinstance(msg, Echo)), None)
         shared_to_clients = any(dest != SERVERS for dest, _ in shared_out)
-        tally = server_receive(Tally(), server_inbox + [
+        tally = server_receive(Tally(), client_out + [
             (i, msg) for i, dest, msg in server_messages(sorted(own_out))
             if dest == SERVERS])
         if shared_echo is not None and len(own_out) < n:
@@ -549,26 +541,21 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             tally = Tally(echo_vals, tally.current_writes, tally.current_reads)
         for i, dest, msg in server_messages(range(n) if shared_to_clients
                                             else sorted(own_out)):
-            if dest != SERVERS and dest in client_inbox:
+            if type(dest) is int and dest in client_inbox:
                 client_inbox[dest].append((i, msg))
         if record_messages:
             # every server gets the same inbox
-            for sid, msg in server_inbox:
+            for sid, msg in client_out:
                 events.append(MessageEvent(r, "receive", "deliver", SERVERS,
                                            "from", sid, sid, msg))
             for i, dest, msg in server_messages(range(n)):
                 if dest == SERVERS:
                     events.append(MessageEvent(r, "receive", "deliver", SERVERS,
                                                "from", i, i, msg))
-        for c in range(n_clients):
-            if c in crashed:
-                continue
-            inbox = client_inbox[c]
-            if record_messages:
+            for c, inbox in client_inbox.items():
                 for sid, msg in inbox:
                     events.append(MessageEvent(r, "receive", "deliver", client_names[c],
                                                "from", sid, sid, msg))
-            clients[c] = client_receive(clients[c], inbox, r)
 
         # --- compute phase ---------------------------------------------------
         note = server_compute(tally, s_threshold)
@@ -585,27 +572,26 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             unrestored &= post_occupied
         own.update(dict.fromkeys(post_occupied, _Unread("corrupt-compute", r)))
         unrestored |= post_occupied
-        for c in range(n_clients):
-            if c in crashed:
+        # a write is confirmed in its round; a read is decided from the inbox
+        # of its reply round, the round after its request, and no other
+        for c in sorted(pending_op):
+            rec = pending_op[c]
+            if rec.kind == "read" and rec.invoke_round == r:
                 continue
-            cst, response = client_compute(clients[c], r, s_threshold)
-            clients[c] = cst
-            if response is None:
-                continue
-            rec = pending_op.pop(c, None)
-            if rec is None:
-                continue
-            if isinstance(response, WriteAck):
+            del pending_op[c]
+            if rec.kind == "write":
                 rec.response_round = r
                 rec.result = "write_confirmation"
                 trace(r, "compute", "op_response", f"c{c}",
                       {"op_id": rec.op_id, "kind": "write"})
-            elif isinstance(response, ReadOk):
+                continue
+            response = client_compute(client_inbox[c], s_threshold)
+            if isinstance(response, ReadOk):
                 rec.response_round = r
                 rec.result = response.value
                 trace(r, "compute", "op_response", f"c{c}",
                       {"op_id": rec.op_id, "kind": "read", "value": response.value})
-            elif isinstance(response, ReadFailed):
+            else:
                 rec.failed = True
                 failure = {"round": r, "client": c, "op_id": rec.op_id,
                            "reply_counts": [[v, cnt] for v, cnt in response.counts],
@@ -676,10 +662,9 @@ def tightness_demo(model: ModelId, f: int = 2, *, seed: int = 0) -> dict:
               allow_inadmissible=True)
 
     failure = res.protocol_failures[0] if res.protocol_failures else None
-    counts = {v: c for v, c in (failure["reply_counts"] if failure else [])}
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], value_key(kv[0])))
+    ranked = failure["reply_counts"] if failure else []   # ranked by client_compute
     top_two = [c for _, c in ranked[:2]]
-    repliers = sum(counts.values())
+    repliers = sum(c for _, c in ranked)
     return {
         "model": model.value,
         "n": n,

@@ -1,10 +1,11 @@
-"""Pure state machines for the register servers and clients.
+"""Pure phase functions for the register servers and clients.
 
 A server keeps only its register value from one round to the next: the
 readers it answers and whether it knows it is cured are the round's data,
-and a round's echoes and requests are collected in a ``Tally``.  Every phase
-is a function from a value, a client state or a tally, and its inputs to new
-ones and outputs; nothing here performs I/O or mutates its arguments, so
+and a round's echoes and requests are collected in a ``Tally``.  A client
+keeps nothing: a write is confirmed in the round it is broadcast, and a read
+is decided by ``client_compute`` from the inbox of its reply round, the round
+after its request.  Nothing here performs I/O or mutates its arguments, so
 identical inputs always yield identical outputs.  The simulation engine owns
 timing, delivery, and fault injection.
 
@@ -18,16 +19,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 BOTTOM = None
 
 # Destination sentinel: deliver to every server.
 SERVERS = "servers"
-
-
-class UsageError(RuntimeError):
-    """A client violated the one-operation-at-a-time rule."""
 
 
 def value_key(v: object) -> tuple:
@@ -71,11 +68,11 @@ Message = Union[Echo, Write, Read, Reply]
 # ---------------------------------------------------------------------------
 # States
 #
-# A client state and a round's tally are immutable NamedTuples, built in well
+# A round's tally is the only state: an immutable NamedTuple, built in well
 # under half the time of a frozen dataclass, which sets each field through
 # ``object.__setattr__``.  The empty default of a mapping field is one shared
-# read-only view, so no state can fill another's default in place.  Derive a
-# state by ``_replace``.  Messages stay dataclasses: tuples of different
+# read-only view, so no tally can fill another's default in place.  Derive a
+# tally by ``_replace``.  Messages stay dataclasses: tuples of different
 # message types would compare equal.
 # ---------------------------------------------------------------------------
 
@@ -162,19 +159,6 @@ def server_compute(tally: Tally, s_threshold: int) -> ComputeNote:
 # Client
 # ---------------------------------------------------------------------------
 
-class ClientState(NamedTuple):
-    to_send: tuple = ()
-    reading: bool = False
-    writing: bool = False
-    op_start: Optional[int] = None
-    replies: Mapping = _EMPTY  # server id -> value
-
-
-@dataclass(frozen=True)
-class WriteAck:
-    pass
-
-
 @dataclass(frozen=True)
 class ReadOk:
     value: object
@@ -192,66 +176,22 @@ class ReadFailed:
     qualifying: tuple    # values at/above threshold (0 or >=2 of them)
 
 
-def client_invoke_write(state: ClientState, value: object) -> ClientState:
-    if state.reading or state.writing:
-        raise UsageError("write() invoked while another operation is in progress")
-    if value is BOTTOM:
-        raise UsageError("the default value cannot be written")
-    return ClientState(state.to_send + (Write(value),), state.reading, True,
-                       state.op_start, state.replies)
+def client_compute(inbox: Sequence[tuple[int, Message]],
+                   s_threshold: int) -> Union[ReadOk, ReadFailed]:
+    """Decide a read from the inbox of its reply round.
 
-
-def client_invoke_read(state: ClientState) -> ClientState:
-    if state.reading or state.writing:
-        raise UsageError("read() invoked while another operation is in progress")
-    return ClientState(state.to_send + (Read(),), True, state.writing,
-                       state.op_start, state.replies)
-
-
-def client_send(state: ClientState, round_no: int) -> tuple[ClientState, tuple]:
-    """Broadcast queued requests; remember the round an operation started.
-
-    ``op_start`` is only set when empty so a read keeps its start round
-    across its two rounds, and only while an operation is actually running.
+    ``inbox`` holds (authenticated sender id, message) pairs; the first
+    ``Reply`` of each sender counts and other messages are ignored.  The read
+    returns the one value with at least ``s_threshold`` senders.
     """
-    outgoing = tuple((SERVERS, m) for m in state.to_send)
-    op_start = state.op_start
-    if op_start is None and (state.reading or state.writing):
-        op_start = round_no
-    return ClientState((), state.reading, state.writing, op_start, state.replies), outgoing
-
-
-def client_receive(state: ClientState, inbox: Sequence[tuple[int, Message]],
-                   round_no: int) -> ClientState:
-    """Accumulate a read's replies, at most one per distinct server.
-
-    Replies count only in the read's reply round, the round after its
-    request: any other reply answers no request of this client, and a
-    Byzantine server could plant one early to outvote the honest replies.
-    """
-    if not (state.reading and state.op_start == round_no - 1):
-        return state
-    replies = dict(state.replies)
+    replies: dict = {}
     for sender, msg in inbox:
         if isinstance(msg, Reply):
             replies.setdefault(sender, msg.value)
-    return ClientState(state.to_send, state.reading, state.writing, state.op_start,
-                       replies)
-
-
-def client_compute(state: ClientState, round_no: int,
-                   s_threshold: int) -> tuple[ClientState, object]:
-    """Finish operations: a write lasts one round, a read exactly two."""
-    if state.writing and state.op_start == round_no:
-        return (ClientState(state.to_send, state.reading, False, None, state.replies),
-                WriteAck())
-    if state.reading and state.op_start == round_no - 1:
-        counts = Counter(state.replies.values())
-        qualifying = sorted((v for v, c in counts.items() if c >= s_threshold),
-                            key=value_key)
-        new_state = ClientState(state.to_send, False, state.writing, None, _EMPTY)
-        if len(qualifying) == 1:
-            return new_state, ReadOk(qualifying[0])
-        ranked = tuple(sorted(counts.items(), key=lambda kv: (-kv[1], value_key(kv[0]))))
-        return new_state, ReadFailed(counts=ranked, qualifying=tuple(qualifying))
-    return state, None
+    counts = Counter(replies.values())
+    qualifying = sorted((v for v, c in counts.items() if c >= s_threshold),
+                        key=value_key)
+    if len(qualifying) == 1:
+        return ReadOk(qualifying[0])
+    ranked = tuple(sorted(counts.items(), key=lambda kv: (-kv[1], value_key(kv[0]))))
+    return ReadFailed(counts=ranked, qualifying=tuple(qualifying))

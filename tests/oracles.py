@@ -11,10 +11,12 @@ order of a small history.
 ``per_server_run`` is the round loop that ``mobyreg.engine.run`` replaced:
 a value, pending reads and a cure flag kept for each server, every protocol
 phase called for each of them, the agreement probe counted server by server,
-and a random workload drawn inside the round loop from each client's state,
-where ``run`` expands it before round 1.  ``run`` keeps only a value, and
-takes the readers and cure flags as round data; it must give the same
-artifacts, byte for byte.
+a state machine for each client that queues, sends, collects replies and
+finishes its operations in every round, and a random workload drawn inside
+the round loop from each client's state, where ``run`` expands it before
+round 1.  ``run`` keeps only a server's value and a client's running
+operation, and takes the readers, cure flags and a read's reply-round inbox
+as round data; it must give the same artifacts, byte for byte.
 ``mt_rng_stream`` is the Mersenne Twister stream derivation that
 ``mobyreg.adversary.rng_stream`` replaced: the same key, a seeded
 ``random.Random``.  Injected as ``mobyreg.engine.rng_stream``, it reproduces
@@ -27,17 +29,15 @@ import itertools
 import json
 import random
 from collections import Counter
-from typing import Optional
+from typing import Mapping, NamedTuple, Optional
 
 from mobyreg.adversary import Strategy, rng_stream
 from mobyreg.checker import CheckerInputError, Verdict, precedes
 from mobyreg.engine import (Directive, OpRecord, RandomWorkload, RunResult,
                             TraceEvent, Workload, _msg_payload, validate_directives)
 from mobyreg.model import ConfigError, SystemConfig
-from mobyreg.protocol import (BOTTOM, SERVERS, ClientState, Echo, ReadFailed,
-                              ReadOk, Reply, Tally, WriteAck, client_compute,
-                              client_invoke_read, client_invoke_write, client_receive,
-                              client_send, server_compute, server_receive, server_send,
+from mobyreg.protocol import (BOTTOM, SERVERS, Echo, Read, ReadFailed, ReadOk, Reply,
+                              Tally, Write, server_compute, server_receive, server_send,
                               value_key)
 
 _INIT = object()  # cluster of the fictional initial write of the default value
@@ -224,11 +224,69 @@ def _counter_probe(values, faulty):
     return best[0], best[1]
 
 
+class _ClientState(NamedTuple):
+    """A client between rounds: its queued requests, its operation, its replies."""
+
+    to_send: tuple = ()
+    reading: bool = False
+    writing: bool = False
+    op_start: Optional[int] = None
+    replies: Mapping = {}  # server id -> value; replaced, never mutated
+
+
+_WRITE_ACK = object()
+
+
+def _client_invoke(state: _ClientState, d: Directive) -> _ClientState:
+    assert not (state.reading or state.writing), "one operation at a time"
+    if d.op == "write":
+        assert d.value is not BOTTOM, "the default value cannot be written"
+        return state._replace(to_send=state.to_send + (Write(d.value),), writing=True)
+    return state._replace(to_send=state.to_send + (Read(),), reading=True)
+
+
+def _client_send(state: _ClientState, round_no: int) -> tuple[_ClientState, tuple]:
+    """Broadcast queued requests; remember the round an operation started."""
+    op_start = state.op_start
+    if op_start is None and (state.reading or state.writing):
+        op_start = round_no
+    return (state._replace(to_send=(), op_start=op_start),
+            tuple((SERVERS, m) for m in state.to_send))
+
+
+def _client_receive(state: _ClientState, inbox, round_no: int) -> _ClientState:
+    """A read's replies, one per server, taken in its reply round only."""
+    if not (state.reading and state.op_start == round_no - 1):
+        return state
+    replies = dict(state.replies)
+    for sender, msg in inbox:
+        if isinstance(msg, Reply):
+            replies.setdefault(sender, msg.value)
+    return state._replace(replies=replies)
+
+
+def _client_compute(state: _ClientState, round_no: int, s_threshold: int):
+    """Finish operations: a write lasts one round, a read exactly two."""
+    if state.writing and state.op_start == round_no:
+        return state._replace(writing=False, op_start=None), _WRITE_ACK
+    if state.reading and state.op_start == round_no - 1:
+        counts = Counter(state.replies.values())
+        qualifying = sorted((v for v, c in counts.items() if c >= s_threshold),
+                            key=value_key)
+        done = state._replace(reading=False, op_start=None, replies={})
+        if len(qualifying) == 1:
+            return done, ReadOk(qualifying[0])
+        ranked = tuple(sorted(counts.items(), key=lambda kv: (-kv[1], value_key(kv[0]))))
+        return done, ReadFailed(counts=ranked, qualifying=tuple(qualifying))
+    return state, None
+
+
 def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                    rounds: int, seed: int = 0, n_clients: int = 3,
                    allow_inadmissible: bool = False,
                    record_messages: bool = False) -> RunResult:
-    """``mobyreg.engine.run`` with each server's value, reads and cure flag, every round."""
+    """``mobyreg.engine.run`` with each server's value, reads and cure flag, and
+    each client's state machine, every round."""
     if rounds < 0:
         raise ConfigError(f"rounds must be >= 0, got {rounds}")
     if n_clients < 1:
@@ -254,7 +312,7 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
     values = {i: BOTTOM for i in range(n)}
     reads = {i: frozenset() for i in range(n)}  # readers to answer in the next send
     cured = {i: False for i in range(n)}
-    clients = {c: ClientState() for c in range(n_clients)}
+    clients = {c: _ClientState() for c in range(n_clients)}
     restored = {i: True for i in range(n)}   # state known-good (cure oracle input)
     crashed: set[int] = set()
     pending_op: dict[int, OpRecord] = {}     # client -> outstanding operation
@@ -267,11 +325,7 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
 
     def invoke(round_no: int, d: Directive) -> None:
         nonlocal op_seq
-        cst = clients[d.client]
-        if d.op == "write":
-            clients[d.client] = client_invoke_write(cst, d.value)
-        else:
-            clients[d.client] = client_invoke_read(cst)
+        clients[d.client] = _client_invoke(clients[d.client], d)
         rec = OpRecord(op_id=op_seq, client=d.client, kind=d.op,
                        argument=d.value if d.op == "write" else None,
                        invoke_round=round_no)
@@ -332,7 +386,7 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
         for c in range(n_clients):
             if c in crashed:
                 continue
-            cst, out = client_send(clients[c], r)
+            cst, out = _client_send(clients[c], r)
             clients[c] = cst
             for dest, msg in out:
                 outbox.append(("client", c, dest, msg))
@@ -379,7 +433,7 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
         for skind, sid, dest, msg in outbox:
             if dest == SERVERS:
                 server_inbox.append((skind, sid, msg))
-            elif dest in client_inbox:
+            elif type(dest) is int and dest in client_inbox:
                 client_inbox[dest].append((skind, sid, msg))
 
         def sorted_inbox(entries):
@@ -401,7 +455,7 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
                 for sid, msg in inbox:
                     trace(r, "receive", "deliver", f"c{c}",
                           {"from": sid, "msg": _msg_payload(msg, sid)})
-            clients[c] = client_receive(clients[c], inbox, r)
+            clients[c] = _client_receive(clients[c], inbox, r)
 
         # --- compute phase ---------------------------------------------------
         note = server_compute(tally, s_threshold)
@@ -422,14 +476,14 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
         for c in range(n_clients):
             if c in crashed:
                 continue
-            cst, response = client_compute(clients[c], r, s_threshold)
+            cst, response = _client_compute(clients[c], r, s_threshold)
             clients[c] = cst
             if response is None:
                 continue
             rec = pending_op.pop(c, None)
             if rec is None:
                 continue
-            if isinstance(response, WriteAck):
+            if response is _WRITE_ACK:
                 rec.response_round = r
                 rec.result = "write_confirmation"
                 trace(r, "compute", "op_response", f"c{c}",

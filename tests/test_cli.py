@@ -130,7 +130,8 @@ def test_sweep_pool_has_no_more_workers_than_cells(jobs, seeds, workers, monkeyp
 @pytest.mark.parametrize("option, value, message", [
     ("--rounds", "-1", "--rounds must be >= 0, got -1"),
     ("--clients", "0", "--clients: need at least one client, got 0"),
-], ids=["rounds", "clients"])
+    ("--f-values", "1,-1", "f must be >= 0, got -1"),
+], ids=["rounds", "clients", "f-values"])
 def test_sweep_bad_cell_option_fails_before_any_cell_or_worker(option, value, message,
                                                                monkeypatch):
     cells, sizes = [], []

@@ -83,6 +83,34 @@ def test_unsolicited_replies_do_not_decide_a_later_read():
     assert all(v.passed for v in verdicts.values())
 
 
+def test_replies_planted_in_a_reads_request_round_do_not_count():
+    # round 2's planted replies would give "planted" 4 senders and "good" 3,
+    # both at least s = 3, and the read would fail; only round 3's count
+    schedule = {2: {0, 1}, 3: {2, 3}, 4: set()}
+    wl = [Directive(1, 0, "write", "good"), Directive(2, 1, "read")]
+    res = run(m1_config(), PlantsReplies(schedule), wl, rounds=3, seed=0, n_clients=2)
+    read = res.history[1]
+    assert (read.result, read.response_round) == ("good", 3)
+    assert not res.protocol_failures
+
+
+class RepliesToTrue(Stationary):
+    """Sends nothing but a reply addressed to ``True``, which equals 1."""
+
+    def byzantine_outgoing(self, config, round_no, server, readers, rng):
+        return ((True, Reply("stray")),)
+
+
+def test_a_reply_addressed_to_true_reaches_no_client():
+    args = (m1_config(), RepliesToTrue({4, 5}), [Directive(2, 1, "read")])
+    kwargs = dict(rounds=3, seed=0, n_clients=2, record_messages=True)
+    for res in (run(*args, **kwargs), per_server_run(*args, **kwargs)):
+        assert any(ev.kind == "send" and ev.payload["dest"] is True for ev in res.trace)
+        assert not [ev for ev in res.trace if ev.kind == "deliver" and ev.actor == "c1"
+                    and ev.payload["msg"].get("value") == "stray"]
+        assert res.history[0].result is BOTTOM
+
+
 def test_inadmissible_config_needs_explicit_override():
     cfg = make_config("garay", 6, 2)
     with pytest.raises(ConfigError):
@@ -109,6 +137,11 @@ def test_directive_validation_rejects_act_after_crash():
 def test_directive_validation_rejects_a_value_on_read_or_crash(op):
     with pytest.raises(ConfigError, match=f"a {op} directive takes no value, got 5"):
         validate_directives([Directive(1, 0, op, 5)], rounds=5, n_clients=1)
+
+
+def test_directive_validation_rejects_a_write_of_the_default_value():
+    with pytest.raises(ConfigError, match="a write directive needs a non-default value"):
+        validate_directives([Directive(1, 0, "write", BOTTOM)], rounds=5, n_clients=1)
 
 
 def test_directive_validation_rejects_unfinishable_read():
@@ -575,13 +608,17 @@ def engine_inputs(draw):
           SilentAgents({1: {0, 1}, 2: {2, 3}, 3: {0, 1}}), [Directive(1, 0, "read")],
           dict(rounds=3, seed=0, n_clients=1, allow_inadmissible=True,
                record_messages=True)))
+@example((make_config("bonnet", 9, 2), RandomWalk(),
+          [Directive(1, 0, "write", 1), Directive(1, 0, "crash")],
+          dict(rounds=2, seed=0, n_clients=2, record_messages=True)))
 def test_shared_state_run_matches_the_per_server_loop(inputs):
     # first example: servers 0 and 1 echo True, the others 1, and the servers
     # adopt the one of the lower server id; second: servers 0 and 1 adopt in
     # round 2 while flagged cured, and agents take them again in round 3;
     # third: from round 2 on no server echoes, so nothing is adopted, and the
     # random tokens the agents left on the cured servers are first drawn by
-    # the end-of-round probe
+    # the end-of-round probe; fourth: a client writes and crashes in one
+    # round, so its write is neither sent nor confirmed
     config, strategy, workload, kwargs = inputs
     assert run_digest(run(config, strategy, workload, **kwargs)) == \
         run_digest(per_server_run(config, strategy, workload, **kwargs))

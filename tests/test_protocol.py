@@ -5,11 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobyreg.model import ModelId, lookup
-from mobyreg.protocol import (BOTTOM, SERVERS, ClientState, ComputeNote, Echo,
-                              Read, ReadFailed, ReadOk, Reply, Tally, UsageError,
-                              Write, WriteAck, client_compute, client_invoke_read,
-                              client_invoke_write, client_receive, client_send,
-                              server_compute, server_receive, server_send)
+from mobyreg.protocol import (SERVERS, ComputeNote, Echo, Read, ReadFailed, ReadOk,
+                              Reply, Tally, Write, client_compute, server_compute,
+                              server_receive, server_send)
 
 # ----------------------------------------------------------------- server ---
 
@@ -88,119 +86,51 @@ def test_compute_tie_breaks_to_smallest_and_reports():
 
 # ----------------------------------------------------------------- client ---
 
-def test_invoke_write_queues_message():
-    st_ = client_invoke_write(ClientState(), 7)
-    assert st_.writing and not st_.reading
-    assert st_.to_send == (Write(7),)
-
-
-def test_invoke_write_while_reading_is_usage_error():
-    busy = ClientState(reading=True)
-    with pytest.raises(UsageError):
-        client_invoke_write(busy, 7)
-
-
-def test_double_invoke_is_usage_error():
-    st_ = client_invoke_write(ClientState(), 1)
-    with pytest.raises(UsageError):
-        client_invoke_write(st_, 2)
-    st_ = client_invoke_read(ClientState())
-    with pytest.raises(UsageError):
-        client_invoke_read(st_)
-
-
-def test_invoke_write_rejects_default_value():
-    with pytest.raises(UsageError):
-        client_invoke_write(ClientState(), BOTTOM)
-
-
-def test_invoke_read_queues_message():
-    st_ = client_invoke_read(ClientState())
-    assert st_.reading and st_.to_send == (Read(),)
-
-
-def test_invoke_read_while_writing_is_usage_error():
-    with pytest.raises(UsageError):
-        client_invoke_read(ClientState(writing=True))
-
-
-def test_send_sets_op_start_once():
-    st_ = client_invoke_read(ClientState())
-    st_, out = client_send(st_, round_no=4)
-    assert out == ((SERVERS, Read()),)
-    assert st_.op_start == 4 and st_.to_send == ()
-    # next round: op_start must survive so the read knows its start round
-    st_, out = client_send(st_, round_no=5)
-    assert out == () and st_.op_start == 4
-
-
-def test_send_idle_is_noop():
-    st_, out = client_send(ClientState(), round_no=3)
-    assert out == () and st_.op_start is None
-
-
-def test_client_receive_accumulates_and_dedupes():
-    # a read sent in round 4 takes its replies in round 5
-    reading = ClientState(reading=True, op_start=4)
-    inbox = [(1, Reply("v")), (2, Reply("w")), (1, Reply("x"))]
-    st_ = client_receive(reading, inbox, 5)
-    assert st_.replies == {1: "v", 2: "w"}
-    assert client_receive(reading, [], 5) == reading
-
-
-@pytest.mark.parametrize("state,round_no", [
-    (ClientState(), 5),                                  # idle
-    (ClientState(writing=True, op_start=5), 5),          # writing
-    (ClientState(reading=True, op_start=5), 5),          # the read's request round
-    (ClientState(reading=True, op_start=3), 5),          # past the reply round
-])
-def test_client_receive_drops_replies_outside_the_reply_round(state, round_no):
-    assert client_receive(state, [(1, Reply("planted"))], round_no) == state
-
-
-def test_compute_write_confirms_same_round():
-    st_ = ClientState(writing=True, op_start=4)
-    st_, resp = client_compute(st_, round_no=4, s_threshold=3)
-    assert isinstance(resp, WriteAck)
-    assert not st_.writing and st_.op_start is None
-
-
 def test_compute_read_returns_threshold_value():
-    replies = {i: 7 for i in range(5)}
-    st_ = ClientState(reading=True, op_start=4, replies=replies)
-    st_, resp = client_compute(st_, round_no=5, s_threshold=5)
-    assert resp == ReadOk(7)
-    assert not st_.reading and st_.replies == {}
+    inbox = [(i, Reply(7)) for i in range(5)]
+    assert client_compute(inbox, s_threshold=5) == ReadOk(7)
+
+
+def test_client_compute_counts_the_first_reply_of_each_sender():
+    # server 1's second reply does not count: "v" has 2 senders, not 3
+    inbox = [(1, Reply("v")), (2, Reply("v")), (1, Reply("v")), (3, Reply("w"))]
+    assert client_compute(inbox, s_threshold=3) == ReadFailed(
+        counts=(("v", 2), ("w", 1)), qualifying=())
+    assert client_compute(inbox, s_threshold=2) == ReadOk("v")
+    # nor does a later reply of another value
+    inbox = [(1, Reply("v")), (2, Reply("v")), (1, Reply("w")), (2, Reply("w"))]
+    assert client_compute(inbox, s_threshold=2) == ReadOk("v")
+
+
+def test_client_compute_ignores_other_messages():
+    inbox = [(0, Echo("x")), (1, Echo("x")), (2, Write("x")), (3, Read()),
+             (4, Reply("v"))]
+    assert client_compute(inbox, s_threshold=1) == ReadOk("v")
+    assert client_compute([(0, Echo("x"))], s_threshold=1) == ReadFailed((), ())
 
 
 def test_compute_read_split_support_is_protocol_failure():
     # 4 servers say 7 and 4 say 9 against threshold 5: no value qualifies.
     # (This is the reply multiset the boundary adversary produces; here the
     # counts are verified directly.)
-    replies = {i: 7 for i in range(4)} | {i: 9 for i in range(4, 8)}
-    st_ = ClientState(reading=True, op_start=4, replies=replies)
-    st_, resp = client_compute(st_, round_no=5, s_threshold=5)
+    inbox = [(i, Reply(7)) for i in range(4)] + [(i, Reply(9)) for i in range(4, 8)]
+    resp = client_compute(inbox, s_threshold=5)
     assert isinstance(resp, ReadFailed)
     assert resp.qualifying == ()
-    assert dict(resp.counts) == {7: 4, 9: 4}
+    assert resp.counts == ((7, 4), (9, 4))
 
 
 def test_compute_read_two_qualifying_is_protocol_failure():
-    replies = {0: "a", 1: "a", 2: "b", 3: "b"}
-    st_ = ClientState(reading=True, op_start=1, replies=replies)
-    _, resp = client_compute(st_, round_no=2, s_threshold=2)
-    assert isinstance(resp, ReadFailed)
-    assert resp.qualifying == ("a", "b")
-
-
-def test_compute_no_pending_op_is_identity():
-    st_ = ClientState()
-    assert client_compute(st_, 3, 2) == (st_, None)
+    inbox = [(0, Reply("b")), (1, Reply("a")), (2, Reply("b")), (3, Reply("a")),
+             (4, Reply("c"))]
+    resp = client_compute(inbox, s_threshold=2)
+    assert resp == ReadFailed(counts=(("a", 2), ("b", 2), ("c", 1)),
+                              qualifying=("a", "b"))
 
 
 # ----------------------------------------------------------------- states ---
 
-@pytest.mark.parametrize("state", [ClientState(), Tally()])
+@pytest.mark.parametrize("state", [Tally()])
 def test_state_fields_cannot_be_assigned(state):
     for name in state._fields:
         with pytest.raises(AttributeError):
@@ -209,10 +139,7 @@ def test_state_fields_cannot_be_assigned(state):
         state.extra = 1
 
 
-@pytest.mark.parametrize("make, name", [
-    (Tally, "echo_vals"), (Tally, "current_writes"),
-    (ClientState, "replies"),
-])
+@pytest.mark.parametrize("make, name", [(Tally, "echo_vals"), (Tally, "current_writes")])
 def test_default_state_mappings_are_read_only(make, name):
     with pytest.raises(TypeError):
         getattr(make(), name)[1] = "planted"
@@ -223,19 +150,16 @@ def test_default_state_mappings_are_read_only(make, name):
 
 
 def test_replace_derives_a_new_state():
-    st_ = ClientState(reading=True)
-    assert st_._replace(op_start=4) == ClientState((), True, False, 4, {})
-    assert st_ == ClientState(reading=True)
+    tally = Tally(current_reads=frozenset({3}))
+    assert tally._replace(echo_vals={1: "v"}) == Tally({1: "v"}, {}, frozenset({3}))
+    assert tally == Tally(current_reads=frozenset({3}))
 
 
 def test_receive_on_default_states_returns_fresh_dicts():
     tally = server_receive(Tally(), [(1, Echo(5)), (7, Write(9))])
     assert type(tally.echo_vals) is dict and tally.echo_vals == {1: 5}
     assert type(tally.current_writes) is dict and tally.current_writes == {7: 9}
-    cst = client_receive(ClientState(reading=True, op_start=4), [(2, Reply("v"))], 5)
-    assert type(cst.replies) is dict and cst.replies == {2: "v"}
     assert Tally().echo_vals == {} and Tally().current_writes == {}
-    assert ClientState().replies == {}
 
 
 # ------------------------------------------------------------- properties ---
@@ -248,6 +172,8 @@ def test_phase_functions_are_deterministic():
     assert server_send("u", readers, False) == server_send("u", readers, False)
     assert server_compute(server_receive(tally, inbox), 1) == \
         server_compute(server_receive(tally, inbox), 1)
+    replies = [(1, Reply("v")), (2, Reply("w")), (1, Echo("w"))]
+    assert client_compute(replies, 1) == client_compute(replies, 1)
 
 
 def test_at_most_one_value_can_reach_threshold_when_admissible():
