@@ -9,10 +9,10 @@ or leaves, and answers the pending readers, which every server knows from the
 last round's tally, through ``byzantine_outgoing``.
 
 Every decision draws from its own random stream, named by the run's seed and
-a key such as ``("corrupt", round, server)``: ``rng_stream`` hashes the name
-with SHA-256 and starts a splitmix64 generator (Steele, Lea & Flood, *Fast
-Splittable Pseudorandom Number Generators*, OOPSLA 2014) at the digest's
-first 8 bytes.  Streams are independent per (round, server), so any
+a key such as ``("corrupt-compute", round, server)``: ``rng_stream`` hashes
+the name with SHA-256 and starts a splitmix64 generator (Steele, Lea &
+Flood, *Fast Splittable Pseudorandom Number Generators*, OOPSLA 2014) at the
+digest's first 8 bytes.  Streams are independent per (round, server), so any
 counterexample reproduces from its seed.  A stream costs about 2.3–2.9 µs
 in CPython 3.11, of which the ``repr`` and SHA-256 of its name take about
 1.3 µs and the generator object 0.4 µs; deriving the key by splitmix64
@@ -126,13 +126,19 @@ def rng_stream(seed: int, *key) -> random.Random:
 class Occupancy:
     """Agent positions for one round.
 
-    ``pre_send`` is the occupied set when the send phase starts.  ``moves``
-    are (src, dst) relocations during the send phase and may be nonempty only
-    in a model whose agents travel with the messages (``moves_in_send``).
+    ``pre_send`` is the occupied set when the send phase starts and
+    ``post_send`` the one when it ends.  They differ only in a model whose
+    agents travel with the messages (``moves_in_send``).
     """
 
     pre_send: frozenset
-    moves: tuple = ()
+    post_send: frozenset
+
+    @property
+    def moves(self) -> tuple:
+        """The (src, dst) relocations during the send phase, paired in id order."""
+        return tuple(zip(sorted(self.pre_send - self.post_send),
+                         sorted(self.post_send - self.pre_send)))
 
 
 class Strategy:
@@ -172,9 +178,8 @@ class Strategy:
                     f"strategy {self.name!r} moves {len(prev)} agents onto "
                     f"{len(target)} servers in round {round_no}; in model "
                     f"{config.params.model} agents move only with the messages")
-            moves = zip(sorted(prev - target), sorted(target - prev))
-            return Occupancy(pre_send=prev, moves=tuple(moves))
-        return Occupancy(pre_send=target)
+            return Occupancy(prev, target)
+        return Occupancy(target, target)
 
     def corrupt_value(self, round_no: int, server: int, rng: random.Random) -> object:
         """The value an occupying (or departing) agent leaves behind.

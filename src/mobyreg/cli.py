@@ -15,7 +15,7 @@ import click
 import yaml
 
 from . import checker as hc
-from .adversary import make_strategy
+from .adversary import RandomWalk, make_strategy
 from .engine import Directive, RandomWorkload, RunResult, run, tightness_demo
 from .model import ConfigError, ModelId, lookup, make_config
 
@@ -115,9 +115,6 @@ def _load_workload(workload_spec):
             if not (_is_int(e[key]) or isinstance(e[key], str)):
                 raise ConfigError(f"workload file {workload_spec}: bad directive {e!r} "
                                   f"({key} {e[key]!r} is not an integer)")
-        if isinstance(d.value, (list, dict)):
-            raise ConfigError(f"workload file {workload_spec}: bad directive {e!r} "
-                              f"(value must be a scalar)")
         directives.append(d)
     return directives
 
@@ -156,11 +153,8 @@ def _write_artifacts(result: RunResult, verdicts, out_dir, trace_out, report_out
             indent=2, sort_keys=True, default=str) + "\n", "artifacts")
 
 
-def _run_one(model, n, f, rounds, seed, clients, workload_spec, adversary,
-             allow_inadmissible, record_messages, do_check):
-    config = make_config(model, n, f)
-    strategy = make_strategy(adversary)
-    workload = _load_workload(workload_spec)
+def _run_one(config, strategy, workload, *, rounds, seed, clients,
+             allow_inadmissible=False, record_messages=False, do_check=True):
     result = run(config, strategy, workload, rounds=rounds, seed=seed,
                  n_clients=clients, allow_inadmissible=allow_inadmissible,
                  record_messages=record_messages)
@@ -224,8 +218,9 @@ def cmd_run(config_file, model, n, f, rounds, seed, clients, workload, adversary
     adversary = pick(adversary, "adversary", "random")
     allow_inadmissible = allow_inadmissible or file_cfg.get("allow_inadmissible", False)
     result, verdicts = _run_one(
-        model, n, f, rounds, seed, clients, workload, adversary,
-        allow_inadmissible, trace_messages, do_check)
+        make_config(model, n, f), make_strategy(adversary), _load_workload(workload),
+        rounds=rounds, seed=seed, clients=clients, allow_inadmissible=allow_inadmissible,
+        record_messages=trace_messages, do_check=do_check)
     _write_artifacts(result, verdicts, out_dir, trace_out, report_out)
 
     failed = list(result.violations)
@@ -267,8 +262,8 @@ def cmd_tightness(model, f, seed, report_out):
 
 def _sweep_cell(args):
     model, config, seed, rounds, clients = args
-    result, verdicts = _run_one(model, config.n, config.f, rounds, seed, clients,
-                                "random", "random", False, False, True)
+    result, verdicts = _run_one(config, RandomWalk(), RandomWorkload(),
+                                rounds=rounds, seed=seed, clients=clients)
     ok = not result.violations and all(v.passed for v in verdicts.values())
     return {"model": model, "f": config.f, "n": config.n, "seed": seed,
             "pass": ok, "min_support": result.min_support,

@@ -17,36 +17,37 @@ every server, and a round that adopts a value ends its compute phase with
 every server holding it.
 
 The engine therefore keeps one ``shared`` value for all servers and an
-``own`` value only for those that may differ: the servers an agent occupies
-or has just left, those whose state is not yet restored, and, in a round
-that adopts nothing, those holding another value.  Invariant: at every round
-boundary a server outside ``own`` holds ``shared`` and is restored.  A send
-runs once for ``shared``, whose messages stand for every shared server, and
-once per ``own`` server; a round adopting a value makes it ``shared``, empties
-``own``, and lets the agents corrupt their hosts again.  The tally counts the
-shared senders' echo once per sender, in server-id order like every other
-inbox, so which of several equal values (1, True, 1.0) is adopted is the same
-as with a value per server.  A client's state is its running operation:
-a write is broadcast and confirmed in one round, and a read is decided from
-the inbox of the round after its request.  State work is O(f + running
-operations) per round, not O(n); only ``--trace-messages`` events, the
-replies to readers and the tally's echo map grow with n.  For the same
-reason a broadcast's delivery is one ``deliver`` event in memory, with actor
+``own`` value only for those that may differ.  Invariant: at every round
+boundary a server outside ``own`` holds ``shared``, and ``own``'s keys are
+the unrestored servers, those an agent has held since the last adoption.  A
+send runs once for ``shared``, whose messages stand for every shared server,
+and once per ``own`` or Byzantine server; a round adopting a value makes it
+``shared``, empties ``own``, and lets the agents corrupt their hosts again.
+The tally counts the shared senders' echo once per sender, in server-id order
+like every other inbox, so which of several equal values (1, True, 1.0) is
+adopted is the same as with a value per server.  A client's state is its
+running operation: a write is broadcast and confirmed in one round, and a
+read is decided from the inbox of the round after its request.  State work
+is O(f + running operations) per round, not O(n); only ``--trace-messages``
+events, the replies to readers and the tally's echo map grow with n.  For
+the same reason a broadcast's delivery is one ``deliver`` event in memory, with actor
 ``servers``; ``trace_lines`` writes it once per server, so ``trace.jsonl``
 still has a line for each server and delivery.  A send or delivery is a
 ``MessageEvent`` that holds the message and builds no payload dict:
 ``trace_lines`` splices its line from the message, and its ``payload`` is
 built only when read.
 
-An agent's corruption is drawn when a correct party first reads it, not when
-the agent leaves it: ``own`` holds a marker naming the draw's stream, and the
-send of a server that is neither Byzantine nor cured, or the end-of-round
-probe of a server no agent holds, draws it with the same call and the same
-stream name.  Streams are keyed, so a draw made late, in another order or not
-at all changes no other draw.  Most corruptions are overwritten unread: every
-occupied server sends as a Byzantine one, and the next adoption overwrites
-the rest.  In admissible garay, sasaki and buhrman runs no corruption is
-drawn at all; in bonnet, only those its cured servers send.
+An agent corrupts the server it leaves during the send and each server it
+holds when the compute phase ends; the one it holds when the send starts
+sends as a Byzantine server, so nothing reads its value then.  A corruption
+is drawn when a correct party first reads it: ``own`` holds a marker naming
+the draw's stream, and the send of a server that is neither Byzantine nor
+cured, or the end-of-round probe of a server no agent holds, draws it with
+the same call and the same stream name.  Streams are keyed, so a draw made
+late, in another order or not at all changes no other draw.  Most
+corruptions are overwritten unread, by the next adoption.  In admissible
+garay, sasaki and buhrman runs no corruption is drawn at all; in bonnet,
+only those its cured servers send.
 """
 
 from __future__ import annotations
@@ -146,6 +147,11 @@ def validate_directives(directives: Sequence[Directive], rounds: int,
         if d.op == "write":
             if d.value is BOTTOM:
                 raise ConfigError("a write directive needs a non-default value")
+            try:
+                hash(d.value)  # servers and readers count values as dict keys
+            except TypeError:
+                raise ConfigError(
+                    f"a written value must be a scalar, got {d.value!r}") from None
             busy_until[d.client] = d.round
         else:  # read
             if d.round + 1 > rounds:
@@ -320,20 +326,15 @@ def probe_agreement(values: dict, faulty: frozenset,
     violation otherwise.
     """
     counts: dict = {}
-    missing = n - len(values)
-    if missing:
-        first_shared = 0
-        while first_shared in values:
-            first_shared += 1
-    for sid in sorted(values):
-        if missing and sid > first_shared:
-            counts[shared_value] = counts.get(shared_value, 0) + missing
-            missing = 0
+    shared = n - len(values)        # the servers holding shared_value
+    for k, sid in enumerate(sorted(values)):
+        if shared and sid != k:     # ids 0..k-1 are own: k is the lowest shared
+            counts[shared_value] = counts.get(shared_value, 0) + shared
+            shared = 0
         if sid not in faulty:
-            value = values[sid]
-            counts[value] = counts.get(value, 0) + 1
-    if missing:
-        counts[shared_value] = counts.get(shared_value, 0) + missing
+            counts[values[sid]] = counts.get(values[sid], 0) + 1
+    if shared:
+        counts[shared_value] = counts.get(shared_value, 0) + shared
     if not counts:
         return BOTTOM, 0
     best = min(counts.items(), key=lambda kv: (-kv[1], value_key(kv[0])))
@@ -361,8 +362,8 @@ def _msg_payload(msg, sender: int) -> dict:
 class _Unread:
     """A corruption not yet drawn: the ``(kind, round)`` of its stream.
 
-    One marker stands for every server an agent corrupts in one phase of a
-    round; the server is the key it is stored under in ``own``.
+    The server is the key it is stored under in ``own``, so one marker
+    stands for every server the agents hold when a round's compute ends.
     """
 
     __slots__ = ("kind", "round")
@@ -403,9 +404,8 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
 
     result = RunResult(config=config, rounds=rounds, seed=seed)
     shared: object = BOTTOM                  # the value of every server not in own
-    own: dict[int, object] = {}              # servers that may differ (module docstring)
+    own: dict[int, object] = {}              # the unrestored servers (module docstring)
     readers: frozenset = frozenset()         # last round's tally.current_reads
-    unrestored: set[int] = set()             # state not known-good (cure oracle input)
     crashed: set[int] = set()
     pending_op: dict[int, OpRecord] = {}     # client -> running operation
     occupied: frozenset = frozenset()        # end-of-previous-round agent positions
@@ -429,22 +429,18 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
     for r in range(1, rounds + 1):
         # --- agent movement (at round start, or during send: moves_in_send) ---
         occ = strategy.occupancy(config, r, occupied, rng_stream(seed, "sched", r))
-        pre_send = occ.pre_send
+        pre_send, moves = occ.pre_send, occ.moves
         cured_now = occupied - pre_send      # vacated at this round's start
-        unrestored |= cured_now
         trace(r, "round_start", "fault_move", "adversary",
               {"occupied": sorted(pre_send),
                "cured": sorted(cured_now),
-               "planned_moves": [list(m) for m in occ.moves]})
+               "planned_moves": [list(m) for m in moves]})
 
         # occupied servers send as Byzantine ones in every model
         byzantine = pre_send | cured_now if cured_byzantine else pre_send
 
-        # --- begin round -------------------------------------------------
-        own.update(dict.fromkeys(pre_send, _Unread("corrupt", r)))
-        unrestored |= pre_send
         # the cure oracle tells each unrestored server no agent holds
-        cured = unrestored - pre_send if oracle_enabled else frozenset()
+        cured = own.keys() - pre_send if oracle_enabled else frozenset()
 
         # --- operation injection ------------------------------------------
         invoked = []
@@ -471,7 +467,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         # shared_out stands for the messages of every server not in own_out
         shared_out = server_send(shared, readers, False)
         own_out: dict[int, tuple] = {}
-        for i in sorted(own):
+        for i in sorted(own.keys() | byzantine):
             if i in byzantine:
                 out_msgs = strategy.byzantine_outgoing(
                     config, r, i, readers, rng_stream(seed, "byz", r, i))
@@ -504,18 +500,11 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                                            "dest", dest, i, msg))
 
         # --- in-send movement (moves_in_send models) ---------------------------
-        post_occupied = pre_send
-        if occ.moves:
-            moved = set(pre_send)
-            leave = _Unread("corrupt-leave", r)
-            for src, dst in occ.moves:
-                moved.discard(src)
-                moved.add(dst)
-                # Departing host: the register value keeps the agent's corruption.
-                own[src] = leave
-                unrestored.add(src)
-                trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
-            post_occupied = frozenset(moved)
+        post_occupied = occ.post_send
+        for src, dst in moves:
+            # Departing host: the register value keeps the agent's corruption.
+            own[src] = _Unread("corrupt-leave", r)
+            trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
 
         # --- receive phase --------------------------------------------------
         # Inboxes list senders in id order, clients before servers.  The one
@@ -569,9 +558,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             # every server holds the adopted value; the agents' hosts lose it again
             shared = note.value
             own.clear()
-            unrestored &= post_occupied
         own.update(dict.fromkeys(post_occupied, _Unread("corrupt-compute", r)))
-        unrestored |= post_occupied
         # a write is confirmed in its round; a read is decided from the inbox
         # of its reply round, the round after its request, and no other
         for c in sorted(pending_op):

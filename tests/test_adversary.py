@@ -69,10 +69,11 @@ def test_buhrman_movement_happens_during_send():
     c = cfg(model="buhrman", n=5, f=2)
     s = Scripted({1: {0, 1}, 2: {0, 4}})
     occ1 = s.occupancy(c, 1, frozenset(), rng_stream(0, 1))
-    assert occ1.pre_send == frozenset({0, 1}) and occ1.moves == ()
-    occ2 = s.occupancy(c, 2, occ1.pre_send, rng_stream(0, 2))
+    assert occ1.pre_send == occ1.post_send == frozenset({0, 1}) and occ1.moves == ()
+    occ2 = s.occupancy(c, 2, occ1.post_send, rng_stream(0, 2))
     # the pre-send set is still last round's; the change rides on the send
     assert occ2.pre_send == frozenset({0, 1})
+    assert occ2.post_send == frozenset({0, 4})
     assert occ2.moves == ((1, 4),)
     probes = run(c, s, [], rounds=2, seed=0).probes
     assert [p["pre_send_occupied"] for p in probes] == [[0, 1], [0, 1]]

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mobyreg.cli import main
+from mobyreg.protocol import ComputeNote
 
 
 def invoke(*args):
@@ -42,6 +43,22 @@ def test_run_rejects_inadmissible_config(tmp_path):
                     "--out-dir", str(tmp_path))
     assert result.exit_code == 2
     assert "configuration error" in result.output
+
+
+def test_run_exits_one_when_a_property_fails(tmp_path, monkeypatch):
+    # servers that adopt nothing keep every passing agent's corruption, so the
+    # agreement probe fails from round 2 on, and so does termination
+    monkeypatch.setattr("mobyreg.engine.server_compute", lambda tally, s: ComputeNote())
+    result = invoke("run", "--model", "garay", "--n", "7", "--f", "2",
+                    "--rounds", "30", "--seed", "0", "--out-dir", str(tmp_path))
+    assert result.exit_code == 1, result.output
+    lines = result.output.splitlines()
+    assert "termination: FAIL" in lines
+    assert "agreement probe: FAIL (29 rounds)" in lines
+    report = json.loads((tmp_path / "probe_report.json").read_text())
+    assert len(report["violations"]) == 29
+    assert {(v["kind"], v["required"]) for v in report["violations"]} == {
+        ("agreement_probe", 5)}
 
 
 def test_run_scripted_workload(tmp_path):
@@ -207,6 +224,11 @@ def test_run_bad_random_workload_is_config_error(tmp_path, spec, fragment):
     ('[{"round": 1, "client": 0, "op": "read", "value": 5}]',
      "a read directive takes no value, got 5"),
     ("5", "must hold a list of directives"),
+    ("[{round: 1, client: 0, op: write, value: !!set {a}}]", "value must be a scalar"),
+    ('[{"round": 1, "client": 0, "op": "jump"}]', "unknown workload op 'jump'"),
+    ('[{"round": 6, "client": 0, "op": "write", "value": 1}]',
+     "directive round 6 outside 1..5"),
+    ('[{"round": 1, "client": 3, "op": "read"}]', "directive client 3 outside 0..2"),
 ])
 def test_run_malformed_directives_are_config_error(tmp_path, text, fragment):
     wl = tmp_path / "wl.yaml"
@@ -353,6 +375,8 @@ def test_check_bad_crashed_ids_and_bad_bytes_are_config_error(tmp_path):
     ("rounds: abc", "rounds 'abc' is not an integer"),
     ("model: 5", "model 5 is not a string"),
     ("- {round: 1\n- x", "is not valid YAML"),
+    ("rounds: -1", "rounds must be >= 0, got -1"),
+    ("clients: 0", "need at least one client, got 0"),
 ])
 def test_run_mistyped_config_file_is_config_error(tmp_path, text, fragment):
     cfg = tmp_path / "cfg.yaml"

@@ -217,6 +217,7 @@ def test_probe_agreement_counts_nonfaulty_modal():
     values = {0: 9, 1: 9, 2: 9, 3: 4}
     value, support = probe_agreement(values, frozenset({3}), BOTTOM, 4)
     assert (value, support) == (9, 3)
+    assert probe_agreement(values, frozenset(values), 9, 4) == (BOTTOM, 0)
 
 
 def test_probe_initial_rounds_agree_on_default():
