@@ -36,6 +36,8 @@ def _load_yaml(path):
             return yaml.load(fh, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path} is not valid YAML: {' '.join(str(exc).split())}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read YAML file: {exc}") from None
 
 
 _CONFIG_KEYS = ("model", "n", "f", "rounds", "seed", "clients", "workload", "adversary",

@@ -20,19 +20,19 @@ The engine therefore keeps one ``shared`` value for all servers and an
 ``own`` value only for those that may differ.  Invariant: at every round
 boundary a server outside ``own`` holds ``shared``, and ``own``'s keys are
 the unrestored servers, those an agent has held since the last adoption.  A
-send runs once for ``shared``, whose messages stand for every shared server,
-and once per ``own`` or Byzantine server; a round adopting a value makes it
-``shared``, empties ``own``, and lets the agents corrupt their hosts again.
-The tally counts the shared senders' echo once per sender, in server-id order
-like every other inbox, so which of several equal values (1, True, 1.0) is
-adopted is the same as with a value per server.  A client's state is its
-running operation: a write is broadcast and confirmed in one round, and a
-read is decided from the inbox of the round after its request.  State work
-is O(f + running operations) per round, not O(n); only ``--trace-messages``
-events, the replies to readers and the tally's echo map grow with n.  For
-the same reason a broadcast's delivery is one ``deliver`` event in memory, with actor
-``servers``; ``trace_lines`` writes it once per server, so ``trace.jsonl``
-still has a line for each server and delivery.  A send or delivery is a
+send runs once per ``own`` or Byzantine server, and once for ``shared`` only
+to trace it; a round adopting a value makes it ``shared``, empties ``own``,
+and lets the agents corrupt their hosts again.  The shared servers count
+once, with their number, at the lowest shared id (``count_servers``): in the
+echo tally, in each read's replies and in the agreement probe.  A client's
+state is its running operation: a write is broadcast and confirmed in one
+round, and a read is decided from the replies of the round after its
+request.  So a round's work grows with f and the running operations, not
+with n; only ``--trace-messages`` events and the echo-tie diagnostic (n
+events, in inadmissible runs only) do.  For the same reason a broadcast's
+delivery is one ``deliver`` event in memory, with actor ``servers``;
+``trace_lines`` writes it once per server, so ``trace.jsonl`` still has a
+line for each server and delivery.  A send or delivery is a
 ``MessageEvent`` that holds the message and builds no payload dict:
 ``trace_lines`` splices its line from the message, and its ``payload`` is
 built only when read.
@@ -314,31 +314,40 @@ class RunResult:
 # Agreement probe
 # ---------------------------------------------------------------------------
 
+def count_servers(values: dict, listed: Sequence[int], shared_value: object,
+                  n: int) -> dict:
+    """Value -> number of the servers 0..n-1 that hold or send it.
+
+    ``listed`` are the ids, in order, outside the shared block; each counts
+    its value in ``values``, if it has one.  The other n - len(listed) count
+    ``shared_value`` once, at the lowest of their ids: a ``Counter`` over all
+    n in id order, down to which of equal values (1, True, 1.0) is the key.
+    """
+    counts: dict = {}
+    shared = n - len(listed)
+    for k, sid in enumerate(listed):
+        if shared and sid != k:     # ids 0..k-1 are listed: k is the lowest shared
+            counts[shared_value] = counts.get(shared_value, 0) + shared
+            shared = 0
+        if sid in values:
+            counts[values[sid]] = counts.get(values[sid], 0) + 1
+    if shared:
+        counts[shared_value] = counts.get(shared_value, 0) + shared
+    return counts
+
+
 def probe_agreement(values: dict, faulty: frozenset,
                     shared_value: object, n: int) -> tuple[object, int]:
     """Modal value among non-faulty servers and its support.
 
     Each of the servers 0..n-1 that ``values`` leaves out holds
-    ``shared_value``.  Values count as a ``Counter`` over server-id order
-    counts them, so equal values of different types (1, True, 1.0) are one
-    value, shown as the one of the lowest server id.  In admissible runs the
-    support must reach n - f at the end of every round; the caller records a
-    violation otherwise.
+    ``shared_value``.  In admissible runs the support must reach n - f at the
+    end of every round; the caller records a violation otherwise.
     """
-    counts: dict = {}
-    shared = n - len(values)        # the servers holding shared_value
-    for k, sid in enumerate(sorted(values)):
-        if shared and sid != k:     # ids 0..k-1 are own: k is the lowest shared
-            counts[shared_value] = counts.get(shared_value, 0) + shared
-            shared = 0
-        if sid not in faulty:
-            counts[values[sid]] = counts.get(values[sid], 0) + 1
-    if shared:
-        counts[shared_value] = counts.get(shared_value, 0) + shared
-    if not counts:
-        return BOTTOM, 0
-    best = min(counts.items(), key=lambda kv: (-kv[1], value_key(kv[0])))
-    return best[0], best[1]
+    counts = count_servers({i: v for i, v in values.items() if i not in faulty},
+                           sorted(values), shared_value, n)
+    return min(counts.items(), key=lambda kv: (-kv[1], value_key(kv[0])),
+               default=(BOTTOM, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +473,8 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         # lists them first, in client order
         client_out = [(rec.client, Write(rec.argument) if rec.kind == "write" else Read())
                       for rec in invoked if rec.client not in crashed]
-        # shared_out stands for the messages of every server not in own_out
-        shared_out = server_send(shared, readers, False)
+        # the servers outside own_out send server_send(shared, readers, False),
+        # an Echo of shared and a Reply of it to each reader
         own_out: dict[int, tuple] = {}
         for i in sorted(own.keys() | byzantine):
             if i in byzantine:
@@ -485,19 +494,15 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             else:
                 own_out[i] = server_send(read(i), readers, False)
 
-        def server_messages(ids):
-            """(sender, dest, msg) of the given servers, in their order."""
-            for i in ids:
-                for dest, msg in own_out.get(i, shared_out):
-                    yield i, dest, msg
-
         if record_messages:
+            shared_out = server_send(shared, readers, False)
             for c, msg in client_out:
                 events.append(MessageEvent(r, "send", "send", client_names[c],
                                            "dest", SERVERS, c, msg))
-            for i, dest, msg in server_messages(range(n)):
-                events.append(MessageEvent(r, "send", "send", server_names[i],
-                                           "dest", dest, i, msg))
+            for i in range(n):
+                for dest, msg in own_out.get(i, shared_out):
+                    events.append(MessageEvent(r, "send", "send", server_names[i],
+                                               "dest", dest, i, msg))
 
         # --- in-send movement (moves_in_send models) ---------------------------
         post_occupied = occ.post_send
@@ -507,47 +512,44 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
 
         # --- receive phase --------------------------------------------------
-        # Inboxes list senders in id order, clients before servers.  The one
-        # server inbox is tallied once: the client and own messages through
-        # server_receive, the shared senders' echo added in id order.  Only
-        # servers send to clients, and a destination reaches a client only if
-        # it is an int: True equals 1 but names no client.
-        client_inbox: dict[int, list] = {c: [] for c in range(n_clients)
-                                         if c not in crashed}
-        shared_echo = next((msg for dest, msg in shared_out
-                            if dest == SERVERS and isinstance(msg, Echo)), None)
-        shared_to_clients = any(dest != SERVERS for dest, _ in shared_out)
-        tally = server_receive(Tally(), client_out + [
-            (i, msg) for i, dest, msg in server_messages(sorted(own_out))
-            if dest == SERVERS])
-        if shared_echo is not None and len(own_out) < n:
-            echo_vals = dict.fromkeys(range(n), shared_echo.value)
-            for i in own_out:
-                if i in tally.echo_vals:
-                    echo_vals[i] = tally.echo_vals[i]
-                else:
-                    del echo_vals[i]
-            tally = Tally(echo_vals, tally.current_writes, tally.current_reads)
-        for i, dest, msg in server_messages(range(n) if shared_to_clients
-                                            else sorted(own_out)):
-            if type(dest) is int and dest in client_inbox:
-                client_inbox[dest].append((i, msg))
+        # Inboxes list senders in id order, clients before servers.  A reader
+        # counts a server's first Reply to it.  Only servers send to clients,
+        # and a destination reaches a client only if it is an int: True
+        # equals 1 but names no client.
+        listed = sorted(own_out)
+        server_inbox = list(client_out)
+        replies: dict[int, dict] = {c: {} for c in readers}  # reader -> sender -> value
+        for i in listed:
+            for dest, msg in own_out[i]:
+                if dest == SERVERS:
+                    server_inbox.append((i, msg))
+                elif type(dest) is int and dest in replies and isinstance(msg, Reply):
+                    replies[dest].setdefault(i, msg.value)
+        tally = server_receive(Tally(), server_inbox)
+        echo_counts = count_servers(tally.echo_vals, listed, shared, n)
+        reply_counts = {c: count_servers(got, listed, shared, n)
+                        for c, got in replies.items()}
         if record_messages:
             # every server gets the same inbox
             for sid, msg in client_out:
                 events.append(MessageEvent(r, "receive", "deliver", SERVERS,
                                            "from", sid, sid, msg))
-            for i, dest, msg in server_messages(range(n)):
-                if dest == SERVERS:
-                    events.append(MessageEvent(r, "receive", "deliver", SERVERS,
-                                               "from", i, i, msg))
+            client_inbox: dict[int, list] = {c: [] for c in range(n_clients)
+                                             if c not in crashed}
+            for i in range(n):
+                for dest, msg in own_out.get(i, shared_out):
+                    if dest == SERVERS:
+                        events.append(MessageEvent(r, "receive", "deliver", SERVERS,
+                                                   "from", i, i, msg))
+                    elif type(dest) is int and dest in client_inbox:
+                        client_inbox[dest].append((i, msg))
             for c, inbox in client_inbox.items():
                 for sid, msg in inbox:
                     events.append(MessageEvent(r, "receive", "deliver", client_names[c],
                                                "from", sid, sid, msg))
 
         # --- compute phase ---------------------------------------------------
-        note = server_compute(tally, s_threshold)
+        note = server_compute(tally.current_writes, echo_counts, s_threshold)
         readers = tally.current_reads
         if note.tied_values:
             for i in range(n):
@@ -559,8 +561,8 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             shared = note.value
             own.clear()
         own.update(dict.fromkeys(post_occupied, _Unread("corrupt-compute", r)))
-        # a write is confirmed in its round; a read is decided from the inbox
-        # of its reply round, the round after its request, and no other
+        # a write is confirmed in its round; a read is decided from the
+        # replies of its reply round, the round after its request, and no other
         for c in sorted(pending_op):
             rec = pending_op[c]
             if rec.kind == "read" and rec.invoke_round == r:
@@ -572,7 +574,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                 trace(r, "compute", "op_response", f"c{c}",
                       {"op_id": rec.op_id, "kind": "write"})
                 continue
-            response = client_compute(client_inbox[c], s_threshold)
+            response = client_compute(reply_counts[c], s_threshold)
             if isinstance(response, ReadOk):
                 rec.response_round = r
                 rec.result = response.value

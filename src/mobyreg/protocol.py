@@ -4,10 +4,12 @@ A server keeps only its register value from one round to the next: the
 readers it answers and whether it knows it is cured are the round's data,
 and a round's echoes and requests are collected in a ``Tally``.  A client
 keeps nothing: a write is confirmed in the round it is broadcast, and a read
-is decided by ``client_compute`` from the inbox of its reply round, the round
-after its request.  Nothing here performs I/O or mutates its arguments, so
-identical inputs always yield identical outputs.  The simulation engine owns
-timing, delivery, and fault injection.
+is decided by ``client_compute`` from the replies of its reply round, the
+round after its request.  Both decisions take value counts, the number of
+distinct senders of each value, and select with ``qualifying``.  Nothing
+here performs I/O or mutates its arguments, so identical inputs always yield
+identical outputs.  The simulation engine owns timing, delivery, and fault
+injection.
 
 Wire values are opaque, hashable payloads.  ``BOTTOM`` (``None``) is the
 register's default content and is representable on the wire like any other
@@ -16,7 +18,6 @@ value, but may never be written by a client.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence, Union
@@ -133,25 +134,27 @@ class ComputeNote:
     tied_values: tuple = ()             # >1 entries only in inadmissible runs
 
 
-def server_compute(tally: Tally, s_threshold: int) -> ComputeNote:
+def qualifying(counts: Mapping, s_threshold: int) -> list:
+    """The values ``counts`` gives at least ``s_threshold`` senders, by ``value_key``."""
+    return sorted((v for v, c in counts.items() if c >= s_threshold), key=value_key)
+
+
+def server_compute(writes: Mapping, echo_counts: Mapping, s_threshold: int) -> ComputeNote:
     """Adopt this round's written value, else a sufficiently echoed one.
 
+    ``writes`` maps client ids to the values they write this round, and
+    ``echo_counts`` each echoed value to its number of distinct senders.
     With concurrent writes the value paired with the highest client id wins,
     so every server picks the same one.  Among echoes, a value needs at least
-    ``s_threshold`` distinct senders; a tie (impossible in admissible
-    configurations) is broken toward the smallest value and reported.  A
-    server then holds ``note.value`` if adopted, else keeps its value, and
-    answers the tally's ``current_reads`` in the next send.
+    ``s_threshold`` senders; a tie (impossible in admissible configurations)
+    is broken toward the smallest value and reported.
     """
-    if tally.current_writes:
-        top_client = max(tally.current_writes)
-        return ComputeNote(adopted=True, value=tally.current_writes[top_client])
-    counts = Counter(tally.echo_vals.values())
-    qualifying = sorted((v for v, c in counts.items() if c >= s_threshold),
-                        key=value_key)
-    if qualifying:
-        return ComputeNote(adopted=True, value=qualifying[0],
-                           tied_values=tuple(qualifying) if len(qualifying) > 1 else ())
+    if writes:
+        return ComputeNote(adopted=True, value=writes[max(writes)])
+    chosen = qualifying(echo_counts, s_threshold)
+    if chosen:
+        return ComputeNote(adopted=True, value=chosen[0],
+                           tied_values=tuple(chosen) if len(chosen) > 1 else ())
     return ComputeNote()
 
 
@@ -176,22 +179,14 @@ class ReadFailed:
     qualifying: tuple    # values at/above threshold (0 or >=2 of them)
 
 
-def client_compute(inbox: Sequence[tuple[int, Message]],
-                   s_threshold: int) -> Union[ReadOk, ReadFailed]:
-    """Decide a read from the inbox of its reply round.
+def client_compute(reply_counts: Mapping, s_threshold: int) -> Union[ReadOk, ReadFailed]:
+    """Decide a read from the replies of its reply round.
 
-    ``inbox`` holds (authenticated sender id, message) pairs; the first
-    ``Reply`` of each sender counts and other messages are ignored.  The read
-    returns the one value with at least ``s_threshold`` senders.
+    ``reply_counts`` maps each replied value to its number of distinct
+    senders.  The read returns the one value with at least ``s_threshold``.
     """
-    replies: dict = {}
-    for sender, msg in inbox:
-        if isinstance(msg, Reply):
-            replies.setdefault(sender, msg.value)
-    counts = Counter(replies.values())
-    qualifying = sorted((v for v, c in counts.items() if c >= s_threshold),
-                        key=value_key)
-    if len(qualifying) == 1:
-        return ReadOk(qualifying[0])
-    ranked = tuple(sorted(counts.items(), key=lambda kv: (-kv[1], value_key(kv[0]))))
-    return ReadFailed(counts=ranked, qualifying=tuple(qualifying))
+    chosen = qualifying(reply_counts, s_threshold)
+    if len(chosen) == 1:
+        return ReadOk(chosen[0])
+    ranked = tuple(sorted(reply_counts.items(), key=lambda kv: (-kv[1], value_key(kv[0]))))
+    return ReadFailed(counts=ranked, qualifying=tuple(chosen))

@@ -458,7 +458,8 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
             clients[c] = _client_receive(clients[c], inbox, r)
 
         # --- compute phase ---------------------------------------------------
-        note = server_compute(tally, s_threshold)
+        note = server_compute(tally.current_writes,
+                              Counter(tally.echo_vals.values()), s_threshold)
         for i in range(n):
             if note.adopted:
                 values[i] = note.value

@@ -48,7 +48,8 @@ def test_run_rejects_inadmissible_config(tmp_path):
 def test_run_exits_one_when_a_property_fails(tmp_path, monkeypatch):
     # servers that adopt nothing keep every passing agent's corruption, so the
     # agreement probe fails from round 2 on, and so does termination
-    monkeypatch.setattr("mobyreg.engine.server_compute", lambda tally, s: ComputeNote())
+    monkeypatch.setattr("mobyreg.engine.server_compute",
+                        lambda writes, echo_counts, s: ComputeNote())
     result = invoke("run", "--model", "garay", "--n", "7", "--f", "2",
                     "--rounds", "30", "--seed", "0", "--out-dir", str(tmp_path))
     assert result.exit_code == 1, result.output
@@ -311,6 +312,8 @@ def test_tightness_report_in_missing_directories_is_created(tmp_path):
      "cannot write report"),
     (["tightness", "--model", "garay", "--f", "1", "--report-out", "file/r.json"],
      "cannot write report"),
+    (["run", "--workload", "."], "cannot read YAML file"),
+    (["run", "--config", "."], "cannot read YAML file"),
 ])
 def test_unreadable_or_unwritable_path_is_config_error(tmp_path, monkeypatch,
                                                        args, fragment):

@@ -14,7 +14,7 @@ from mobyreg.checker import check_all, history_from_records
 from mobyreg.engine import (Directive, RandomWorkload, RunResult, TraceEvent,
                             probe_agreement, run, tightness_demo, validate_directives)
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
-from mobyreg.protocol import BOTTOM, SERVERS, Reply
+from mobyreg.protocol import BOTTOM, SERVERS, ComputeNote, Echo, Reply, Tally
 from oracles import mt_rng_stream, per_server_run, trace_line
 
 
@@ -109,6 +109,33 @@ def test_a_reply_addressed_to_true_reaches_no_client():
         assert not [ev for ev in res.trace if ev.kind == "deliver" and ev.actor == "c1"
                     and ev.payload["msg"].get("value") == "stray"]
         assert res.history[0].result is BOTTOM
+
+
+class RepeatsItself(Stationary):
+    """Echoes "x" then "v"; sends each reader an Echo of "e", then replies
+    "x" and "v"."""
+
+    def byzantine_outgoing(self, config, round_no, server, readers, rng):
+        to_readers = tuple(m for c in sorted(readers)
+                           for m in ((c, Echo("e")), (c, Reply("x")), (c, Reply("v"))))
+        return ((SERVERS, Echo("x")), (SERVERS, Echo("v"))) + to_readers
+
+
+def test_run_counts_a_senders_first_echo_and_reply():
+    # garay n=3, f=1, s=1: server 0 is Byzantine.  Its first echo, "x",
+    # ties with the honest "v" in the rounds without a write (3 diagnostics
+    # each); its first reply, "x", makes the read fail.  Counting its last
+    # messages, "v" would have 3 echoes and replies and no tie; counting the
+    # Echo sent to the reader, "e" would take the place of "x".
+    args = (make_config("garay", 3, 1), RepeatsItself(),
+            [Directive(1, 0, "write", "v"), Directive(2, 1, "read")])
+    kwargs = dict(rounds=3, seed=0, n_clients=2, allow_inadmissible=True,
+                  record_messages=True)
+    res = run(*args, **kwargs)
+    assert [f["reply_counts"] for f in res.protocol_failures] == [[["v", 2], ["x", 1]]]
+    ties = [ev for ev in res.trace if ev.kind == "state_transition"]
+    assert [ev.round for ev in ties] == [2] * 3 + [3] * 3
+    assert run_digest(res) == run_digest(per_server_run(*args, **kwargs))
 
 
 def test_inadmissible_config_needs_explicit_override():
@@ -242,6 +269,16 @@ def test_probe_flags_nothing_when_inadmissible():
     res = run(cfg, strat, [Directive(1, 0, "write", "good")], rounds=4, seed=0,
               allow_inadmissible=True)
     assert res.violations == []  # violations are only meaningful when admissible
+
+
+def test_probe_flags_support_one_below_the_floor(monkeypatch):
+    # servers that adopt nothing keep the agents' tokens: round 1 ends with
+    # two held servers and 5 = n - f agreeing, round 2 with one cured server
+    # apart from them and 4; only round 2 is flagged
+    monkeypatch.setattr(mobyreg.engine, "server_compute", lambda *a: ComputeNote())
+    res = run(m1_config(), Scripted({1: {0, 1}, 2: {1, 2}}), [], rounds=2, seed=0)
+    assert [p["support"] for p in res.probes] == [5, 4]
+    assert [(v["round"], v["required"]) for v in res.violations] == [(2, 5)]
 
 
 # ----------------------------------------------------------- latency -------
@@ -541,8 +578,8 @@ WIRE_VALUES = st.integers(0, 4).map(
 
 
 @st.composite
-def engine_inputs(draw):
-    model = draw(st.sampled_from(list(ModelId)))
+def engine_inputs(draw, models=tuple(ModelId)):
+    model = draw(st.sampled_from(models))
     f = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(
         ["none", "stationary", "sweep", "random", "scripted", "silent"]))
@@ -666,3 +703,47 @@ def test_generated_inputs_reach_rounds_without_adoption(monkeypatch):
     assert isinstance(strategy, SilentAgents) and not config.admissible
     assert run_digest(run(config, strategy, workload, **kwargs)) == \
         run_digest(per_server_run(config, strategy, workload, **kwargs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(engine_inputs(models=(ModelId.BONNET, ModelId.BUHRMAN)))
+def test_bonnet_and_buhrman_rounds_always_adopt(inputs):
+    # Every round adopts, by induction: if the last one did, own holds at
+    # most the f servers the agents then held.  In bonnet (no cure oracle,
+    # so nothing is silent but a Byzantine host) own and this round's
+    # Byzantine servers are at most 2f, so at least n - 2f = s servers echo
+    # the shared value, and with s <= 0 any one of the n - f >= 1 servers no
+    # agent holds echoes a value that qualifies.  In buhrman the agents move
+    # only during the send, so own is within this round's Byzantine servers
+    # and the other n - f = s echo the shared value.
+    notes = []
+    compute = mobyreg.engine.server_compute
+    config, strategy, workload, kwargs = inputs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mobyreg.engine, "server_compute",
+                   lambda *a: (notes.append(compute(*a)), notes[-1])[1])
+        run(config, strategy, workload, **kwargs)
+    assert len(notes) == kwargs["rounds"] and all(note.adopted for note in notes)
+
+
+def _entries(arg):
+    """How many entries a protocol argument holds; a tally sums its fields'."""
+    if isinstance(arg, Tally):
+        return sum(len(part) for part in arg)
+    return len(arg) if isinstance(arg, (dict, list, tuple)) else 0
+
+
+def test_protocol_inputs_do_not_grow_with_n(monkeypatch):
+    # the shared servers count once, so the counts the protocol decides on
+    # have as many entries at n = 901 as at n = 9
+    sizes = {}
+    for name in ("server_compute", "client_compute"):
+        phase = getattr(mobyreg.engine, name)
+        monkeypatch.setattr(mobyreg.engine, name, lambda *a, phase=phase: (
+            sizes[n].append(sum(map(_entries, a))), phase(*a))[1])
+    for n in (9, 901):
+        sizes[n] = []
+        res = run(make_config("sasaki", n, 2), Sweep(), RandomWorkload(0.5, 0.5),
+                  rounds=12, seed=3, n_clients=3)
+        assert any(op.kind == "read" and not op.failed for op in res.history)
+    assert len(sizes[9]) > 12 and sizes[9] == sizes[901]

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -55,31 +56,29 @@ def test_receive_ignores_replies():
 
 
 def test_compute_write_takes_highest_client_id():
-    note = server_compute(Tally(current_writes={7: 9, 2: 4}), s_threshold=3)
+    note = server_compute({7: 9, 2: 4}, {}, s_threshold=3)
     assert note.value == 9 and note.adopted
 
 
 def test_compute_write_selection_is_order_insensitive():
     entries = [(7, 9), (2, 4), (5, 1)]
     for perm in itertools.permutations(entries):
-        assert server_compute(Tally(current_writes=dict(perm)), s_threshold=3).value == 9
+        assert server_compute(dict(perm), {}, s_threshold=3).value == 9
 
 
 def test_compute_echo_threshold():
-    echo_vals = {i: 3 for i in range(5)}
-    note = server_compute(Tally(echo_vals=echo_vals), s_threshold=5)
+    # five servers echo 3
+    note = server_compute({}, {3: 5}, s_threshold=5)
     assert note.value == 3 and note.adopted
 
 
 def test_compute_below_threshold_keeps_value():
-    echo_vals = {i: 3 for i in range(4)}
-    # adopting nothing, the server keeps its value
-    assert server_compute(Tally(echo_vals=echo_vals), s_threshold=5) == ComputeNote()
+    # four servers echo 3; adopting nothing, the server keeps its value
+    assert server_compute({}, {3: 4}, s_threshold=5) == ComputeNote()
 
 
 def test_compute_tie_breaks_to_smallest_and_reports():
-    echo_vals = {0: "b", 1: "b", 2: "a", 3: "a"}
-    note = server_compute(Tally(echo_vals=echo_vals), s_threshold=2)
+    note = server_compute({}, {"b": 2, "a": 2}, s_threshold=2)
     assert note.value == "a" and note.adopted
     assert set(note.tied_values) == {"a", "b"}
 
@@ -87,43 +86,44 @@ def test_compute_tie_breaks_to_smallest_and_reports():
 # ----------------------------------------------------------------- client ---
 
 def test_compute_read_returns_threshold_value():
-    inbox = [(i, Reply(7)) for i in range(5)]
-    assert client_compute(inbox, s_threshold=5) == ReadOk(7)
+    # five servers reply 7
+    assert client_compute({7: 5}, s_threshold=5) == ReadOk(7)
 
 
 def test_client_compute_counts_the_first_reply_of_each_sender():
-    # server 1's second reply does not count: "v" has 2 senders, not 3
-    inbox = [(1, Reply("v")), (2, Reply("v")), (1, Reply("v")), (3, Reply("w"))]
-    assert client_compute(inbox, s_threshold=3) == ReadFailed(
+    # the counts of the replies (1, "v"), (2, "v"), (1, "v"), (3, "w"): the
+    # engine counts a sender's first Reply only, so "v" has 2 senders, not 3
+    # (test_engine.py::test_run_counts_a_senders_first_echo_and_reply)
+    counts = {"v": 2, "w": 1}
+    assert client_compute(counts, s_threshold=3) == ReadFailed(
         counts=(("v", 2), ("w", 1)), qualifying=())
-    assert client_compute(inbox, s_threshold=2) == ReadOk("v")
-    # nor does a later reply of another value
-    inbox = [(1, Reply("v")), (2, Reply("v")), (1, Reply("w")), (2, Reply("w"))]
-    assert client_compute(inbox, s_threshold=2) == ReadOk("v")
+    assert client_compute(counts, s_threshold=2) == ReadOk("v")
+    # nor does a later reply of another value: (1, "v"), (2, "v"), (1, "w"),
+    # (2, "w") count as {"v": 2}
+    assert client_compute({"v": 2}, s_threshold=2) == ReadOk("v")
 
 
 def test_client_compute_ignores_other_messages():
-    inbox = [(0, Echo("x")), (1, Echo("x")), (2, Write("x")), (3, Read()),
-             (4, Reply("v"))]
-    assert client_compute(inbox, s_threshold=1) == ReadOk("v")
-    assert client_compute([(0, Echo("x"))], s_threshold=1) == ReadFailed((), ())
+    # the counts of an inbox with one Reply among echoes, a write and a read:
+    # the engine counts Reply messages only (test_engine.py::
+    # test_run_counts_a_senders_first_echo_and_reply sends a reader an Echo)
+    assert client_compute({"v": 1}, s_threshold=1) == ReadOk("v")
+    assert client_compute({}, s_threshold=1) == ReadFailed((), ())
 
 
 def test_compute_read_split_support_is_protocol_failure():
     # 4 servers say 7 and 4 say 9 against threshold 5: no value qualifies.
     # (This is the reply multiset the boundary adversary produces; here the
     # counts are verified directly.)
-    inbox = [(i, Reply(7)) for i in range(4)] + [(i, Reply(9)) for i in range(4, 8)]
-    resp = client_compute(inbox, s_threshold=5)
+    resp = client_compute({7: 4, 9: 4}, s_threshold=5)
     assert isinstance(resp, ReadFailed)
     assert resp.qualifying == ()
     assert resp.counts == ((7, 4), (9, 4))
 
 
 def test_compute_read_two_qualifying_is_protocol_failure():
-    inbox = [(0, Reply("b")), (1, Reply("a")), (2, Reply("b")), (3, Reply("a")),
-             (4, Reply("c"))]
-    resp = client_compute(inbox, s_threshold=2)
+    # servers 0 to 4 reply "b", "a", "b", "a", "c"
+    resp = client_compute({"b": 2, "a": 2, "c": 1}, s_threshold=2)
     assert resp == ReadFailed(counts=(("a", 2), ("b", 2), ("c", 1)),
                               qualifying=("a", "b"))
 
@@ -170,9 +170,10 @@ def test_phase_functions_are_deterministic():
     assert server_receive(tally, inbox) == server_receive(tally, inbox)
     readers = frozenset({9})
     assert server_send("u", readers, False) == server_send("u", readers, False)
-    assert server_compute(server_receive(tally, inbox), 1) == \
-        server_compute(server_receive(tally, inbox), 1)
-    replies = [(1, Reply("v")), (2, Reply("w")), (1, Echo("w"))]
+    received = server_receive(tally, inbox)
+    writes, echoes = received.current_writes, Counter(received.echo_vals.values())
+    assert server_compute(writes, echoes, 1) == server_compute(writes, echoes, 1)
+    replies = {"v": 1, "w": 1}  # of (1, "v"), (2, "w") and an Echo of "w"
     assert client_compute(replies, 1) == client_compute(replies, 1)
 
 
@@ -203,4 +204,5 @@ def test_receive_is_inbox_order_insensitive(rnd):
     base = server_receive(Tally(), inbox)
     other = server_receive(Tally(), shuffled)
     assert base == other
-    assert server_compute(base, 3) == server_compute(other, 3)
+    assert server_compute(base.current_writes, Counter(base.echo_vals.values()), 3) == \
+        server_compute(other.current_writes, Counter(other.echo_vals.values()), 3)
