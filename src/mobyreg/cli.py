@@ -121,22 +121,31 @@ def _load_workload(workload_spec):
     return directives
 
 
-def _write_file(path, text, what):
-    """Write ``text`` to ``path``, creating missing parent directories."""
+def _write_file(path, write, what):
+    """Open ``path`` for text, creating missing parents, and call ``write`` on it.
+
+    An ``OSError`` at the open, at any write or at the flush on close is a
+    configuration error naming ``what``.
+    """
     path = pathlib.Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with open(path, "w") as out:
+            write(out)
     except OSError as exc:
         raise ConfigError(f"cannot write {what}: {exc}") from None
 
 
+def _text(text):
+    """A writer for ``_write_file`` that writes ``text``."""
+    return lambda out: out.write(text)
+
+
 def _write_artifacts(result: RunResult, verdicts, out_dir, trace_out, report_out):
     out = pathlib.Path(out_dir)
-    _write_file(trace_out or out / "trace.jsonl", result.trace_lines(), "artifacts")
-    _write_file(out / "history.jsonl",
-                "".join(_HISTORY_ENCODE(rec.as_dict()) + "\n" for rec in result.history),
-                "artifacts")
+    _write_file(trace_out or out / "trace.jsonl", result.trace_lines, "artifacts")
+    _write_file(out / "history.jsonl", lambda fh: fh.writelines(
+        _HISTORY_ENCODE(rec.as_dict()) + "\n" for rec in result.history), "artifacts")
     probe_report = {
         "rounds": result.rounds,
         "seed": result.seed,
@@ -147,12 +156,13 @@ def _write_artifacts(result: RunResult, verdicts, out_dir, trace_out, report_out
     }
     # compact: with an indent, json falls back to its pure-Python encoder
     _write_file(out / "probe_report.json",
-                json.dumps(probe_report, sort_keys=True, default=str) + "\n", "artifacts")
+                _text(json.dumps(probe_report, sort_keys=True, default=str) + "\n"),
+                "artifacts")
     if verdicts is not None:
-        _write_file(report_out or out / "verdicts.json", json.dumps(
+        _write_file(report_out or out / "verdicts.json", _text(json.dumps(
             {name: {"passed": v.passed, "witness": v.witness}
              for name, v in verdicts.items()},
-            indent=2, sort_keys=True, default=str) + "\n", "artifacts")
+            indent=2, sort_keys=True, default=str) + "\n"), "artifacts")
 
 
 def _run_one(config, strategy, workload, *, rounds, seed, clients,
@@ -250,7 +260,7 @@ def cmd_tightness(model, f, seed, report_out):
     report = tightness_demo(ModelId.parse(model), f, seed=seed)
     if report_out:
         _write_file(report_out,
-                    json.dumps(report, indent=2, sort_keys=True, default=str) + "\n",
+                    _text(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"),
                     "report")
     click.echo(f"model {report['model']}: n={report['n']} f={report['f']} "
                f"(boundary, threshold {report['threshold']})")
@@ -316,7 +326,7 @@ def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
         lines.append("\t".join(str(row[h]) for h in header))
     table = "\n".join(lines) + "\n"
     if out_path:
-        _write_file(out_path, table, "table")
+        _write_file(out_path, _text(table), "table")
     click.echo(table, nl=False)
     sys.exit(EXIT_OK if all(r["pass"] for r in rows) else EXIT_VIOLATION)
 

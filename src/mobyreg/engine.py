@@ -35,7 +35,9 @@ delivery is one ``deliver`` event in memory, with actor ``servers``;
 line for each server and delivery.  A send or delivery is a
 ``MessageEvent`` that holds the message and builds no payload dict:
 ``trace_lines`` splices its line from the message, and its ``payload`` is
-built only when read.
+built only when read.  ``trace_lines`` writes to a stream a round at a time,
+one write per round, so the most trace text held at once is one round's; the
+bytes are those of the whole trace rendered in one piece.
 
 An agent corrupts the server it leaves during the send and each server it
 holds when the compute phase ends; the one it holds when the send starts
@@ -231,15 +233,19 @@ class RunResult:
     protocol_failures: list = field(default_factory=list)
     crashed_clients: frozenset = frozenset()
 
-    def trace_lines(self) -> str:
-        """The trace as JSON lines: each event's five fields, keys sorted, compact.
+    def trace_lines(self, out) -> None:
+        """Write the trace to the text stream ``out`` as JSON lines, a round at a time.
 
+        Each line is an event's five fields, keys sorted, compact.  A round's
+        lines are rendered, joined and written with one ``out.write``, each
+        ending in a newline, so the most trace text held at once is one
+        round's; the bytes are those of the whole trace rendered in one piece.
         Sorted, the keys come as actor, kind, payload, phase, round, so a line
         is spliced from a cached head, the encoded payload and a cached tail.
         A ``MessageEvent``'s payload is spliced too, as ``json`` would write
         its ``payload`` dict: ``{"<key>":<party>,"msg":{"<role>":<sender>``
         and the rest of the message, which is encoded once per message object
-        in a call (cache keyed by ``id``; every event holds its message for
+        in a round (cache keyed by ``id``; every event holds its message for
         the call).  A party that is not a plain ``int`` goes through the
         encoder.  A broadcast's delivery is one event in memory, with actor
         ``servers``, and one line per server on disk: a run of such events of
@@ -250,7 +256,7 @@ class RunResult:
         heads: dict = {}
         tails: dict = {}
         bodies: dict = {}  # id(msg) -> (text before the sender, text after it)
-        lines = []
+        lines = []        # the current round's lines
         block = []        # payload + tail of each delivery in the current run
         block_tail = None
         round_no = None
@@ -268,11 +274,21 @@ class RunResult:
                 lines.append(server_head + ("\n" + server_head).join(block))
             block.clear()
 
+        def end_round():
+            if block:
+                flush()
+            lines.append("")  # the last line's newline, without copying the text
+            out.write("\n".join(lines))
+            lines.clear()
+
         for ev in self.trace:
             if ev.round != round_no:
+                if round_no is not None:
+                    end_round()
                 round_no = ev.round
                 round_text = _ENCODE(round_no)
                 tails.clear()
+                bodies.clear()  # messages are built per round
             tail = tails.get(ev.phase)
             if tail is None:
                 tail = tails[ev.phase] = (
@@ -298,10 +314,8 @@ class RunResult:
             if block:
                 flush()
             lines.append(head(ev.actor, ev.kind) + payload + tail)
-        if block:
-            flush()
-        lines.append("")  # the last line's newline, without copying the text
-        return "\n".join(lines)
+        if round_no is not None:
+            end_round()
 
     @property
     def min_support(self) -> Optional[int]:

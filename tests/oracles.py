@@ -7,7 +7,7 @@ write against every read.  Both assume unique written values.
 ``brute_force_linearizable`` enumerates every precedence-respecting total
 order of a small history.
 ``trace_line`` encodes one trace event on its own, the reference for
-``RunResult.trace_lines``.
+``RunResult.trace_lines``; ``trace_text`` is what that writes, as a string.
 ``per_server_run`` is the round loop that ``mobyreg.engine.run`` replaced:
 a value, pending reads and a cure flag kept for each server, every protocol
 phase called for each of them, the agreement probe counted server by server,
@@ -25,6 +25,7 @@ checked byte for byte.
 """
 
 import hashlib
+import io
 import itertools
 import json
 import random
@@ -206,6 +207,13 @@ def trace_line(ev):
         {"round": ev.round, "phase": ev.phase, "kind": ev.kind,
          "actor": ev.actor, "payload": ev.payload},
         sort_keys=True, separators=(",", ":"), default=str)
+
+
+def trace_text(result):
+    """The text ``result.trace_lines`` writes, rendered into an ``io.StringIO``."""
+    out = io.StringIO()
+    result.trace_lines(out)
+    return out.getvalue()
 
 
 def mt_rng_stream(seed, *key):

@@ -15,7 +15,7 @@ from mobyreg.checker import check_all, check_ordering, history_from_records
 from mobyreg.engine import RandomWorkload, run, tightness_demo
 from mobyreg.model import ModelId, lookup, make_config
 from mobyreg.protocol import Echo, Tally, Write, server_receive
-from oracles import brute_force_linearizable
+from oracles import brute_force_linearizable, trace_text
 
 MODELS = [ModelId.GARAY, ModelId.BONNET, ModelId.SASAKI, ModelId.BUHRMAN]
 F_VALUES = [1, 2, 3]
@@ -116,7 +116,7 @@ def test_acceptance_6_runs_are_deterministic_and_order_insensitive(capsys):
     kwargs = dict(rounds=120, seed=77, n_clients=3, record_messages=True)
     first = run(config, RandomWalk(), RandomWorkload(), **kwargs)
     second = run(config, RandomWalk(), RandomWorkload(), **kwargs)
-    identical = first.trace_lines() == second.trace_lines()
+    identical = trace_text(first) == trace_text(second)
 
     rng = random.Random(6)
     stable = True

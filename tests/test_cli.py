@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 import yaml
@@ -6,8 +7,12 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mobyreg.adversary import make_strategy
 from mobyreg.cli import main
+from mobyreg.engine import RandomWorkload, run
+from mobyreg.model import make_config
 from mobyreg.protocol import ComputeNote
+from oracles import trace_text
 
 
 def invoke(*args):
@@ -293,6 +298,30 @@ def test_run_unwritable_artifact_path_is_config_error(tmp_path, option, target):
     if option != "--out-dir":
         args += ["--out-dir", str(tmp_path / "out")]
     result = invoke(*args)
+    assert_config_error(result, "cannot write artifacts")
+
+
+@pytest.mark.parametrize("rounds", [12, 0])
+def test_run_trace_on_disk_is_the_rendered_trace(tmp_path, rounds):
+    result = invoke("run", "--model", "bonnet", "--n", "9", "--f", "2",
+                    "--rounds", str(rounds), "--seed", "3", "--clients", "4",
+                    "--workload", "random:0.5:0.8", "--trace-messages",
+                    "--out-dir", str(tmp_path))
+    assert result.exit_code == 0, result.output
+    res = run(make_config("bonnet", 9, 2), make_strategy("random"),
+              RandomWorkload(0.5, 0.8), rounds=rounds, seed=3, n_clients=4,
+              record_messages=True)
+    assert len({ev.round for ev in res.trace}) == rounds
+    assert (tmp_path / "trace.jsonl").read_bytes() == trace_text(res).encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [
+    ("--rounds", "1"),                         # fits the buffer: fails at the close
+    ("--rounds", "20", "--trace-messages"),    # a round's write fails
+])
+def test_run_failed_trace_write_is_config_error(tmp_path, args):
+    result = invoke("run", *args, "--trace-out", "/dev/full", "--out-dir", str(tmp_path))
     assert_config_error(result, "cannot write artifacts")
 
 

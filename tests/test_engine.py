@@ -1,6 +1,7 @@
 import datetime
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -15,7 +16,7 @@ from mobyreg.engine import (Directive, RandomWorkload, RunResult, TraceEvent,
                             probe_agreement, run, tightness_demo, validate_directives)
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
 from mobyreg.protocol import BOTTOM, SERVERS, ComputeNote, Echo, Reply, Tally
-from oracles import mt_rng_stream, per_server_run, trace_line
+from oracles import mt_rng_stream, per_server_run, trace_line, trace_text
 
 
 def m1_config(n=7, f=2):
@@ -48,7 +49,7 @@ def test_empty_workload_is_quiet():
 def test_zero_rounds():
     res = run(m1_config(), NoFaults(), [], rounds=0, seed=0)
     assert res.history == [] and res.probes == []
-    assert res.trace_lines() == ""
+    assert trace_text(res) == ""
 
 
 def test_read_before_any_write_returns_default():
@@ -212,7 +213,7 @@ def test_repeat_run_gives_byte_identical_trace():
     kwargs = dict(rounds=40, seed=11, n_clients=3, record_messages=True)
     a = run(m1_config(), RandomWalk(), wl, **kwargs)
     b = run(m1_config(), RandomWalk(), wl, **kwargs)
-    assert a.trace_lines() == b.trace_lines()
+    assert trace_text(a) == trace_text(b)
     assert [r.as_dict() for r in a.history] == [r.as_dict() for r in b.history]
 
 
@@ -356,7 +357,7 @@ def test_random_runs_satisfy_register_properties(model):
 
 def run_digest(res):
     """SHA-256 over a run's trace lines, history, probes and failures."""
-    h = hashlib.sha256(res.trace_lines().encode())
+    h = hashlib.sha256(trace_text(res).encode())
     for part in ([r.as_dict() for r in res.history], res.probes,
                  res.violations, res.protocol_failures):
         h.update(json.dumps(part, sort_keys=True, default=str).encode())
@@ -485,7 +486,7 @@ def test_trace_lines_match_the_per_event_encoding(name, phase, kind, monkeypatch
     monkeypatch.setitem(globals(), "run", per_server_run)  # what make() calls
     reference = make().trace
     assert not any(ev.actor == SERVERS for ev in reference)
-    text = res.trace_lines()
+    text = trace_text(res)
     assert text.endswith("\n")
     assert text.split("\n")[:-1] == [trace_line(ev) for ev in reference]
 
@@ -506,7 +507,7 @@ def test_trace_lines_encode_destinations_that_reach_no_client():
                    rounds=3, seed=0, n_clients=2, record_messages=True)
 
     res, reference = make(run), make(per_server_run)
-    lines = res.trace_lines().split("\n")[:-1]
+    lines = trace_text(res).split("\n")[:-1]
     assert lines == [trace_line(ev) for ev in reference.trace]
     for dest in ('99', 'true', '"elsewhere"', '"servers"'):
         assert any(f'"kind":"send","payload":{{"dest":{dest},' in line for line in lines)
@@ -524,9 +525,40 @@ def test_trace_lines_write_each_round_and_phase_of_deliveries_apart():
     res.trace = [TraceEvent(1, "receive", "deliver", SERVERS, echo[0]),
                  TraceEvent(2, "receive", "deliver", SERVERS, echo[1]),
                  TraceEvent(2, "compute", "deliver", SERVERS, echo[0])]
-    assert res.trace_lines().split("\n")[:-1] == [
+    assert trace_text(res).split("\n")[:-1] == [
         trace_line(TraceEvent(ev.round, ev.phase, ev.kind, f"s{i}", ev.payload))
         for ev in res.trace for i in range(4)]
+
+
+class CharCount:
+    """A text stream that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def trace_lines_peak(rounds):
+    """Peak bytes traced while a read-heavy run's trace is written, and its length."""
+    res = run(make_config("bonnet", 17, 4), RandomWalk(), RandomWorkload(0.5, 0.8),
+              rounds=rounds, seed=1, n_clients=12, record_messages=True)
+    sink = CharCount()
+    tracemalloc.start()
+    try:
+        res.trace_lines(sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, sink.chars
+
+
+def test_trace_lines_hold_one_round_of_text_at_a_time():
+    # the whole text rendered in one piece peaks at about twice its length
+    (peak_40, chars_40), (peak_100, chars_100) = map(trace_lines_peak, (40, 100))
+    assert peak_40 < chars_40 / 4 and peak_100 < chars_100 / 4
+    assert peak_100 < 1.5 * peak_40
 
 
 @pytest.mark.parametrize("name", [name for name in GOLDEN_RUNS
