@@ -62,9 +62,6 @@ class Verdict:
     passed: bool
     witness: list = field(default_factory=list)
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def precedes(a: Op, b: Op) -> bool:
     """Strict real-time precedence; incomplete operations precede nothing."""

@@ -199,16 +199,20 @@ def main():
 @click.option("--model", default=None, help="garay|bonnet|sasaki|buhrman (or m1..m4)")
 @click.option("--n", "n", type=int, default=None, help="server count")
 @click.option("--f", "f", type=int, default=None, help="fault budget per round")
-@click.option("--rounds", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--clients", type=int, default=None)
+@click.option("--rounds", type=int, default=None, help="rounds to simulate (default 100)")
+@click.option("--seed", type=int, default=None,
+              help="seed of the adversary's and the workload's draws (default 0)")
+@click.option("--clients", type=int, default=None, help="client count (default 3)")
 @click.option("--workload", default=None,
               help="'random[:rate[:ratio]]' or a directives file")
 @click.option("--adversary", default=None, help="none|stationary|sweep|random")
 @click.option("--allow-inadmissible", is_flag=True, default=False)
-@click.option("--trace-out", default=None)
-@click.option("--report-out", default=None)
-@click.option("--out-dir", default=".")
+@click.option("--trace-out", default=None,
+              help="trace path (default trace.jsonl in --out-dir)")
+@click.option("--report-out", default=None,
+              help="verdicts.json path (default in --out-dir); probe_report.json "
+                   "stays in --out-dir")
+@click.option("--out-dir", default=".", help="directory for the artifacts")
 @click.option("--check/--no-check", "do_check", default=True)
 @click.option("--trace-messages", is_flag=True, default=False,
               help="record per-message send/deliver events")

@@ -22,22 +22,24 @@ boundary a server outside ``own`` holds ``shared``, and ``own``'s keys are
 the unrestored servers, those an agent has held since the last adoption.  A
 send runs once per ``own`` or Byzantine server, and once for ``shared`` only
 to trace it; a round adopting a value makes it ``shared``, empties ``own``,
-and lets the agents corrupt their hosts again.  The shared servers count
-once, with their number, at the lowest shared id (``count_servers``): in the
-echo tally, in each read's replies and in the agreement probe.  A client's
-state is its running operation: a write is broadcast and confirmed in one
-round, and a read is decided from the replies of the round after its
-request.  So a round's work grows with f and the running operations, not
-with n; only ``--trace-messages`` events and the echo-tie diagnostic (n
-events, in inadmissible runs only) do.  For the same reason a broadcast's
-delivery is one ``deliver`` event in memory, with actor ``servers``;
-``trace_lines`` writes it once per server, so ``trace.jsonl`` still has a
-line for each server and delivery.  A send or delivery is a
-``MessageEvent`` that holds the message and builds no payload dict:
-``trace_lines`` splices its line from the message, and its ``payload`` is
-built only when read.  ``trace_lines`` writes to a stream a round at a time,
-one write per round, so the most trace text held at once is one round's; the
-bytes are those of the whole trace rendered in one piece.
+and lets the agents corrupt their hosts again.  A round routes its messages
+once, into one server inbox and one inbox per client: those of the ``own``
+and Byzantine servers, or with ``record_messages`` those of every server.
+The traced deliveries are those inboxes, and the echo tally and each read's
+replies are counted from them.  The shared servers count once, with their
+number, at the lowest shared id (``count_servers``): in the echo tally, in
+each read's replies and in the agreement probe.  A client's state is its
+running operation: a write is broadcast and confirmed in one round, and a
+read is decided from the replies of the round after its request.  So a
+round's work grows with f and the running operations, not with n; only
+``--trace-messages`` events do.  An event with actor ``servers`` stands for
+every server, whatever its kind: a broadcast's delivery, or the echo-tie
+diagnostic, is one event in memory, and ``trace_lines`` writes it once per
+server, s0 to s(n-1).  A send or delivery is a ``MessageEvent`` that holds
+the message and builds no payload dict: ``trace_lines`` splices its line
+from the message, and its ``payload`` is built only when read.
+``trace_lines`` writes to a stream a round at a time, one write per round,
+so the most trace text held at once is one round's.
 
 An agent corrupts the server it leaves during the send and each server it
 holds when the compute phase ends; the one it holds when the send starts
@@ -55,6 +57,8 @@ only those its cured servers send.
 from __future__ import annotations
 
 import json
+from itertools import groupby
+from operator import attrgetter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -239,27 +243,21 @@ class RunResult:
         Each line is an event's five fields, keys sorted, compact.  A round's
         lines are rendered, joined and written with one ``out.write``, each
         ending in a newline, so the most trace text held at once is one
-        round's; the bytes are those of the whole trace rendered in one piece.
-        Sorted, the keys come as actor, kind, payload, phase, round, so a line
-        is spliced from a cached head, the encoded payload and a cached tail.
-        A ``MessageEvent``'s payload is spliced too, as ``json`` would write
-        its ``payload`` dict: ``{"<key>":<party>,"msg":{"<role>":<sender>``
-        and the rest of the message, which is encoded once per message object
-        in a round (cache keyed by ``id``; every event holds its message for
-        the call).  A party that is not a plain ``int`` goes through the
-        encoder.  A broadcast's delivery is one event in memory, with actor
-        ``servers``, and one line per server on disk: a run of such events of
-        one round and phase is written server by server, s0 to s(n-1), each
-        server's lines in event order, each payload encoded once.  This gives
-        the bytes of one event per server and delivery, in that order.
+        round's.  Sorted, the keys come as actor, kind, payload, phase, round,
+        so a line is spliced from a cached head, the encoded payload and the
+        phase's tail.  A ``MessageEvent``'s payload is spliced too, as
+        ``json`` would write its ``payload`` dict: ``{"<key>":<party>,"msg":
+        {"<role>":<sender>`` and the rest of the message, which is encoded
+        once per message object in a round (cache keyed by ``id``; every
+        event holds its message for the call).  A party that is not a plain
+        ``int`` goes through the encoder.  An event with actor ``servers``
+        stands for every server, whatever its kind: a row of such events of
+        one kind, round and phase is written server by server, s0 to s(n-1),
+        each server's lines in event order, each payload encoded once.
         """
         heads: dict = {}
-        tails: dict = {}
         bodies: dict = {}  # id(msg) -> (text before the sender, text after it)
-        lines = []        # the current round's lines
-        block = []        # payload + tail of each delivery in the current run
-        block_tail = None
-        round_no = None
+        server_names = [f"s{i}" for i in range(self.config.n)]
 
         def head(actor, kind):
             text = heads.get((actor, kind))
@@ -268,54 +266,38 @@ class RunResult:
                     f'{{"actor":{_ENCODE(actor)},"kind":{_ENCODE(kind)},"payload":')
             return text
 
-        def flush():
-            for i in range(self.config.n):
-                server_head = head(f"s{i}", "deliver")
-                lines.append(server_head + ("\n" + server_head).join(block))
-            block.clear()
+        def payload(ev):
+            if type(ev) is not MessageEvent:
+                return _ENCODE(ev.payload)
+            body = bodies.get(id(ev.msg))
+            if body is None:
+                # the sender is the first key, so sender 0's text frames any sender's
+                before, _, after = _ENCODE(_msg_payload(ev.msg, 0)).partition(":0")
+                body = bodies[id(ev.msg)] = (f',"msg":{before}:', after + "}")
+            party = ev.party
+            if type(party) is not int:
+                party = _ENCODE(party)
+            return f'{{"{ev.key}":{party}{body[0]}{ev.sender}{body[1]}'
 
-        def end_round():
-            if block:
-                flush()
+        for round_no, events in groupby(self.trace, attrgetter("round")):
+            round_text = _ENCODE(round_no)
+            bodies.clear()  # messages are built per round
+            lines = []
+            for phase, events in groupby(events, attrgetter("phase")):
+                tail = f',"phase":{_ENCODE(phase)},"round":{round_text}}}'
+                # rows of "servers" events of one kind, and of other events
+                for kind, row in groupby(events,
+                                         lambda ev: ev.actor == SERVERS and ev.kind):
+                    if kind:
+                        row = [payload(ev) + tail for ev in row]
+                        for name in server_names:
+                            server_head = head(name, kind)
+                            lines.append(server_head + ("\n" + server_head).join(row))
+                    else:
+                        lines += [head(ev.actor, ev.kind) + payload(ev) + tail
+                                  for ev in row]
             lines.append("")  # the last line's newline, without copying the text
             out.write("\n".join(lines))
-            lines.clear()
-
-        for ev in self.trace:
-            if ev.round != round_no:
-                if round_no is not None:
-                    end_round()
-                round_no = ev.round
-                round_text = _ENCODE(round_no)
-                tails.clear()
-                bodies.clear()  # messages are built per round
-            tail = tails.get(ev.phase)
-            if tail is None:
-                tail = tails[ev.phase] = (
-                    f',"phase":{_ENCODE(ev.phase)},"round":{round_text}}}')
-            if type(ev) is MessageEvent:
-                body = bodies.get(id(ev.msg))
-                if body is None:
-                    # the sender is the first key, so sender 0's text frames any sender's
-                    before, _, after = _ENCODE(_msg_payload(ev.msg, 0)).partition(":0")
-                    body = bodies[id(ev.msg)] = (f',"msg":{before}:', after + "}")
-                party = ev.party
-                if type(party) is not int:
-                    party = _ENCODE(party)
-                payload = f'{{"{ev.key}":{party}{body[0]}{ev.sender}{body[1]}'
-            else:
-                payload = _ENCODE(ev.payload)
-            if ev.actor == SERVERS and ev.kind == "deliver":
-                if block and tail != block_tail:
-                    flush()
-                block_tail = tail
-                block.append(payload + tail)
-                continue
-            if block:
-                flush()
-            lines.append(head(ev.actor, ev.kind) + payload + tail)
-        if round_no is not None:
-            end_round()
 
     @property
     def min_support(self) -> Optional[int]:
@@ -508,15 +490,30 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             else:
                 own_out[i] = server_send(read(i), readers, False)
 
+        # Route each message once.  Inboxes list senders in id order, clients
+        # before servers, and every server gets the same inbox.  Only servers
+        # send to clients, and a destination reaches a client only if it is an
+        # int: True equals 1 but names no client.  Untraced, only own_out's
+        # servers route; count_servers counts the others.
+        server_inbox = list(client_out)
+        client_inbox: dict[int, list] = {c: [] for c in range(n_clients)
+                                         if c not in crashed}
+        senders = own_out.items()
         if record_messages:
             shared_out = server_send(shared, readers, False)
+            senders = [(i, own_out.get(i, shared_out)) for i in range(n)]
             for c, msg in client_out:
                 events.append(MessageEvent(r, "send", "send", client_names[c],
                                            "dest", SERVERS, c, msg))
-            for i in range(n):
-                for dest, msg in own_out.get(i, shared_out):
+        for i, out_msgs in senders:
+            for dest, msg in out_msgs:
+                if record_messages:
                     events.append(MessageEvent(r, "send", "send", server_names[i],
                                                "dest", dest, i, msg))
+                if dest == SERVERS:
+                    server_inbox.append((i, msg))
+                elif type(dest) is int and dest in client_inbox:
+                    client_inbox[dest].append((i, msg))
 
         # --- in-send movement (moves_in_send models) ---------------------------
         post_occupied = occ.post_send
@@ -526,55 +523,24 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
 
         # --- receive phase --------------------------------------------------
-        # Inboxes list senders in id order, clients before servers.  A reader
-        # counts a server's first Reply to it.  Only servers send to clients,
-        # and a destination reaches a client only if it is an int: True
-        # equals 1 but names no client.
-        listed = sorted(own_out)
-        server_inbox = list(client_out)
-        replies: dict[int, dict] = {c: {} for c in readers}  # reader -> sender -> value
-        for i in listed:
-            for dest, msg in own_out[i]:
-                if dest == SERVERS:
-                    server_inbox.append((i, msg))
-                elif type(dest) is int and dest in replies and isinstance(msg, Reply):
-                    replies[dest].setdefault(i, msg.value)
+        if record_messages:
+            for i, msg in server_inbox:
+                events.append(MessageEvent(r, "receive", "deliver", SERVERS,
+                                           "from", i, i, msg))
+            for c, inbox in client_inbox.items():
+                for i, msg in inbox:
+                    events.append(MessageEvent(r, "receive", "deliver", client_names[c],
+                                               "from", i, i, msg))
+        listed = list(own_out)  # in id order
         tally = server_receive(Tally(), server_inbox)
         echo_counts = count_servers(tally.echo_vals, listed, shared, n)
-        reply_counts = {c: count_servers(got, listed, shared, n)
-                        for c, got in replies.items()}
-        if record_messages:
-            # every server gets the same inbox
-            for sid, msg in client_out:
-                events.append(MessageEvent(r, "receive", "deliver", SERVERS,
-                                           "from", sid, sid, msg))
-            client_inbox: dict[int, list] = {c: [] for c in range(n_clients)
-                                             if c not in crashed}
-            for i in range(n):
-                for dest, msg in own_out.get(i, shared_out):
-                    if dest == SERVERS:
-                        events.append(MessageEvent(r, "receive", "deliver", SERVERS,
-                                                   "from", i, i, msg))
-                    elif type(dest) is int and dest in client_inbox:
-                        client_inbox[dest].append((i, msg))
-            for c, inbox in client_inbox.items():
-                for sid, msg in inbox:
-                    events.append(MessageEvent(r, "receive", "deliver", client_names[c],
-                                               "from", sid, sid, msg))
 
         # --- compute phase ---------------------------------------------------
         note = server_compute(tally.current_writes, echo_counts, s_threshold)
         readers = tally.current_reads
         if note.tied_values:
-            for i in range(n):
-                trace(r, "compute", "state_transition", f"s{i}",
-                      {"diagnostic": "echo threshold tie",
-                       "tied": list(note.tied_values)})
-        if note.adopted:
-            # every server holds the adopted value; the agents' hosts lose it again
-            shared = note.value
-            own.clear()
-        own.update(dict.fromkeys(post_occupied, _Unread("corrupt-compute", r)))
+            trace(r, "compute", "state_transition", SERVERS,
+                  {"diagnostic": "echo threshold tie", "tied": list(note.tied_values)})
         # a write is confirmed in its round; a read is decided from the
         # replies of its reply round, the round after its request, and no other
         for c in sorted(pending_op):
@@ -588,7 +554,12 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                 trace(r, "compute", "op_response", f"c{c}",
                       {"op_id": rec.op_id, "kind": "write"})
                 continue
-            response = client_compute(reply_counts[c], s_threshold)
+            # a reader counts each server's first Reply to it; shared is
+            # still the value the servers outside listed sent
+            replies = {i: msg.value for i, msg in reversed(client_inbox[c])
+                       if isinstance(msg, Reply)}
+            response = client_compute(count_servers(replies, listed, shared, n),
+                                      s_threshold)
             if isinstance(response, ReadOk):
                 rec.response_round = r
                 rec.result = response.value
@@ -603,6 +574,12 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                 result.protocol_failures.append(failure)
                 trace(r, "compute", "violation", f"c{c}",
                       dict(failure, reason="protocol_failure"))
+
+        if note.adopted:
+            # every server holds the adopted value; the agents' hosts lose it again
+            shared = note.value
+            own.clear()
+        own.update(dict.fromkeys(post_occupied, _Unread("corrupt-compute", r)))
 
         # --- end-of-round probe -----------------------------------------------
         for i, value in own.items():

@@ -209,6 +209,11 @@ def test_split_vote_does_not_echo():
     assert out == ((1, Reply("evil")),)
 
 
+def test_split_vote_needs_a_fake_value():
+    with pytest.raises(ConfigError, match="non-default fake value"):
+        SplitVote(None, {1: {0}})
+
+
 def test_make_strategy_names():
     assert isinstance(make_strategy("none"), NoFaults)
     assert isinstance(make_strategy("random"), RandomWalk)

@@ -409,12 +409,20 @@ def test_check_bad_crashed_ids_and_bad_bytes_are_config_error(tmp_path):
     ("- {round: 1\n- x", "is not valid YAML"),
     ("rounds: -1", "rounds must be >= 0, got -1"),
     ("clients: 0", "need at least one client, got 0"),
+    ("- model: garay\n- n: 7", "must hold a mapping"),
 ])
 def test_run_mistyped_config_file_is_config_error(tmp_path, text, fragment):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text)
     result = invoke("run", "--config", str(cfg), "--out-dir", str(tmp_path))
     assert_config_error(result, fragment)
+
+
+def test_run_missing_workload_file_is_config_error(tmp_path):
+    missing = tmp_path / "missing.yaml"
+    result = invoke("run", "--rounds", "5", "--workload", str(missing),
+                    "--out-dir", str(tmp_path))
+    assert_config_error(result, f"workload file {missing} does not exist")
 
 
 @pytest.mark.parametrize("text, fragment", [

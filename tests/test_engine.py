@@ -124,10 +124,11 @@ class RepeatsItself(Stationary):
 
 def test_run_counts_a_senders_first_echo_and_reply():
     # garay n=3, f=1, s=1: server 0 is Byzantine.  Its first echo, "x",
-    # ties with the honest "v" in the rounds without a write (3 diagnostics
-    # each); its first reply, "x", makes the read fail.  Counting its last
-    # messages, "v" would have 3 echoes and replies and no tie; counting the
-    # Echo sent to the reader, "e" would take the place of "x".
+    # ties with the honest "v" in the rounds without a write (one "servers"
+    # diagnostic each, written once per server); its first reply, "x", makes
+    # the read fail.  Counting its last messages, "v" would have 3 echoes and
+    # replies and no tie; counting the Echo sent to the reader, "e" would
+    # take the place of "x".
     args = (make_config("garay", 3, 1), RepeatsItself(),
             [Directive(1, 0, "write", "v"), Directive(2, 1, "read")])
     kwargs = dict(rounds=3, seed=0, n_clients=2, allow_inadmissible=True,
@@ -135,7 +136,11 @@ def test_run_counts_a_senders_first_echo_and_reply():
     res = run(*args, **kwargs)
     assert [f["reply_counts"] for f in res.protocol_failures] == [[["v", 2], ["x", 1]]]
     ties = [ev for ev in res.trace if ev.kind == "state_transition"]
-    assert [ev.round for ev in ties] == [2] * 3 + [3] * 3
+    assert [(ev.round, ev.actor) for ev in ties] == [(2, SERVERS), (3, SERVERS)]
+    lines = [json.loads(line) for line in trace_text(res).splitlines()]
+    assert [(ev["round"], ev["actor"]) for ev in lines
+            if ev["kind"] == "state_transition"] == [(r, f"s{i}") for r in (2, 3)
+                                                     for i in range(3)]
     assert run_digest(res) == run_digest(per_server_run(*args, **kwargs))
 
 
