@@ -6,13 +6,11 @@ admissible run, 2 configuration or usage error.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import pathlib
 import sys
 
 import click
-import yaml
 
 from . import checker as hc
 from .adversary import RandomWalk, make_strategy
@@ -24,20 +22,40 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 
 
-# libyaml's loader where PyYAML was built with it; same results, far faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # json.dumps(rec, sort_keys=True, default=str) without a new encoder per record
 _HISTORY_ENCODE = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_yaml(path):
+    """A config or directives file: read as JSON if it parses as JSON, else as YAML.
+
+    YAML 1.1 misreads some JSON (``1e3`` is a string to it, and a surrogate
+    pair escape an error).  JSON's ``NaN`` and ``Infinity`` are refused, so a
+    file holding them is read as YAML, which reads them as strings.
+    """
     try:
-        with open(path, "rb") as fh:  # the YAML reader detects the encoding
-            return yaml.load(fh, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path} is not valid YAML: {' '.join(str(exc).split())}") from None
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read YAML file: {exc}") from None
+    try:
+        return json.loads(data, parse_constant=_refuse_constant)  # detects the encoding
+    except RecursionError:  # libyaml would overflow the C stack on it
+        raise ConfigError(f"{path} nests too deeply") from None
+    except ValueError:
+        pass
+    import yaml  # only a file that is not JSON needs it
+
+    # libyaml's loader where PyYAML was built with it; same results, far faster
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    try:
+        return yaml.load(data, Loader=loader)  # the YAML reader detects the encoding
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path} is not valid YAML: {' '.join(str(exc).split())}") from None
 
 
 _CONFIG_KEYS = ("model", "n", "f", "rounds", "seed", "clients", "workload", "adversary",
@@ -166,10 +184,11 @@ def _write_artifacts(result: RunResult, verdicts, out_dir, trace_out, report_out
 
 
 def _run_one(config, strategy, workload, *, rounds, seed, clients,
-             allow_inadmissible=False, record_messages=False, do_check=True):
+             allow_inadmissible=False, record_trace=True, record_messages=False,
+             do_check=True):
     result = run(config, strategy, workload, rounds=rounds, seed=seed,
                  n_clients=clients, allow_inadmissible=allow_inadmissible,
-                 record_messages=record_messages)
+                 record_trace=record_trace, record_messages=record_messages)
     verdicts = None
     if do_check:
         ops = hc.history_from_records(result.history)
@@ -277,9 +296,10 @@ def cmd_tightness(model, f, seed, report_out):
 
 
 def _sweep_cell(args):
-    model, config, seed, rounds, clients = args
-    result, verdicts = _run_one(config, RandomWalk(), RandomWorkload(),
-                                rounds=rounds, seed=seed, clients=clients)
+    """One table row: a run of a seed's expanded random workload, untraced."""
+    model, config, seed, rounds, clients, directives = args
+    result, verdicts = _run_one(config, RandomWalk(), directives, rounds=rounds,
+                                seed=seed, clients=clients, record_trace=False)
     ok = not result.violations and all(v.passed for v in verdicts.values())
     return {"model": model, "f": config.f, "n": config.n, "seed": seed,
             "pass": ok, "min_support": result.min_support,
@@ -313,11 +333,15 @@ def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
     if clients < 1:
         raise ConfigError(f"--clients: need at least one client, got {clients}")
 
-    cells = [(m, configs[m, f], s, rounds, clients)
+    # a seed's cells all run the same directives: expand them once per seed
+    directives = {s: RandomWorkload().expand(rounds, clients, s) for s in seed_list}
+    cells = [(m, configs[m, f], s, rounds, clients, directives[s])
              for m in model_list for f in f_list for s in seed_list]
     # a fork-started pool starts all its workers at the first submit
     workers = min(jobs, len(cells))
     if workers > 1:
+        import concurrent.futures  # only a pool needs it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:

@@ -5,7 +5,8 @@ clients.  All messages sent in a round are delivered in that round's receive
 phase (channels are reliable and authenticated).  The adversary relocates its
 agents per the fault model, corrupts occupied servers, and substitutes their
 outgoing messages.  The run records an operation history, per-round agreement
-probes, an event trace, and any property violations.
+probes and any property violations, and, unless ``record_trace`` is off, an
+event trace; with it off no event or payload is built at all.
 
 Servers receive only broadcasts, so every server gets the same inbox, and a
 server keeps only its register value from one round to the next.  A round's
@@ -380,13 +381,20 @@ class _Unread:
 
 def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         rounds: int, seed: int = 0, n_clients: int = 3,
-        allow_inadmissible: bool = False,
+        allow_inadmissible: bool = False, record_trace: bool = True,
         record_messages: bool = False) -> RunResult:
     """Execute one deterministic simulation.
+
+    With ``record_trace`` off the result's ``trace`` stays empty and no
+    event or payload is built; its history, probes, violations and protocol
+    failures are the same.  ``record_messages`` adds send and delivery
+    events to the trace, so it needs ``record_trace``.
 
     Raises ConfigError before round 1 on malformed input or when the
     configuration is inadmissible and ``allow_inadmissible`` is not set.
     """
+    if record_messages and not record_trace:
+        raise ConfigError("record_messages needs record_trace")
     if rounds < 0:
         raise ConfigError(f"rounds must be >= 0, got {rounds}")
     if n_clients < 1:
@@ -436,10 +444,11 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         occ = strategy.occupancy(config, r, occupied, rng_stream(seed, "sched", r))
         pre_send, moves = occ.pre_send, occ.moves
         cured_now = occupied - pre_send      # vacated at this round's start
-        trace(r, "round_start", "fault_move", "adversary",
-              {"occupied": sorted(pre_send),
-               "cured": sorted(cured_now),
-               "planned_moves": [list(m) for m in moves]})
+        if record_trace:
+            trace(r, "round_start", "fault_move", "adversary",
+                  {"occupied": sorted(pre_send),
+                   "cured": sorted(cured_now),
+                   "planned_moves": [list(m) for m in moves]})
 
         # occupied servers send as Byzantine ones in every model
         byzantine = pre_send | cured_now if cured_byzantine else pre_send
@@ -454,15 +463,17 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                 # a crashed client never sends or responds again
                 crashed.add(d.client)
                 pending_op.pop(d.client, None)
-                trace(r, "round_start", "op_invoke", f"c{d.client}", {"kind": "crash"})
+                if record_trace:
+                    trace(r, "round_start", "op_invoke", f"c{d.client}", {"kind": "crash"})
                 continue
             rec = pending_op[d.client] = OpRecord(
                 op_id=len(result.history), client=d.client, kind=d.op,
                 argument=d.value if d.op == "write" else None, invoke_round=r)
             invoked.append(rec)
             result.history.append(rec)
-            trace(r, "send", "op_invoke", f"c{d.client}",
-                  {"op_id": rec.op_id, "kind": d.op, "value": d.value})
+            if record_trace:
+                trace(r, "send", "op_invoke", f"c{d.client}",
+                      {"op_id": rec.op_id, "kind": d.op, "value": d.value})
 
         # --- send phase ---------------------------------------------------
         # a client broadcasts each operation it starts; the server inbox
@@ -480,8 +491,9 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                 for dest, msg in out_msgs:
                     if not isinstance(msg, (Echo, Reply)):
                         # authenticated channels: a server cannot pose as a client
-                        trace(r, "send", "violation", f"s{i}",
-                              {"reason": "forged sender rejected"})
+                        if record_trace:
+                            trace(r, "send", "violation", f"s{i}",
+                                  {"reason": "forged sender rejected"})
                         continue
                     kept.append((dest, msg))
                 own_out[i] = tuple(kept)
@@ -520,7 +532,8 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         for src, dst in moves:
             # Departing host: the register value keeps the agent's corruption.
             own[src] = _Unread("corrupt-leave", r)
-            trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
+            if record_trace:
+                trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
 
         # --- receive phase --------------------------------------------------
         if record_messages:
@@ -538,7 +551,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         # --- compute phase ---------------------------------------------------
         note = server_compute(tally.current_writes, echo_counts, s_threshold)
         readers = tally.current_reads
-        if note.tied_values:
+        if note.tied_values and record_trace:
             trace(r, "compute", "state_transition", SERVERS,
                   {"diagnostic": "echo threshold tie", "tied": list(note.tied_values)})
         # a write is confirmed in its round; a read is decided from the
@@ -551,8 +564,9 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             if rec.kind == "write":
                 rec.response_round = r
                 rec.result = "write_confirmation"
-                trace(r, "compute", "op_response", f"c{c}",
-                      {"op_id": rec.op_id, "kind": "write"})
+                if record_trace:
+                    trace(r, "compute", "op_response", f"c{c}",
+                          {"op_id": rec.op_id, "kind": "write"})
                 continue
             # a reader counts each server's first Reply to it; shared is
             # still the value the servers outside listed sent
@@ -563,8 +577,9 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             if isinstance(response, ReadOk):
                 rec.response_round = r
                 rec.result = response.value
-                trace(r, "compute", "op_response", f"c{c}",
-                      {"op_id": rec.op_id, "kind": "read", "value": response.value})
+                if record_trace:
+                    trace(r, "compute", "op_response", f"c{c}",
+                          {"op_id": rec.op_id, "kind": "read", "value": response.value})
             else:
                 rec.failed = True
                 failure = {"round": r, "client": c, "op_id": rec.op_id,
@@ -572,8 +587,9 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                            "qualifying": list(response.qualifying),
                            "threshold": s_threshold}
                 result.protocol_failures.append(failure)
-                trace(r, "compute", "violation", f"c{c}",
-                      dict(failure, reason="protocol_failure"))
+                if record_trace:
+                    trace(r, "compute", "violation", f"c{c}",
+                          dict(failure, reason="protocol_failure"))
 
         if note.adopted:
             # every server holds the adopted value; the agents' hosts lose it again
@@ -592,12 +608,14 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                  "byzantine_senders": sorted(byzantine),
                  "end_occupied": sorted(post_occupied)}
         result.probes.append(probe)
-        trace(r, "end", "probe", "engine", dict(probe))
+        if record_trace:
+            trace(r, "end", "probe", "engine", dict(probe))
         if config.admissible and support < n - f:
             violation = {"round": r, "kind": "agreement_probe", "modal": modal,
                          "support": support, "required": n - f}
             result.violations.append(violation)
-            trace(r, "end", "violation", "engine", dict(violation))
+            if record_trace:
+                trace(r, "end", "violation", "engine", dict(violation))
 
         occupied = post_occupied
 
@@ -639,7 +657,7 @@ def tightness_demo(model: ModelId, f: int = 2, *, seed: int = 0) -> dict:
     strategy = SplitVote(FAKE_VALUE, schedule)
     workload = [Directive(1, 0, "write", HONEST_VALUE), Directive(2, 1, "read")]
     res = run(config, strategy, workload, rounds=3, seed=seed, n_clients=2,
-              allow_inadmissible=True)
+              allow_inadmissible=True, record_trace=False)
 
     failure = res.protocol_failures[0] if res.protocol_failures else None
     ranked = failure["reply_counts"] if failure else []   # ranked by client_compute

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -7,10 +9,12 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mobyreg.adversary import make_strategy
+import mobyreg
+from mobyreg.adversary import RandomWalk, make_strategy
+from mobyreg.checker import check_all, history_from_records
 from mobyreg.cli import main
 from mobyreg.engine import RandomWorkload, run
-from mobyreg.model import make_config
+from mobyreg.model import ModelId, lookup, make_config
 from mobyreg.protocol import ComputeNote
 from oracles import trace_text
 
@@ -65,6 +69,24 @@ def test_run_exits_one_when_a_property_fails(tmp_path, monkeypatch):
     assert len(report["violations"]) == 29
     assert {(v["kind"], v["required"]) for v in report["violations"]} == {
         ("agreement_probe", 5)}
+
+
+@pytest.mark.parametrize("value, written", [
+    ("1e3", 1000.0), ('"\\ud83d\\ude00"', "\U0001F600"), ("NaN", "NaN"),
+], ids=["exponent", "surrogate-pair", "nan-reads-as-yaml"])
+def test_run_reads_a_json_workload_as_json(tmp_path, value, written):
+    # YAML 1.1 reads 1e3 as a string and rejects the escape; JSON has no NaN,
+    # so that file is read as YAML, which reads it as a string
+    wl = tmp_path / "wl.json"
+    wl.write_text('[{"round": 1, "client": 0, "op": "write", "value": %s},'
+                  ' {"round": 2, "client": 1, "op": "read"}]' % value)
+    result = invoke("run", "--model", "garay", "--n", "7", "--f", "2", "--rounds", "3",
+                    "--workload", str(wl), "--out-dir", str(tmp_path))
+    assert result.exit_code == 0, result.output
+    write, read = [json.loads(line)
+                   for line in (tmp_path / "history.jsonl").read_text().splitlines()]
+    assert write["argument"] == read["result"] == written
+    assert type(write["argument"]) is type(written)
 
 
 def test_run_scripted_workload(tmp_path):
@@ -148,6 +170,40 @@ def test_sweep_pool_has_no_more_workers_than_cells(jobs, seeds, workers, monkeyp
     assert result.exit_code == 0, result.output
     assert sizes == workers
     assert len(result.output.splitlines()) == 1 + len(seeds.split(","))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_rows_are_those_of_traced_runs_of_each_cell(jobs, monkeypatch):
+    # --jobs 2 runs its cells through the pool, here one in this process
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool([], max_workers))
+    result = invoke("sweep", "--models", "garay,buhrman", "--f-values", "1,2",
+                    "--seeds", "3,0", "--rounds", "40", "--clients", "2", "--jobs", jobs)
+    assert result.exit_code == 0, result.output
+    rows = []
+    for model in ("garay", "buhrman"):
+        for f in (1, 2):
+            config = make_config(model, lookup(ModelId.parse(model)).alpha * f + 1, f)
+            for seed in (3, 0):
+                res = run(config, RandomWalk(), RandomWorkload(), rounds=40, seed=seed,
+                          n_clients=2)
+                assert res.trace
+                verdicts = check_all(history_from_records(res.history),
+                                     res.crashed_clients)
+                ok = not res.violations and all(v.passed for v in verdicts.values())
+                rows.append([model, f, config.n, seed, ok, res.min_support,
+                             len(res.violations), len(res.history)])
+    assert result.output.splitlines()[1:] == ["\t".join(map(str, row)) for row in rows]
+
+
+def test_importing_the_cli_loads_neither_yaml_nor_a_process_pool():
+    code = ("import sys, mobyreg.cli; "
+            "print(sorted({'yaml', 'concurrent.futures'} & sys.modules.keys()))")
+    src = os.path.dirname(os.path.dirname(mobyreg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("option, value, message", [
@@ -410,6 +466,7 @@ def test_check_bad_crashed_ids_and_bad_bytes_are_config_error(tmp_path):
     ("rounds: -1", "rounds must be >= 0, got -1"),
     ("clients: 0", "need at least one client, got 0"),
     ("- model: garay\n- n: 7", "must hold a mapping"),
+    pytest.param("[" * 10_000, "nests too deeply", id="deep-nesting"),
 ])
 def test_run_mistyped_config_file_is_config_error(tmp_path, text, fragment):
     cfg = tmp_path / "cfg.yaml"

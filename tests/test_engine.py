@@ -222,6 +222,49 @@ def test_repeat_run_gives_byte_identical_trace():
     assert [r.as_dict() for r in a.history] == [r.as_dict() for r in b.history]
 
 
+UNTRACED_RUNS = {
+    **{f"{model.value}-minimal": (make_config(model, lookup(model).alpha * 2 + 1, 2),
+                                  RandomWalk(), RandomWorkload(op_rate=0.5), {})
+       for model in ModelId},
+    "garay-inadmissible": (make_config("garay", 6, 2), Stationary(fake_value="evil"),
+                           RandomWorkload(op_rate=0.5), dict(allow_inadmissible=True)),
+    "garay-crashes": (m1_config(), RandomWalk(),
+                      [Directive(1, 0, "write", "a"), Directive(2, 1, "read"),
+                       Directive(3, 1, "crash"), Directive(4, 0, "read"),
+                       Directive(4, 2, "crash")], {}),
+    "garay-no-adoption": (m1_config(), RandomWalk(), RandomWorkload(op_rate=0.5), {}),
+}
+
+
+@pytest.mark.parametrize("name", UNTRACED_RUNS)
+def test_untraced_run_records_all_but_the_trace(name, monkeypatch):
+    config, strategy, workload, extra = UNTRACED_RUNS[name]
+    if name == "garay-no-adoption":
+        # every round fails the agreement probe
+        monkeypatch.setattr("mobyreg.engine.server_compute",
+                            lambda writes, echo_counts, s: ComputeNote())
+    kwargs = dict(rounds=60, seed=7, n_clients=3, **extra)
+    traced = run(config, strategy, workload, **kwargs)
+    untraced = run(config, strategy, workload, record_trace=False, **kwargs)
+    assert traced.trace and untraced.trace == []
+    for field_name in ("history", "probes", "violations", "protocol_failures",
+                       "crashed_clients"):
+        assert getattr(untraced, field_name) == getattr(traced, field_name), field_name
+    # each special run records what it is there for
+    if name == "garay-inadmissible":
+        assert traced.protocol_failures
+    elif name == "garay-crashes":
+        assert traced.crashed_clients == {1, 2}
+    elif name == "garay-no-adoption":
+        assert traced.violations
+
+
+def test_message_events_need_the_trace():
+    with pytest.raises(ConfigError, match="record_messages needs record_trace"):
+        run(m1_config(), NoFaults(), [], rounds=1, record_trace=False,
+            record_messages=True)
+
+
 def test_different_seeds_differ():
     wl = RandomWorkload()
     a = run(m1_config(), RandomWalk(), wl, rounds=40, seed=1)
