@@ -30,12 +30,17 @@ def _refuse_constant(name):
     raise ValueError(f"{name} is not a JSON number")
 
 
+_MAX_YAML_DEPTH = 100  # directive files nest 2 deep
+
+
 def _load_yaml(path):
     """A config or directives file: read as JSON if it parses as JSON, else as YAML.
 
     YAML 1.1 misreads some JSON (``1e3`` is a string to it, and a surrogate
     pair escape an error).  JSON's ``NaN`` and ``Infinity`` are refused, so a
-    file holding them is read as YAML, which reads them as strings.
+    file holding them is read as YAML, which reads them as strings.  YAML
+    nested deeper than ``_MAX_YAML_DEPTH`` is refused before libyaml's loader,
+    which would overflow the C stack on it, sees it; its parser streams it.
     """
     try:
         with open(path, "rb") as fh:
@@ -53,7 +58,15 @@ def _load_yaml(path):
     # libyaml's loader where PyYAML was built with it; same results, far faster
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        return yaml.load(data, Loader=loader)  # the YAML reader detects the encoding
+        depth = 0
+        for event in yaml.parse(data, Loader=loader):  # detects the encoding
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > _MAX_YAML_DEPTH:
+                    raise ConfigError(f"{path} nests too deeply")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+        return yaml.load(data, Loader=loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path} is not valid YAML: {' '.join(str(exc).split())}") from None
 
@@ -393,6 +406,8 @@ def _read_history(path):
                 except json.JSONDecodeError as exc:
                     raise ConfigError(
                         f"{path} line {lineno}: not JSON ({exc.msg})") from None
+                except RecursionError:
+                    raise ConfigError(f"{path} line {lineno}: nests too deeply") from None
                 if not isinstance(record, dict):
                     raise ConfigError(f"{path} line {lineno}: not a JSON object")
                 try:

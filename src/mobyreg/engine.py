@@ -23,24 +23,22 @@ boundary a server outside ``own`` holds ``shared``, and ``own``'s keys are
 the unrestored servers, those an agent has held since the last adoption.  A
 send runs once per ``own`` or Byzantine server, and once for ``shared`` only
 to trace it; a round adopting a value makes it ``shared``, empties ``own``,
-and lets the agents corrupt their hosts again.  A round routes its messages
-once, into one server inbox and one inbox per client: those of the ``own``
-and Byzantine servers, or with ``record_messages`` those of every server.
-The traced deliveries are those inboxes, and the echo tally and each read's
-replies are counted from them.  The shared servers count once, with their
-number, at the lowest shared id (``count_servers``): in the echo tally, in
-each read's replies and in the agreement probe.  A client's state is its
-running operation: a write is broadcast and confirmed in one round, and a
-read is decided from the replies of the round after its request.  So a
-round's work grows with f and the running operations, not with n; only
-``--trace-messages`` events do.  An event with actor ``servers`` stands for
-every server, whatever its kind: a broadcast's delivery, or the echo-tie
-diagnostic, is one event in memory, and ``trace_lines`` writes it once per
-server, s0 to s(n-1).  A send or delivery is a ``MessageEvent`` that holds
-the message and builds no payload dict: ``trace_lines`` splices its line
-from the message, and its ``payload`` is built only when read.
-``trace_lines`` writes to a stream a round at a time, one write per round,
-so the most trace text held at once is one round's.
+and lets the agents corrupt their hosts again.  A round routes the messages
+of the ``own`` and Byzantine servers once, into one server inbox and one
+inbox per client, traced or not; the echo tally and each read's replies are
+counted from them.  The shared servers count once, with their number, at
+the lowest shared id (``count_servers``): in the echo tally, in each read's
+replies and in the agreement probe.  A client's state is its running
+operation: a write is broadcast and confirmed in one round, and a read is
+decided from the replies of the round after its request.  So a round's
+work, and its events in memory, grow with f and the running operations, not
+with n.  An event with actor ``servers`` stands for every server: the
+echo-tie diagnostic is one event, and ``trace_lines`` writes it once per
+server, s0 to s(n-1).  With ``record_messages`` a round's messages are two
+``RoundMessages`` records, its sends and its deliveries, and
+``trace_lines`` writes each shared server's lines from one template per
+round, joined with its id.  It writes to a stream a round at a time, one
+write per round, so the most trace text held at once is one round's.
 
 An agent corrupts the server it leaves during the send and each server it
 holds when the compute phase ends; the one it holds when the send starts
@@ -59,7 +57,7 @@ from __future__ import annotations
 
 import json
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -201,26 +199,22 @@ class TraceEvent:
     payload: dict
 
 
-class MessageEvent(NamedTuple):
-    """A send or delivery: the message itself, not its payload dict.
+class RoundMessages(NamedTuple):
+    """A round's messages, for its send (kind "send") or deliver lines.
 
-    ``key`` is ``"dest"`` for a send and ``"from"`` for a delivery, ``party``
-    the destination or the sender under that key, and ``sender`` the id the
-    channel supplied.  ``payload`` builds the ``TraceEvent`` payload when read.
+    ``clients`` holds the clients' ``(client, msg)`` broadcasts, ``own_out``
+    the listed (own or Byzantine) servers' output by id, ``shared_out`` each
+    other server's, and the inboxes the first two's messages, as routed.
     """
 
     round: int
     phase: str
     kind: str
-    actor: str
-    key: str
-    party: object
-    sender: int
-    msg: object
-
-    @property
-    def payload(self) -> dict:
-        return {self.key: self.party, "msg": _msg_payload(self.msg, self.sender)}
+    clients: list
+    own_out: dict
+    shared_out: tuple
+    server_inbox: list
+    client_inbox: dict
 
 
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str).encode
@@ -232,7 +226,7 @@ class RunResult:
     rounds: int
     seed: int
     history: list = field(default_factory=list)       # OpRecord
-    trace: list = field(default_factory=list)         # TraceEvent, MessageEvent
+    trace: list = field(default_factory=list)         # TraceEvent, RoundMessages
     probes: list = field(default_factory=list)        # per-round dicts
     violations: list = field(default_factory=list)    # agreement-probe dips etc.
     protocol_failures: list = field(default_factory=list)
@@ -246,19 +240,22 @@ class RunResult:
         ending in a newline, so the most trace text held at once is one
         round's.  Sorted, the keys come as actor, kind, payload, phase, round,
         so a line is spliced from a cached head, the encoded payload and the
-        phase's tail.  A ``MessageEvent``'s payload is spliced too, as
-        ``json`` would write its ``payload`` dict: ``{"<key>":<party>,"msg":
-        {"<role>":<sender>`` and the rest of the message, which is encoded
-        once per message object in a round (cache keyed by ``id``; every
-        event holds its message for the call).  A party that is not a plain
-        ``int`` goes through the encoder.  An event with actor ``servers``
-        stands for every server, whatever its kind: a row of such events of
-        one kind, round and phase is written server by server, s0 to s(n-1),
-        each server's lines in event order, each payload encoded once.
+        phase's tail.  An event with actor ``servers`` stands for every
+        server, whatever its kind: a row of such events of one kind, round
+        and phase is written server by server, s0 to s(n-1), each server's
+        lines in event order, each payload encoded once.
+
+        A ``RoundMessages`` record is written a line per message and sender
+        or receiver, clients first, then servers in id order, each message
+        encoded once in a round (cache keyed by ``id``: the records hold their
+        messages for the call).  The lines of a server outside ``own_out``
+        differ from another's only in its id: one template per round, joined
+        with the id, writes them.
         """
+        n = self.config.n
         heads: dict = {}
-        bodies: dict = {}  # id(msg) -> (text before the sender, text after it)
-        server_names = [f"s{i}" for i in range(self.config.n)]
+        bodies: dict = {}  # id(msg) -> (text before the sender id, text after it)
+        server_names = [f"s{i}" for i in range(n)]
 
         def head(actor, kind):
             text = heads.get((actor, kind))
@@ -267,18 +264,57 @@ class RunResult:
                     f'{{"actor":{_ENCODE(actor)},"kind":{_ENCODE(kind)},"payload":')
             return text
 
-        def payload(ev):
-            if type(ev) is not MessageEvent:
-                return _ENCODE(ev.payload)
-            body = bodies.get(id(ev.msg))
-            if body is None:
-                # the sender is the first key, so sender 0's text frames any sender's
-                before, _, after = _ENCODE(_msg_payload(ev.msg, 0)).partition(":0")
-                body = bodies[id(ev.msg)] = (f',"msg":{before}:', after + "}")
-            party = ev.party
-            if type(party) is not int:
-                party = _ENCODE(party)
-            return f'{{"{ev.key}":{party}{body[0]}{ev.sender}{body[1]}'
+        def actor_lines(actor, kind, texts):
+            actor_head = head(actor, kind)
+            return actor_head + ("\n" + actor_head).join(texts)
+
+        def message_lines(rec, tail):
+            def payload(key, party, sender, msg):
+                # party and sender as text; "\0", in no JSON text, stands for
+                # a shared server's id
+                body = bodies.get(id(msg))
+                if body is None:
+                    body = bodies[id(msg)] = _message_body(msg)
+                return f'{{"{key}":{party}{body[0]}{sender}{body[1]}{tail}'
+
+            def by_server(listed, templates):
+                # listed's (server, text) pairs, and the templates at each shared id
+                if not templates:
+                    return [text for _, text in listed]
+                templates = [text.split("\0") for text in templates]
+                listed = {i: [text for _, text in pairs]
+                          for i, pairs in groupby(listed, itemgetter(0))}
+                texts = []
+                for i in range(n):
+                    texts += (listed.get(i, ()) if i in rec.own_out
+                              else [str(i).join(pieces) for pieces in templates])
+                return texts
+
+            if rec.kind == "send":
+                listed = [(i, head(server_names[i], "send")
+                           + payload("dest", _party(dest), i, msg))
+                          for i, out_msgs in rec.own_out.items() for dest, msg in out_msgs]
+                shared = "\n".join('{"actor":"s\0","kind":"send","payload":'
+                                   + payload("dest", _party(dest), "\0", msg)
+                                   for dest, msg in rec.shared_out)
+                return ([head(f"c{c}", "send") + payload("dest", _party(SERVERS), c, msg)
+                         for c, msg in rec.clients] + by_server(listed, [shared]))
+
+            def delivered(inbox, shared):
+                return by_server([(i, payload("from", i, i, msg)) for i, msg in inbox],
+                                 [payload("from", "\0", "\0", msg) for _, msg in shared])
+
+            shared_servers, shared_clients = [], {c: [] for c in rec.client_inbox}
+            _route((("\0", rec.shared_out),), shared_servers, shared_clients)
+            # the server inbox lists the clients' messages first
+            row = ([payload("from", c, c, msg) for c, msg in rec.clients]
+                   + delivered(rec.server_inbox[len(rec.clients):], shared_servers))
+            lines = [actor_lines(name, "deliver", row) for name in server_names if row]
+            for c, inbox in rec.client_inbox.items():
+                texts = delivered(inbox, shared_clients[c])
+                if texts:
+                    lines.append(actor_lines(f"c{c}", "deliver", texts))
+            return lines
 
         for round_no, events in groupby(self.trace, attrgetter("round")):
             round_text = _ENCODE(round_no)
@@ -287,16 +323,17 @@ class RunResult:
             for phase, events in groupby(events, attrgetter("phase")):
                 tail = f',"phase":{_ENCODE(phase)},"round":{round_text}}}'
                 # rows of "servers" events of one kind, and of other events
-                for kind, row in groupby(events,
-                                         lambda ev: ev.actor == SERVERS and ev.kind):
+                for kind, row in groupby(events, lambda ev: type(ev) is TraceEvent
+                                         and ev.actor == SERVERS and ev.kind):
                     if kind:
-                        row = [payload(ev) + tail for ev in row]
-                        for name in server_names:
-                            server_head = head(name, kind)
-                            lines.append(server_head + ("\n" + server_head).join(row))
-                    else:
-                        lines += [head(ev.actor, ev.kind) + payload(ev) + tail
-                                  for ev in row]
+                        row = [_ENCODE(ev.payload) + tail for ev in row]
+                        lines += [actor_lines(name, kind, row) for name in server_names]
+                        continue
+                    for ev in row:
+                        if type(ev) is RoundMessages:
+                            lines += message_lines(ev, tail)
+                        else:
+                            lines.append(head(ev.actor, ev.kind) + _ENCODE(ev.payload) + tail)
             lines.append("")  # the last line's newline, without copying the text
             out.write("\n".join(lines))
 
@@ -351,14 +388,33 @@ def probe_agreement(values: dict, faulty: frozenset,
 # Message helpers
 # ---------------------------------------------------------------------------
 
-def _msg_payload(msg, sender: int) -> dict:
-    """A message as traces show it: its type, its value, and the sender the
-    channel supplied, under "server" (Echo, Reply) or "client" (Write, Read)."""
-    d = {"type": type(msg).__name__.lower(),
-         "server" if isinstance(msg, (Echo, Reply)) else "client": sender}
+def _route(senders, server_inbox: list, client_inbox: dict) -> None:
+    """Append each ``(sender, ((dest, msg), ...))``'s messages to the inboxes
+    they reach.  Every server gets the same inbox.  Only an int naming an open
+    client, a key of ``client_inbox``, reaches one: True equals 1 but names
+    no client."""
+    for i, out_msgs in senders:
+        for dest, msg in out_msgs:
+            if dest == SERVERS:
+                server_inbox.append((i, msg))
+            elif type(dest) is int and dest in client_inbox:
+                client_inbox[dest].append((i, msg))
+
+
+def _message_body(msg) -> tuple[str, str]:
+    """A message's trace text from ``,"msg":`` to its sender's id, and after
+    it: its type, its value, and the sender the channel supplied, under
+    "server" (Echo, Reply) or "client" (Write, Read), keys sorted."""
+    role = "server" if isinstance(msg, (Echo, Reply)) else "client"
+    after = f',"type":{_ENCODE(type(msg).__name__.lower())}'
     if not isinstance(msg, Read):
-        d["value"] = msg.value
-    return d
+        after += f',"value":{_ENCODE(msg.value)}'
+    return f',"msg":{{"{role}":', after + "}}"
+
+
+def _party(dest) -> str:
+    """A destination as ``json`` writes it."""
+    return str(dest) if type(dest) is int else _ENCODE(dest)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +443,9 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
 
     With ``record_trace`` off the result's ``trace`` stays empty and no
     event or payload is built; its history, probes, violations and protocol
-    failures are the same.  ``record_messages`` adds send and delivery
-    events to the trace, so it needs ``record_trace``.
+    failures are the same.  ``record_messages`` adds each round's messages
+    to the trace, as two ``RoundMessages`` records, so it needs
+    ``record_trace``.
 
     Raises ConfigError before round 1 on malformed input or when the
     configuration is inadmissible and ``allow_inadmissible`` is not set.
@@ -425,11 +482,6 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
 
     def trace(round_no, phase, kind, actor, payload):
         result.trace.append(TraceEvent(round_no, phase, kind, actor, payload))
-
-    if record_messages:
-        events = result.trace
-        server_names = [f"s{i}" for i in range(n)]
-        client_names = [f"c{c}" for c in range(n_clients)]
 
     def read(i):
         """Server i's own value, drawing an agent's corruption when first read."""
@@ -503,29 +555,17 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                 own_out[i] = server_send(read(i), readers, False)
 
         # Route each message once.  Inboxes list senders in id order, clients
-        # before servers, and every server gets the same inbox.  Only servers
-        # send to clients, and a destination reaches a client only if it is an
-        # int: True equals 1 but names no client.  Untraced, only own_out's
-        # servers route; count_servers counts the others.
+        # before servers.  Only servers send to clients, and only own_out's
+        # servers route: count_servers counts the others, and trace_lines
+        # writes their messages from shared_out.
         server_inbox = list(client_out)
         client_inbox: dict[int, list] = {c: [] for c in range(n_clients)
                                          if c not in crashed}
-        senders = own_out.items()
+        _route(own_out.items(), server_inbox, client_inbox)
         if record_messages:
-            shared_out = server_send(shared, readers, False)
-            senders = [(i, own_out.get(i, shared_out)) for i in range(n)]
-            for c, msg in client_out:
-                events.append(MessageEvent(r, "send", "send", client_names[c],
-                                           "dest", SERVERS, c, msg))
-        for i, out_msgs in senders:
-            for dest, msg in out_msgs:
-                if record_messages:
-                    events.append(MessageEvent(r, "send", "send", server_names[i],
-                                               "dest", dest, i, msg))
-                if dest == SERVERS:
-                    server_inbox.append((i, msg))
-                elif type(dest) is int and dest in client_inbox:
-                    client_inbox[dest].append((i, msg))
+            messages = (client_out, own_out, server_send(shared, readers, False),
+                        server_inbox, client_inbox)
+            result.trace.append(RoundMessages(r, "send", "send", *messages))
 
         # --- in-send movement (moves_in_send models) ---------------------------
         post_occupied = occ.post_send
@@ -537,13 +577,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
 
         # --- receive phase --------------------------------------------------
         if record_messages:
-            for i, msg in server_inbox:
-                events.append(MessageEvent(r, "receive", "deliver", SERVERS,
-                                           "from", i, i, msg))
-            for c, inbox in client_inbox.items():
-                for i, msg in inbox:
-                    events.append(MessageEvent(r, "receive", "deliver", client_names[c],
-                                               "from", i, i, msg))
+            result.trace.append(RoundMessages(r, "receive", "deliver", *messages))
         listed = list(own_out)  # in id order
         tally = server_receive(Tally(), server_inbox)
         echo_counts = count_servers(tally.echo_vals, listed, shared, n)

@@ -7,7 +7,8 @@ write against every read.  Both assume unique written values.
 ``brute_force_linearizable`` enumerates every precedence-respecting total
 order of a small history.
 ``trace_line`` encodes one trace event on its own, the reference for
-``RunResult.trace_lines``; ``trace_text`` is what that writes, as a string.
+``RunResult.trace_lines``; ``trace_text`` is what that writes, as a string,
+and ``trace_events`` the events it writes, one per line.
 ``per_server_run`` is the round loop that ``mobyreg.engine.run`` replaced:
 a value, pending reads and a cure flag kept for each server, every protocol
 phase called for each of them, the agreement probe counted server by server,
@@ -35,7 +36,7 @@ from typing import Mapping, NamedTuple, Optional
 from mobyreg.adversary import Strategy, rng_stream
 from mobyreg.checker import CheckerInputError, Verdict, precedes
 from mobyreg.engine import (Directive, OpRecord, RandomWorkload, RunResult,
-                            TraceEvent, Workload, _msg_payload, validate_directives)
+                            TraceEvent, Workload, validate_directives)
 from mobyreg.model import ConfigError, SystemConfig
 from mobyreg.protocol import (BOTTOM, SERVERS, Echo, Read, ReadFailed, ReadOk, Reply,
                               Tally, Write, server_compute, server_receive, server_send,
@@ -214,6 +215,21 @@ def trace_text(result):
     out = io.StringIO()
     result.trace_lines(out)
     return out.getvalue()
+
+
+def trace_events(result):
+    """The events ``result.trace_lines`` writes, one ``TraceEvent`` per line."""
+    return [TraceEvent(**json.loads(line)) for line in trace_text(result).splitlines()]
+
+
+def _msg_payload(msg, sender: int) -> dict:
+    """A message as traces show it: its type, its value, and the sender the
+    channel supplied, under "server" (Echo, Reply) or "client" (Write, Read)."""
+    d = {"type": type(msg).__name__.lower(),
+         "server" if isinstance(msg, (Echo, Reply)) else "client": sender}
+    if not isinstance(msg, Read):
+        d["value"] = msg.value
+    return d
 
 
 def mt_rng_stream(seed, *key):

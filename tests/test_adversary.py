@@ -11,6 +11,7 @@ from mobyreg.adversary import (NoFaults, RandomWalk, Scripted, SplitVote,
 from mobyreg.engine import Directive, run
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
 from mobyreg.protocol import SERVERS, Echo, Read, Reply, Write
+from oracles import trace_events
 
 
 def cfg(model="garay", n=7, f=2):
@@ -175,7 +176,7 @@ def test_byzantine_output_carries_true_sender_id():
     res = run(cfg(), Stationary({4}, fake_value="x"),
               [Directive(1, 0, "write", "good"), Directive(2, 1, "read")],
               rounds=3, seed=0, n_clients=2, record_messages=True)
-    byzantine = [ev for ev in res.trace if ev.kind in ("send", "deliver")
+    byzantine = [ev for ev in trace_events(res) if ev.kind in ("send", "deliver")
                  and ev.payload["msg"].get("value") == "x"]
     assert {ev.payload["msg"]["type"] for ev in byzantine} == {"echo", "reply"}
     for ev in byzantine:
@@ -193,11 +194,12 @@ def test_byzantine_write_and_read_are_dropped():
               rounds=4, seed=0, n_clients=1, record_messages=True)
     # honest servers echo their value every round, and the probes cover the
     # last one: no "x" anywhere means no server ever adopted it
-    sends = [ev for ev in res.trace if ev.kind == "send"]
+    events = trace_events(res)
+    sends = [ev for ev in events if ev.kind == "send"]
     assert "x" not in [ev.payload["msg"].get("value") for ev in sends]
     assert "x" not in [p["modal"] for p in res.probes]
     assert "s4" not in {ev.actor for ev in sends}
-    rejected = [ev for ev in res.trace if ev.kind == "violation" and ev.actor == "s4"]
+    rejected = [ev for ev in events if ev.kind == "violation" and ev.actor == "s4"]
     assert [ev.round for ev in rejected] == [1, 1, 2, 2, 3, 3, 4, 4]
     assert {ev.payload["reason"] for ev in rejected} == {"forged sender rejected"}
     assert res.history[0].result is None

@@ -467,12 +467,36 @@ def test_check_bad_crashed_ids_and_bad_bytes_are_config_error(tmp_path):
     ("clients: 0", "need at least one client, got 0"),
     ("- model: garay\n- n: 7", "must hold a mapping"),
     pytest.param("[" * 10_000, "nests too deeply", id="deep-nesting"),
+    pytest.param("model: " + "[" * 5_000 + "]" * 5_000, "nests too deeply",
+                 id="deep-yaml-nesting"),
 ])
 def test_run_mistyped_config_file_is_config_error(tmp_path, text, fragment):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text)
     result = invoke("run", "--config", str(cfg), "--out-dir", str(tmp_path))
     assert_config_error(result, fragment)
+
+
+@pytest.mark.parametrize("text", ["- " * 50_000 + "x", "- " + "[" * 5_000 + "]" * 5_000],
+                         ids=["block", "flow"])
+def test_run_deeply_nested_workload_file_is_config_error(tmp_path, text):
+    # in a process of its own: libyaml's loader overflows the C stack on the
+    # block-style file
+    wl = tmp_path / "wl.yaml"
+    wl.write_text(text)
+    src = os.path.dirname(os.path.dirname(mobyreg.__file__))
+    proc = subprocess.run([sys.executable, "-m", "mobyreg.cli", "run",
+                           "--workload", str(wl), "--out-dir", str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == f"configuration error: {wl} nests too deeply\n"
+
+
+def test_check_deeply_nested_line_is_config_error(tmp_path):
+    hist = tmp_path / "h.jsonl"
+    hist.write_text(json.dumps(WRITE_RECORD) + "\n" + "[" * 100_000 + "\n")
+    assert_config_error(invoke("check", str(hist)), "line 2: nests too deeply")
 
 
 def test_run_missing_workload_file_is_config_error(tmp_path):

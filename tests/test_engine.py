@@ -12,11 +12,12 @@ import mobyreg.engine
 from mobyreg.adversary import (NoFaults, RandomWalk, Scripted, SplitVote,
                                Stationary, Sweep)
 from mobyreg.checker import check_all, history_from_records
-from mobyreg.engine import (Directive, RandomWorkload, RunResult, TraceEvent,
-                            probe_agreement, run, tightness_demo, validate_directives)
+from mobyreg.engine import (Directive, RandomWorkload, RoundMessages, RunResult,
+                            TraceEvent, probe_agreement, run, tightness_demo,
+                            validate_directives)
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
 from mobyreg.protocol import BOTTOM, SERVERS, ComputeNote, Echo, Reply, Tally
-from oracles import mt_rng_stream, per_server_run, trace_line, trace_text
+from oracles import mt_rng_stream, per_server_run, trace_events, trace_line, trace_text
 
 
 def m1_config(n=7, f=2):
@@ -106,8 +107,9 @@ def test_a_reply_addressed_to_true_reaches_no_client():
     args = (m1_config(), RepliesToTrue({4, 5}), [Directive(2, 1, "read")])
     kwargs = dict(rounds=3, seed=0, n_clients=2, record_messages=True)
     for res in (run(*args, **kwargs), per_server_run(*args, **kwargs)):
-        assert any(ev.kind == "send" and ev.payload["dest"] is True for ev in res.trace)
-        assert not [ev for ev in res.trace if ev.kind == "deliver" and ev.actor == "c1"
+        events = trace_events(res)
+        assert any(ev.kind == "send" and ev.payload["dest"] is True for ev in events)
+        assert not [ev for ev in events if ev.kind == "deliver" and ev.actor == "c1"
                     and ev.payload["msg"].get("value") == "stray"]
         assert res.history[0].result is BOTTOM
 
@@ -277,11 +279,12 @@ def test_round_local_delivery():
     wl = [Directive(1, 0, "write", 9), Directive(2, 1, "read")]
     res = run(m1_config(), Sweep(), wl, rounds=4, seed=0, n_clients=2,
               record_messages=True)
+    events = trace_events(res)
     sent = Counter()
-    for ev in res.trace:
+    for ev in events:
         if ev.kind == "send":
             sent[(ev.round, json.dumps(ev.payload["msg"], sort_keys=True))] += 1
-    for ev in res.trace:
+    for ev in events:
         if ev.kind == "deliver":
             key = (ev.round, json.dumps(ev.payload["msg"], sort_keys=True))
             assert sent[key] > 0
@@ -515,22 +518,27 @@ def test_run_artifacts_match_golden_digest_with_splitmix_streams(name):
     ("garay-exotic-values-messages", "compute", "op_response"),
 ])
 def test_trace_lines_match_the_per_event_encoding(name, phase, kind, monkeypatch):
-    # run() traces a broadcast's delivery once, with actor "servers", and
-    # trace_lines writes it at every server; the per-server loop traces one
-    # deliver event per server, and each line must be that event's encoding
+    # run() holds a round's messages in two records, and trace_lines writes
+    # a line per message and sender or receiver; the per-server loop traces
+    # one event per message and server, and each line must be that event's
+    # encoding
     make = GOLDEN_RUNS[name][0]
     res = make()
-    assert any((ev.phase, ev.kind) == (phase, kind) for ev in res.trace)
+    events = trace_events(res)
+    assert any((ev.phase, ev.kind) == (phase, kind) for ev in events)
 
     def messages(events):
         return Counter((ev.round, json.dumps(ev.payload["msg"], sort_keys=True, default=str))
                        for ev in events)
 
-    sent = messages(ev for ev in res.trace
+    sent = messages(ev for ev in events
                     if ev.kind == "send" and ev.payload["dest"] == SERVERS)
-    delivered = [ev for ev in res.trace if ev.kind == "deliver"]
-    assert sent and messages(ev for ev in delivered if ev.actor == SERVERS) == sent
-    assert all(ev.actor == SERVERS or ev.actor[0] == "c" for ev in delivered)
+    delivered = [ev for ev in events if ev.kind == "deliver"]
+    assert sent and all(messages(ev for ev in delivered if ev.actor == f"s{i}") == sent
+                        for i in range(res.config.n))
+    assert all(ev.actor[0] in "sc" for ev in delivered)
+    assert [(ev.round, ev.kind) for ev in res.trace if type(ev) is RoundMessages] == [
+        (r, kind) for r in range(1, res.rounds + 1) for kind in ("send", "deliver")]
     monkeypatch.setitem(globals(), "run", per_server_run)  # what make() calls
     reference = make().trace
     assert not any(ev.actor == SERVERS for ev in reference)
@@ -563,7 +571,7 @@ def test_trace_lines_encode_destinations_that_reach_no_client():
     def sends(events):
         return [ev.payload for ev in events if ev.kind == "send"]
 
-    assert sends(res.trace) == sends(reference.trace)
+    assert sends(trace_events(res)) == sends(trace_events(reference))
 
 
 def test_trace_lines_write_each_round_and_phase_of_deliveries_apart():
@@ -740,6 +748,47 @@ def test_shared_state_run_matches_the_per_server_loop(inputs):
     config, strategy, workload, kwargs = inputs
     assert run_digest(run(config, strategy, workload, **kwargs)) == \
         run_digest(per_server_run(config, strategy, workload, **kwargs))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_read_heavy_messages_match_the_per_server_loop(seed):
+    # bonnet at n = 17 with 12 read-heavy clients: about 10 servers hold
+    # shared each round, and each writes its sends, its echo and its reply
+    # to each open reader from the round's template
+    args = (make_config("bonnet", 17, 4), RandomWalk(), RandomWorkload(0.5, 0.8))
+    kwargs = dict(rounds=40, seed=seed, n_clients=12, record_messages=True)
+    res = run(*args, **kwargs)
+    assert sum(op.kind == "read" for op in res.history) > 100
+    assert run_digest(res) == run_digest(per_server_run(*args, **kwargs))
+
+
+@pytest.mark.parametrize("model", ModelId)
+def test_a_reader_crashed_in_its_reply_round_gets_no_reply(model):
+    # the shared servers send client 0 a Reply in round 2, the reply round
+    # of its read, but it crashed at that round's start: the sends are
+    # written, the deliveries are not
+    n = lookup(model).alpha * 2 + 1
+    args = (make_config(model, n, 2), RandomWalk(),
+            [Directive(1, 0, "read"), Directive(1, 1, "write", "v"),
+             Directive(2, 0, "crash"), Directive(2, 1, "read")])
+    kwargs = dict(rounds=3, seed=0, n_clients=2, record_messages=True)
+    res = run(*args, **kwargs)
+    events = trace_events(res)
+    replies = [ev for ev in events if ev.round == 2 and ev.kind == "send"
+               and ev.payload["dest"] == 0]
+    assert len(replies) >= n - 2
+    assert not [ev for ev in events if ev.kind == "deliver" and ev.actor == "c0"
+                and ev.round == 2]
+    assert run_digest(res) == run_digest(per_server_run(*args, **kwargs))
+
+
+def test_message_records_do_not_grow_with_n():
+    # a round's messages are two records however many servers send them
+    def records(n):
+        return len(run(make_config("bonnet", n, 2), RandomWalk(), RandomWorkload(0.5, 0.5),
+                       rounds=60, seed=3, n_clients=4, record_messages=True).trace)
+
+    assert records(9) == records(901) > 2 * 60
 
 
 def test_run_without_adoption_keeps_every_server_apart(monkeypatch):
