@@ -8,20 +8,14 @@ the one corruption hook: an agent rewrites the value of each server it holds
 or leaves, and answers the pending readers, which every server knows from the
 last round's tally, through ``byzantine_outgoing``.
 
-Every decision draws from its own random stream, named by the run's seed and
-a key such as ``("corrupt-compute", round, server)``: ``rng_stream`` hashes
-the name with SHA-256 and starts a splitmix64 generator (Steele, Lea &
-Flood, *Fast Splittable Pseudorandom Number Generators*, OOPSLA 2014) at the
-digest's first 8 bytes.  Streams are independent per (round, server), so any
-counterexample reproduces from its seed.  A stream costs about 2.3–2.9 µs
-in CPython 3.11, of which the ``repr`` and SHA-256 of its name take about
-1.3 µs and the generator object 0.4 µs; deriving the key by splitmix64
-instead would save about 0.7 µs.  Per round, the engine makes one ``sched``
-stream, one ``byz`` stream per Byzantine sender, and a corruption stream only
-for a corruption a correct party reads: none in an admissible garay, sasaki or buhrman run, and
-one per cured server's send in bonnet.  A RandomWalk round of sasaki at
-n = 121, f = 30 builds about 55 streams, against 115 when every corruption
-was drawn as it was made.
+A decision that draws takes its own random stream, named by the run's seed
+and a key such as ``("sched", round)``: ``rng_stream`` hashes the name with
+SHA-256 and starts a splitmix64 generator (Steele, Lea & Flood, *Fast
+Splittable Pseudorandom Number Generators*, OOPSLA 2014) at the digest's
+first 8 bytes, so any counterexample reproduces from its seed.  The engine
+makes one ``sched`` and one ``workload`` stream per round.  A corruption
+draws nothing: the protocol tests values only for equality, so a token
+naming its round, server and kind is as strong as a random one.
 
 Channels stay authenticated: messages carry no sender id, the channel
 supplies it, so a strategy cannot forge one.  The engine drops any Write or
@@ -145,7 +139,7 @@ class Strategy:
     """Base adversary: subclasses pick the per-round target occupation."""
 
     name = "base"
-    fake_value: object = None   # fixed corruption value; None means random token
+    fake_value: object = None   # fixed corruption value; None: a token per corruption
 
     def target_set(self, config: SystemConfig, round_no: int,
                    prev: frozenset, rng: random.Random) -> frozenset:
@@ -181,19 +175,23 @@ class Strategy:
             return Occupancy(prev, target)
         return Occupancy(target, target)
 
-    def corrupt_value(self, round_no: int, server: int, rng: random.Random) -> object:
-        """The value an occupying (or departing) agent leaves behind.
+    def corrupt_value(self, round_no: int, server: int, kind: str) -> object:
+        """The value an agent leaves on, or sends from, a server it corrupts.
 
-        The value may depend only on ``(round_no, server, rng)``: the engine
-        calls this when a correct party first reads the value, which may be
-        late, in another order than the corruptions were made, or never.
+        ``kind`` is "send" for a Byzantine server's output, "leave" for the
+        host an agent departs during the send, and "compute" for each host
+        it holds when the compute phase ends.  Each (round, server, kind) is
+        corrupted at most once, so no two corruptions share the default
+        token; and every count (the echo tally, a read's replies, the probe)
+        takes one value per server, so no token gains a second vote.  Tied
+        tokens order by their ``byz-<round>-s<server>`` text first.
         """
         if self.fake_value is not None:
             return self.fake_value
-        return f"byz-{round_no}-s{server}-{rng.randrange(1 << 30)}"
+        return f"byz-{round_no}-s{server}-{kind}"
 
     def byzantine_outgoing(self, config: SystemConfig, round_no: int, server: int,
-                           readers: frozenset, rng: random.Random) -> tuple:
+                           readers: frozenset) -> tuple:
         """Send-phase output of a fully Byzantine server: (destination, message) pairs.
 
         A destination is ``SERVERS`` or an integer, and an integer is always
@@ -206,7 +204,7 @@ class Strategy:
         engine drops any Write or Read.  The default pushes one wrong value
         into the echo exchange and to every pending reader in ``readers``.
         """
-        wrong = self.corrupt_value(round_no, server, rng)
+        wrong = self.corrupt_value(round_no, server, "send")
         return ((SERVERS, Echo(wrong)),) + tuple((cid, Reply(wrong))
                                                  for cid in sorted(readers))
 
@@ -283,7 +281,7 @@ class SplitVote(Scripted):
             raise ConfigError("split_vote needs a non-default fake value")
         super().__init__(schedule, fake_value)
 
-    def byzantine_outgoing(self, config, round_no, server, readers, rng):
+    def byzantine_outgoing(self, config, round_no, server, readers):
         # Stay silent toward the servers (a Byzantine option): the proof
         # scenarios only need the reader's reply multiset balanced, and at
         # the boundary even f planted echoes would clear the (degenerate)

@@ -42,15 +42,7 @@ write per round, so the most trace text held at once is one round's.
 
 An agent corrupts the server it leaves during the send and each server it
 holds when the compute phase ends; the one it holds when the send starts
-sends as a Byzantine server, so nothing reads its value then.  A corruption
-is drawn when a correct party first reads it: ``own`` holds a marker naming
-the draw's stream, and the send of a server that is neither Byzantine nor
-cured, or the end-of-round probe of a server no agent holds, draws it with
-the same call and the same stream name.  Streams are keyed, so a draw made
-late, in another order or not at all changes no other draw.  Most
-corruptions are overwritten unread, by the next adoption.  In admissible
-garay, sasaki and buhrman runs no corruption is drawn at all; in bonnet,
-only those its cured servers send.
+sends as a Byzantine server, so nothing reads its value then.
 """
 
 from __future__ import annotations
@@ -421,20 +413,6 @@ def _party(dest) -> str:
 # Simulation
 # ---------------------------------------------------------------------------
 
-class _Unread:
-    """A corruption not yet drawn: the ``(kind, round)`` of its stream.
-
-    The server is the key it is stored under in ``own``, so one marker
-    stands for every server the agents hold when a round's compute ends.
-    """
-
-    __slots__ = ("kind", "round")
-
-    def __init__(self, kind: str, round_no: int):
-        self.kind = kind
-        self.round = round_no
-
-
 def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         rounds: int, seed: int = 0, n_clients: int = 3,
         allow_inadmissible: bool = False, record_trace: bool = True,
@@ -483,14 +461,6 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
     def trace(round_no, phase, kind, actor, payload):
         result.trace.append(TraceEvent(round_no, phase, kind, actor, payload))
 
-    def read(i):
-        """Server i's own value, drawing an agent's corruption when first read."""
-        value = own[i]
-        if type(value) is _Unread:
-            value = own[i] = strategy.corrupt_value(
-                value.round, i, rng_stream(seed, value.kind, value.round, i))
-        return value
-
     for r in range(1, rounds + 1):
         # --- agent movement (at round start, or during send: moves_in_send) ---
         occ = strategy.occupancy(config, r, occupied, rng_stream(seed, "sched", r))
@@ -537,8 +507,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         own_out: dict[int, tuple] = {}
         for i in sorted(own.keys() | byzantine):
             if i in byzantine:
-                out_msgs = strategy.byzantine_outgoing(
-                    config, r, i, readers, rng_stream(seed, "byz", r, i))
+                out_msgs = strategy.byzantine_outgoing(config, r, i, readers)
                 kept = []
                 for dest, msg in out_msgs:
                     if not isinstance(msg, (Echo, Reply)):
@@ -549,10 +518,8 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                         continue
                     kept.append((dest, msg))
                 own_out[i] = tuple(kept)
-            elif i in cured:
-                own_out[i] = server_send(own[i], readers, True)  # reads no value
             else:
-                own_out[i] = server_send(read(i), readers, False)
+                own_out[i] = server_send(own[i], readers, i in cured)
 
         # Route each message once.  Inboxes list senders in id order, clients
         # before servers.  Only servers send to clients, and only own_out's
@@ -571,7 +538,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         post_occupied = occ.post_send
         for src, dst in moves:
             # Departing host: the register value keeps the agent's corruption.
-            own[src] = _Unread("corrupt-leave", r)
+            own[src] = strategy.corrupt_value(r, src, "leave")
             if record_trace:
                 trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
 
@@ -629,12 +596,10 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             # every server holds the adopted value; the agents' hosts lose it again
             shared = note.value
             own.clear()
-        own.update(dict.fromkeys(post_occupied, _Unread("corrupt-compute", r)))
+        for i in post_occupied:
+            own[i] = strategy.corrupt_value(r, i, "compute")
 
         # --- end-of-round probe -----------------------------------------------
-        for i, value in own.items():
-            if type(value) is _Unread and i not in post_occupied:
-                read(i)
         modal, support = probe_agreement(own, post_occupied, shared, n)
         probe = {"round": r, "modal": modal, "support": support,
                  "non_faulty": n - len(post_occupied),

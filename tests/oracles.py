@@ -377,7 +377,7 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
         # --- begin round -------------------------------------------------
         for i in range(n):
             if i in pre_send:
-                values[i] = strategy.corrupt_value(r, i, rng_stream(seed, "corrupt", r, i))
+                values[i] = strategy.corrupt_value(r, i, "send")
                 restored[i] = False
             cured[i] = oracle_enabled and not restored[i] and i not in pre_send
 
@@ -416,8 +416,7 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
                 outbox.append(("client", c, dest, msg))
         for i in range(n):
             if i in byzantine:
-                out_msgs = strategy.byzantine_outgoing(
-                    config, r, i, reads[i], rng_stream(seed, "byz", r, i))
+                out_msgs = strategy.byzantine_outgoing(config, r, i, reads[i])
                 reads[i] = frozenset()
                 for dest, msg in out_msgs:
                     if not isinstance(msg, (Echo, Reply)):
@@ -444,8 +443,7 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
                 moved.discard(src)
                 moved.add(dst)
                 # Departing host: the register value keeps the agent's corruption.
-                values[src] = strategy.corrupt_value(
-                    r, src, rng_stream(seed, "corrupt-leave", r, src))
+                values[src] = strategy.corrupt_value(r, src, "leave")
                 restored[src] = False
                 trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
             post_occupied = frozenset(moved)
@@ -495,8 +493,7 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
             if note.adopted and i not in post_occupied:
                 restored[i] = True
         for i in sorted(post_occupied):
-            values[i] = strategy.corrupt_value(
-                r, i, rng_stream(seed, "corrupt-compute", r, i))
+            values[i] = strategy.corrupt_value(r, i, "compute")
             restored[i] = False
         for c in range(n_clients):
             if c in crashed:

@@ -1,6 +1,7 @@
 import datetime
 import hashlib
 import json
+import re
 import tracemalloc
 from collections import Counter
 
@@ -62,14 +63,14 @@ def test_read_before_any_write_returns_default():
 class PlantsReplies(Scripted):
     """Each held server sends client 1 a reply it never asked for."""
 
-    def byzantine_outgoing(self, config, round_no, server, readers, rng):
+    def byzantine_outgoing(self, config, round_no, server, readers):
         return ((1, Reply("planted")),)
 
 
 class SilentAgents(Scripted):
-    """Held servers send nothing; the values agents leave are random tokens."""
+    """Held servers send nothing; the values agents leave are their tokens."""
 
-    def byzantine_outgoing(self, config, round_no, server, readers, rng):
+    def byzantine_outgoing(self, config, round_no, server, readers):
         return ()
 
 
@@ -99,7 +100,7 @@ def test_replies_planted_in_a_reads_request_round_do_not_count():
 class RepliesToTrue(Stationary):
     """Sends nothing but a reply addressed to ``True``, which equals 1."""
 
-    def byzantine_outgoing(self, config, round_no, server, readers, rng):
+    def byzantine_outgoing(self, config, round_no, server, readers):
         return ((True, Reply("stray")),)
 
 
@@ -118,7 +119,7 @@ class RepeatsItself(Stationary):
     """Echoes "x" then "v"; sends each reader an Echo of "e", then replies
     "x" and "v"."""
 
-    def byzantine_outgoing(self, config, round_no, server, readers, rng):
+    def byzantine_outgoing(self, config, round_no, server, readers):
         to_readers = tuple(m for c in sorted(readers)
                            for m in ((c, Echo("e")), (c, Reply("x")), (c, Reply("v"))))
         return ((SERVERS, Echo("x")), (SERVERS, Echo("v"))) + to_readers
@@ -203,14 +204,19 @@ def test_expanded_random_workload_is_valid(op_rate, read_ratio, rounds, n_client
 
 
 def test_random_workload_is_drawn_before_round_1(monkeypatch):
+    # and a corruption draws nothing: in every model a run builds a round's
+    # workload and schedule streams, and no other
     keys = []
     draw = mobyreg.engine.rng_stream
     monkeypatch.setattr(mobyreg.engine, "rng_stream",
                         lambda seed, *key: (keys.append(key), draw(seed, *key))[1])
-    res = run(m1_config(), RandomWalk(), RandomWorkload(op_rate=0.5), rounds=20, seed=4)
-    assert res.history
-    assert keys[:20] == [("workload", r) for r in range(1, 21)]
-    assert all(key[0] != "workload" for key in keys[20:])
+    for model in ModelId:
+        keys.clear()
+        res = run(make_config(model, lookup(model).alpha * 2 + 1, 2), RandomWalk(),
+                  RandomWorkload(op_rate=0.5), rounds=20, seed=4)
+        assert res.history
+        assert keys == ([("workload", r) for r in range(1, 21)]
+                        + [("sched", r) for r in range(1, 21)]), model
 
 
 # ----------------------------------------------------------- determinism ---
@@ -391,6 +397,29 @@ def test_tightness_reader_sees_written_and_planted_value():
 
 # ----------------------------------------------- checker on real histories -
 
+class Colluder(RandomWalk):
+    """A random walk whose agents all plant one value."""
+
+    fake_value = "colluded"
+
+
+@pytest.mark.parametrize("model", ModelId)
+def test_a_colluder_breaks_every_model_at_the_bound_and_none_above(model):
+    # distinct corruption tokens never collude: each wrong value has one
+    # sender.  One shared value gathers f of them, which at n = alpha*f is
+    # enough to break every run, and at alpha*f + 1 never is
+    def breaks(n, seed):
+        res = run(make_config(model, n, 1), Colluder(), RandomWorkload(0.5, 0.5),
+                  rounds=40, seed=seed, allow_inadmissible=True, record_trace=False)
+        verdicts = check_all(history_from_records(res.history), res.crashed_clients)
+        return bool(res.protocol_failures or res.violations
+                    or not all(v.passed for v in verdicts.values()))
+
+    alpha = lookup(model).alpha
+    assert all(breaks(alpha, seed) for seed in range(5))
+    assert not any(breaks(alpha + 1, seed) for seed in range(5))
+
+
 @pytest.mark.parametrize("model", ["garay", "bonnet", "sasaki", "buhrman"])
 def test_random_runs_satisfy_register_properties(model):
     from mobyreg.model import lookup
@@ -406,13 +435,19 @@ def test_random_runs_satisfy_register_properties(model):
 
 # ------------------------------------------------- shared receive phase ----
 
-def run_digest(res):
-    """SHA-256 over a run's trace lines, history, probes and failures."""
-    h = hashlib.sha256(trace_text(res).encode())
+def run_digest(res, edit=str):
+    """SHA-256 over a run's trace lines, history, probes and failures, each
+    text as ``edit`` rewrites it."""
+    h = hashlib.sha256(edit(trace_text(res)).encode())
     for part in ([r.as_dict() for r in res.history], res.probes,
                  res.violations, res.protocol_failures):
-        h.update(json.dumps(part, sort_keys=True, default=str).encode())
+        h.update(edit(json.dumps(part, sort_keys=True, default=str)).encode())
     return h.hexdigest()
+
+
+def mask_tokens(text):
+    """``text`` with each corruption token cut to ``byz-<round>-s<server>``."""
+    return re.sub(r"byz-(\d+)-s(\d+)-[0-9a-z]+", r"byz-\1-s\2", text)
 
 
 def _exotic_values_run():
@@ -438,7 +473,9 @@ def _random_run(model, n, f, **kwargs):
 
 # name: (make, digest with the Mersenne Twister streams of tests/oracles.py,
 # digest with the splitmix64 streams of rng_stream).  The scripted runs
-# draw from no stream, so both digests are the same.
+# draw from no stream, so both digests are the same.  Of these runs, only
+# sasaki-inadmissible-messages holds a corruption token; MASKED_RUNS keeps
+# its digests from before the tokens ended in their kind.
 GOLDEN_RUNS = {
     "garay-random": (
         lambda: _random_run("garay", 7, 2),
@@ -459,8 +496,8 @@ GOLDEN_RUNS = {
     "sasaki-inadmissible-messages": (
         lambda: _random_run("sasaki", 8, 2, allow_inadmissible=True,
                             record_messages=True),
-        "736b85342412045eae897469d59a1ad09f7f834e4096c44dffdfc415a46ebe01",
-        "be7561fff5c690326142899c726ce5ff47d191263dba3b3e0390af4cf7972e94"),
+        "f7b08ddd3e4b320cee18d9d77ff5878069b5c1db7949602846f4065ea97f5df5",
+        "6d641a3795df70a887b592ba25856099c21ad0607b4b8e6764e7b79759b8b38a"),
     "buhrman-in-send-moves": (
         lambda: run(make_config("buhrman", 5, 2),
                     Scripted({1: {0, 1}, 2: {2, 1}, 4: {3, 4}}, fake_value="evil"),
@@ -511,6 +548,49 @@ def test_run_artifacts_match_golden_digest_with_splitmix_streams(name):
     assert run_digest(make()) == digest
 
 
+# digests with each corruption token masked (mask_tokens), recorded when a
+# token ended in a random draw rather than its kind: (Mersenne Twister
+# streams, splitmix64 streams).  A token's last part is all that may differ.
+MASKED_RUNS = {
+    "sasaki-inadmissible-messages": (
+        "5eb62440a0475359bf2423ad29b4c20edf7e5eddfa52a57ae4b6981bc20bd80b",
+        "997224af2972daf27cae2823d35c66961700231de736dea60b2ab1089dcbe1b4"),
+}
+
+
+@pytest.mark.parametrize("name", MASKED_RUNS)
+def test_run_artifacts_match_masked_digest(name, monkeypatch):
+    make = GOLDEN_RUNS[name][0]
+    mt_digest, splitmix_digest = MASKED_RUNS[name]
+    assert run_digest(make(), mask_tokens) == splitmix_digest
+    monkeypatch.setattr(mobyreg.engine, "rng_stream", mt_rng_stream)
+    assert run_digest(make(), mask_tokens) == mt_digest
+
+
+def test_verdicts_match_masked_digest():
+    # 32 untraced RandomWalk runs on both sides of each bound, recorded when
+    # a token ended in a random draw: with the tokens masked, every history,
+    # probe, violation and protocol failure is the same
+    h = hashlib.sha256()
+    tokens = failures = 0
+    for model in ModelId:
+        for f in (1, 2):
+            for n in (lookup(model).alpha * f, lookup(model).alpha * f + 1):
+                for seed in (0, 1):
+                    res = run(make_config(model, n, f), RandomWalk(),
+                              RandomWorkload(0.5, 0.5), rounds=60, seed=seed,
+                              allow_inadmissible=True, record_trace=False)
+                    text = json.dumps([[r.as_dict() for r in res.history], res.probes,
+                                       res.violations, res.protocol_failures],
+                                      sort_keys=True, default=str)
+                    tokens += text.count("byz-")
+                    failures += len(res.violations) + len(res.protocol_failures)
+                    h.update(mask_tokens(text).encode())
+    assert (tokens, failures) == (532, 138)
+    assert h.hexdigest() == \
+        "93feb9ea0d11db19c8c424b3fdd655ce583aa91c9554b5aaf3359c83d750ded9"
+
+
 @pytest.mark.parametrize("name,phase,kind", [
     ("sasaki-inadmissible-messages", "receive", "deliver"),
     ("buhrman-in-send-moves", "send", "fault_move"),
@@ -550,8 +630,8 @@ def test_trace_lines_match_the_per_event_encoding(name, phase, kind, monkeypatch
 class StrayReplies(Stationary):
     """Also sends replies to an unknown client, to ``True`` and to a string."""
 
-    def byzantine_outgoing(self, config, round_no, server, readers, rng):
-        out = super().byzantine_outgoing(config, round_no, server, readers, rng)
+    def byzantine_outgoing(self, config, round_no, server, readers):
+        out = super().byzantine_outgoing(config, round_no, server, readers)
         return out + tuple((dest, Reply("stray")) for dest in (99, True, "elsewhere"))
 
 
@@ -615,29 +695,6 @@ def test_trace_lines_hold_one_round_of_text_at_a_time():
     (peak_40, chars_40), (peak_100, chars_100) = map(trace_lines_peak, (40, 100))
     assert peak_40 < chars_40 / 4 and peak_100 < chars_100 / 4
     assert peak_100 < 1.5 * peak_40
-
-
-@pytest.mark.parametrize("name", [name for name in GOLDEN_RUNS
-                                  if name.endswith("-random")])
-def test_only_corruptions_a_correct_party_reads_build_streams(name, monkeypatch):
-    # admissible runs adopt a value every round, which overwrites every
-    # corruption before a correct party reads it, except the value a bonnet
-    # cured server sends in the round after its agent leaves
-    kinds = Counter()
-    draw = mobyreg.engine.rng_stream
-    monkeypatch.setattr(mobyreg.engine, "rng_stream",
-                        lambda seed, *key: (kinds.update([key[0]]), draw(seed, *key))[1])
-    res = GOLDEN_RUNS[name][0]()
-    assert kinds["byz"] > 0
-    corrupt = {k: kinds[k] for k in ("corrupt", "corrupt-leave", "corrupt-compute")
-               if kinds[k]}
-    if name != "bonnet-random":
-        assert corrupt == {}
-        return
-    cured_sends = sum(len(ev.payload["cured"]) for ev in res.trace
-                      if (ev.phase, ev.kind) == ("round_start", "fault_move"))
-    assert set(corrupt) == {"corrupt-compute"}
-    assert 0 < corrupt["corrupt-compute"] <= cured_sends
 
 
 @pytest.mark.parametrize("model,f", GOLDEN_TIGHTNESS)
@@ -742,9 +799,9 @@ def test_shared_state_run_matches_the_per_server_loop(inputs):
     # adopt the one of the lower server id; second: servers 0 and 1 adopt in
     # round 2 while flagged cured, and agents take them again in round 3;
     # third: from round 2 on no server echoes, so nothing is adopted, and the
-    # random tokens the agents left on the cured servers are first drawn by
-    # the end-of-round probe; fourth: a client writes and crashes in one
-    # round, so its write is neither sent nor confirmed
+    # end-of-round probe counts the tokens the agents left on the cured
+    # servers; fourth: a client writes and crashes in one round, so its write
+    # is neither sent nor confirmed
     config, strategy, workload, kwargs = inputs
     assert run_digest(run(config, strategy, workload, **kwargs)) == \
         run_digest(per_server_run(config, strategy, workload, **kwargs))
@@ -813,7 +870,7 @@ def test_run_without_adoption_keeps_every_server_apart(monkeypatch):
 
 def test_generated_inputs_reach_rounds_without_adoption(monkeypatch):
     # the differential test above must also see rounds that keep servers
-    # apart, where own values diverge and the probe draws the agents' tokens
+    # apart, where own values diverge and the probe counts the agents' tokens
     adopted = []
     compute = mobyreg.engine.server_compute
     monkeypatch.setattr(mobyreg.engine, "server_compute",
