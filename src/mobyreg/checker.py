@@ -58,7 +58,6 @@ class Op:
 
 @dataclass
 class Verdict:
-    prop: str
     passed: bool
     witness: list = field(default_factory=list)
 
@@ -103,9 +102,8 @@ def check_termination(history: Sequence[Op],
     crashed = set(crashed_clients)
     witnesses = [op for op in history
                  if not op.complete and op.client not in crashed]
-    return Verdict("termination", not witnesses,
-                   [{"op_id": op.op_id, "client": op.client, "kind": op.kind}
-                    for op in witnesses])
+    return Verdict(not witnesses, [{"op_id": op.op_id, "client": op.client, "kind": op.kind}
+                                   for op in witnesses])
 
 
 def check_validity(history: Sequence[Op]) -> Verdict:
@@ -150,7 +148,7 @@ def check_validity(history: Sequence[Op]) -> Verdict:
             witnesses.append({"op_id": read.op_id, "returned": read.value,
                               "reason": "overwritten value",
                               "newer_write": first_done[later].op_id})
-    return Verdict("validity", not witnesses, witnesses)
+    return Verdict(not witnesses, witnesses)
 
 
 def check_ordering(history: Sequence[Op]) -> Verdict:
@@ -164,17 +162,15 @@ def check_ordering(history: Sequence[Op]) -> Verdict:
     writes = _writes_by_value(ops)
     for op in ops:
         if op.kind == "read" and op.value is not BOTTOM and op.value not in writes:
-            return Verdict("ordering", False,
-                           [{"op_id": op.op_id, "returned": op.value,
-                             "reason": "value never written"}])
+            return Verdict(False, [{"op_id": op.op_id, "returned": op.value,
+                                    "reason": "value never written"}])
     # a read must not finish before the write it observed starts
     for op in ops:
         if op.kind == "read" and op.value is not BOTTOM:
             w = writes[op.value]
             if precedes(op, w):
-                return Verdict("ordering", False,
-                               [{"op_id": op.op_id, "read_from": w.op_id,
-                                 "reason": "read precedes its write"}])
+                return Verdict(False, [{"op_id": op.op_id, "read_from": w.op_id,
+                                        "reason": "read precedes its write"}])
     # cluster 0 is the initial value's (no write, lo = -inf: its fictional
     # write responds before every operation), cluster k the k-th write's;
     # lo/hi hold each cluster's earliest response and latest invoke, and
@@ -193,7 +189,7 @@ def check_ordering(history: Sequence[Op]) -> Verdict:
             hi[k], hi_op[k] = op.invoke, op
     pair = _mutual_pair(lo, hi)
     if pair is None:
-        return Verdict("ordering", True)
+        return Verdict(True)
 
     def edge(src: int, dst: int) -> dict:
         return {"from_write": None if src == 0 else cluster_write[src].op_id,
@@ -203,7 +199,7 @@ def check_ordering(history: Sequence[Op]) -> Verdict:
                    {"before_op": lo_op[src].op_id, "after_op": hi_op[dst].op_id})}
 
     a, b = pair
-    return Verdict("ordering", False, [edge(a, b), edge(b, a)])
+    return Verdict(False, [edge(a, b), edge(b, a)])
 
 
 def _mutual_pair(lo: list, hi: list) -> Optional[tuple[int, int]]:

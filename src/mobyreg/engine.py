@@ -35,10 +35,13 @@ work, and its events in memory, grow with f and the running operations, not
 with n.  An event with actor ``servers`` stands for every server: the
 echo-tie diagnostic is one event, and ``trace_lines`` writes it once per
 server, s0 to s(n-1).  With ``record_messages`` a round's messages are two
-``RoundMessages`` records, its sends and its deliveries, and
-``trace_lines`` writes each shared server's lines from one template per
-round, joined with its id.  It writes to a stream a round at a time, one
-write per round, so the most trace text held at once is one round's.
+``RoundMessages`` records, for its send and its receive phase.  Each holds
+the round's sends and its open clients: the deliveries follow from them by
+``_route``.  ``trace_lines`` renders each server output once, as a template
+with ``"\\0"`` for the sender's id, and writes server i's lines from its
+output's template with i in its place.  It writes to a stream a round at a
+time, one write per round, so the most trace text held at once is one
+round's.
 
 An agent corrupts the server it leaves during the send and each server it
 holds when the compute phase ends; the one it holds when the send starts
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import json
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -196,7 +199,8 @@ class RoundMessages(NamedTuple):
 
     ``clients`` holds the clients' ``(client, msg)`` broadcasts, ``own_out``
     the listed (own or Byzantine) servers' output by id, ``shared_out`` each
-    other server's, and the inboxes the first two's messages, as routed.
+    other server's, and ``open_clients`` the clients a message can reach.
+    Channels are reliable, so the deliveries are ``_route`` over the sends.
     """
 
     round: int
@@ -205,8 +209,7 @@ class RoundMessages(NamedTuple):
     clients: list
     own_out: dict
     shared_out: tuple
-    server_inbox: list
-    client_inbox: dict
+    open_clients: tuple
 
 
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str).encode
@@ -233,21 +236,21 @@ class RunResult:
         round's.  Sorted, the keys come as actor, kind, payload, phase, round,
         so a line is spliced from a cached head, the encoded payload and the
         phase's tail.  An event with actor ``servers`` stands for every
-        server, whatever its kind: a row of such events of one kind, round
-        and phase is written server by server, s0 to s(n-1), each server's
-        lines in event order, each payload encoded once.
+        server: it is written once per server, s0 to s(n-1).
 
         A ``RoundMessages`` record is written a line per message and sender
-        or receiver, clients first, then servers in id order, each message
-        encoded once in a round (cache keyed by ``id``: the records hold their
-        messages for the call).  The lines of a server outside ``own_out``
-        differ from another's only in its id: one template per round, joined
-        with the id, writes them.
+        or receiver, clients first, then servers in id order.  Each message
+        is rendered once in a round (cache keyed by ``id``: the records hold
+        their messages for the call), as a template with ``"\\0"`` for its
+        sender's id.  ``shared_out`` and each ``own_out`` entry are rendered
+        and routed once; server i's lines are its output's texts with the
+        ``"\\0"`` replaced by i.
         """
         n = self.config.n
         heads: dict = {}
-        bodies: dict = {}  # id(msg) -> (text before the sender id, text after it)
-        server_names = [f"s{i}" for i in range(n)]
+        bodies: dict = {}  # id(msg) -> its text from ',"msg":', "\0" for its sender's id
+        ids = [str(i) for i in range(n)]
+        server_names = ["s" + i for i in ids]
 
         def head(actor, kind):
             text = heads.get((actor, kind))
@@ -261,52 +264,47 @@ class RunResult:
             return actor_head + ("\n" + actor_head).join(texts)
 
         def message_lines(rec, tail):
-            def payload(key, party, sender, msg):
-                # party and sender as text; "\0", in no JSON text, stands for
-                # a shared server's id
+            def payload(key, party, msg):
+                # "\0", in no JSON text, stands for the sender's id
                 body = bodies.get(id(msg))
                 if body is None:
                     body = bodies[id(msg)] = _message_body(msg)
-                return f'{{"{key}":{party}{body[0]}{sender}{body[1]}{tail}'
+                return f'{{"{key}":{party}{body}{tail}'
 
-            def by_server(listed, templates):
-                # listed's (server, text) pairs, and the templates at each shared id
-                if not templates:
-                    return [text for _, text in listed]
-                templates = [text.split("\0") for text in templates]
-                listed = {i: [text for _, text in pairs]
-                          for i, pairs in groupby(listed, itemgetter(0))}
-                texts = []
-                for i in range(n):
-                    texts += (listed.get(i, ()) if i in rec.own_out
-                              else [str(i).join(pieces) for pieces in templates])
-                return texts
+            def per_server(render):
+                # (id, render(its output)) for each server, shared_out rendered once
+                shared = render(rec.shared_out)
+                return [(i, render(rec.own_out[k]) if k in rec.own_out else shared)
+                        for k, i in enumerate(ids)]
 
             if rec.kind == "send":
-                listed = [(i, head(server_names[i], "send")
-                           + payload("dest", _party(dest), i, msg))
-                          for i, out_msgs in rec.own_out.items() for dest, msg in out_msgs]
-                shared = "\n".join('{"actor":"s\0","kind":"send","payload":'
-                                   + payload("dest", _party(dest), "\0", msg)
-                                   for dest, msg in rec.shared_out)
-                return ([head(f"c{c}", "send") + payload("dest", _party(SERVERS), c, msg)
-                         for c, msg in rec.clients] + by_server(listed, [shared]))
+                def sent(out_msgs):
+                    return "\n".join('{"actor":"s\0","kind":"send","payload":'
+                                     + payload("dest", _party(dest), msg)
+                                     for dest, msg in out_msgs)
 
-            def delivered(inbox, shared):
-                return by_server([(i, payload("from", i, i, msg)) for i, msg in inbox],
-                                 [payload("from", "\0", "\0", msg) for _, msg in shared])
+                lines = [head(f"c{c}", "send")
+                         + payload("dest", _party(SERVERS), msg).replace("\0", str(c))
+                         for c, msg in rec.clients]
+                return lines + [text.replace("\0", i) for i, text in per_server(sent) if text]
 
-            shared_servers, shared_clients = [], {c: [] for c in rec.client_inbox}
-            _route((("\0", rec.shared_out),), shared_servers, shared_clients)
-            # the server inbox lists the clients' messages first
-            row = ([payload("from", c, c, msg) for c, msg in rec.clients]
-                   + delivered(rec.server_inbox[len(rec.clients):], shared_servers))
-            lines = [actor_lines(name, "deliver", row) for name in server_names if row]
-            for c, inbox in rec.client_inbox.items():
-                texts = delivered(inbox, shared_clients[c])
-                if texts:
-                    lines.append(actor_lines(f"c{c}", "deliver", texts))
-            return lines
+            def delivered(out_msgs):
+                # the texts every server is delivered, and each open client's
+                to_servers, to_clients = [], {c: [] for c in rec.open_clients}
+                _route((("\0", out_msgs),), to_servers, to_clients)
+                return ([payload("from", i, msg) for i, msg in to_servers],
+                        {c: [payload("from", i, msg) for i, msg in pairs]
+                         for c, pairs in to_clients.items() if pairs})
+
+            row = [payload("from", "\0", msg).replace("\0", str(c)) for c, msg in rec.clients]
+            by_client = {c: [] for c in rec.open_clients}
+            for i, (to_servers, to_clients) in per_server(delivered):
+                row += [text.replace("\0", i) for text in to_servers]
+                for c, texts in to_clients.items():
+                    by_client[c] += [text.replace("\0", i) for text in texts]
+            lines = [actor_lines(name, "deliver", row) for name in server_names] if row else []
+            return lines + [actor_lines(f"c{c}", "deliver", texts)
+                            for c, texts in by_client.items() if texts]
 
         for round_no, events in groupby(self.trace, attrgetter("round")):
             round_text = _ENCODE(round_no)
@@ -314,18 +312,13 @@ class RunResult:
             lines = []
             for phase, events in groupby(events, attrgetter("phase")):
                 tail = f',"phase":{_ENCODE(phase)},"round":{round_text}}}'
-                # rows of "servers" events of one kind, and of other events
-                for kind, row in groupby(events, lambda ev: type(ev) is TraceEvent
-                                         and ev.actor == SERVERS and ev.kind):
-                    if kind:
-                        row = [_ENCODE(ev.payload) + tail for ev in row]
-                        lines += [actor_lines(name, kind, row) for name in server_names]
+                for ev in events:
+                    if type(ev) is RoundMessages:
+                        lines += message_lines(ev, tail)
                         continue
-                    for ev in row:
-                        if type(ev) is RoundMessages:
-                            lines += message_lines(ev, tail)
-                        else:
-                            lines.append(head(ev.actor, ev.kind) + _ENCODE(ev.payload) + tail)
+                    text = _ENCODE(ev.payload) + tail
+                    actors = server_names if ev.actor == SERVERS else (ev.actor,)
+                    lines += [head(actor, ev.kind) + text for actor in actors]
             lines.append("")  # the last line's newline, without copying the text
             out.write("\n".join(lines))
 
@@ -393,15 +386,15 @@ def _route(senders, server_inbox: list, client_inbox: dict) -> None:
                 client_inbox[dest].append((i, msg))
 
 
-def _message_body(msg) -> tuple[str, str]:
-    """A message's trace text from ``,"msg":`` to its sender's id, and after
-    it: its type, its value, and the sender the channel supplied, under
-    "server" (Echo, Reply) or "client" (Write, Read), keys sorted."""
+def _message_body(msg) -> str:
+    """A message's trace text from ``,"msg":`` on, with ``"\\0"`` for its
+    sender's id: its type, its value, and the sender the channel supplied,
+    under "server" (Echo, Reply) or "client" (Write, Read), keys sorted."""
     role = "server" if isinstance(msg, (Echo, Reply)) else "client"
-    after = f',"type":{_ENCODE(type(msg).__name__.lower())}'
+    text = f',"msg":{{"{role}":\0,"type":{_ENCODE(type(msg).__name__.lower())}'
     if not isinstance(msg, Read):
-        after += f',"value":{_ENCODE(msg.value)}'
-    return f',"msg":{{"{role}":', after + "}}"
+        text += f',"value":{_ENCODE(msg.value)}'
+    return text + "}}"
 
 
 def _party(dest) -> str:
@@ -531,7 +524,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         _route(own_out.items(), server_inbox, client_inbox)
         if record_messages:
             messages = (client_out, own_out, server_send(shared, readers, False),
-                        server_inbox, client_inbox)
+                        tuple(client_inbox))
             result.trace.append(RoundMessages(r, "send", "send", *messages))
 
         # --- in-send movement (moves_in_send models) ---------------------------

@@ -86,6 +86,8 @@ class SystemConfig:
             raise ConfigError(f"f must be >= 0, got {self.f}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
+        if self.f > self.n:
+            raise ConfigError(f"f must be <= n, got f={self.f} > n={self.n}")
 
     @property
     def admissible(self) -> bool:

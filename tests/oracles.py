@@ -83,9 +83,8 @@ def brute_force_linearizable(history):
             elif op.value is not last and op.value != last:
                 break
         else:
-            return Verdict("ordering_oracle", True)
-    return Verdict("ordering_oracle", False,
-                   [{"reason": "no precedence-respecting order explains the reads"}])
+            return Verdict(True)
+    return Verdict(False, [{"reason": "no precedence-respecting order explains the reads"}])
 
 
 def validity_by_definition(history):
@@ -117,7 +116,7 @@ def validity_by_definition(history):
             witnesses.append({"op_id": read.op_id, "returned": read.value,
                               "reason": "overwritten value",
                               "newer_write": stale[0].op_id})
-    return Verdict("validity", not witnesses, witnesses)
+    return Verdict(not witnesses, witnesses)
 
 
 def cluster_graph_ordering(history):
@@ -138,16 +137,14 @@ def cluster_graph_ordering(history):
         elif op.value in writes:
             cluster[op.op_id] = op.value
         else:
-            return Verdict("ordering", False,
-                           [{"op_id": op.op_id, "returned": op.value,
-                             "reason": "value never written"}])
+            return Verdict(False, [{"op_id": op.op_id, "returned": op.value,
+                                    "reason": "value never written"}])
     for op in ops:
         if op.kind == "read" and cluster[op.op_id] is not _INIT:
             w = writes[op.value]
             if precedes(op, w):
-                return Verdict("ordering", False,
-                               [{"op_id": op.op_id, "read_from": w.op_id,
-                                 "reason": "read precedes its write"}])
+                return Verdict(False, [{"op_id": op.op_id, "read_from": w.op_id,
+                                        "reason": "read precedes its write"}])
     keys = [_INIT] + list(writes)
     edges = {k: set() for k in keys}
     edge_witness = {}
@@ -161,8 +158,8 @@ def cluster_graph_ordering(history):
             edge_witness[(ca, cb)] = {"before_op": a.op_id, "after_op": b.op_id}
     cycle = _find_cycle(keys, edges)
     if cycle is None:
-        return Verdict("ordering", True)
-    return Verdict("ordering", False, [
+        return Verdict(True)
+    return Verdict(False, [
         {"from_write": None if src is _INIT else writes[src].op_id,
          "to_write": None if dst is _INIT else writes[dst].op_id,
          **edge_witness[(src, dst)]}

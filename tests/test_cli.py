@@ -6,7 +6,7 @@ import sys
 import pytest
 import yaml
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import mobyreg
@@ -52,6 +52,16 @@ def test_run_rejects_inadmissible_config(tmp_path):
                     "--out-dir", str(tmp_path))
     assert result.exit_code == 2
     assert "configuration error" in result.output
+
+
+def test_run_fault_budget_above_server_count_is_config_error(tmp_path):
+    # the random adversary would sample f agents' hosts from n servers
+    result = invoke("run", "--n", "2", "--f", "3", "--allow-inadmissible",
+                    "--out-dir", str(tmp_path))
+    assert_config_error(result, "f must be <= n")
+    result = invoke("run", "--n", "2", "--f", "2", "--allow-inadmissible",
+                    "--rounds", "5", "--out-dir", str(tmp_path))
+    assert result.exit_code == 0, result.output  # f == n is a bound demo
 
 
 def test_run_exits_one_when_a_property_fails(tmp_path, monkeypatch):
@@ -595,6 +605,24 @@ def test_check_never_ends_in_a_traceback(tmp_path, lines):
     hist = tmp_path / "h.jsonl"
     hist.write_text("".join(line.replace("\n", " ") + "\n" for line in lines))
     result = invoke("check", str(hist))
+    assert result.exit_code in (0, 1, 2), result.output
+    assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
+    assert "Traceback" not in result.output
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model=st.sampled_from([m.value for m in ModelId]), n=st.integers(-1, 6),
+       f=st.integers(-1, 5), rounds=st.integers(-1, 4), clients=st.integers(-1, 3),
+       adversary=st.sampled_from(["none", "stationary", "sweep", "random"]),
+       flags=st.sets(st.sampled_from(["--allow-inadmissible", "--trace-messages"])))
+@example(model="garay", n=2, f=3, rounds=4, clients=3, adversary="random",
+         flags={"--allow-inadmissible"})
+def test_run_never_ends_in_a_traceback(tmp_path, model, n, f, rounds, clients,
+                                       adversary, flags):
+    result = invoke("run", "--model", model, "--n", str(n), "--f", str(f),
+                    "--rounds", str(rounds), "--clients", str(clients),
+                    "--adversary", adversary, *sorted(flags), "--out-dir", str(tmp_path))
     assert result.exit_code in (0, 1, 2), result.output
     assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
     assert "Traceback" not in result.output

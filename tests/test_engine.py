@@ -628,11 +628,13 @@ def test_trace_lines_match_the_per_event_encoding(name, phase, kind, monkeypatch
 
 
 class StrayReplies(Stationary):
-    """Also sends replies to an unknown client, to ``True`` and to a string."""
+    """Also sends replies to an unknown client, to ``True`` and to a string,
+    a second echo, and a reply to client 0, which is open but not reading."""
 
     def byzantine_outgoing(self, config, round_no, server, readers):
         out = super().byzantine_outgoing(config, round_no, server, readers)
-        return out + tuple((dest, Reply("stray")) for dest in (99, True, "elsewhere"))
+        return out + tuple((dest, Reply("stray")) for dest in (99, True, "elsewhere")) + (
+            (SERVERS, Echo("again")), (0, Reply("unread")))
 
 
 def test_trace_lines_encode_destinations_that_reach_no_client():
@@ -652,10 +654,17 @@ def test_trace_lines_encode_destinations_that_reach_no_client():
         return [ev.payload for ev in events if ev.kind == "send"]
 
     assert sends(trace_events(res)) == sends(trace_events(reference))
+    # in each of the 3 rounds, server 4's repeated broadcast reaches every
+    # server, and its reply reaches client 0
+    delivered = Counter((ev.actor, ev.payload["msg"]["value"]) for ev in trace_events(res)
+                        if ev.kind == "deliver" and ev.payload["from"] == 4)
+    assert all(delivered[f"s{i}", "again"] == 3 for i in range(res.config.n))
+    assert delivered["c0", "unread"] == 3
 
 
 def test_trace_lines_write_each_round_and_phase_of_deliveries_apart():
-    # adjacent "servers" deliveries of another round or phase start a new run
+    # a "servers" event is written once per server, s0 to s(n-1), where it
+    # falls: in its own round and phase
     res = RunResult(config=make_config("garay", 4, 1), rounds=2, seed=0)
     echo = [{"from": 0, "msg": {"type": "echo", "server": 0, "value": v}} for v in "ab"]
     res.trace = [TraceEvent(1, "receive", "deliver", SERVERS, echo[0]),

@@ -76,6 +76,9 @@ def test_system_config_checks_bounds():
         SystemConfig(n=0, f=0, params=lookup(ModelId.GARAY))
     with pytest.raises(ConfigError):
         SystemConfig(n=5, f=-1, params=lookup(ModelId.GARAY))
+    with pytest.raises(ConfigError):
+        SystemConfig(n=2, f=3, params=lookup(ModelId.GARAY))
+    assert not SystemConfig(n=2, f=2, params=lookup(ModelId.GARAY)).admissible
 
 
 def test_system_config_threshold_and_raw_formula():
