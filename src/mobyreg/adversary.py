@@ -250,6 +250,14 @@ class RandomWalk(Strategy):
         return frozenset(rng.sample(range(config.n), config.f))
 
 
+class RandomColluder(RandomWalk):
+    """A random walk whose agents all plant one value, so that its Byzantine
+    echoes and replies add up where independent tokens never do."""
+
+    name = "collude-random"
+    fake_value = "colluded"
+
+
 class Scripted(Strategy):
     """Explicit round -> occupied-set plan (missing rounds: keep the last)."""
 
@@ -294,6 +302,7 @@ STRATEGIES = {
     "stationary": Stationary,
     "sweep": Sweep,
     "random": RandomWalk,
+    "collude-random": RandomColluder,
 }
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .protocol import BOTTOM
 
@@ -42,8 +42,7 @@ class CheckerInputError(ValueError):
     """The history violates a checker precondition (e.g. duplicate values)."""
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(NamedTuple):
     op_id: int
     client: int
     kind: str                    # "write" | "read"
@@ -68,14 +67,14 @@ def precedes(a: Op, b: Op) -> bool:
 
 
 def history_from_records(records: Iterable) -> list[Op]:
-    """Adapt engine OpRecords (or their dict form) to checker operations."""
+    """Adapt engine OpRecords (read in place) or their dict form to checker operations."""
     ops = []
     for rec in records:
-        d = rec if isinstance(rec, dict) else rec.as_dict()
+        d = rec if isinstance(rec, dict) else vars(rec)
         value = d["argument"] if d["kind"] == "write" else d["result"]
         response = d["response_round"] if not d.get("failed") else None
-        ops.append(Op(op_id=d["op_id"], client=d["client"], kind=d["kind"],
-                      value=value, invoke=d["invoke_round"], response=response))
+        ops.append(Op(d["op_id"], d["client"], d["kind"], value, d["invoke_round"],
+                      response))
     return ops
 
 

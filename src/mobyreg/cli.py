@@ -13,8 +13,9 @@ import sys
 import click
 
 from . import checker as hc
-from .adversary import RandomWalk, make_strategy
-from .engine import Directive, RandomWorkload, RunResult, run, tightness_demo
+from .adversary import STRATEGIES, RandomWalk, make_strategy
+from .engine import (Directive, RandomWorkload, RunResult, is_int, run, tightness_demo,
+                     value_text)
 from .model import ConfigError, ModelId, lookup, make_config
 
 EXIT_OK = 0
@@ -22,8 +23,19 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 
 
-# json.dumps(rec, sort_keys=True, default=str) without a new encoder per record
+# json.dumps(value, sort_keys=True, default=str), for a value in a history line
 _HISTORY_ENCODE = json.JSONEncoder(sort_keys=True, default=str).encode
+
+
+def _history_line(rec) -> str:
+    """``json.dumps(rec.as_dict(), sort_keys=True, default=str)`` and a newline;
+    ``run`` makes each other field an int, a bool, None or a kind."""
+    response = "null" if rec.response_round is None else rec.response_round
+    return (f'{{"argument": {value_text(rec.argument, _HISTORY_ENCODE)}, '
+            f'"client": {rec.client}, "failed": {"true" if rec.failed else "false"}, '
+            f'"invoke_round": {rec.invoke_round}, "kind": "{rec.kind}", '
+            f'"op_id": {rec.op_id}, "response_round": {response}, '
+            f'"result": {value_text(rec.result, _HISTORY_ENCODE)}}}\n')
 
 
 def _refuse_constant(name):
@@ -92,13 +104,9 @@ def _load_config_file(path):
     return data
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _config_int(value, key):
     """An int that is not a bool, or an integer string; nothing is truncated."""
-    if _is_int(value):
+    if is_int(value):
         return value
     if isinstance(value, str):
         try:
@@ -145,7 +153,7 @@ def _load_workload(workload_spec):
                               f"({type(exc).__name__}: {exc})") from None
         for key in ("round", "client"):
             # int() accepted it; a bool or a float such as 1.9 it truncated
-            if not (_is_int(e[key]) or isinstance(e[key], str)):
+            if not (is_int(e[key]) or isinstance(e[key], str)):
                 raise ConfigError(f"workload file {workload_spec}: bad directive {e!r} "
                                   f"({key} {e[key]!r} is not an integer)")
         directives.append(d)
@@ -176,7 +184,7 @@ def _write_artifacts(result: RunResult, verdicts, out_dir, trace_out, report_out
     out = pathlib.Path(out_dir)
     _write_file(trace_out or out / "trace.jsonl", result.trace_lines, "artifacts")
     _write_file(out / "history.jsonl", lambda fh: fh.writelines(
-        _HISTORY_ENCODE(rec.as_dict()) + "\n" for rec in result.history), "artifacts")
+        map(_history_line, result.history)), "artifacts")
     probe_report = {
         "rounds": result.rounds,
         "seed": result.seed,
@@ -237,7 +245,7 @@ def main():
 @click.option("--clients", type=int, default=None, help="client count (default 3)")
 @click.option("--workload", default=None,
               help="'random[:rate[:ratio]]' or a directives file")
-@click.option("--adversary", default=None, help="none|stationary|sweep|random")
+@click.option("--adversary", default=None, help="|".join(STRATEGIES))
 @click.option("--allow-inadmissible", is_flag=True, default=False)
 @click.option("--trace-out", default=None,
               help="trace path (default trace.jsonl in --out-dir)")
@@ -378,7 +386,7 @@ def _record_type_error(record):
         return f"kind {record['kind']!r} is neither 'write' nor 'read'"
     for key in ("op_id", "client", "invoke_round", "response_round"):
         x = record.get(key)
-        if not (_is_int(x) or (x is None and key == "response_round")):
+        if not (is_int(x) or (x is None and key == "response_round")):
             return f"{key} {x!r} is not an integer"
     response = record.get("response_round")
     if response is not None and response < record["invoke_round"]:

@@ -6,7 +6,8 @@ phase (channels are reliable and authenticated).  The adversary relocates its
 agents per the fault model, corrupts occupied servers, and substitutes their
 outgoing messages.  The run records an operation history, per-round agreement
 probes and any property violations, and, unless ``record_trace`` is off, an
-event trace; with it off no event or payload is built at all.
+event trace; with it off no event or payload is built at all.  A directive's
+round and client, and the run's rounds and clients, must be integers.
 
 Servers receive only broadcasts, so every server gets the same inbox, and a
 server keeps only its register value from one round to the next.  A round's
@@ -39,9 +40,10 @@ server, s0 to s(n-1).  With ``record_messages`` a round's messages are two
 the round's sends and its open clients: the deliveries follow from them by
 ``_route``.  ``trace_lines`` renders each server output once, as a template
 with ``"\\0"`` for the sender's id, and writes server i's lines from its
-output's template with i in its place.  It writes to a stream a round at a
-time, one write per round, so the most trace text held at once is one
-round's.
+output's template with i in its place, and each ``OpEvent``, an operation's
+invocation or response, from a template filled from its ``OpRecord``.  It
+writes to a stream a round at a time, one write per round, so the most trace
+text held at once is one round's.
 
 An agent corrupts the server it leaves during the send and each server it
 holds when the compute phase ends; the one it holds when the send starts
@@ -121,9 +123,18 @@ class RandomWorkload:
 Workload = Union[Sequence[Directive], RandomWorkload]
 
 
+def is_int(x) -> bool:
+    """Whether ``x`` is an ``int`` and not a ``bool``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def validate_directives(directives: Sequence[Directive], rounds: int,
                         n_clients: int) -> list[Directive]:
     """Reject overlapping or out-of-range directives before round 1."""
+    for d in directives:
+        for key in ("round", "client"):
+            if not is_int(getattr(d, key)):
+                raise ConfigError(f"directive {key} {getattr(d, key)!r} is not an integer")
     busy_until: dict[int, int] = {}
     crashed: set[int] = set()
     ordered = sorted(directives, key=lambda d: (d.round, d.client))
@@ -194,6 +205,15 @@ class TraceEvent:
     payload: dict
 
 
+class OpEvent(NamedTuple):
+    """An "op_invoke" (phase "send") or "op_response" ("compute") of ``rec``."""
+
+    round: int
+    phase: str
+    kind: str
+    rec: OpRecord
+
+
 class RoundMessages(NamedTuple):
     """A round's messages, for its send (kind "send") or deliver lines.
 
@@ -213,6 +233,14 @@ class RoundMessages(NamedTuple):
 
 
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str).encode
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+
+
+def value_text(value, encode) -> str:
+    """``encode(value)``, for an ASCII-escaping ``encode``; no call for a str or None."""
+    if isinstance(value, str):
+        return _ENCODE_STR(value)
+    return "null" if value is None else encode(value)
 
 
 @dataclass
@@ -221,7 +249,7 @@ class RunResult:
     rounds: int
     seed: int
     history: list = field(default_factory=list)       # OpRecord
-    trace: list = field(default_factory=list)         # TraceEvent, RoundMessages
+    trace: list = field(default_factory=list)         # TraceEvent, OpEvent, RoundMessages
     probes: list = field(default_factory=list)        # per-round dicts
     violations: list = field(default_factory=list)    # agreement-probe dips etc.
     protocol_failures: list = field(default_factory=list)
@@ -236,7 +264,8 @@ class RunResult:
         round's.  Sorted, the keys come as actor, kind, payload, phase, round,
         so a line is spliced from a cached head, the encoded payload and the
         phase's tail.  An event with actor ``servers`` stands for every
-        server: it is written once per server, s0 to s(n-1).
+        server: it is written once per server, s0 to s(n-1).  An ``OpEvent``'s
+        payload is a fixed template filled from its record's fields.
 
         A ``RoundMessages`` record is written a line per message and sender
         or receiver, clients first, then servers in id order.  Each message
@@ -315,6 +344,10 @@ class RunResult:
                 for ev in events:
                     if type(ev) is RoundMessages:
                         lines += message_lines(ev, tail)
+                        continue
+                    if type(ev) is OpEvent:
+                        lines.append(
+                            head(f"c{ev.rec.client}", ev.kind) + _op_payload(ev) + tail)
                         continue
                     text = _ENCODE(ev.payload) + tail
                     actors = server_names if ev.actor == SERVERS else (ev.actor,)
@@ -397,6 +430,15 @@ def _message_body(msg) -> str:
     return text + "}}"
 
 
+def _op_payload(ev: OpEvent) -> str:
+    """An operation's invocation or response payload as ``json`` writes it."""
+    rec = ev.rec
+    if ev.kind == "op_response" and rec.kind == "write":
+        return f'{{"kind":"write","op_id":{rec.op_id}}}'
+    value = value_text(rec.argument if ev.kind == "op_invoke" else rec.result, _ENCODE)
+    return f'{{"kind":"{rec.kind}","op_id":{rec.op_id},"value":{value}}}'
+
+
 def _party(dest) -> str:
     """A destination as ``json`` writes it."""
     return str(dest) if type(dest) is int else _ENCODE(dest)
@@ -423,6 +465,9 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
     """
     if record_messages and not record_trace:
         raise ConfigError("record_messages needs record_trace")
+    for name, x in (("rounds", rounds), ("n_clients", n_clients)):
+        if not is_int(x):
+            raise ConfigError(f"{name} {x!r} is not an integer")
     if rounds < 0:
         raise ConfigError(f"rounds must be >= 0, got {rounds}")
     if n_clients < 1:
@@ -487,8 +532,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             invoked.append(rec)
             result.history.append(rec)
             if record_trace:
-                trace(r, "send", "op_invoke", f"c{d.client}",
-                      {"op_id": rec.op_id, "kind": d.op, "value": d.value})
+                result.trace.append(OpEvent(r, "send", "op_invoke", rec))
 
         # --- send phase ---------------------------------------------------
         # a client broadcasts each operation it starts; the server inbox
@@ -559,8 +603,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                 rec.response_round = r
                 rec.result = "write_confirmation"
                 if record_trace:
-                    trace(r, "compute", "op_response", f"c{c}",
-                          {"op_id": rec.op_id, "kind": "write"})
+                    result.trace.append(OpEvent(r, "compute", "op_response", rec))
                 continue
             # a reader counts each server's first Reply to it; shared is
             # still the value the servers outside listed sent
@@ -572,8 +615,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                 rec.response_round = r
                 rec.result = response.value
                 if record_trace:
-                    trace(r, "compute", "op_response", f"c{c}",
-                          {"op_id": rec.op_id, "kind": "read", "value": response.value})
+                    result.trace.append(OpEvent(r, "compute", "op_response", rec))
             else:
                 rec.failed = True
                 failure = {"round": r, "client": c, "op_id": rec.op_id,

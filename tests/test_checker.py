@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -324,7 +323,7 @@ def test_check_all_on_a_long_history():
     # the last read returns the first value written, long overwritten
     first = next(op for op in hist if op.kind == "write")
     k = max(i for i, op in enumerate(hist) if op.kind == "read")
-    hist[k] = dataclasses.replace(hist[k], value=first.value)
+    hist[k] = hist[k]._replace(value=first.value)
     verdicts = check_all(hist)
     assert verdicts["termination"].passed
     assert verdicts["validity"].witness[0]["op_id"] == hist[k].op_id

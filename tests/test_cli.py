@@ -1,22 +1,25 @@
+import datetime
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 import yaml
 from click.testing import CliRunner
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import mobyreg
-from mobyreg.adversary import RandomWalk, make_strategy
+from mobyreg.adversary import STRATEGIES, RandomWalk, SplitVote, make_strategy
 from mobyreg.checker import check_all, history_from_records
-from mobyreg.cli import main
-from mobyreg.engine import RandomWorkload, run
+from mobyreg.cli import _write_artifacts, main
+from mobyreg.engine import FAKE_VALUE, Directive, RandomWorkload, run
 from mobyreg.model import ModelId, lookup, make_config
 from mobyreg.protocol import ComputeNote
-from oracles import trace_text
+from oracles import per_server_run, trace_line, trace_text
 
 
 def invoke(*args):
@@ -113,6 +116,19 @@ def test_run_scripted_workload(tmp_path):
                for line in (tmp_path / "history.jsonl").read_text().splitlines()]
     assert [h["kind"] for h in history] == ["write", "read"]
     assert history[1]["result"] == "a"
+
+
+@pytest.mark.parametrize("model", [m.value for m in ModelId])
+def test_run_collude_random_fails_at_the_bound_and_passes_above(tmp_path, model):
+    # the agents' one planted value outvotes the honest one at n = alpha*f,
+    # never at alpha*f + 1
+    alpha = lookup(ModelId.parse(model)).alpha
+    args = ("run", "--model", model, "--f", "1", "--rounds", "40",
+            "--adversary", "collude-random", "--out-dir", str(tmp_path))
+    result = invoke(*args, "--n", str(alpha + 1))
+    assert result.exit_code == 0 and "FAIL" not in result.output, result.output
+    result = invoke(*args, "--n", str(alpha), "--allow-inadmissible")
+    assert result.exit_code == 0 and ": FAIL" in result.output, result.output
 
 
 def test_tightness_exit_codes_and_report(tmp_path):
@@ -381,6 +397,46 @@ def test_run_trace_on_disk_is_the_rendered_trace(tmp_path, rounds):
     assert (tmp_path / "trace.jsonl").read_bytes() == trace_text(res).encode()
 
 
+# text that json escapes: quotes, backslashes, control, non-ASCII and
+# non-BMP characters, and the separators U+2028/U+2029
+TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\té☃值\u2028\u2029\U0001f600\U0010ffff')
+               | st.characters(), max_size=6)
+SCALARS = (TEXT | st.integers() | st.floats() | st.booleans()
+           | st.sampled_from([math.nan, math.inf, -math.inf, -0.0,
+                              datetime.date(2026, 10, 19)]))
+WRITTEN = SCALARS | st.lists(SCALARS, max_size=3).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(WRITTEN, min_size=1, max_size=5))
+def test_history_and_op_lines_are_the_per_record_encoding(values):
+    # at n = alpha*f a split vote fails client 1's first read; client 2
+    # crashes with its read running; client 0 writes the other values later
+    assume(values[0] != FAKE_VALUE)
+    rounds = 4 + len(values)
+    workload = [Directive(1, 0, "write", values[0]), Directive(2, 1, "read"),
+                Directive(3, 2, "read"), Directive(4, 2, "crash"), Directive(4, 1, "read"),
+                *(Directive(2 + k, 0, "write", v) for k, v in enumerate(values[1:], 1))]
+
+    def make(run):
+        return run(make_config("garay", 3, 1), SplitVote(FAKE_VALUE, {1: {0}, 3: {1}}),
+                   workload, rounds=rounds, seed=0, n_clients=3, allow_inadmissible=True)
+
+    res = make(run)
+    assert any(rec.failed for rec in res.history)
+    assert any(rec.response_round is None and not rec.failed for rec in res.history)
+    with tempfile.TemporaryDirectory() as out:
+        _write_artifacts(res, None, out, None, None)
+        with open(os.path.join(out, "history.jsonl"), encoding="utf-8") as fh:
+            history = fh.read().split("\n")
+        with open(os.path.join(out, "trace.jsonl"), encoding="utf-8") as fh:
+            trace = fh.read().split("\n")
+    assert history == [json.dumps(rec.as_dict(), sort_keys=True, default=str)
+                       for rec in res.history] + [""]
+    assert [line for line in trace[:-1] if json.loads(line)["kind"].startswith("op_")] == [
+        trace_line(ev) for ev in make(per_server_run).trace if ev.kind.startswith("op_")]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("args", [
     ("--rounds", "1"),                         # fits the buffer: fails at the close
@@ -614,7 +670,7 @@ def test_check_never_ends_in_a_traceback(tmp_path, lines):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(model=st.sampled_from([m.value for m in ModelId]), n=st.integers(-1, 6),
        f=st.integers(-1, 5), rounds=st.integers(-1, 4), clients=st.integers(-1, 3),
-       adversary=st.sampled_from(["none", "stationary", "sweep", "random"]),
+       adversary=st.sampled_from(sorted(STRATEGIES)),
        flags=st.sets(st.sampled_from(["--allow-inadmissible", "--trace-messages"])))
 @example(model="garay", n=2, f=3, rounds=4, clients=3, adversary="random",
          flags={"--allow-inadmissible"})

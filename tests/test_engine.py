@@ -10,8 +10,8 @@ from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import mobyreg.engine
-from mobyreg.adversary import (NoFaults, RandomWalk, Scripted, SplitVote,
-                               Stationary, Sweep)
+from mobyreg.adversary import (NoFaults, RandomColluder, RandomWalk, Scripted,
+                               SplitVote, Stationary, Sweep)
 from mobyreg.checker import check_all, history_from_records
 from mobyreg.engine import (Directive, RandomWorkload, RoundMessages, RunResult,
                             TraceEvent, probe_agreement, run, tightness_demo,
@@ -183,6 +183,27 @@ def test_directive_validation_rejects_a_write_of_the_default_value():
 def test_directive_validation_rejects_unfinishable_read():
     with pytest.raises(ConfigError):
         validate_directives([Directive(5, 0, "read")], rounds=5, n_clients=1)
+
+
+@pytest.mark.parametrize("workload,options,message", [
+    ([Directive(1.5, 0, "write", "x")], {}, "directive round 1.5 is not an integer"),
+    ([Directive(2, 0.0, "write", "x")], {}, "directive client 0.0 is not an integer"),
+    ([Directive(True, 0, "write", "x")], {}, "directive round True is not an integer"),
+    ([Directive(1, False, "read")], {}, "directive client False is not an integer"),
+    ([Directive(1, 0, "write", "x"), Directive(None, 1, "read")], {},
+     "directive round None is not an integer"),
+    ([], {"rounds": 2.5}, "rounds 2.5 is not an integer"),
+    ([], {"rounds": True}, "rounds True is not an integer"),
+    ([], {"n_clients": 2.0}, "n_clients 2.0 is not an integer"),
+    ([], {"n_clients": True}, "n_clients True is not an integer"),
+])
+def test_run_refuses_a_round_or_client_that_is_not_an_int(workload, options, message):
+    # a bool is not an int here.  Unrefused, a round of 1.5 never ran, a
+    # client of 0.0 was recorded as a float, a float rounds or n_clients
+    # ended in a TypeError and rounds=True ran one round
+    kwargs = {"rounds": 3, "n_clients": 2, **options}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run(m1_config(), NoFaults(), workload, **kwargs)
 
 
 def test_crashed_clients_pending_op_stays_open():
@@ -397,19 +418,13 @@ def test_tightness_reader_sees_written_and_planted_value():
 
 # ----------------------------------------------- checker on real histories -
 
-class Colluder(RandomWalk):
-    """A random walk whose agents all plant one value."""
-
-    fake_value = "colluded"
-
-
 @pytest.mark.parametrize("model", ModelId)
 def test_a_colluder_breaks_every_model_at_the_bound_and_none_above(model):
     # distinct corruption tokens never collude: each wrong value has one
     # sender.  One shared value gathers f of them, which at n = alpha*f is
     # enough to break every run, and at alpha*f + 1 never is
     def breaks(n, seed):
-        res = run(make_config(model, n, 1), Colluder(), RandomWorkload(0.5, 0.5),
+        res = run(make_config(model, n, 1), RandomColluder(), RandomWorkload(0.5, 0.5),
                   rounds=40, seed=seed, allow_inadmissible=True, record_trace=False)
         verdicts = check_all(history_from_records(res.history), res.crashed_clients)
         return bool(res.protocol_failures or res.violations
