@@ -14,9 +14,8 @@ import click
 
 from . import checker as hc
 from .adversary import STRATEGIES, RandomWalk, make_strategy
-from .engine import (Directive, RandomWorkload, RunResult, is_int, run, tightness_demo,
-                     value_text)
-from .model import ConfigError, ModelId, lookup, make_config
+from .engine import Directive, RandomWorkload, RunResult, run, tightness_demo, value_text
+from .model import ConfigError, ModelId, is_int, lookup, make_config
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1

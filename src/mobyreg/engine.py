@@ -38,10 +38,11 @@ echo-tie diagnostic is one event, and ``trace_lines`` writes it once per
 server, s0 to s(n-1).  With ``record_messages`` a round's messages are two
 ``RoundMessages`` records, for its send and its receive phase.  Each holds
 the round's sends and its open clients: the deliveries follow from them by
-``_route``.  ``trace_lines`` renders each server output once, as a template
-with ``"\\0"`` for the sender's id, and writes server i's lines from its
-output's template with i in its place, and each ``OpEvent``, an operation's
-invocation or response, from a template filled from its ``OpRecord``.  It
+``_route``.  ``trace_lines`` writes a record from one list of its senders, in
+inbox order, the sends a line per sender and message and the deliveries
+``_route`` over the same list; each message is rendered once a round, with
+``"\\0"`` for its sender's id.  It writes each ``OpEvent``, an operation's
+invocation or response, from a template filled from its ``OpRecord``, and
 writes to a stream a round at a time, one write per round, so the most trace
 text held at once is one round's.
 
@@ -59,7 +60,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .adversary import SplitVote, Strategy, rng_stream
-from .model import ConfigError, ModelId, SystemConfig, lookup
+from .model import ConfigError, ModelId, SystemConfig, is_int, lookup
 from .protocol import (BOTTOM, SERVERS, Echo, Read, ReadOk, Reply, Tally, Write,
                        client_compute, server_compute, server_receive, server_send,
                        value_key)
@@ -121,11 +122,6 @@ class RandomWorkload:
 
 
 Workload = Union[Sequence[Directive], RandomWorkload]
-
-
-def is_int(x) -> bool:
-    """Whether ``x`` is an ``int`` and not a ``bool``."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def validate_directives(directives: Sequence[Directive], rounds: int,
@@ -261,97 +257,58 @@ class RunResult:
         Each line is an event's five fields, keys sorted, compact.  A round's
         lines are rendered, joined and written with one ``out.write``, each
         ending in a newline, so the most trace text held at once is one
-        round's.  Sorted, the keys come as actor, kind, payload, phase, round,
-        so a line is spliced from a cached head, the encoded payload and the
-        phase's tail.  An event with actor ``servers`` stands for every
-        server: it is written once per server, s0 to s(n-1).  An ``OpEvent``'s
-        payload is a fixed template filled from its record's fields.
+        round's.  Sorted, the keys come as actor, kind, payload, phase, round;
+        every actor, kind and phase is an identifier the engine chooses, so a
+        line is an f-string head, the payload and the phase's tail.  An event
+        with actor ``servers`` stands for every server: it is written once per
+        server, s0 to s(n-1).  An ``OpEvent``'s payload is a fixed template
+        filled from its record's fields.
 
-        A ``RoundMessages`` record is written a line per message and sender
-        or receiver, clients first, then servers in id order.  Each message
-        is rendered once in a round (cache keyed by ``id``: the records hold
-        their messages for the call), as a template with ``"\\0"`` for its
-        sender's id.  ``shared_out`` and each ``own_out`` entry are rendered
-        and routed once; server i's lines are its output's texts with the
-        ``"\\0"`` replaced by i.
+        A ``RoundMessages`` record is written from one list of senders in
+        inbox order: each client with its broadcast, then each server in id
+        order with its ``own_out`` entry or ``shared_out``.  The send lines are
+        a line per sender and message; the deliver lines are ``_route`` over
+        the same list, the server row once per server and then each open
+        client's.  Each message is rendered once a round (cache keyed by
+        ``id``: the records hold their messages for the call), with ``"\\0"``
+        for its sender's id, which each line replaces.
         """
-        n = self.config.n
-        heads: dict = {}
-        bodies: dict = {}  # id(msg) -> its text from ',"msg":', "\0" for its sender's id
-        ids = [str(i) for i in range(n)]
-        server_names = ["s" + i for i in ids]
-
-        def head(actor, kind):
-            text = heads.get((actor, kind))
-            if text is None:
-                text = heads[actor, kind] = (
-                    f'{{"actor":{_ENCODE(actor)},"kind":{_ENCODE(kind)},"payload":')
-            return text
-
-        def actor_lines(actor, kind, texts):
-            actor_head = head(actor, kind)
-            return actor_head + ("\n" + actor_head).join(texts)
-
-        def message_lines(rec, tail):
-            def payload(key, party, msg):
-                # "\0", in no JSON text, stands for the sender's id
-                body = bodies.get(id(msg))
-                if body is None:
-                    body = bodies[id(msg)] = _message_body(msg)
-                return f'{{"{key}":{party}{body}{tail}'
-
-            def per_server(render):
-                # (id, render(its output)) for each server, shared_out rendered once
-                shared = render(rec.shared_out)
-                return [(i, render(rec.own_out[k]) if k in rec.own_out else shared)
-                        for k, i in enumerate(ids)]
-
-            if rec.kind == "send":
-                def sent(out_msgs):
-                    return "\n".join('{"actor":"s\0","kind":"send","payload":'
-                                     + payload("dest", _party(dest), msg)
-                                     for dest, msg in out_msgs)
-
-                lines = [head(f"c{c}", "send")
-                         + payload("dest", _party(SERVERS), msg).replace("\0", str(c))
-                         for c, msg in rec.clients]
-                return lines + [text.replace("\0", i) for i, text in per_server(sent) if text]
-
-            def delivered(out_msgs):
-                # the texts every server is delivered, and each open client's
-                to_servers, to_clients = [], {c: [] for c in rec.open_clients}
-                _route((("\0", out_msgs),), to_servers, to_clients)
-                return ([payload("from", i, msg) for i, msg in to_servers],
-                        {c: [payload("from", i, msg) for i, msg in pairs]
-                         for c, pairs in to_clients.items() if pairs})
-
-            row = [payload("from", "\0", msg).replace("\0", str(c)) for c, msg in rec.clients]
-            by_client = {c: [] for c in rec.open_clients}
-            for i, (to_servers, to_clients) in per_server(delivered):
-                row += [text.replace("\0", i) for text in to_servers]
-                for c, texts in to_clients.items():
-                    by_client[c] += [text.replace("\0", i) for text in texts]
-            lines = [actor_lines(name, "deliver", row) for name in server_names] if row else []
-            return lines + [actor_lines(f"c{c}", "deliver", texts)
-                            for c, texts in by_client.items() if texts]
-
+        servers = [f"s{i}" for i in range(self.config.n)]
+        bodies: dict = {}  # id(msg) -> _message_body(msg), for this round
         for round_no, events in groupby(self.trace, attrgetter("round")):
-            round_text = _ENCODE(round_no)
             bodies.clear()  # messages are built per round
             lines = []
             for phase, events in groupby(events, attrgetter("phase")):
-                tail = f',"phase":{_ENCODE(phase)},"round":{round_text}}}'
+                tail = f',"phase":"{phase}","round":{round_no}}}'
                 for ev in events:
-                    if type(ev) is RoundMessages:
-                        lines += message_lines(ev, tail)
-                        continue
                     if type(ev) is OpEvent:
-                        lines.append(
-                            head(f"c{ev.rec.client}", ev.kind) + _op_payload(ev) + tail)
+                        lines.append(_joined(f"c{ev.rec.client}", ev.kind,
+                                             (_op_payload(ev) + tail,)))
                         continue
-                    text = _ENCODE(ev.payload) + tail
-                    actors = server_names if ev.actor == SERVERS else (ev.actor,)
-                    lines += [head(actor, ev.kind) + text for actor in actors]
+                    if type(ev) is TraceEvent:
+                        text = _ENCODE(ev.payload) + tail
+                        actors = servers if ev.actor == SERVERS else (ev.actor,)
+                        lines += [_joined(actor, ev.kind, (text,)) for actor in actors]
+                        continue
+                    # (actor, id, output) of each sender, in inbox order
+                    senders = [(f"c{c}", str(c), ((SERVERS, msg),)) for c, msg in ev.clients]
+                    senders += [(name, str(i), ev.own_out.get(i, ev.shared_out))
+                                for i, name in enumerate(servers)]
+                    if ev.kind == "send":
+                        lines += [_joined(actor, "send",
+                                          [f'{{"dest":{_party(dest)}' + _body(bodies, msg, sid)
+                                           + tail for dest, msg in out_msgs])
+                                  for actor, sid, out_msgs in senders if out_msgs]
+                        continue
+                    to_servers, to_clients = [], {c: [] for c in ev.open_clients}
+                    _route([sender[1:] for sender in senders], to_servers, to_clients)
+                    row = [f'{{"from":{sid}' + _body(bodies, msg, sid) + tail
+                           for sid, msg in to_servers]
+                    lines += [_joined(name, "deliver", row) for name in servers if row]
+                    lines += [_joined(f"c{c}", "deliver",
+                                      [f'{{"from":{sid}' + _body(bodies, msg, sid) + tail
+                                       for sid, msg in pairs])
+                              for c, pairs in to_clients.items() if pairs]
             lines.append("")  # the last line's newline, without copying the text
             out.write("\n".join(lines))
 
@@ -428,6 +385,21 @@ def _message_body(msg) -> str:
     if not isinstance(msg, Read):
         text += f',"value":{_ENCODE(msg.value)}'
     return text + "}}"
+
+
+def _body(bodies: dict, msg, sender: str) -> str:
+    """``_message_body(msg)`` with ``sender`` for its sender's id, cached in
+    ``bodies`` by ``id(msg)``: clear it before a message it holds can go."""
+    body = bodies.get(id(msg))
+    if body is None:
+        body = bodies[id(msg)] = _message_body(msg)
+    return body.replace("\0", sender)
+
+
+def _joined(actor: str, kind: str, texts) -> str:
+    """``texts``, each a payload and its tail, as ``actor``'s lines of ``kind``."""
+    head = f'{{"actor":"{actor}","kind":"{kind}","payload":'
+    return head + ("\n" + head).join(texts)
 
 
 def _op_payload(ev: OpEvent) -> str:

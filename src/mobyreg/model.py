@@ -68,6 +68,11 @@ _TABLE: dict[ModelId, ModelParams] = {p.model: p for p in (
 )}
 
 
+def is_int(x) -> bool:
+    """Whether ``x`` is an ``int`` and not a ``bool``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def lookup(model: ModelId) -> ModelParams:
     """Return the parameter row for a fault model.  Total function."""
     return _TABLE[model]
@@ -82,6 +87,9 @@ class SystemConfig:
     params: ModelParams
 
     def __post_init__(self) -> None:
+        for name in ("n", "f"):
+            if not is_int(getattr(self, name)):
+                raise ConfigError(f"{name} {getattr(self, name)!r} is not an integer")
         if self.f < 0:
             raise ConfigError(f"f must be >= 0, got {self.f}")
         if self.n < 1:

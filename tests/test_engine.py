@@ -17,7 +17,8 @@ from mobyreg.engine import (Directive, RandomWorkload, RoundMessages, RunResult,
                             TraceEvent, probe_agreement, run, tightness_demo,
                             validate_directives)
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
-from mobyreg.protocol import BOTTOM, SERVERS, ComputeNote, Echo, Reply, Tally
+from mobyreg.protocol import BOTTOM, SERVERS, ComputeNote, Echo, Reply, Tally, Write
+import oracles
 from oracles import mt_rng_stream, per_server_run, trace_events, trace_line, trace_text
 
 
@@ -606,18 +607,44 @@ def test_verdicts_match_masked_digest():
         "93feb9ea0d11db19c8c424b3fdd655ce583aa91c9554b5aaf3359c83d750ded9"
 
 
+class ForgesWrite(Scripted):
+    """Also sends every server a ``Write``, which the channel rejects."""
+
+    def byzantine_outgoing(self, config, round_no, server, readers):
+        return super().byzantine_outgoing(config, round_no, server, readers) + (
+            (SERVERS, Write("forged")),)
+
+
+def _crash_forgery_dip_run():
+    # a crash op_invoke, forged-sender violations, and, with no round
+    # adopting, the agreement-probe dip of test_probe_flags_support_one_below_the_floor
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (mobyreg.engine, oracles):
+            patch.setattr(module, "server_compute", lambda *a: ComputeNote())
+        return run(m1_config(), ForgesWrite({1: {0, 1}, 2: {1, 2}}, fake_value="evil"),
+                   [Directive(1, 0, "write", "good"), Directive(1, 1, "read"),
+                    Directive(2, 2, "crash"), Directive(3, 0, "read")],
+                   rounds=4, seed=0, n_clients=3, record_messages=True)
+
+
+# GOLDEN_RUNS's makers, and runs that hold the events those lack
+TRACE_RUNS = {**{name: make for name, (make, _, _) in GOLDEN_RUNS.items()},
+              "garay-crash-forgery-dip": _crash_forgery_dip_run}
+
+
 @pytest.mark.parametrize("name,phase,kind", [
     ("sasaki-inadmissible-messages", "receive", "deliver"),
     ("buhrman-in-send-moves", "send", "fault_move"),
     ("garay-inadmissible-echo-ties", "compute", "state_transition"),
     ("garay-exotic-values-messages", "compute", "op_response"),
+    ("garay-crash-forgery-dip", "end", "violation"),
 ])
 def test_trace_lines_match_the_per_event_encoding(name, phase, kind, monkeypatch):
     # run() holds a round's messages in two records, and trace_lines writes
     # a line per message and sender or receiver; the per-server loop traces
     # one event per message and server, and each line must be that event's
     # encoding
-    make = GOLDEN_RUNS[name][0]
+    make = TRACE_RUNS[name]
     res = make()
     events = trace_events(res)
     assert any((ev.phase, ev.kind) == (phase, kind) for ev in events)
@@ -677,17 +704,19 @@ def test_trace_lines_encode_destinations_that_reach_no_client():
     assert delivered["c0", "unread"] == 3
 
 
-def test_trace_lines_write_each_round_and_phase_of_deliveries_apart():
-    # a "servers" event is written once per server, s0 to s(n-1), where it
-    # falls: in its own round and phase
+def test_trace_lines_write_each_servers_event_where_it_falls():
+    # the echo-tie diagnostic, run()'s one "servers" event, is written once
+    # per server, s0 to s(n-1), in its own round and phase
     res = RunResult(config=make_config("garay", 4, 1), rounds=2, seed=0)
-    echo = [{"from": 0, "msg": {"type": "echo", "server": 0, "value": v}} for v in "ab"]
-    res.trace = [TraceEvent(1, "receive", "deliver", SERVERS, echo[0]),
-                 TraceEvent(2, "receive", "deliver", SERVERS, echo[1]),
-                 TraceEvent(2, "compute", "deliver", SERVERS, echo[0])]
+    ties = [{"diagnostic": "echo threshold tie", "tied": tied}
+            for tied in (["a", "b"], [1, "1"])]
+    res.trace = [TraceEvent(1, "compute", "state_transition", SERVERS, ties[0]),
+                 TraceEvent(2, "compute", "state_transition", SERVERS, ties[1]),
+                 TraceEvent(2, "end", "probe", "engine", {"round": 2, "support": 4})]
+    servers = [f"s{i}" for i in range(4)]
     assert trace_text(res).split("\n")[:-1] == [
-        trace_line(TraceEvent(ev.round, ev.phase, ev.kind, f"s{i}", ev.payload))
-        for ev in res.trace for i in range(4)]
+        trace_line(TraceEvent(ev.round, ev.phase, ev.kind, actor, ev.payload))
+        for ev in res.trace for actor in (servers if ev.actor == SERVERS else [ev.actor])]
 
 
 class CharCount:

@@ -81,6 +81,19 @@ def test_system_config_checks_bounds():
     assert not SystemConfig(n=2, f=2, params=lookup(ModelId.GARAY)).admissible
 
 
+@pytest.mark.parametrize("n, f, message", [
+    (7.0, 2, "n 7.0 is not an integer"),
+    (7, 2.0, "f 2.0 is not an integer"),
+    (7, True, "f True is not an integer"),
+    (True, 0, "n True is not an integer"),
+    ("7", 2, "n '7' is not an integer"),
+])
+def test_system_config_wants_integer_n_and_f(n, f, message):
+    # a float would end in a TypeError inside run(), and a bool is no count
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        make_config("garay", n, f)
+
+
 def test_system_config_threshold_and_raw_formula():
     cfg = make_config("garay", 7, 2)
     assert cfg.admissible and cfg.selection_threshold == 3
