@@ -19,14 +19,14 @@ naming its round, server and kind is as strong as a random one.
 
 Channels stay authenticated: messages carry no sender id, the channel
 supplies it, so a strategy cannot forge one.  The engine drops any Write or
-Read a Byzantine server emits.
+Read a Byzantine server emits, and traces a violation for each.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import ConfigError, SystemConfig
 from .protocol import SERVERS, Echo, Reply
@@ -116,13 +116,13 @@ def rng_stream(seed: int, *key) -> random.Random:
     return _Stream(int.from_bytes(digest[:8], "big"))
 
 
-@dataclass(frozen=True)
-class Occupancy:
+class Occupancy(NamedTuple):
     """Agent positions for one round.
 
     ``pre_send`` is the occupied set when the send phase starts and
     ``post_send`` the one when it ends.  They differ only in a model whose
-    agents travel with the messages (``moves_in_send``).
+    agents travel with the messages (``moves_in_send``); ``occupancy``
+    passes one set as both otherwise.
     """
 
     pre_send: frozenset
@@ -131,6 +131,8 @@ class Occupancy:
     @property
     def moves(self) -> tuple:
         """The (src, dst) relocations during the send phase, paired in id order."""
+        if self.pre_send is self.post_send:
+            return ()
         return tuple(zip(sorted(self.pre_send - self.post_send),
                          sorted(self.post_send - self.pre_send)))
 
@@ -162,7 +164,7 @@ class Strategy:
             raise ConfigError(
                 f"strategy {self.name!r} occupies {len(target)} servers in "
                 f"round {round_no}, but f={config.f}")
-        if any(s < 0 or s >= config.n for s in target):
+        if target and (min(target) < 0 or max(target) >= config.n):
             raise ConfigError(f"strategy {self.name!r} targets an unknown server")
         if config.params.moves_in_send and round_no > 1:
             # Agents only relocate with the messages: the pre-send set is
@@ -205,8 +207,10 @@ class Strategy:
         into the echo exchange and to every pending reader in ``readers``.
         """
         wrong = self.corrupt_value(round_no, server, "send")
-        return ((SERVERS, Echo(wrong)),) + tuple((cid, Reply(wrong))
-                                                 for cid in sorted(readers))
+        echo = ((SERVERS, Echo(wrong)),)
+        if not readers:
+            return echo
+        return echo + tuple([(cid, Reply(wrong)) for cid in sorted(readers)])
 
 
 class NoFaults(Strategy):
@@ -258,6 +262,13 @@ class RandomColluder(RandomWalk):
     fake_value = "colluded"
 
 
+class SweepColluder(Sweep):
+    """A sweep whose agents all plant one value, as ``RandomColluder``'s do."""
+
+    name = "collude-sweep"
+    fake_value = "colluded"
+
+
 class Scripted(Strategy):
     """Explicit round -> occupied-set plan (missing rounds: keep the last)."""
 
@@ -303,6 +314,7 @@ STRATEGIES = {
     "sweep": Sweep,
     "random": RandomWalk,
     "collude-random": RandomColluder,
+    "collude-sweep": SweepColluder,
 }
 
 

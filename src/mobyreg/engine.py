@@ -4,7 +4,10 @@ One run executes a fixed number of rounds over n servers and a set of
 clients.  All messages sent in a round are delivered in that round's receive
 phase (channels are reliable and authenticated).  The adversary relocates its
 agents per the fault model, corrupts occupied servers, and substitutes their
-outgoing messages.  The run records an operation history, per-round agreement
+outgoing messages; the channel passes a Byzantine output whole when every
+message in it is an ``Echo`` or a ``Reply``, and otherwise drops each forged
+``Write`` or ``Read`` and traces a violation for each, since a server cannot
+pose as a client.  The run records an operation history, per-round agreement
 probes and any property violations, and, unless ``record_trace`` is off, an
 event trace; with it off no event or payload is built at all.  A directive's
 round and client, and the run's rounds and clients, must be integers.
@@ -355,6 +358,9 @@ def probe_agreement(values: dict, faulty: frozenset,
     """
     counts = count_servers({i: v for i, v in values.items() if i not in faulty},
                            sorted(values), shared_value, n)
+    if len(counts) == 1:
+        (modal,) = counts.items()
+        return modal
     return min(counts.items(), key=lambda kv: (-kv[1], value_key(kv[0])),
                default=(BOTTOM, 0))
 
@@ -516,17 +522,17 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         own_out: dict[int, tuple] = {}
         for i in sorted(own.keys() | byzantine):
             if i in byzantine:
-                out_msgs = strategy.byzantine_outgoing(config, r, i, readers)
-                kept = []
-                for dest, msg in out_msgs:
+                own_out[i] = out_msgs = strategy.byzantine_outgoing(config, r, i, readers)
+                for _, msg in out_msgs:
                     if not isinstance(msg, (Echo, Reply)):
                         # authenticated channels: a server cannot pose as a client
+                        own_out[i] = kept = tuple(pair for pair in out_msgs
+                                                  if isinstance(pair[1], (Echo, Reply)))
                         if record_trace:
-                            trace(r, "send", "violation", f"s{i}",
-                                  {"reason": "forged sender rejected"})
-                        continue
-                    kept.append((dest, msg))
-                own_out[i] = tuple(kept)
+                            for _ in range(len(out_msgs) - len(kept)):
+                                trace(r, "send", "violation", f"s{i}",
+                                      {"reason": "forged sender rejected"})
+                        break
             else:
                 own_out[i] = server_send(own[i], readers, i in cured)
 
@@ -644,6 +650,8 @@ def tightness_demo(model: ModelId, f: int = 2, *, seed: int = 0) -> dict:
     the reader's reply multiset between the written and a planted value, so
     no selection rule can be correct and the read fails.
     """
+    if not is_int(f):
+        raise ConfigError(f"f {f!r} is not an integer")
     if f < 1:
         raise ConfigError(f"a tightness demo needs f >= 1, got f={f}")
     params = lookup(model)

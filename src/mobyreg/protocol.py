@@ -40,27 +40,59 @@ def value_key(v: object) -> tuple:
 #
 # A message names no sender: the authenticated channel delivers each one as
 # a (sender id, message) pair.  A phase's output is a tuple of (destination,
-# message) pairs, the destination being SERVERS or a client id.
+# message) pairs, the destination being SERVERS or a client id.  A message is
+# a plain ``__slots__`` object: construction sets its one slot directly, where
+# a frozen dataclass goes through ``object.__setattr__`` at twice the cost.
+# Two messages are equal when they have the same exact type and equal
+# values, so ``Echo(1) != Reply(1)``, which tuples would not give.  Nothing
+# stops an assignment to ``value``; no phase makes one.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Echo:
-    value: object
+class _Message:
+    """Equal by exact type and value, hashed by value, written ``Echo(value=...)``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def _key(self) -> tuple:
+        return (self.value,)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({''.join(f'value={v!r}' for v in self._key())})"
 
 
-@dataclass(frozen=True)
-class Write:
-    value: object
+class Echo(_Message):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Read:
-    pass
+class Write(_Message):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Reply:
-    value: object
+class Reply(_Message):
+    __slots__ = ()
+
+
+class Read(_Message):
+    """A read request: it carries no value."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        pass
+
+    def _key(self) -> tuple:
+        return ()
 
 
 Message = Union[Echo, Write, Read, Reply]
@@ -73,8 +105,7 @@ Message = Union[Echo, Write, Read, Reply]
 # under half the time of a frozen dataclass, which sets each field through
 # ``object.__setattr__``.  The empty default of a mapping field is one shared
 # read-only view, so no tally can fill another's default in place.  Derive a
-# tally by ``_replace``.  Messages stay dataclasses: tuples of different
-# message types would compare equal.
+# tally by ``_replace``.
 # ---------------------------------------------------------------------------
 
 _EMPTY: Mapping = MappingProxyType({})
@@ -102,7 +133,10 @@ def server_send(value: object, readers: frozenset, cured: bool) -> tuple:
     """
     if cured:
         return ()
-    return ((SERVERS, Echo(value)),) + tuple((cid, Reply(value)) for cid in sorted(readers))
+    echo = ((SERVERS, Echo(value)),)
+    if not readers:
+        return echo
+    return echo + tuple([(cid, Reply(value)) for cid in sorted(readers)])
 
 
 def server_receive(tally: Tally, inbox: Sequence[tuple[int, Message]]) -> Tally:
@@ -125,8 +159,7 @@ def server_receive(tally: Tally, inbox: Sequence[tuple[int, Message]]) -> Tally:
     return Tally(echo_vals, current_writes, frozenset(current_reads))
 
 
-@dataclass(frozen=True)
-class ComputeNote:
+class ComputeNote(NamedTuple):
     """The compute phase's decision: whether to adopt ``value``, and any tie."""
 
     adopted: bool = False

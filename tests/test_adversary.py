@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from mobyreg.adversary import (NoFaults, RandomWalk, Scripted, SplitVote,
+from mobyreg.adversary import (NoFaults, Occupancy, RandomWalk, Scripted, SplitVote,
                                Stationary, Sweep, make_strategy, rng_stream)
 from mobyreg.engine import Directive, run
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
@@ -24,6 +24,13 @@ def test_stationary_keeps_its_set():
     s = Stationary({1, 2})
     occ = s.occupancy(cfg(), 5, frozenset({1, 2}), rng_stream(0, 5))
     assert occ.pre_send == frozenset({1, 2}) and occ.moves == ()
+
+
+def test_one_set_before_and_after_the_send_moves_nothing():
+    s = frozenset({1, 2})
+    assert Occupancy(s, s).moves == ()
+    assert Occupancy(s, frozenset({1, 2})).moves == ()
+    assert Occupancy(s, frozenset({1, 4})).moves == ((2, 4),)
 
 
 def test_sweep_rotates_deterministically():

@@ -118,13 +118,16 @@ def test_run_scripted_workload(tmp_path):
     assert history[1]["result"] == "a"
 
 
-@pytest.mark.parametrize("model", [m.value for m in ModelId])
-def test_run_collude_random_fails_at_the_bound_and_passes_above(tmp_path, model):
+@pytest.mark.parametrize("model,adversary", [
+    pytest.param(m.value, adversary,
+                 id=m.value if adversary == "collude-random" else f"{m.value}-{adversary}")
+    for adversary in ("collude-random", "collude-sweep") for m in ModelId])
+def test_run_collude_random_fails_at_the_bound_and_passes_above(tmp_path, model, adversary):
     # the agents' one planted value outvotes the honest one at n = alpha*f,
     # never at alpha*f + 1
     alpha = lookup(ModelId.parse(model)).alpha
     args = ("run", "--model", model, "--f", "1", "--rounds", "40",
-            "--adversary", "collude-random", "--out-dir", str(tmp_path))
+            "--adversary", adversary, "--out-dir", str(tmp_path))
     result = invoke(*args, "--n", str(alpha + 1))
     assert result.exit_code == 0 and "FAIL" not in result.output, result.output
     result = invoke(*args, "--n", str(alpha), "--allow-inadmissible")

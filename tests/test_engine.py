@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 import mobyreg.engine
 from mobyreg.adversary import (NoFaults, RandomColluder, RandomWalk, Scripted,
-                               SplitVote, Stationary, Sweep)
+                               SplitVote, Stationary, Sweep, SweepColluder)
 from mobyreg.checker import check_all, history_from_records
 from mobyreg.engine import (Directive, RandomWorkload, RoundMessages, RunResult,
                             TraceEvent, probe_agreement, run, tightness_demo,
                             validate_directives)
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
-from mobyreg.protocol import BOTTOM, SERVERS, ComputeNote, Echo, Reply, Tally, Write
+from mobyreg.protocol import (BOTTOM, SERVERS, ComputeNote, Echo, Read, Reply, Tally,
+                              Write)
 import oracles
 from oracles import mt_rng_stream, per_server_run, trace_events, trace_line, trace_text
 
@@ -417,15 +418,25 @@ def test_tightness_reader_sees_written_and_planted_value():
     assert values == {"written-value", "planted-value"}
 
 
+@pytest.mark.parametrize("f", [2.0, 1.5, "2"])
+def test_tightness_demo_refuses_an_f_that_is_not_an_int(f):
+    # the message names the f given, not the n = alpha * f derived from it
+    with pytest.raises(ConfigError, match=re.escape(f"f {f!r} is not an integer")):
+        tightness_demo(ModelId.GARAY, f)
+
+
 # ----------------------------------------------- checker on real histories -
 
-@pytest.mark.parametrize("model", ModelId)
-def test_a_colluder_breaks_every_model_at_the_bound_and_none_above(model):
+@pytest.mark.parametrize("model,colluder", [
+    pytest.param(model, colluder, id=model.value if colluder is RandomColluder
+                 else f"{model.value}-{colluder.name}")
+    for colluder in (RandomColluder, SweepColluder) for model in ModelId])
+def test_a_colluder_breaks_every_model_at_the_bound_and_none_above(model, colluder):
     # distinct corruption tokens never collude: each wrong value has one
     # sender.  One shared value gathers f of them, which at n = alpha*f is
     # enough to break every run, and at alpha*f + 1 never is
     def breaks(n, seed):
-        res = run(make_config(model, n, 1), RandomColluder(), RandomWorkload(0.5, 0.5),
+        res = run(make_config(model, n, 1), colluder(), RandomWorkload(0.5, 0.5),
                   rounds=40, seed=seed, allow_inadmissible=True, record_trace=False)
         verdicts = check_all(history_from_records(res.history), res.crashed_clients)
         return bool(res.protocol_failures or res.violations
@@ -613,6 +624,34 @@ class ForgesWrite(Scripted):
     def byzantine_outgoing(self, config, round_no, server, readers):
         return super().byzantine_outgoing(config, round_no, server, readers) + (
             (SERVERS, Write("forged")),)
+
+
+class ForgesAroundItsMessages(Scripted):
+    """Sends a forged ``Write`` first and a forged ``Read`` after its echo."""
+
+    def byzantine_outgoing(self, config, round_no, server, readers):
+        echo, *replies = super().byzantine_outgoing(config, round_no, server, readers)
+        return ((SERVERS, Write("forged")), echo, (SERVERS, Read()), *replies)
+
+
+def test_forged_messages_are_dropped_and_the_rest_keep_their_order():
+    # clients 0 and 1 request reads in round 2, so each Byzantine server
+    # answers both in round 3: Write, Echo, Read, Reply to 0, Reply to 1
+    args = (m1_config(), ForgesAroundItsMessages({1: {0, 1}}, fake_value="evil"),
+            [Directive(1, 2, "write", "good"), Directive(2, 0, "read"),
+             Directive(2, 1, "read")])
+    kwargs = dict(rounds=3, seed=0, n_clients=3, record_messages=True)
+    res = run(*args, **kwargs)
+    events = trace_events(res)
+    for server in ("s0", "s1"):
+        sends = [(ev.payload["dest"], ev.payload["msg"]["type"]) for ev in events
+                 if ev.round == 3 and ev.kind == "send" and ev.actor == server]
+        assert sends == [("servers", "echo"), (0, "reply"), (1, "reply")]
+        rejected = [ev.round for ev in events
+                    if ev.kind == "violation" and ev.actor == server]
+        assert rejected == [1, 1, 2, 2, 3, 3]
+    assert [rec.result for rec in res.history] == ["write_confirmation", "good", "good"]
+    assert run_digest(res) == run_digest(per_server_run(*args, **kwargs))
 
 
 def _crash_forgery_dip_run():

@@ -25,6 +25,14 @@ def test_send_no_pending_reads():
     assert server_send("v", frozenset(), False) == ((SERVERS, Echo("v")),)
 
 
+def test_messages_are_equal_by_exact_type_and_value():
+    assert Echo(1) == Echo(1) and hash(Echo(1)) == hash(Echo(1))
+    assert Echo(1) != Reply(1) and Write(1) != Echo(1)
+    assert Read() == Read() and hash(Read()) == hash(Read())
+    assert Read() != Echo(None)
+    assert repr(Echo("v")) == "Echo(value='v')" and repr(Read()) == "Read()"
+
+
 def test_receive_accumulates():
     inbox = [(1, Echo(5)), (2, Echo(5)), (7, Write(9))]
     tally = server_receive(Tally(), inbox)
