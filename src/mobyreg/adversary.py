@@ -2,11 +2,21 @@
 
 A strategy decides, per round, which servers the agents occupy (and, in the
 Buhrman model, how they relocate during the send phase), what a corrupted
-server's value becomes, and what messages a fully Byzantine server emits.
+server's value becomes, and what messages the fully Byzantine servers emit.
 A server keeps nothing but its value across rounds, so ``corrupt_value`` is
 the one corruption hook: an agent rewrites the value of each server it holds
 or leaves, and answers the pending readers, which every server knows from the
 last round's tally, through ``byzantine_outgoing``.
+
+``byzantine_outgoing`` is called once a round, for all the Byzantine
+senders, and returns them in classes of senders that send the same output up
+to their id.  The protocol tests values only for equality, so it cannot tell
+apart two runs that differ by a renaming of values that keeps equality
+(data independence: Wolper, *Expressing Interesting Properties of Programs
+in Propositional Temporal Logic*, POPL 1986).  A class whose senders send one
+output counts once, with its size; a class whose senders each send their own
+token adds values of one vote each, which qualify nowhere while the
+selection threshold is at least 2.
 
 A decision that draws takes its own random stream, named by the run's seed
 and a key such as ``("sched", round)``: ``rng_stream`` hashes the name with
@@ -29,7 +39,7 @@ import random
 from typing import NamedTuple
 
 from .model import ConfigError, SystemConfig
-from .protocol import SERVERS, Echo, Reply
+from .protocol import Reply, server_send
 
 
 _MASK64 = (1 << 64) - 1
@@ -186,31 +196,63 @@ class Strategy:
         corrupted at most once, so no two corruptions share the default
         token; and every count (the echo tally, a read's replies, the probe)
         takes one value per server, so no token gains a second vote.  Tied
-        tokens order by their ``byz-<round>-s<server>`` text first.
+        tokens order by their ``byz-<round>-s<server>`` text first.  The
+        default ``byzantine_outgoing`` relies on these tokens: a subclass
+        that overrides this overrides that too.
         """
         if self.fake_value is not None:
             return self.fake_value
         return f"byz-{round_no}-s{server}-{kind}"
 
-    def byzantine_outgoing(self, config: SystemConfig, round_no: int, server: int,
-                           readers: frozenset) -> tuple:
-        """Send-phase output of a fully Byzantine server: (destination, message) pairs.
+    def byzantine_outgoing(self, config: SystemConfig, round_no: int,
+                           senders: list, readers: frozenset) -> list:
+        """Send-phase output of the round's fully Byzantine servers, ``senders``
+        in id order: a list of ``(ids, output)`` classes that cover them.
 
-        A destination is ``SERVERS`` or an integer, and an integer is always
+        Each server in ``ids`` sends ``output``, a tuple of (destination,
+        message) pairs, or, for ``TOKENS``, what an honest server holding its
+        own token ``corrupt_value(round_no, server, "send")`` sends; that
+        needs the default tokens, so a strategy with a ``fake_value`` or its
+        own ``corrupt_value`` returns the outputs themselves.  A
+        destination is ``SERVERS`` or an integer, and an integer is always
         taken as a client id; one that names no client is dropped, and so is
         any other destination.  A bool is not a client id: ``True`` reaches
-        no client, although it equals 1.  So the
-        server can send one echo, which every server receives (only a
-        sender's first echo counts), while its replies to individual clients
-        may differ.  The channel supplies the sender, ``server``, and the
-        engine drops any Write or Read.  The default pushes one wrong value
-        into the echo exchange and to every pending reader in ``readers``.
+        no client, although it equals 1.  So a server can send one echo,
+        which every server receives (only a sender's first echo counts),
+        while its replies to individual clients may differ.  The channel
+        supplies each sender's id, and the engine drops any Write or Read.
+        A strategy whose senders differ returns one class per sender.
+
+        The engine counts a class of one output once, with its size, at its
+        lowest id: by data independence (module docstring) only the
+        equalities between values matter, and every sender of the class
+        sends equal values.  A ``TOKENS`` class adds one value of one vote
+        per sender, distinct from each other and from every value that is not
+        a send token of the round (``is_send_token``), so with a selection
+        threshold s >= 2 none of them qualifies and the engine counts none.
+        It lists them, one ``corrupt_value`` call per sender, only where
+        they could matter: when s <= 1 (only in inadmissible runs), when a
+        counted value could equal one of them, when a read fails (its
+        ``reply_counts`` list every value), and in a round whose messages
+        are traced.
+
+        The default pushes one wrong value into the echo exchange and to
+        every pending reader in ``readers``: the ``fake_value`` of all the
+        colluding senders, or else each sender's own token.
         """
-        wrong = self.corrupt_value(round_no, server, "send")
-        echo = ((SERVERS, Echo(wrong)),)
-        if not readers:
-            return echo
-        return echo + tuple([(cid, Reply(wrong)) for cid in sorted(readers)])
+        if self.fake_value is None:
+            return [(senders, TOKENS)]
+        return [(senders, server_send(self.fake_value, readers, False))]
+
+
+# A class's output in ``byzantine_outgoing``: each sender sends its own token.
+TOKENS = "tokens"
+
+
+def is_send_token(value: object, round_no: int) -> bool:
+    """Whether ``value`` could equal a default send token of round ``round_no``."""
+    return (isinstance(value, str) and value.endswith("-send")
+            and value.startswith(f"byz-{round_no}-s"))
 
 
 class NoFaults(Strategy):
@@ -300,12 +342,12 @@ class SplitVote(Scripted):
             raise ConfigError("split_vote needs a non-default fake value")
         super().__init__(schedule, fake_value)
 
-    def byzantine_outgoing(self, config, round_no, server, readers):
+    def byzantine_outgoing(self, config, round_no, senders, readers):
         # Stay silent toward the servers (a Byzantine option): the proof
         # scenarios only need the reader's reply multiset balanced, and at
         # the boundary even f planted echoes would clear the (degenerate)
         # maintenance threshold and disturb correct servers.
-        return tuple((cid, Reply(self.fake_value)) for cid in sorted(readers))
+        return [(senders, tuple((cid, Reply(self.fake_value)) for cid in sorted(readers)))]
 
 
 STRATEGIES = {

@@ -4,13 +4,12 @@ One run executes a fixed number of rounds over n servers and a set of
 clients.  All messages sent in a round are delivered in that round's receive
 phase (channels are reliable and authenticated).  The adversary relocates its
 agents per the fault model, corrupts occupied servers, and substitutes their
-outgoing messages; the channel passes a Byzantine output whole when every
-message in it is an ``Echo`` or a ``Reply``, and otherwise drops each forged
-``Write`` or ``Read`` and traces a violation for each, since a server cannot
-pose as a client.  The run records an operation history, per-round agreement
-probes and any property violations, and, unless ``record_trace`` is off, an
-event trace; with it off no event or payload is built at all.  A directive's
-round and client, and the run's rounds and clients, must be integers.
+outgoing messages; the channel drops each ``Write`` or ``Read`` in them and
+traces a violation for each, since a server cannot pose as a client.  The run
+records an operation history, per-round agreement probes and any property
+violations, and, unless ``record_trace`` is off, an event trace; with it off
+no event or payload is built at all.  A directive's round and client, and the
+run's rounds and clients, must be integers.
 
 Servers receive only broadcasts, so every server gets the same inbox, and a
 server keeps only its register value from one round to the next.  A round's
@@ -23,22 +22,21 @@ every server holding it.
 
 The engine therefore keeps one ``shared`` value for all servers and an
 ``own`` value only for those that may differ.  Invariant: at every round
-boundary a server outside ``own`` holds ``shared``, and ``own``'s keys are
-the unrestored servers, those an agent has held since the last adoption.  A
-send runs once per ``own`` or Byzantine server, and once for ``shared`` only
-to trace it; a round adopting a value makes it ``shared``, empties ``own``,
-and lets the agents corrupt their hosts again.  A round routes the messages
-of the ``own`` and Byzantine servers once, into one server inbox and one
-inbox per client, traced or not; the echo tally and each read's replies are
-counted from them.  The shared servers count once, with their number, at
-the lowest shared id (``count_servers``): in the echo tally, in each read's
-replies and in the agreement probe.  A client's state is its running
-operation: a write is broadcast and confirmed in one round, and a read is
-decided from the replies of the round after its request.  So a round's
-work, and its events in memory, grow with f and the running operations, not
-with n.  An event with actor ``servers`` stands for every server: the
-echo-tie diagnostic is one event, and ``trace_lines`` writes it once per
-server, s0 to s(n-1).  With ``record_messages`` a round's messages are two
+boundary a server outside ``own`` holds ``shared``, and ``own`` maps the
+unrestored servers, those an agent has held since the last adoption, to the
+agents' leave and compute corruptions.  A round adopting a value makes it
+``shared``, empties ``own``, and lets the agents corrupt their hosts again.
+Servers send in classes of one output, each counted (``count_servers``) once,
+at its lowest id and with its size: the shared servers, each ``own`` one not
+Byzantine, and the classes of the round's one ``Strategy.byzantine_outgoing``
+call; each but the shared class routes once.  A token class, whose servers
+each send their own token, is routed a class per server, and only where one
+of its tokens could count (listed there).  A client's state is its running
+operation.  So a round's work, and its events in memory, grow with ``own``,
+the classes and the running operations, not with n or the Byzantine servers.
+An event with actor ``servers`` stands for every server: the echo-tie
+diagnostic is one event, and ``trace_lines`` writes it once per server, s0 to
+s(n-1).  With ``record_messages`` a round's messages are two
 ``RoundMessages`` records, for its send and its receive phase.  Each holds
 the round's sends and its open clients: the deliveries follow from them by
 ``_route``.  ``trace_lines`` writes a record from one list of its senders, in
@@ -62,7 +60,7 @@ from operator import attrgetter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .adversary import SplitVote, Strategy, rng_stream
+from .adversary import TOKENS, SplitVote, Strategy, is_send_token, rng_stream
 from .model import ConfigError, ModelId, SystemConfig, is_int, lookup
 from .protocol import (BOTTOM, SERVERS, Echo, Read, ReadOk, Reply, Tally, Write,
                        client_compute, server_compute, server_receive, server_send,
@@ -217,8 +215,8 @@ class RoundMessages(NamedTuple):
     """A round's messages, for its send (kind "send") or deliver lines.
 
     ``clients`` holds the clients' ``(client, msg)`` broadcasts, ``own_out``
-    the listed (own or Byzantine) servers' output by id, ``shared_out`` each
-    other server's, and ``open_clients`` the clients a message can reach.
+    the own and Byzantine servers' output by id, ``shared_out`` each other
+    server's, and ``open_clients`` the clients a message can reach.
     Channels are reliable, so the deliveries are ``_route`` over the sends.
     """
 
@@ -326,25 +324,16 @@ class RunResult:
 # Agreement probe
 # ---------------------------------------------------------------------------
 
-def count_servers(values: dict, listed: Sequence[int], shared_value: object,
-                  n: int) -> dict:
-    """Value -> number of the servers 0..n-1 that hold or send it.
+def count_servers(values: dict, votes: dict) -> dict:
+    """Value -> number of the servers that hold or send it.
 
-    ``listed`` are the ids, in order, outside the shared block; each counts
-    its value in ``values``, if it has one.  The other n - len(listed) count
-    ``shared_value`` once, at the lowest of their ids: a ``Counter`` over all
-    n in id order, down to which of equal values (1, True, 1.0) is the key.
-    """
+    ``values`` maps the lowest id of each class of servers to the class's
+    value, which counts ``votes.get(id, 1)`` times: a ``Counter`` over the
+    servers in id order, down to which of equal values (1, True, 1.0) is the
+    key."""
     counts: dict = {}
-    shared = n - len(listed)
-    for k, sid in enumerate(listed):
-        if shared and sid != k:     # ids 0..k-1 are listed: k is the lowest shared
-            counts[shared_value] = counts.get(shared_value, 0) + shared
-            shared = 0
-        if sid in values:
-            counts[values[sid]] = counts.get(values[sid], 0) + 1
-    if shared:
-        counts[shared_value] = counts.get(shared_value, 0) + shared
+    for sid in sorted(values):
+        counts[values[sid]] = counts.get(values[sid], 0) + votes.get(sid, 1)
     return counts
 
 
@@ -356,8 +345,13 @@ def probe_agreement(values: dict, faulty: frozenset,
     ``shared_value``.  In admissible runs the support must reach n - f at the
     end of every round; the caller records a violation otherwise.
     """
-    counts = count_servers({i: v for i, v in values.items() if i not in faulty},
-                           sorted(values), shared_value, n)
+    at = 0  # the lowest of the others, which count as one class
+    while at in values:
+        at += 1
+    counted = {i: v for i, v in values.items() if i not in faulty}
+    if at < n:
+        counted[at] = shared_value
+    counts = count_servers(counted, {at: n - len(values)})
     if len(counts) == 1:
         (modal,) = counts.items()
         return modal
@@ -491,9 +485,6 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         # occupied servers send as Byzantine ones in every model
         byzantine = pre_send | cured_now if cured_byzantine else pre_send
 
-        # the cure oracle tells each unrestored server no agent holds
-        cured = own.keys() - pre_send if oracle_enabled else frozenset()
-
         # --- operation injection ------------------------------------------
         invoked = []
         for d in by_round.get(r, ()):
@@ -517,35 +508,42 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         # lists them first, in client order
         client_out = [(rec.client, Write(rec.argument) if rec.kind == "write" else Read())
                       for rec in invoked if rec.client not in crashed]
-        # the servers outside own_out send server_send(shared, readers, False),
-        # an Echo of shared and a Reply of it to each reader
-        own_out: dict[int, tuple] = {}
-        for i in sorted(own.keys() | byzantine):
-            if i in byzantine:
-                own_out[i] = out_msgs = strategy.byzantine_outgoing(config, r, i, readers)
-                for _, msg in out_msgs:
-                    if not isinstance(msg, (Echo, Reply)):
-                        # authenticated channels: a server cannot pose as a client
-                        own_out[i] = kept = tuple(pair for pair in out_msgs
-                                                  if isinstance(pair[1], (Echo, Reply)))
-                        if record_trace:
-                            for _ in range(len(out_msgs) - len(kept)):
-                                trace(r, "send", "violation", f"s{i}",
-                                      {"reason": "forged sender rejected"})
-                        break
-            else:
-                own_out[i] = server_send(own[i], readers, i in cured)
+        # each class of one output counts at its lowest id with its size, the
+        # shared servers' from sharing; with an oracle an own sender is cured
+        out = {i: server_send(own[i], readers, oracle_enabled) for i in own.keys() - byzantine}
+        busy = own.keys() | byzantine
+        at = 0  # the lowest of the others, which hold shared: their class
+        while at in busy:
+            at += 1
+        votes, sharing = {at: n - len(busy)}, {at: shared} if at < n else {}
+        senders = sorted(byzantine)
+        classes = strategy.byzantine_outgoing(config, r, senders, readers) if senders else ()
+        if record_messages:  # trace_lines writes each server's messages
+            classes = [((i,), msgs) for ids, msgs in classes for i in ids]
+        tokens, forged = [], []
+        for ids, msgs in classes:
+            if msgs is TOKENS:
+                tokens += ids
+                continue
+            # authenticated channels: a server cannot pose as a client
+            kept = tuple(pair for pair in msgs if isinstance(pair[1], (Echo, Reply)))
+            forged += [i for i in ids for _ in range(len(msgs) - len(kept))]
+            out[min(ids)], votes[min(ids)] = kept, len(ids)
+        # own's values are leave and compute corruptions, never a send token
+        if tokens and (record_messages or s_threshold <= 1 or len(tokens) < len(senders)
+                       or is_send_token(shared, r)):
+            out.update((i, server_send(strategy.corrupt_value(r, i, "send"), readers, False))
+                       for i in tokens)
+            tokens = []
+        for i in sorted(forged) if record_trace else ():
+            trace(r, "send", "violation", f"s{i}", {"reason": "forged sender rejected"})
 
-        # Route each message once.  Inboxes list senders in id order, clients
-        # before servers.  Only servers send to clients, and only own_out's
-        # servers route: count_servers counts the others, and trace_lines
-        # writes their messages from shared_out.
+        # route each class's messages once, clients' first (count_servers sorts)
         server_inbox = list(client_out)
-        client_inbox: dict[int, list] = {c: [] for c in range(n_clients)
-                                         if c not in crashed}
-        _route(own_out.items(), server_inbox, client_inbox)
+        client_inbox = {c: [] for c in range(n_clients) if c not in crashed}
+        _route(out.items(), server_inbox, client_inbox)
         if record_messages:
-            messages = (client_out, own_out, server_send(shared, readers, False),
+            messages = (client_out, out, server_send(shared, readers, False),
                         tuple(client_inbox))
             result.trace.append(RoundMessages(r, "send", "send", *messages))
 
@@ -560,9 +558,8 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         # --- receive phase --------------------------------------------------
         if record_messages:
             result.trace.append(RoundMessages(r, "receive", "deliver", *messages))
-        listed = list(own_out)  # in id order
         tally = server_receive(Tally(), server_inbox)
-        echo_counts = count_servers(tally.echo_vals, listed, shared, n)
+        echo_counts = count_servers({**tally.echo_vals, **sharing}, votes)
 
         # --- compute phase ---------------------------------------------------
         note = server_compute(tally.current_writes, echo_counts, s_threshold)
@@ -583,12 +580,15 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                 if record_trace:
                     result.trace.append(OpEvent(r, "compute", "op_response", rec))
                 continue
-            # a reader counts each server's first Reply to it; shared is
-            # still the value the servers outside listed sent
+            # a reader counts each server's first Reply to it, and a failed
+            # read lists every value: each token sender replied its token
             replies = {i: msg.value for i, msg in reversed(client_inbox[c])
                        if isinstance(msg, Reply)}
-            response = client_compute(count_servers(replies, listed, shared, n),
-                                      s_threshold)
+            replies.update(sharing)
+            response = client_compute(count_servers(replies, votes), s_threshold)
+            if tokens and not isinstance(response, ReadOk):
+                replies.update((i, strategy.corrupt_value(r, i, "send")) for i in tokens)
+                response = client_compute(count_servers(replies, votes), s_threshold)
             if isinstance(response, ReadOk):
                 rec.response_round = r
                 rec.result = response.value
@@ -617,7 +617,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         probe = {"round": r, "modal": modal, "support": support,
                  "non_faulty": n - len(post_occupied),
                  "pre_send_occupied": sorted(pre_send),
-                 "byzantine_senders": sorted(byzantine),
+                 "byzantine_senders": senders,
                  "end_occupied": sorted(post_occupied)}
         result.probes.append(probe)
         if record_trace:

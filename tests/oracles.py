@@ -15,9 +15,11 @@ phase called for each of them, the agreement probe counted server by server,
 a state machine for each client that queues, sends, collects replies and
 finishes its operations in every round, and a random workload drawn inside
 the round loop from each client's state, where ``run`` expands it before
-round 1.  ``run`` keeps only a server's value and a client's running
-operation, and takes the readers, cure flags and a read's reply-round inbox
-as round data; it must give the same artifacts, byte for byte.
+round 1.  It asks the Byzantine hook once a round and gives each sender of
+a class its own output, where ``run`` counts a class once.  ``run`` keeps
+only a server's value and a client's running operation, and takes the
+readers, cure flags and a read's reply-round inbox as round data; it must
+give the same artifacts, byte for byte.
 ``mt_rng_stream`` is the Mersenne Twister stream derivation that
 ``mobyreg.adversary.rng_stream`` replaced: the same key, a seeded
 ``random.Random``.  Injected as ``mobyreg.engine.rng_stream``, it reproduces
@@ -33,7 +35,7 @@ import random
 from collections import Counter
 from typing import Mapping, NamedTuple, Optional
 
-from mobyreg.adversary import Strategy, rng_stream
+from mobyreg.adversary import TOKENS, Strategy, rng_stream
 from mobyreg.checker import CheckerInputError, Verdict, precedes
 from mobyreg.engine import (Directive, OpRecord, RandomWorkload, RunResult,
                             TraceEvent, Workload, validate_directives)
@@ -411,9 +413,18 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
             clients[c] = cst
             for dest, msg in out:
                 outbox.append(("client", c, dest, msg))
+        # the hook answers once a round for all Byzantine servers, which have
+        # the same readers: each sends its class's output, or its own token
+        byzantine_out = {}
+        if byzantine:
+            for ids, msgs in strategy.byzantine_outgoing(config, r, sorted(byzantine),
+                                                         reads[min(byzantine)]):
+                byzantine_out.update((i, server_send(
+                    strategy.corrupt_value(r, i, "send"), reads[i], False)
+                    if msgs is TOKENS else msgs) for i in ids)
         for i in range(n):
             if i in byzantine:
-                out_msgs = strategy.byzantine_outgoing(config, r, i, reads[i])
+                out_msgs = byzantine_out[i]
                 reads[i] = frozenset()
                 for dest, msg in out_msgs:
                     if not isinstance(msg, (Echo, Reply)):

@@ -6,8 +6,8 @@ from collections import Counter
 
 import pytest
 
-from mobyreg.adversary import (NoFaults, Occupancy, RandomWalk, Scripted, SplitVote,
-                               Stationary, Sweep, make_strategy, rng_stream)
+from mobyreg.adversary import (TOKENS, NoFaults, Occupancy, RandomWalk, Scripted,
+                               SplitVote, Stationary, Sweep, make_strategy, rng_stream)
 from mobyreg.engine import Directive, run
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
 from mobyreg.protocol import SERVERS, Echo, Read, Reply, Write
@@ -168,10 +168,16 @@ def test_corruption_token_names_its_round_server_and_kind():
 # ------------------------------------------------------ byzantine sending ---
 
 def test_default_byzantine_output_equivocates_to_readers():
+    # the colluders send one output, which the engine counts once; without
+    # a fake value each sender sends its own token
     s = Stationary(fake_value="evil")
-    out = s.byzantine_outgoing(cfg(), 2, 0, frozenset({3, 1}))
-    assert out == ((SERVERS, Echo("evil")), (1, Reply("evil")), (3, Reply("evil")))
-    assert s.byzantine_outgoing(cfg(), 2, 0, frozenset()) == ((SERVERS, Echo("evil")),)
+    out = s.byzantine_outgoing(cfg(), 2, [0, 5], frozenset({3, 1}))
+    assert out == [([0, 5], ((SERVERS, Echo("evil")), (1, Reply("evil")),
+                             (3, Reply("evil"))))]
+    assert s.byzantine_outgoing(cfg(), 2, [0], frozenset()) == [
+        ([0], ((SERVERS, Echo("evil")),))]
+    assert Stationary().byzantine_outgoing(cfg(), 2, [0, 5], frozenset({1})) == [
+        ([0, 5], TOKENS)]
 
 
 def test_byzantine_output_carries_true_sender_id():
@@ -191,8 +197,8 @@ def test_byzantine_output_carries_true_sender_id():
 def test_byzantine_write_and_read_are_dropped():
     # a server may not pose as a client: the engine drops its Write and Read
     class PosesAsClient(Stationary):
-        def byzantine_outgoing(self, config, round_no, server, readers):
-            return ((SERVERS, Write("x")), (SERVERS, Read()))
+        def byzantine_outgoing(self, config, round_no, senders, readers):
+            return [(senders, ((SERVERS, Write("x")), (SERVERS, Read())))]
 
     res = run(cfg(), PosesAsClient({4}), [Directive(2, 0, "read")],
               rounds=4, seed=0, n_clients=1, record_messages=True)
@@ -211,8 +217,8 @@ def test_byzantine_write_and_read_are_dropped():
 
 def test_split_vote_does_not_echo():
     s = SplitVote("evil", {1: {0}})
-    out = s.byzantine_outgoing(cfg(), 1, 0, frozenset({1}))
-    assert out == ((1, Reply("evil")),)
+    out = s.byzantine_outgoing(cfg(), 1, [0], frozenset({1}))
+    assert out == [([0], ((1, Reply("evil")),))]
 
 
 def test_split_vote_needs_a_fake_value():

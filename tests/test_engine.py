@@ -10,15 +10,15 @@ from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import mobyreg.engine
-from mobyreg.adversary import (NoFaults, RandomColluder, RandomWalk, Scripted,
-                               SplitVote, Stationary, Sweep, SweepColluder)
+from mobyreg.adversary import (TOKENS, NoFaults, RandomColluder, RandomWalk, Scripted,
+                               SplitVote, Stationary, Strategy, Sweep, SweepColluder)
 from mobyreg.checker import check_all, history_from_records
 from mobyreg.engine import (Directive, RandomWorkload, RoundMessages, RunResult,
                             TraceEvent, probe_agreement, run, tightness_demo,
                             validate_directives)
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
 from mobyreg.protocol import (BOTTOM, SERVERS, ComputeNote, Echo, Read, Reply, Tally,
-                              Write)
+                              Write, server_compute, server_send)
 import oracles
 from oracles import mt_rng_stream, per_server_run, trace_events, trace_line, trace_text
 
@@ -65,15 +65,15 @@ def test_read_before_any_write_returns_default():
 class PlantsReplies(Scripted):
     """Each held server sends client 1 a reply it never asked for."""
 
-    def byzantine_outgoing(self, config, round_no, server, readers):
-        return ((1, Reply("planted")),)
+    def byzantine_outgoing(self, config, round_no, senders, readers):
+        return [(senders, ((1, Reply("planted")),))]
 
 
 class SilentAgents(Scripted):
     """Held servers send nothing; the values agents leave are their tokens."""
 
-    def byzantine_outgoing(self, config, round_no, server, readers):
-        return ()
+    def byzantine_outgoing(self, config, round_no, senders, readers):
+        return [(senders, ())]
 
 
 def test_unsolicited_replies_do_not_decide_a_later_read():
@@ -102,8 +102,8 @@ def test_replies_planted_in_a_reads_request_round_do_not_count():
 class RepliesToTrue(Stationary):
     """Sends nothing but a reply addressed to ``True``, which equals 1."""
 
-    def byzantine_outgoing(self, config, round_no, server, readers):
-        return ((True, Reply("stray")),)
+    def byzantine_outgoing(self, config, round_no, senders, readers):
+        return [(senders, ((True, Reply("stray")),))]
 
 
 def test_a_reply_addressed_to_true_reaches_no_client():
@@ -121,10 +121,10 @@ class RepeatsItself(Stationary):
     """Echoes "x" then "v"; sends each reader an Echo of "e", then replies
     "x" and "v"."""
 
-    def byzantine_outgoing(self, config, round_no, server, readers):
+    def byzantine_outgoing(self, config, round_no, senders, readers):
         to_readers = tuple(m for c in sorted(readers)
                            for m in ((c, Echo("e")), (c, Reply("x")), (c, Reply("v"))))
-        return ((SERVERS, Echo("x")), (SERVERS, Echo("v"))) + to_readers
+        return [(senders, ((SERVERS, Echo("x")), (SERVERS, Echo("v"))) + to_readers)]
 
 
 def test_run_counts_a_senders_first_echo_and_reply():
@@ -621,17 +621,18 @@ def test_verdicts_match_masked_digest():
 class ForgesWrite(Scripted):
     """Also sends every server a ``Write``, which the channel rejects."""
 
-    def byzantine_outgoing(self, config, round_no, server, readers):
-        return super().byzantine_outgoing(config, round_no, server, readers) + (
-            (SERVERS, Write("forged")),)
+    def byzantine_outgoing(self, config, round_no, senders, readers):
+        return [(ids, out + ((SERVERS, Write("forged")),)) for ids, out
+                in super().byzantine_outgoing(config, round_no, senders, readers)]
 
 
 class ForgesAroundItsMessages(Scripted):
     """Sends a forged ``Write`` first and a forged ``Read`` after its echo."""
 
-    def byzantine_outgoing(self, config, round_no, server, readers):
-        echo, *replies = super().byzantine_outgoing(config, round_no, server, readers)
-        return ((SERVERS, Write("forged")), echo, (SERVERS, Read()), *replies)
+    def byzantine_outgoing(self, config, round_no, senders, readers):
+        return [(ids, ((SERVERS, Write("forged")), echo, (SERVERS, Read()), *replies))
+                for ids, (echo, *replies)
+                in super().byzantine_outgoing(config, round_no, senders, readers)]
 
 
 def test_forged_messages_are_dropped_and_the_rest_keep_their_order():
@@ -712,10 +713,11 @@ class StrayReplies(Stationary):
     """Also sends replies to an unknown client, to ``True`` and to a string,
     a second echo, and a reply to client 0, which is open but not reading."""
 
-    def byzantine_outgoing(self, config, round_no, server, readers):
-        out = super().byzantine_outgoing(config, round_no, server, readers)
-        return out + tuple((dest, Reply("stray")) for dest in (99, True, "elsewhere")) + (
+    def byzantine_outgoing(self, config, round_no, senders, readers):
+        stray = tuple((dest, Reply("stray")) for dest in (99, True, "elsewhere")) + (
             (SERVERS, Echo("again")), (0, Reply("unread")))
+        return [(ids, out + stray) for ids, out
+                in super().byzantine_outgoing(config, round_no, senders, readers)]
 
 
 def test_trace_lines_encode_destinations_that_reach_no_client():
@@ -812,6 +814,9 @@ NAN = float("nan")
 # fresh ones), so that which server's copy is counted first shows
 WIRE_VALUES = st.integers(0, 4).map(
     lambda k: (1, True, 1.0, NAN)[k] if k < 4 else float("nan"))
+# the send tokens' alphabet: a written or planted value that equals a token
+# adds its sender's vote, which run() counts only where a token could matter
+TOKEN_VALUES = st.builds("byz-{}-s{}-send".format, st.integers(1, 10), st.integers(0, 8))
 
 
 @st.composite
@@ -845,7 +850,7 @@ def engine_inputs(draw, models=tuple(ModelId)):
         if kind == "silent":
             strategy = SilentAgents(schedule)
         else:
-            fake = draw(WIRE_VALUES | st.sampled_from([None, "planted"]))
+            fake = draw(WIRE_VALUES | TOKEN_VALUES | st.sampled_from([None, "planted"]))
             strategy = Scripted(schedule, fake)
     elif kind == "stationary":
         strategy = Stationary(fake_value=draw(WIRE_VALUES | st.none()))
@@ -861,7 +866,7 @@ def engine_inputs(draw, models=tuple(ModelId)):
                 op = draw(st.sampled_from(["write", "write", "read", "crash"]))
                 if op == "read" and r == rounds:
                     break
-                value = draw(WIRE_VALUES) if op == "write" else None
+                value = draw(WIRE_VALUES | TOKEN_VALUES) if op == "write" else None
                 workload.append(Directive(r, c, op, value))
                 if op == "crash":
                     break
@@ -886,6 +891,17 @@ def engine_inputs(draw, models=tuple(ModelId)):
 @example((make_config("bonnet", 9, 2), RandomWalk(),
           [Directive(1, 0, "write", 1), Directive(1, 0, "crash")],
           dict(rounds=2, seed=0, n_clients=2, record_messages=True)))
+@example((make_config("garay", 7, 2), Stationary(),
+          [Directive(1, 0, "write", "byz-2-s0-send"), Directive(2, 1, "read"),
+           Directive(3, 0, "write", "byz-4-s1-send")],
+          dict(rounds=4, seed=0, n_clients=2, record_messages=False)))
+@example((make_config("sasaki", 9, 2), Scripted({1: {0, 1}, 2: {4, 5}}, 1.0),
+          [Directive(1, 0, "write", True), Directive(2, 1, "read"),
+           Directive(3, 0, "write", 1), Directive(4, 1, "read")],
+          dict(rounds=5, seed=0, n_clients=2, record_messages=False)))
+@example((make_config("buhrman", 2, 1), RandomWalk(), RandomWorkload(1.0, 0.5),
+          dict(rounds=8, seed=1, n_clients=2, allow_inadmissible=True,
+               record_messages=False)))
 def test_shared_state_run_matches_the_per_server_loop(inputs):
     # first example: servers 0 and 1 echo True, the others 1, and the servers
     # adopt the one of the lower server id; second: servers 0 and 1 adopt in
@@ -893,7 +909,10 @@ def test_shared_state_run_matches_the_per_server_loop(inputs):
     # third: from round 2 on no server echoes, so nothing is adopted, and the
     # end-of-round probe counts the tokens the agents left on the cured
     # servers; fourth: a client writes and crashes in one round, so its write
-    # is neither sent nor confirmed
+    # is neither sent nor confirmed; fifth: the written values equal the
+    # tokens servers 0 and 1 send in the next round; sixth: the colluders
+    # plant 1.0 against the written True and 1; seventh: at s = 1 every
+    # token qualifies, and reads fail
     config, strategy, workload, kwargs = inputs
     assert run_digest(run(config, strategy, workload, **kwargs)) == \
         run_digest(per_server_run(config, strategy, workload, **kwargs))
@@ -1025,3 +1044,87 @@ def test_protocol_inputs_do_not_grow_with_n(monkeypatch):
                   rounds=12, seed=3, n_clients=3)
         assert any(op.kind == "read" and not op.failed for op in res.history)
     assert len(sizes[9]) > 12 and sizes[9] == sizes[901]
+
+
+class PlantsTheNextToken(Scripted):
+    """The lowest Byzantine server sends the highest one's token, and the
+    others each their own, so that one token counts twice."""
+
+    def byzantine_outgoing(self, config, round_no, senders, readers):
+        token = self.corrupt_value(round_no, senders[-1], "send")
+        return [(senders[:1], server_send(token, readers, False)), (senders[1:], TOKENS)]
+
+
+def test_a_token_that_another_class_sends_counts_twice():
+    # garay n=6, f=2, so s=2: in round 1 servers 0 and 1 both echo server 1's
+    # token, which ties with the shared servers' default value; run() must
+    # list the token class whenever another class could send one of its tokens
+    args = (make_config("garay", 6, 2), PlantsTheNextToken({1: {0, 1}, 2: {2, 3}}),
+            [Directive(1, 0, "read")])
+    kwargs = dict(rounds=3, seed=0, n_clients=1, allow_inadmissible=True)
+    res = run(*args, **kwargs)
+    ties = [ev.payload["tied"] for ev in res.trace if type(ev) is TraceEvent
+            and ev.kind == "state_transition"]
+    assert ties[0] == [BOTTOM, "byz-1-s1-send"]
+    assert run_digest(res) == run_digest(per_server_run(*args, **kwargs))
+
+
+@pytest.mark.parametrize("written", ["byz-3-s4-send", "good"])
+def test_a_lost_adoption_lets_the_tokens_count(written):
+    # garay n=7, f=2, s=3, and round 2 adopts nothing, so that in round 3
+    # the agents' hosts and the cured servers leave 2 servers holding the
+    # written value.  Written as server 4's round-3 token, it has 3 votes and
+    # is adopted again; else no value qualifies, and the read's reply counts
+    # list the Byzantine servers' tokens
+    def make(run):
+        calls = []
+
+        def compute(*args):
+            calls.append(args)
+            return ComputeNote() if len(calls) == 2 else server_compute(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (mobyreg.engine, oracles):
+                patch.setattr(module, "server_compute", compute)
+            return run(m1_config(), Scripted({1: {0, 1}, 2: {2, 3}, 3: {0, 4}}),
+                       [Directive(1, 0, "write", written), Directive(2, 1, "read")],
+                       rounds=3, seed=0, n_clients=2)
+
+    res = make(run)
+    assert run_digest(res) == run_digest(make(per_server_run))
+    (read,) = [op for op in res.history if op.kind == "read"]
+    if written == "good":
+        assert read.failed
+        assert {"byz-3-s0-send", "byz-3-s4-send"} <= {
+            v for v, _ in res.protocol_failures[0]["reply_counts"]}
+    else:
+        assert read.result == written and res.probes[2]["support"] == 5
+
+
+def test_byzantine_work_does_not_grow_with_f(monkeypatch):
+    # the Byzantine servers answer in one hook call a round, and a run whose
+    # reads all succeed lists no send token: a round's Byzantine work grows
+    # with the classes of senders, not with f
+    calls, kinds = Counter(), Counter()
+    outgoing, corrupt = Strategy.byzantine_outgoing, Strategy.corrupt_value
+
+    def hook(self, config, round_no, *rest):
+        calls[round_no] += 1
+        return outgoing(self, config, round_no, *rest)
+
+    def corrupt_value(self, round_no, server, kind):
+        kinds[kind] += 1
+        return corrupt(self, round_no, server, kind)
+
+    monkeypatch.setattr(Strategy, "byzantine_outgoing", hook)
+    monkeypatch.setattr(Strategy, "corrupt_value", corrupt_value)
+    for strategy in (RandomWalk, RandomColluder):
+        for f in (1, 10, 30):
+            calls.clear()
+            kinds.clear()
+            res = run(make_config("sasaki", 4 * f + 1, f), strategy(),
+                      RandomWorkload(0.5, 0.5), rounds=20, seed=3, n_clients=3)
+            reads = [op for op in res.history if op.kind == "read"]
+            assert reads and not any(op.failed for op in reads)
+            assert len(calls) == 20 and set(calls.values()) == {1}
+            assert kinds["compute"] == 20 * f and kinds["send"] == 0
