@@ -191,8 +191,9 @@ class Strategy:
         """The value an agent leaves on, or sends from, a server it corrupts.
 
         ``kind`` is "send" for a Byzantine server's output, "leave" for the
-        host an agent departs during the send, and "compute" for each host
-        it holds when the compute phase ends.  Each (round, server, kind) is
+        host an agent departs during the send (``run`` never asks for it: the
+        round adopts, see ``mobyreg.engine``), and "compute" for each host it
+        holds when the compute phase ends.  Each (round, server, kind) is
         corrupted at most once, so no two corruptions share the default
         token; and every count (the echo tally, a read's replies, the probe)
         takes one value per server, so no token gains a second vote.  Tied
@@ -232,9 +233,9 @@ class Strategy:
         threshold s >= 2 none of them qualifies and the engine counts none.
         It lists them, one ``corrupt_value`` call per sender, only where
         they could matter: when s <= 1 (only in inadmissible runs), when a
-        counted value could equal one of them, when a read fails (its
-        ``reply_counts`` list every value), and in a round whose messages
-        are traced.
+        counted value could equal one of them, and when a read fails (its
+        ``reply_counts`` list every value).  A message trace records each
+        sender's token, but counts them the same way.
 
         The default pushes one wrong value into the echo exchange and to
         every pending reader in ``readers``: the ``fake_value`` of all the

@@ -296,11 +296,10 @@ def cmd_run(config_file, model, n, f, rounds, seed, clients, workload, adversary
 @main.command("tightness")
 @click.option("--model", required=True, help="garay|bonnet|sasaki|buhrman (or m1..m4)")
 @click.option("--f", "f", type=int, default=2)
-@click.option("--seed", type=int, default=0)
 @click.option("--report-out", default=None)
-def cmd_tightness(model, f, seed, report_out):
+def cmd_tightness(model, f, report_out):
     """Reproduce the boundary indistinguishability scenario for one model."""
-    report = tightness_demo(ModelId.parse(model), f, seed=seed)
+    report = tightness_demo(ModelId.parse(model), f)
     if report_out:
         _write_file(report_out,
                     _text(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"),

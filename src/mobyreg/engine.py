@@ -24,10 +24,10 @@ The engine therefore keeps one ``shared`` value for all servers and an
 ``own`` value only for those that may differ.  Invariant: at every round
 boundary a server outside ``own`` holds ``shared``, and ``own`` maps the
 unrestored servers, those an agent has held since the last adoption, to the
-agents' leave and compute corruptions.  A round adopting a value makes it
-``shared``, empties ``own``, and lets the agents corrupt their hosts again.
-Servers send in classes of one output, each counted (``count_servers``) once,
-at its lowest id and with its size: the shared servers, each ``own`` one not
+agents' compute corruptions.  A round adopting a value makes it ``shared``,
+empties ``own``, and lets the agents corrupt their hosts again.  Servers send
+in classes of one output, each counted (``count_servers``) once, at its
+lowest id and with its size: the shared servers, each ``own`` one not
 Byzantine, and the classes of the round's one ``Strategy.byzantine_outgoing``
 call; each but the shared class routes once.  A token class, whose servers
 each send their own token, is routed a class per server, and only where one
@@ -36,20 +36,18 @@ operation.  So a round's work, and its events in memory, grow with ``own``,
 the classes and the running operations, not with n or the Byzantine servers.
 An event with actor ``servers`` stands for every server: the echo-tie
 diagnostic is one event, and ``trace_lines`` writes it once per server, s0 to
-s(n-1).  With ``record_messages`` a round's messages are two
-``RoundMessages`` records, for its send and its receive phase.  Each holds
-the round's sends and its open clients: the deliveries follow from them by
-``_route``.  ``trace_lines`` writes a record from one list of its senders, in
-inbox order, the sends a line per sender and message and the deliveries
-``_route`` over the same list; each message is rendered once a round, with
-``"\\0"`` for its sender's id.  It writes each ``OpEvent``, an operation's
-invocation or response, from a template filled from its ``OpRecord``, and
-writes to a stream a round at a time, one write per round, so the most trace
-text held at once is one round's.
+s(n-1).  ``record_messages`` changes what is recorded, not what is counted:
+a round's messages are two ``RoundMessages`` records, for its send and its
+receive phase, each holding the round's sends (a class member's are its
+head's, an unlisted token sender's its token's) and its open clients; the
+deliveries follow from them by ``_route``, and ``trace_lines`` writes them.
 
-An agent corrupts the server it leaves during the send and each server it
-holds when the compute phase ends; the one it holds when the send starts
-sends as a Byzantine server, so nothing reads its value then.
+An agent corrupts each server it holds when the compute phase ends; the one
+it holds when the send starts sends as a Byzantine server, so nothing reads
+its value then.  Nor is the host it leaves during the send (buhrman)
+corrupted: ``own`` then lies within the round's Byzantine senders, so the
+n - f >= s others echo ``shared`` and the round adopts.  A view that lets a
+departing host skip adoption (ROADMAP item 12, stage B) must store it again.
 """
 
 from __future__ import annotations
@@ -518,8 +516,6 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         votes, sharing = {at: n - len(busy)}, {at: shared} if at < n else {}
         senders = sorted(byzantine)
         classes = strategy.byzantine_outgoing(config, r, senders, readers) if senders else ()
-        if record_messages:  # trace_lines writes each server's messages
-            classes = [((i,), msgs) for ids, msgs in classes for i in ids]
         tokens, forged = [], []
         for ids, msgs in classes:
             if msgs is TOKENS:
@@ -529,8 +525,8 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             kept = tuple(pair for pair in msgs if isinstance(pair[1], (Echo, Reply)))
             forged += [i for i in ids for _ in range(len(msgs) - len(kept))]
             out[min(ids)], votes[min(ids)] = kept, len(ids)
-        # own's values are leave and compute corruptions, never a send token
-        if tokens and (record_messages or s_threshold <= 1 or len(tokens) < len(senders)
+        # own's values are compute corruptions, never a send token
+        if tokens and (s_threshold <= 1 or len(tokens) < len(senders)
                        or is_send_token(shared, r)):
             out.update((i, server_send(strategy.corrupt_value(r, i, "send"), readers, False))
                        for i in tokens)
@@ -542,18 +538,19 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         server_inbox = list(client_out)
         client_inbox = {c: [] for c in range(n_clients) if c not in crashed}
         _route(out.items(), server_inbox, client_inbox)
-        if record_messages:
-            messages = (client_out, out, server_send(shared, readers, False),
+        if record_messages:  # each server's output: its class head's, or its token's
+            own_out = out | {i: out[min(ids)] for ids, msgs in classes
+                             if msgs is not TOKENS for i in ids}
+            own_out.update((i, server_send(strategy.corrupt_value(r, i, "send"), readers,
+                                           False)) for i in tokens)
+            messages = (client_out, own_out, server_send(shared, readers, False),
                         tuple(client_inbox))
             result.trace.append(RoundMessages(r, "send", "send", *messages))
 
-        # --- in-send movement (moves_in_send models) ---------------------------
+        # --- in-send movement (moves_in_send models: no leave corruption) ------
         post_occupied = occ.post_send
-        for src, dst in moves:
-            # Departing host: the register value keeps the agent's corruption.
-            own[src] = strategy.corrupt_value(r, src, "leave")
-            if record_trace:
-                trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
+        for src, dst in moves if record_trace else ():
+            trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
 
         # --- receive phase --------------------------------------------------
         if record_messages:
@@ -643,12 +640,12 @@ HONEST_VALUE = "written-value"
 FAKE_VALUE = "planted-value"
 
 
-def tightness_demo(model: ModelId, f: int = 2, *, seed: int = 0) -> dict:
+def tightness_demo(model: ModelId, f: int = 2) -> dict:
     """Reproduce the boundary (n = alpha*f) indistinguishability scenario.
 
     A value is written, then read; the scripted split-vote schedule balances
     the reader's reply multiset between the written and a planted value, so
-    no selection rule can be correct and the read fails.
+    no selection rule can be correct and the read fails.  It draws nothing.
     """
     if not is_int(f):
         raise ConfigError(f"f {f!r} is not an integer")
@@ -670,7 +667,7 @@ def tightness_demo(model: ModelId, f: int = 2, *, seed: int = 0) -> dict:
         schedule = {1: first_wave, 3: second_wave}
     strategy = SplitVote(FAKE_VALUE, schedule)
     workload = [Directive(1, 0, "write", HONEST_VALUE), Directive(2, 1, "read")]
-    res = run(config, strategy, workload, rounds=3, seed=seed, n_clients=2,
+    res = run(config, strategy, workload, rounds=3, n_clients=2,
               allow_inadmissible=True, record_trace=False)
 
     failure = res.protocol_failures[0] if res.protocol_failures else None

@@ -147,6 +147,12 @@ def test_tightness_bad_model_is_config_error():
     assert invoke("tightness", "--model", "nonsense").exit_code == 2
 
 
+def test_tightness_takes_no_seed():
+    # the demo's schedule is scripted and its workload fixed: nothing draws
+    result = invoke("tightness", "--model", "m3", "--seed", "1")
+    assert result.exit_code == 2 and "No such option '--seed'" in result.output
+
+
 def test_sweep_table_and_exit_code(tmp_path):
     out = tmp_path / "table.tsv"
     result = invoke("sweep", "--models", "garay", "--f-values", "1",

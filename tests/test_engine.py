@@ -290,6 +290,32 @@ def test_untraced_run_records_all_but_the_trace(name, monkeypatch):
         assert traced.violations
 
 
+COUNTED_RUNS = {
+    "bonnet-random": (make_config("bonnet", 17, 2), RandomWalk(), {}),
+    "sasaki-inadmissible-random": (make_config("sasaki", 8, 2), RandomWalk(),
+                                   dict(allow_inadmissible=True)),
+    "garay-collude-random": (m1_config(9, 2), RandomColluder(), {}),
+}
+
+
+@pytest.mark.parametrize("name", COUNTED_RUNS)
+def test_tracing_does_not_change_what_is_counted(name, monkeypatch):
+    # the servers and the readers decide on the same counts whether the run
+    # is untraced, traced, or traced with its messages
+    calls = []
+    for fn in ("server_compute", "client_compute"):
+        phase = getattr(mobyreg.engine, fn)
+        monkeypatch.setattr(mobyreg.engine, fn, lambda *a, fn=fn, phase=phase: (
+            calls[-1].append((fn, a)), phase(*a))[1])
+    config, strategy, extra = COUNTED_RUNS[name]
+    for options in (dict(record_trace=False), {}, dict(record_messages=True)):
+        calls.append([])
+        run(config, strategy, RandomWorkload(0.5, 0.5), rounds=40, seed=5, n_clients=4,
+            **options, **extra)
+    assert any(fn == "client_compute" for fn, _ in calls[0])
+    assert calls[0] == calls[1] == calls[2]
+
+
 def test_message_events_need_the_trace():
     with pytest.raises(ConfigError, match="record_messages needs record_trace"):
         run(m1_config(), NoFaults(), [], rounds=1, record_trace=False,
