@@ -20,10 +20,9 @@ selection threshold is at least 2.
 
 A decision that draws takes its own random stream, named by the run's seed
 and a key such as ``("sched", round)``: ``rng_stream`` hashes the name with
-SHA-256 and starts a splitmix64 generator (Steele, Lea & Flood, *Fast
-Splittable Pseudorandom Number Generators*, OOPSLA 2014) at the digest's
-first 8 bytes, so any counterexample reproduces from its seed.  The engine
-makes one ``sched`` and one ``workload`` stream per round.  A corruption
+SHA-256 and seeds the stdlib Mersenne Twister (``random.Random``) with the
+digest's first 8 bytes, so any counterexample reproduces from its seed.  The
+engine makes one ``sched`` and one ``workload`` stream per round.  A corruption
 draws nothing: the protocol tests values only for equality, so a token
 naming its round, server and kind is as strong as a random one.
 
@@ -42,88 +41,15 @@ from .model import ConfigError, SystemConfig
 from .protocol import Reply, server_send
 
 
-_MASK64 = (1 << 64) - 1
-# splitmix64: the counter's increment and the two multipliers of its mix
-_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-
-
-class _Stream(random.Random):
-    """splitmix64 behind the ``random.Random`` API.
-
-    Only ``random``, ``getrandbits`` and ``_randbelow`` draw; ``randrange``,
-    ``sample``, ``choice``, ``shuffle``, ``gauss`` and the rest are the base
-    class's, built on those three.  The base Mersenne Twister is never
-    seeded or read: ``seed``, ``getstate`` and ``setstate`` act on the
-    64-bit counter.
-    """
-
-    __slots__ = ("_state",)  # read and written on every draw
-
-    def __init__(self, key: int = 0):
-        self.seed(key)
-
-    def seed(self, key: int = 0) -> None:
-        self._state = key & _MASK64
-        self.gauss_next = None
-
-    def getstate(self) -> tuple:
-        return self._state, self.gauss_next
-
-    def setstate(self, state: tuple) -> None:
-        self._state, self.gauss_next = state
-
-    def random(self) -> float:
-        return self.getrandbits(53) * 2.0 ** -53
-
-    def getrandbits(self, k: int) -> int:
-        """The top ``k`` bits of the next ceil(k / 64) outputs, concatenated."""
-        if k > 64:
-            words = -(-k // 64)
-            x = 0
-            for _ in range(words):
-                x = x << 64 | self.getrandbits(64)
-            return x >> (64 * words - k)
-        if k <= 0:
-            if k < 0:
-                raise ValueError("number of bits must be non-negative")
-            return 0
-        z = self._state = (self._state + _GAMMA) & _MASK64
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return (z ^ (z >> 31)) >> (64 - k)
-
-    def _randbelow(self, n: int) -> int:
-        """A uniform integer in [0, n), for n > 0.
-
-        The base class's rejection loop (``_randbelow_with_getrandbits``):
-        draw the top k = n.bit_length() bits of the next output until they
-        fall below n.  Run here in one method, it makes no ``getrandbits``
-        call per draw; the outputs it takes and returns are the same.
-        """
-        k = n.bit_length()
-        if k > 64:
-            return self._randbelow_with_getrandbits(n)
-        shift = 64 - k
-        state = self._state
-        while True:
-            z = state = (state + _GAMMA) & _MASK64
-            z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            r = (z ^ (z >> 31)) >> shift
-            if r < n:
-                self._state = state
-                return r
-
-
 def rng_stream(seed: int, *key) -> random.Random:
     """Deterministic generator for one named decision stream.
 
     The stream ``(seed,) + key`` is keyed by the first 8 bytes of the SHA-256
-    digest of its ``repr``; its draws are the splitmix64 sequence from that
-    key.  Equal names give equal sequences, in any process.
+    digest of its ``repr``, and is the stdlib ``random.Random`` seeded with
+    that key.  Equal names give equal sequences, in any process.
     """
     digest = hashlib.sha256(repr((seed,) + key).encode("utf-8")).digest()
-    return _Stream(int.from_bytes(digest[:8], "big"))
+    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 class Occupancy(NamedTuple):

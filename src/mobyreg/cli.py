@@ -127,9 +127,8 @@ def _fraction(text, name):
 
 def _load_workload(workload_spec):
     """'random[:rate[:read_ratio]]' or a YAML/JSON file of directives."""
-    if (workload_spec is None or workload_spec == "random"
-            or workload_spec.startswith("random:")):
-        parts = workload_spec.split(":") if workload_spec else []
+    if workload_spec == "random" or workload_spec.startswith("random:"):
+        parts = workload_spec.split(":")
         if len(parts) > 3:
             raise ConfigError(
                 f"workload {workload_spec!r} is not random[:rate[:read_ratio]]")
@@ -145,17 +144,15 @@ def _load_workload(workload_spec):
     directives = []
     for e in entries:
         try:
-            d = Directive(round=int(e["round"]), client=int(e["client"]),
-                          op=e["op"], value=e.get("value"))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            directives.append(Directive(
+                round=_config_int(e["round"], "round"),
+                client=_config_int(e["client"], "client"), op=e["op"], value=e.get("value")))
+        except ConfigError as exc:
+            raise ConfigError(f"workload file {workload_spec}: bad directive {e!r} "
+                              f"({exc})") from None
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"workload file {workload_spec}: bad directive {e!r} "
                               f"({type(exc).__name__}: {exc})") from None
-        for key in ("round", "client"):
-            # int() accepted it; a bool or a float such as 1.9 it truncated
-            if not (is_int(e[key]) or isinstance(e[key], str)):
-                raise ConfigError(f"workload file {workload_spec}: bad directive {e!r} "
-                                  f"({key} {e[key]!r} is not an integer)")
-        directives.append(d)
     return directives
 
 
@@ -196,24 +193,19 @@ def _write_artifacts(result: RunResult, verdicts, out_dir, trace_out, report_out
     _write_file(out / "probe_report.json",
                 _text(json.dumps(probe_report, sort_keys=True, default=str) + "\n"),
                 "artifacts")
-    if verdicts is not None:
-        _write_file(report_out or out / "verdicts.json", _text(json.dumps(
-            {name: {"passed": v.passed, "witness": v.witness}
-             for name, v in verdicts.items()},
-            indent=2, sort_keys=True, default=str) + "\n"), "artifacts")
+    _write_file(report_out or out / "verdicts.json", _text(json.dumps(
+        {name: {"passed": v.passed, "witness": v.witness}
+         for name, v in verdicts.items()},
+        indent=2, sort_keys=True, default=str) + "\n"), "artifacts")
 
 
 def _run_one(config, strategy, workload, *, rounds, seed, clients,
-             allow_inadmissible=False, record_trace=True, record_messages=False,
-             do_check=True):
+             allow_inadmissible=False, record_trace=True, record_messages=False):
     result = run(config, strategy, workload, rounds=rounds, seed=seed,
                  n_clients=clients, allow_inadmissible=allow_inadmissible,
                  record_trace=record_trace, record_messages=record_messages)
-    verdicts = None
-    if do_check:
-        ops = hc.history_from_records(result.history)
-        verdicts = hc.check_all(ops, result.crashed_clients)
-    return result, verdicts
+    ops = hc.history_from_records(result.history)
+    return result, hc.check_all(ops, result.crashed_clients)
 
 
 class _Main(click.Group):
@@ -252,12 +244,10 @@ def main():
               help="verdicts.json path (default in --out-dir); probe_report.json "
                    "stays in --out-dir")
 @click.option("--out-dir", default=".", help="directory for the artifacts")
-@click.option("--check/--no-check", "do_check", default=True)
 @click.option("--trace-messages", is_flag=True, default=False,
               help="record per-message send/deliver events")
 def cmd_run(config_file, model, n, f, rounds, seed, clients, workload, adversary,
-            allow_inadmissible, trace_out, report_out, out_dir, do_check,
-            trace_messages):
+            allow_inadmissible, trace_out, report_out, out_dir, trace_messages):
     """Run one simulation, write artifacts, and check the register properties."""
     def pick(flag, key, default):
         return flag if flag is not None else file_cfg.get(key, default)
@@ -275,16 +265,15 @@ def cmd_run(config_file, model, n, f, rounds, seed, clients, workload, adversary
     result, verdicts = _run_one(
         make_config(model, n, f), make_strategy(adversary), _load_workload(workload),
         rounds=rounds, seed=seed, clients=clients, allow_inadmissible=allow_inadmissible,
-        record_messages=trace_messages, do_check=do_check)
+        record_messages=trace_messages)
     _write_artifacts(result, verdicts, out_dir, trace_out, report_out)
 
     failed = list(result.violations)
-    if verdicts:
-        for name, v in verdicts.items():
-            status = "pass" if v.passed else "FAIL"
-            click.echo(f"{name}: {status}")
-            if not v.passed:
-                failed.append(name)
+    for name, v in verdicts.items():
+        status = "pass" if v.passed else "FAIL"
+        click.echo(f"{name}: {status}")
+        if not v.passed:
+            failed.append(name)
     if result.violations:
         click.echo(f"agreement probe: FAIL ({len(result.violations)} rounds)")
     elif result.probes:
@@ -351,6 +340,8 @@ def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
         raise ConfigError(f"--rounds must be >= 0, got {rounds}")
     if clients < 1:
         raise ConfigError(f"--clients: need at least one client, got {clients}")
+    if clients > sys.maxsize:  # expanded below, before any run() checks it
+        raise ConfigError(f"--clients: need at most {sys.maxsize} clients, got {clients}")
 
     # a seed's cells all run the same directives: expand them once per seed
     directives = {s: RandomWorkload().expand(rounds, clients, s) for s in seed_list}

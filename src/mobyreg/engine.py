@@ -53,6 +53,7 @@ departing host skip adoption (ROADMAP item 12, stage B) must store it again.
 from __future__ import annotations
 
 import json
+import sys
 from itertools import groupby
 from operator import attrgetter
 from dataclasses import dataclass, field
@@ -260,8 +261,10 @@ class RunResult:
         every actor, kind and phase is an identifier the engine chooses, so a
         line is an f-string head, the payload and the phase's tail.  An event
         with actor ``servers`` stands for every server: it is written once per
-        server, s0 to s(n-1).  An ``OpEvent``'s payload is a fixed template
-        filled from its record's fields.
+        server, s0 to s(n-1).  The servers' names are built once, and only
+        for a trace that holds such an event or a ``RoundMessages`` record,
+        so a trace that names no server costs nothing in n.  An ``OpEvent``'s
+        payload is a fixed template filled from its record's fields.
 
         A ``RoundMessages`` record is written from one list of senders in
         inbox order: each client with its broadcast, then each server in id
@@ -272,7 +275,7 @@ class RunResult:
         ``id``: the records hold their messages for the call), with ``"\\0"``
         for its sender's id, which each line replaces.
         """
-        servers = [f"s{i}" for i in range(self.config.n)]
+        servers = None  # every server's name, built for the first record that needs it
         bodies: dict = {}  # id(msg) -> _message_body(msg), for this round
         for round_no, events in groupby(self.trace, attrgetter("round")):
             bodies.clear()  # messages are built per round
@@ -284,10 +287,13 @@ class RunResult:
                         lines.append(_joined(f"c{ev.rec.client}", ev.kind,
                                              (_op_payload(ev) + tail,)))
                         continue
+                    if type(ev) is TraceEvent and ev.actor != SERVERS:
+                        lines.append(_joined(ev.actor, ev.kind, (_ENCODE(ev.payload) + tail,)))
+                        continue
+                    servers = servers or [f"s{i}" for i in range(self.config.n)]
                     if type(ev) is TraceEvent:
                         text = _ENCODE(ev.payload) + tail
-                        actors = servers if ev.actor == SERVERS else (ev.actor,)
-                        lines += [_joined(actor, ev.kind, (text,)) for actor in actors]
+                        lines += [_joined(name, ev.kind, (text,)) for name in servers]
                         continue
                     # (actor, id, output) of each sender, in inbox order
                     senders = [(f"c{c}", str(c), ((SERVERS, msg),)) for c, msg in ev.clients]
@@ -442,6 +448,8 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         raise ConfigError(f"rounds must be >= 0, got {rounds}")
     if n_clients < 1:
         raise ConfigError(f"need at least one client, got {n_clients}")
+    if n_clients > sys.maxsize:
+        raise ConfigError(f"need at most {sys.maxsize} clients, got {n_clients}")
     if not config.admissible and not allow_inadmissible:
         raise ConfigError(
             f"n={config.n} <= alpha*f={config.params.alpha * config.f} for model "

@@ -10,6 +10,7 @@ reported by at least n - beta * f distinct servers).
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 
 
@@ -94,6 +95,8 @@ class SystemConfig:
             raise ConfigError(f"f must be >= 0, got {self.f}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
+        if self.n > sys.maxsize:  # no list or range of servers could be indexed
+            raise ConfigError(f"n must be <= {sys.maxsize}, got {self.n}")
         if self.f > self.n:
             raise ConfigError(f"f must be <= n, got f={self.f} > n={self.n}")
 

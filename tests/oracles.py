@@ -20,11 +20,10 @@ a class its own output, where ``run`` counts a class once.  ``run`` keeps
 only a server's value and a client's running operation, and takes the
 readers, cure flags and a read's reply-round inbox as round data; it must
 give the same artifacts, byte for byte.
-``mt_rng_stream`` is the Mersenne Twister stream derivation that
-``mobyreg.adversary.rng_stream`` replaced: the same key, a seeded
-``random.Random``.  Injected as ``mobyreg.engine.rng_stream``, it reproduces
-the traces recorded before the change, so the rest of the engine can be
-checked byte for byte.
+``mt_rng_stream`` is the reference stream derivation: the first 8 bytes of
+the SHA-256 of the stream's name seed a ``random.Random``.  The golden
+digests were recorded with these streams, and ``mobyreg.adversary.rng_stream``
+must return a generator in the same state for every name.
 """
 
 import hashlib

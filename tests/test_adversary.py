@@ -1,6 +1,4 @@
-import copy
 import enum
-import pickle
 import random
 from collections import Counter
 
@@ -11,7 +9,7 @@ from mobyreg.adversary import (TOKENS, NoFaults, Occupancy, RandomWalk, Scripted
 from mobyreg.engine import Directive, run
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
 from mobyreg.protocol import SERVERS, Echo, Read, Reply, Write
-from oracles import trace_events
+from oracles import mt_rng_stream, trace_events
 
 
 def cfg(model="garay", n=7, f=2):
@@ -246,71 +244,9 @@ def test_stream_is_a_random_generator_named_by_its_key():
     assert len(firsts) == 2 * 2 * 19 * 10
 
 
-def test_stream_draws_the_splitmix64_sequence():
-    # reference outputs of splitmix64 from state 0
-    r = rng_stream(0)
-    r.seed(0)
-    assert [r.getrandbits(64) for _ in range(4)] == [
-        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
-
-
-def test_stream_random_stays_in_the_unit_interval():
-    r = rng_stream(3, "unit")
-    xs = [r.random() for _ in range(20_000)]
-    assert all(0.0 <= x < 1.0 for x in xs)
-    assert abs(sum(xs) / len(xs) - 0.5) < 0.01
-
-
-def test_stream_serves_the_random_api():
-    r = rng_stream(5, "api")
-    assert all(0 <= r.randrange(6) < 6 for _ in range(200))
-    assert all(-3 <= r.randint(-3, 3) <= 3 for _ in range(200))
-    assert {r.choice("abc") for _ in range(200)} == set("abc")
-    picked = r.sample(range(121), 30)
-    assert len(set(picked)) == 30 and all(0 <= x < 121 for x in picked)
-    deck = list(range(52))
-    r.shuffle(deck)
-    assert sorted(deck) == list(range(52)) and deck != list(range(52))
-    wide = [r.getrandbits(200) for _ in range(20)]
-    assert all(0 <= x < 1 << 200 for x in wide) and max(wide).bit_length() > 190
-    assert r.getrandbits(0) == 0
-    with pytest.raises(ValueError):
-        r.getrandbits(-1)
-    gs = [r.gauss(10.0, 2.0) for _ in range(2_000)]
-    assert abs(sum(gs) / len(gs) - 10.0) < 0.3
-
-
-def test_stream_bounded_draws_match_the_base_class_rejection_loop():
-    # the same stream with the base class's _randbelow, which rejects over
-    # getrandbits(k) calls, must draw exactly the same integers
-    base_draws = type("BaseDraws", (type(rng_stream(0)),),
-                      {"_randbelow": random.Random._randbelow_with_getrandbits})
-
-    def draws(g):
-        deck = list(range(52))
-        g.shuffle(deck)
-        return [g.randrange(1 << 30), g.randrange(1), g.randrange(6), g.randrange(121),
-                g.randrange((1 << 64) - 1), g.randrange(1 << 64), g.randrange(3 << 70),
-                g.randint(-3, 3), g.choice("abcdefg"), g.sample(range(121), 30), deck,
-                g.getrandbits(64)]
-
-    for key in range(50):
-        ours = rng_stream(key, "below")
-        ref = base_draws()
-        ref.setstate(ours.getstate())
-        assert draws(ours) == draws(ref)
-        assert ours.getstate() == ref.getstate()
-
-
-def test_stream_state_round_trips():
-    r = rng_stream(8, "state")
-    r.gauss(0.0, 1.0)  # leaves the second normal deviate cached
-    state = r.getstate()
-    clone, pickled = copy.copy(r), pickle.loads(pickle.dumps(r))
-    ahead = [r.gauss(0.0, 1.0), r.random(), r.randrange(1 << 30)]
-    r.setstate(state)
-    for g in (r, clone, pickled):
-        assert [g.gauss(0.0, 1.0), g.random(), g.randrange(1 << 30)] == ahead
+def test_stream_is_the_reference_mersenne_twister():
+    for key in [(0,), (0, "sched", 1), (7, "workload", 60), (-3, "sched", 10**6)]:
+        assert rng_stream(*key).getstate() == mt_rng_stream(*key).getstate()
 
 
 def test_first_draws_of_distinct_streams_are_uniform():

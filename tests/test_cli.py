@@ -245,7 +245,9 @@ def test_importing_the_cli_loads_neither_yaml_nor_a_process_pool():
     ("--rounds", "-1", "--rounds must be >= 0, got -1"),
     ("--clients", "0", "--clients: need at least one client, got 0"),
     ("--f-values", "1,-1", "f must be >= 0, got -1"),
-], ids=["rounds", "clients", "f-values"])
+    ("--f-values", "99999999999999999999", f"n must be <= {sys.maxsize}, got"),
+    ("--clients", str(sys.maxsize + 1), f"--clients: need at most {sys.maxsize} clients"),
+], ids=["rounds", "clients", "f-values", "f-values-unindexable", "clients-unindexable"])
 def test_sweep_bad_cell_option_fails_before_any_cell_or_worker(option, value, message,
                                                                monkeypatch):
     cells, sizes = [], []
@@ -312,12 +314,12 @@ def test_run_bad_random_workload_is_config_error(tmp_path, spec, fragment):
 
 @pytest.mark.parametrize("text, fragment", [
     ('[{"round": 1, "op": "read"}]', "KeyError: 'client'"),
-    ('[{"round": "one", "client": 0, "op": "read"}]', "ValueError"),
+    ('[{"round": "one", "client": 0, "op": "read"}]', "(round 'one' is not an integer)"),
     ("[5]", "bad directive 5"),
     ("- {round: 1\n- x", "is not valid YAML"),
     ('[{"round": 1, "client": 0, "op": "write", "value": [1, 2]}]',
      "value must be a scalar"),
-    ('[{"round": .inf, "client": 0, "op": "read"}]', "OverflowError"),
+    ('[{"round": .inf, "client": 0, "op": "read"}]', "(round inf is not an integer)"),
     ('[{"round": 1, "client": 0, "op": "read", "value": 5}]',
      "a read directive takes no value, got 5"),
     ("5", "must hold a list of directives"),
@@ -435,7 +437,7 @@ def test_history_and_op_lines_are_the_per_record_encoding(values):
     assert any(rec.failed for rec in res.history)
     assert any(rec.response_round is None and not rec.failed for rec in res.history)
     with tempfile.TemporaryDirectory() as out:
-        _write_artifacts(res, None, out, None, None)
+        _write_artifacts(res, {}, out, None, None)
         with open(os.path.join(out, "history.jsonl"), encoding="utf-8") as fh:
             history = fh.read().split("\n")
         with open(os.path.join(out, "trace.jsonl"), encoding="utf-8") as fh:
@@ -683,11 +685,39 @@ def test_check_never_ends_in_a_traceback(tmp_path, lines):
        flags=st.sets(st.sampled_from(["--allow-inadmissible", "--trace-messages"])))
 @example(model="garay", n=2, f=3, rounds=4, clients=3, adversary="random",
          flags={"--allow-inadmissible"})
+# sizes no list or range can index (never a large indexable one: it allocates)
+@example(model="garay", n=sys.maxsize + 1, f=1, rounds=4, clients=3, adversary="random",
+         flags=set())
+@example(model="garay", n=7, f=2, rounds=4, clients=sys.maxsize + 1, adversary="random",
+         flags=set())
 def test_run_never_ends_in_a_traceback(tmp_path, model, n, f, rounds, clients,
                                        adversary, flags):
     result = invoke("run", "--model", model, "--n", str(n), "--f", str(f),
                     "--rounds", str(rounds), "--clients", str(clients),
                     "--adversary", adversary, *sorted(flags), "--out-dir", str(tmp_path))
+    assert result.exit_code in (0, 1, 2), result.output
+    assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
+    assert "Traceback" not in result.output
+
+
+SWEEP_OPTIONS = ["--models", "--f-values", "--seeds", "--rounds", "--clients", "--jobs"]
+
+
+# a valid sweep, with at most one option given again as text that may be bad
+@settings(max_examples=100, deadline=None)
+@given(models=st.lists(st.sampled_from([m.value for m in ModelId] + ["m2", " M4"]),
+                       min_size=1, max_size=3),
+       f_values=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       seeds=st.lists(st.integers(-1, 5), min_size=1, max_size=3),
+       rounds=st.integers(0, 4), clients=st.integers(1, 3), jobs=st.integers(1, 2),
+       bad=st.none() | st.tuples(st.sampled_from(SWEEP_OPTIONS), st.sampled_from(
+           ["", " ", ",", "x", "1.5", "-1", "0", "True", "1,,x", "garay,x"])))
+def test_sweep_never_ends_in_a_traceback(models, f_values, seeds, rounds, clients, jobs,
+                                         bad):
+    result = invoke("sweep", "--models", ",".join(models),
+                    "--f-values", ",".join(map(str, f_values)),
+                    "--seeds", ",".join(map(str, seeds)), "--rounds", str(rounds),
+                    "--clients", str(clients), "--jobs", str(jobs), *(bad or ()))
     assert result.exit_code in (0, 1, 2), result.output
     assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
     assert "Traceback" not in result.output

@@ -20,7 +20,7 @@ from mobyreg.model import ConfigError, ModelId, lookup, make_config
 from mobyreg.protocol import (BOTTOM, SERVERS, ComputeNote, Echo, Read, Reply, Tally,
                               Write, server_compute, server_send)
 import oracles
-from oracles import mt_rng_stream, per_server_run, trace_events, trace_line, trace_text
+from oracles import per_server_run, trace_events, trace_line, trace_text
 
 
 def m1_config(n=7, f=2):
@@ -524,50 +524,41 @@ def _random_run(model, n, f, **kwargs):
                rounds=60, seed=7, n_clients=3, **kwargs)
 
 
-# name: (make, digest with the Mersenne Twister streams of tests/oracles.py,
-# digest with the splitmix64 streams of rng_stream).  The scripted runs
-# draw from no stream, so both digests are the same.  Of these runs, only
-# sasaki-inadmissible-messages holds a corruption token; MASKED_RUNS keeps
-# its digests from before the tokens ended in their kind.
+# name: (make, digest).  Each random run's digest was recorded with the
+# Mersenne Twister streams of tests/oracles.py, which rng_stream returns.
+# Of these runs, only sasaki-inadmissible-messages holds a corruption token;
+# MASKED_RUNS keeps its digest from before the tokens ended in their kind.
 GOLDEN_RUNS = {
     "garay-random": (
         lambda: _random_run("garay", 7, 2),
-        "0f003c0af2e8e4ca1cde4d294591fbc846e3b973620418d02e9b5c312908a7c4",
-        "6d5b191f9477bf3bdeedf23158ca01aa1466b6e19763d55867e258f56edb333c"),
+        "0f003c0af2e8e4ca1cde4d294591fbc846e3b973620418d02e9b5c312908a7c4"),
     "bonnet-random": (
         lambda: _random_run("bonnet", 9, 2),
-        "26d9e7080d6cafc5c76117407ee10f93825af6dfda03521b2cae781cce79e0e8",
-        "fd079d11c3733c49c87b95deab2748a79348694b13d0d53144762b4c59e5da8a"),
+        "26d9e7080d6cafc5c76117407ee10f93825af6dfda03521b2cae781cce79e0e8"),
     "sasaki-random": (
         lambda: _random_run("sasaki", 9, 2),
-        "376bb195d828bbc0ed99eb3524c6c9d31a84871d4f8e657e207e4aa3c8006dff",
-        "728773883c36d0a773ab04e9dc1ce33e8774addfb0f42fdcfb744d46b726513e"),
+        "376bb195d828bbc0ed99eb3524c6c9d31a84871d4f8e657e207e4aa3c8006dff"),
     "buhrman-random": (
         lambda: _random_run("buhrman", 5, 2),
-        "9517df5be510cc3de24170676b64b5cf8c7be358632b8b3e57835bb0c6e52a4c",
-        "581dd766314e35ec743841eee4c65f6578c8e69af8c1e3a8d74dd0a4d6c6ebdf"),
+        "9517df5be510cc3de24170676b64b5cf8c7be358632b8b3e57835bb0c6e52a4c"),
     "sasaki-inadmissible-messages": (
         lambda: _random_run("sasaki", 8, 2, allow_inadmissible=True,
                             record_messages=True),
-        "f7b08ddd3e4b320cee18d9d77ff5878069b5c1db7949602846f4065ea97f5df5",
-        "6d641a3795df70a887b592ba25856099c21ad0607b4b8e6764e7b79759b8b38a"),
+        "f7b08ddd3e4b320cee18d9d77ff5878069b5c1db7949602846f4065ea97f5df5"),
     "buhrman-in-send-moves": (
         lambda: run(make_config("buhrman", 5, 2),
                     Scripted({1: {0, 1}, 2: {2, 1}, 4: {3, 4}}, fake_value="evil"),
                     [Directive(1, 3, "write", "good"), Directive(2, 0, "read"),
                      Directive(4, 1, "write", "better"), Directive(5, 2, "read")],
                     rounds=6, seed=0, n_clients=4, record_messages=True),
-        "7bcd84ab834a9cec586cc45c3ba93a32796de109672a9714971b18b3e273de8a",
         "7bcd84ab834a9cec586cc45c3ba93a32796de109672a9714971b18b3e273de8a"),
     "garay-inadmissible-echo-ties": (
         lambda: run(make_config("garay", 6, 2), Stationary(fake_value="evil"),
                     RandomWorkload(op_rate=0.5), rounds=30, seed=3, n_clients=3,
                     allow_inadmissible=True, record_messages=True),
-        "23851d21e3c1fd90e10872a7a7b18576450b15bd54bfee9836b08b9bc04416cc",
-        "c7368f9e92b346d8679c0f9e7d73bba885d68e1c9988f4388ab306ca8023f965"),
+        "23851d21e3c1fd90e10872a7a7b18576450b15bd54bfee9836b08b9bc04416cc"),
     "garay-exotic-values-messages": (
         _exotic_values_run,
-        "4217070d72fb71993e668ba27b7d02ad499b1d5fe6e48c4bcac05234ec112f1d",
         "4217070d72fb71993e668ba27b7d02ad499b1d5fe6e48c4bcac05234ec112f1d"),
 }
 
@@ -584,46 +575,34 @@ GOLDEN_TIGHTNESS = {
 
 
 @pytest.mark.parametrize("name", GOLDEN_RUNS)
-def test_run_artifacts_match_golden_digest(name, monkeypatch):
+def test_run_artifacts_match_golden_digest(name):
     # digests recorded with the per-server receive phase (n inbox copies,
     # n tallies), the exotic-values one with a json.dumps call per trace
-    # event, all with Mersenne Twister streams; given those streams, the
-    # shared tally, the spliced trace and the O(f) fault bookkeeping must
-    # reproduce every byte
-    make, digest, _ = GOLDEN_RUNS[name]
-    monkeypatch.setattr(mobyreg.engine, "rng_stream", mt_rng_stream)
+    # event; the shared tally, the spliced trace and the O(f) fault
+    # bookkeeping must reproduce every byte
+    make, digest = GOLDEN_RUNS[name]
     assert run_digest(make()) == digest
 
 
-@pytest.mark.parametrize("name", GOLDEN_RUNS)
-def test_run_artifacts_match_golden_digest_with_splitmix_streams(name):
-    make, _, digest = GOLDEN_RUNS[name]
-    assert run_digest(make()) == digest
-
-
-# digests with each corruption token masked (mask_tokens), recorded when a
-# token ended in a random draw rather than its kind: (Mersenne Twister
-# streams, splitmix64 streams).  A token's last part is all that may differ.
+# digests with each corruption token masked (mask_tokens), recorded with
+# Mersenne Twister streams when a token ended in a random draw rather than
+# its kind.  A token's last part is all that may differ.
 MASKED_RUNS = {
-    "sasaki-inadmissible-messages": (
+    "sasaki-inadmissible-messages":
         "5eb62440a0475359bf2423ad29b4c20edf7e5eddfa52a57ae4b6981bc20bd80b",
-        "997224af2972daf27cae2823d35c66961700231de736dea60b2ab1089dcbe1b4"),
 }
 
 
 @pytest.mark.parametrize("name", MASKED_RUNS)
-def test_run_artifacts_match_masked_digest(name, monkeypatch):
+def test_run_artifacts_match_masked_digest(name):
     make = GOLDEN_RUNS[name][0]
-    mt_digest, splitmix_digest = MASKED_RUNS[name]
-    assert run_digest(make(), mask_tokens) == splitmix_digest
-    monkeypatch.setattr(mobyreg.engine, "rng_stream", mt_rng_stream)
-    assert run_digest(make(), mask_tokens) == mt_digest
+    assert run_digest(make(), mask_tokens) == MASKED_RUNS[name]
 
 
 def test_verdicts_match_masked_digest():
-    # 32 untraced RandomWalk runs on both sides of each bound, recorded when
-    # a token ended in a random draw: with the tokens masked, every history,
-    # probe, violation and protocol failure is the same
+    # 32 untraced RandomWalk runs on both sides of each bound, recorded with
+    # the Mersenne Twister streams of tests/oracles.py: with the tokens
+    # masked, every history, probe, violation and protocol failure is the same
     h = hashlib.sha256()
     tokens = failures = 0
     for model in ModelId:
@@ -639,9 +618,9 @@ def test_verdicts_match_masked_digest():
                     tokens += text.count("byz-")
                     failures += len(res.violations) + len(res.protocol_failures)
                     h.update(mask_tokens(text).encode())
-    assert (tokens, failures) == (532, 138)
+    assert (tokens, failures) == (546, 142)
     assert h.hexdigest() == \
-        "93feb9ea0d11db19c8c424b3fdd655ce583aa91c9554b5aaf3359c83d750ded9"
+        "1351a86d7e5f5b8a48bc38e3aabb25f64ab7814bbaedfd91516fd7a1f9f126a8"
 
 
 class ForgesWrite(Scripted):
@@ -694,7 +673,7 @@ def _crash_forgery_dip_run():
 
 
 # GOLDEN_RUNS's makers, and runs that hold the events those lack
-TRACE_RUNS = {**{name: make for name, (make, _, _) in GOLDEN_RUNS.items()},
+TRACE_RUNS = {**{name: make for name, (make, _) in GOLDEN_RUNS.items()},
               "garay-crash-forgery-dip": _crash_forgery_dip_run}
 
 
@@ -796,10 +775,13 @@ class CharCount:
         self.chars += len(text)
 
 
-def trace_lines_peak(rounds):
-    """Peak bytes traced while a read-heavy run's trace is written, and its length."""
-    res = run(make_config("bonnet", 17, 4), RandomWalk(), RandomWorkload(0.5, 0.8),
-              rounds=rounds, seed=1, n_clients=12, record_messages=True)
+def read_heavy_run(rounds):
+    return run(make_config("bonnet", 17, 4), RandomWalk(), RandomWorkload(0.5, 0.8),
+               rounds=rounds, seed=1, n_clients=12, record_messages=True)
+
+
+def trace_lines_peak(res):
+    """Peak bytes traced while ``res``'s trace is written, and its length."""
     sink = CharCount()
     tracemalloc.start()
     try:
@@ -812,9 +794,18 @@ def trace_lines_peak(rounds):
 
 def test_trace_lines_hold_one_round_of_text_at_a_time():
     # the whole text rendered in one piece peaks at about twice its length
-    (peak_40, chars_40), (peak_100, chars_100) = map(trace_lines_peak, (40, 100))
+    (peak_40, chars_40), (peak_100, chars_100) = (
+        trace_lines_peak(read_heavy_run(rounds)) for rounds in (40, 100))
     assert peak_40 < chars_40 / 4 and peak_100 < chars_100 / 4
     assert peak_100 < 1.5 * peak_40
+
+
+def test_trace_lines_name_the_servers_only_for_a_line_per_server():
+    # no line of this run is a server's, so writing it holds no name of one
+    res = run(make_config("garay", 200_000, 1), RandomWalk(), RandomWorkload(),
+              rounds=3, seed=0)
+    peak, chars = trace_lines_peak(res)
+    assert chars and peak < 1_000_000
 
 
 @pytest.mark.parametrize("model,f", GOLDEN_TIGHTNESS)
