@@ -26,13 +26,16 @@ lo would fall strictly all the way round.  One sweep over the clusters sorted
 by ``lo`` finds such a pair.
 
 Both checks take O(ops log ops) time and O(ops) memory.
+
+An operation (``Op``) and a property's ``Verdict`` are NamedTuples.
+``history_from_records`` reads an engine ``OpRecord``, a ``__slots__`` class,
+by attribute, and a history file's record by key.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .protocol import BOTTOM
@@ -55,10 +58,9 @@ class Op(NamedTuple):
         return self.response is not None
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     passed: bool
-    witness: list = field(default_factory=list)
+    witness: Sequence = ()       # the dicts that show a failure
 
 
 def precedes(a: Op, b: Op) -> bool:
@@ -67,14 +69,18 @@ def precedes(a: Op, b: Op) -> bool:
 
 
 def history_from_records(records: Iterable) -> list[Op]:
-    """Adapt engine OpRecords (read in place) or their dict form to checker operations."""
+    """Adapt engine OpRecords (read by attribute) or their dict form to checker operations."""
     ops = []
     for rec in records:
-        d = rec if isinstance(rec, dict) else vars(rec)
-        value = d["argument"] if d["kind"] == "write" else d["result"]
-        response = d["response_round"] if not d.get("failed") else None
-        ops.append(Op(d["op_id"], d["client"], d["kind"], value, d["invoke_round"],
-                      response))
+        if isinstance(rec, dict):
+            value = rec["argument"] if rec["kind"] == "write" else rec["result"]
+            response = rec["response_round"] if not rec.get("failed") else None
+            ops.append(Op(rec["op_id"], rec["client"], rec["kind"], value,
+                          rec["invoke_round"], response))
+        else:
+            ops.append(Op(rec.op_id, rec.client, rec.kind,
+                          rec.argument if rec.kind == "write" else rec.result,
+                          rec.invoke_round, None if rec.failed else rec.response_round))
     return ops
 
 

@@ -156,6 +156,16 @@ def _load_workload(workload_spec):
     return directives
 
 
+def _derived_n(model: ModelId, f: int, plus: int, option: str) -> int:
+    """n = alpha*f + plus in ``model``; an ``f`` that takes n past ``sys.maxsize``
+    is refused as the ``option`` the user gave, not as an n they never gave."""
+    alpha = lookup(model).alpha
+    if alpha * f + plus > sys.maxsize:
+        raise ConfigError(f"{option} {f} is too large: {model}'s n = {alpha}f"
+                          f"{f' + {plus}' if plus else ''} would exceed {sys.maxsize}")
+    return alpha * f + plus
+
+
 def _write_file(path, write, what):
     """Open ``path`` for text, creating missing parents, and call ``write`` on it.
 
@@ -288,7 +298,9 @@ def cmd_run(config_file, model, n, f, rounds, seed, clients, workload, adversary
 @click.option("--report-out", default=None)
 def cmd_tightness(model, f, report_out):
     """Reproduce the boundary indistinguishability scenario for one model."""
-    report = tightness_demo(ModelId.parse(model), f)
+    model = ModelId.parse(model)
+    _derived_n(model, f, 0, "--f")
+    report = tightness_demo(model, f)
     if report_out:
         _write_file(report_out,
                     _text(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"),
@@ -332,7 +344,7 @@ def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
     if not model_list or not f_list or not seed_list:
         raise ConfigError("models, f-values, and seeds must all be nonempty")
     # every cell's config, built before the first cell runs, rejects a bad f
-    configs = {(m, f): make_config(m, lookup(ModelId.parse(m)).alpha * f + 1, f)
+    configs = {(m, f): make_config(m, _derived_n(ModelId.parse(m), f, 1, "--f-values entry"), f)
                for m in model_list for f in f_list}
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")

@@ -9,7 +9,13 @@ traces a violation for each, since a server cannot pose as a client.  The run
 records an operation history, per-round agreement probes and any property
 violations, and, unless ``record_trace`` is off, an event trace; with it off
 no event or payload is built at all.  A directive's round and client, and the
-run's rounds and clients, must be integers.
+run's rounds and clients, must be integers.  ``run`` validates the directives
+it is handed, not those a ``RandomWorkload`` draws, which are valid as drawn.
+
+A ``Directive`` and every trace event are NamedTuples.  An ``OpRecord`` and the
+``RunResult``, which ``run`` fills in as it goes, are plain ``__slots__``
+classes, and so is a ``RandomWorkload``, which ``run`` tells from a directive
+sequence by its type.
 
 Servers receive only broadcasts, so every server gets the same inbox, and a
 server keeps only its register value from one round to the next.  A round's
@@ -56,7 +62,6 @@ import json
 import sys
 from itertools import groupby
 from operator import attrgetter
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .adversary import TOKENS, SplitVote, Strategy, is_send_token, rng_stream
@@ -72,8 +77,7 @@ from .protocol import (BOTTOM, SERVERS, Echo, Read, ReadOk, Reply, Tally, Write,
 OPS = ("write", "read", "crash")
 
 
-@dataclass(frozen=True)
-class Directive:
+class Directive(NamedTuple):
     """One scripted client action; ``round`` is the round its message is sent."""
 
     round: int
@@ -82,18 +86,23 @@ class Directive:
     value: object = None
 
 
-@dataclass(frozen=True)
 class RandomWorkload:
     """Per-round, per-idle-client operation generator.
 
     ``op_rate`` is the chance an idle client starts an operation in a round;
     ``read_ratio`` splits those between reads and writes.  Written values
     embed (client id, counter) so they are globally unique, which the history
-    checker requires.
+    checker requires.  Not a tuple: ``run`` tells it from a directive
+    sequence by its type.
     """
 
-    op_rate: float = 0.2
-    read_ratio: float = 0.5
+    __slots__ = ("op_rate", "read_ratio")
+
+    def __init__(self, op_rate: float = 0.2, read_ratio: float = 0.5) -> None:
+        self.op_rate, self.read_ratio = op_rate, read_ratio
+
+    def __repr__(self):
+        return f"RandomWorkload(op_rate={self.op_rate!r}, read_ratio={self.read_ratio!r})"
 
     def expand(self, rounds: int, n_clients: int, seed: int) -> list[Directive]:
         """The directives this workload draws in a run, before round 1.
@@ -101,7 +110,9 @@ class RandomWorkload:
         Round r draws from the stream ``("workload", r)``, client by client,
         for each client idle in that round.  A write takes one round and a
         read two, whatever the servers do, so when a client is next idle is
-        known as soon as its operation is drawn.
+        known as soon as its operation is drawn.  The draws are valid
+        directives for ``rounds`` and ``n_clients`` whatever the rates, in
+        ``validate_directives``' order, so ``run`` does not check them again.
         """
         directives = []
         idle_from = [1] * n_clients
@@ -172,16 +183,24 @@ def validate_directives(directives: Sequence[Directive], rounds: int,
 # Records
 # ---------------------------------------------------------------------------
 
-@dataclass
 class OpRecord:
-    op_id: int
-    client: int
-    kind: str                      # "write" | "read"
-    argument: object = None        # written value, None for reads
-    result: object = None          # returned value for reads
-    invoke_round: int = 0          # round the first message was sent
-    response_round: Optional[int] = None
-    failed: bool = False           # read finished with no unique value
+    """One operation of ``kind`` "write" or "read".
+
+    ``argument`` is the written value (None for a read), ``result`` a read's
+    returned value, ``invoke_round`` the round its first message was sent,
+    and ``failed`` whether a read finished with no unique value.  A plain
+    ``__slots__`` class: ``run`` fills in the response fields later.
+    """
+
+    __slots__ = ("op_id", "client", "kind", "argument", "result", "invoke_round",
+                 "response_round", "failed")
+
+    def __init__(self, op_id: int, client: int, kind: str, argument: object = None,
+                 result: object = None, invoke_round: int = 0,
+                 response_round: Optional[int] = None, failed: bool = False) -> None:
+        self.op_id, self.client, self.kind = op_id, client, kind
+        self.argument, self.result, self.invoke_round = argument, result, invoke_round
+        self.response_round, self.failed = response_round, failed
 
     def as_dict(self) -> dict:
         return {
@@ -191,9 +210,18 @@ class OpRecord:
             "response_round": self.response_round, "failed": self.failed,
         }
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
 
-@dataclass(slots=True)
-class TraceEvent:
+    __hash__ = None  # equal by its fields, which run() assigns
+
+    def __repr__(self):
+        return f"OpRecord({', '.join(f'{k}={v!r}' for k, v in self.as_dict().items())})"
+
+
+class TraceEvent(NamedTuple):
     round: int
     phase: str
     kind: str
@@ -239,17 +267,20 @@ def value_text(value, encode) -> str:
     return "null" if value is None else encode(value)
 
 
-@dataclass
 class RunResult:
-    config: SystemConfig
-    rounds: int
-    seed: int
-    history: list = field(default_factory=list)       # OpRecord
-    trace: list = field(default_factory=list)         # TraceEvent, OpEvent, RoundMessages
-    probes: list = field(default_factory=list)        # per-round dicts
-    violations: list = field(default_factory=list)    # agreement-probe dips etc.
-    protocol_failures: list = field(default_factory=list)
-    crashed_clients: frozenset = frozenset()
+    """What ``run`` records, filled in round by round: a plain ``__slots__`` class."""
+
+    __slots__ = ("config", "rounds", "seed", "history", "trace", "probes", "violations",
+                 "protocol_failures", "crashed_clients")
+
+    def __init__(self, config: SystemConfig, rounds: int, seed: int) -> None:
+        self.config, self.rounds, self.seed = config, rounds, seed
+        self.history = []            # OpRecord
+        self.trace = []              # TraceEvent, OpEvent, RoundMessages
+        self.probes = []             # per-round dicts
+        self.violations = []         # agreement-probe dips etc.
+        self.protocol_failures = []
+        self.crashed_clients = frozenset()
 
     def trace_lines(self, out) -> None:
         """Write the trace to the text stream ``out`` as JSON lines, a round at a time.
@@ -461,9 +492,11 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
     n, f = config.n, config.f
 
     if isinstance(workload, RandomWorkload):
-        workload = workload.expand(rounds, n_clients, seed)
+        directives = workload.expand(rounds, n_clients, seed)  # valid as drawn
+    else:
+        directives = validate_directives(list(workload), rounds, n_clients)
     by_round: dict[int, list[Directive]] = {}  # round -> its directives, by client
-    for d in validate_directives(list(workload), rounds, n_clients):
+    for d in directives:
         by_round.setdefault(d.round, []).append(d)
 
     result = RunResult(config=config, rounds=rounds, seed=seed)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ConfigError(ValueError):
@@ -42,8 +42,7 @@ class ModelId(enum.Enum):
                           f"{', '.join(m.value for m in cls)} or m1..m4)")
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple):
     """One model's row: its resilience arithmetic and the facts that set it apart.
 
     ``oracle_enabled``: a cured server learns that it was cured (and stays
@@ -79,26 +78,42 @@ def lookup(model: ModelId) -> ModelParams:
     return _TABLE[model]
 
 
-@dataclass(frozen=True)
 class SystemConfig:
-    """Server count, fault budget, and model parameters for one system."""
+    """Server count, fault budget, and model parameters for one system.
 
-    n: int
-    f: int
-    params: ModelParams
+    A plain ``__slots__`` class that checks ``n`` and ``f`` when built; two
+    configs are equal when their ``n``, ``f`` and ``params`` are.
+    """
 
-    def __post_init__(self) -> None:
-        for name in ("n", "f"):
-            if not is_int(getattr(self, name)):
-                raise ConfigError(f"{name} {getattr(self, name)!r} is not an integer")
-        if self.f < 0:
-            raise ConfigError(f"f must be >= 0, got {self.f}")
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.n > sys.maxsize:  # no list or range of servers could be indexed
-            raise ConfigError(f"n must be <= {sys.maxsize}, got {self.n}")
-        if self.f > self.n:
-            raise ConfigError(f"f must be <= n, got f={self.f} > n={self.n}")
+    __slots__ = ("n", "f", "params")
+
+    def __init__(self, n: int, f: int, params: ModelParams) -> None:
+        for name, x in (("n", n), ("f", f)):
+            if not is_int(x):
+                raise ConfigError(f"{name} {x!r} is not an integer")
+        if f < 0:
+            raise ConfigError(f"f must be >= 0, got {f}")
+        if n < 1:
+            raise ConfigError(f"n must be >= 1, got {n}")
+        if n > sys.maxsize:  # no list or range of servers could be indexed
+            raise ConfigError(f"n must be <= {sys.maxsize}, got {n}")
+        if f > n:
+            raise ConfigError(f"f must be <= n, got f={f} > n={n}")
+        self.n, self.f, self.params = n, f, params
+
+    def _key(self) -> tuple:
+        return (self.n, self.f, self.params)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"SystemConfig(n={self.n!r}, f={self.f!r}, params={self.params!r})"
 
     @property
     def admissible(self) -> bool:

@@ -18,7 +18,6 @@ value, but may never be written by a client.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -168,8 +167,14 @@ class ComputeNote(NamedTuple):
 
 
 def qualifying(counts: Mapping, s_threshold: int) -> list:
-    """The values ``counts`` gives at least ``s_threshold`` senders, by ``value_key``."""
-    return sorted((v for v, c in counts.items() if c >= s_threshold), key=value_key)
+    """The values ``counts`` gives at least ``s_threshold`` senders, by ``value_key``.
+
+    Only two or more values need ordering, and only inadmissible runs have
+    them; one or none is returned as found."""
+    chosen = [v for v, c in counts.items() if c >= s_threshold]
+    if len(chosen) > 1:
+        chosen.sort(key=value_key)
+    return chosen
 
 
 def server_compute(writes: Mapping, echo_counts: Mapping, s_threshold: int) -> ComputeNote:
@@ -193,15 +198,18 @@ def server_compute(writes: Mapping, echo_counts: Mapping, s_threshold: int) -> C
 
 # ---------------------------------------------------------------------------
 # Client
+#
+# A read's decision is a ``ReadOk`` or a ``ReadFailed``, each a NamedTuple:
+# one is built per finished read, and nothing assigns to it.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReadOk:
+class ReadOk(NamedTuple):
+    """The one value that reached the selection threshold."""
+
     value: object
 
 
-@dataclass(frozen=True)
-class ReadFailed:
+class ReadFailed(NamedTuple):
     """No unique value reached the selection threshold.
 
     Expected only in inadmissible configurations; the engine surfaces it as a

@@ -233,7 +233,7 @@ def test_sweep_rows_are_those_of_traced_runs_of_each_cell(jobs, monkeypatch):
 
 def test_importing_the_cli_loads_neither_yaml_nor_a_process_pool():
     code = ("import sys, mobyreg.cli; "
-            "print(sorted({'yaml', 'concurrent.futures'} & sys.modules.keys()))")
+            "print(sorted({'yaml', 'concurrent.futures', 'dataclasses'} & sys.modules.keys()))")
     src = os.path.dirname(os.path.dirname(mobyreg.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -245,7 +245,9 @@ def test_importing_the_cli_loads_neither_yaml_nor_a_process_pool():
     ("--rounds", "-1", "--rounds must be >= 0, got -1"),
     ("--clients", "0", "--clients: need at least one client, got 0"),
     ("--f-values", "1,-1", "f must be >= 0, got -1"),
-    ("--f-values", "99999999999999999999", f"n must be <= {sys.maxsize}, got"),
+    ("--f-values", "99999999999999999999",
+     f"--f-values entry 99999999999999999999 is too large: garay's n = 3f + 1 would "
+     f"exceed {sys.maxsize}"),
     ("--clients", str(sys.maxsize + 1), f"--clients: need at most {sys.maxsize} clients"),
 ], ids=["rounds", "clients", "f-values", "f-values-unindexable", "clients-unindexable"])
 def test_sweep_bad_cell_option_fails_before_any_cell_or_worker(option, value, message,
@@ -355,7 +357,9 @@ def test_sweep_bad_cell_option_is_config_error(option, value, fragment, jobs):
     (("sweep", "--models", "garay", "--f-values", "-1", "--seeds", "0", "--rounds", "5"),
      "f must be >= 0, got -1"),
     (("run", "--n", "0", "--f", "-1", "--rounds", "5"), "f must be >= 0, got -1"),
-], ids=["tightness-negative", "tightness-zero", "sweep", "run"])
+    (("tightness", "--model", "garay", "--f", "9999999999999999999"),
+     f"--f 9999999999999999999 is too large: garay's n = 3f would exceed {sys.maxsize}"),
+], ids=["tightness-negative", "tightness-zero", "sweep", "run", "tightness-unindexable"])
 def test_bad_fault_budget_is_named_not_a_derived_n(tmp_path, args, fragment):
     result = invoke(*args, *(("--out-dir", str(tmp_path)) if args[0] == "run" else ()))
     assert_config_error(result, fragment)

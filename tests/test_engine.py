@@ -219,11 +219,27 @@ def test_crashed_clients_pending_op_stays_open():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.floats(0, 1), st.floats(0, 1), st.integers(0, 30), st.integers(1, 6),
+@given(st.floats(0, 1), st.floats(0, 1), st.integers(0, 60), st.integers(1, 8),
        st.integers(0, 2**32))
 def test_expanded_random_workload_is_valid(op_rate, read_ratio, rounds, n_clients, seed):
+    # run() trusts the draws: it validates only the directives it is handed
     directives = RandomWorkload(op_rate, read_ratio).expand(rounds, n_clients, seed)
     assert validate_directives(directives, rounds, n_clients) == directives
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(ModelId), st.floats(0, 1), st.floats(0, 1), st.integers(0, 25),
+       st.integers(1, 5), st.integers(0, 2**32))
+def test_a_drawn_workload_runs_as_its_draws_handed_as_a_list(model, op_rate, read_ratio,
+                                                            rounds, n_clients, seed):
+    workload = RandomWorkload(op_rate, read_ratio)
+    kwargs = dict(rounds=rounds, seed=seed, n_clients=n_clients, record_messages=True)
+    config = make_config(model, lookup(model).alpha + 1, 1)
+    drawn = run(config, RandomWalk(), workload, **kwargs)
+    handed = run(config, RandomWalk(), workload.expand(rounds, n_clients, seed), **kwargs)
+    for field_name in ("history", "probes", "violations"):
+        assert getattr(drawn, field_name) == getattr(handed, field_name), field_name
+    assert trace_text(drawn) == trace_text(handed)
 
 
 def test_random_workload_is_drawn_before_round_1(monkeypatch):

@@ -1,14 +1,15 @@
+import datetime
 import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobyreg.model import ModelId, lookup
 from mobyreg.protocol import (SERVERS, ComputeNote, Echo, Read, ReadFailed, ReadOk,
-                              Reply, Tally, Write, client_compute, server_compute,
-                              server_receive, server_send)
+                              Reply, Tally, Write, client_compute, qualifying, server_compute,
+                              server_receive, server_send, value_key)
 
 # ----------------------------------------------------------------- server ---
 
@@ -134,6 +135,21 @@ def test_compute_read_two_qualifying_is_protocol_failure():
     resp = client_compute({"b": 2, "a": 2, "c": 1}, s_threshold=2)
     assert resp == ReadFailed(counts=(("a", 2), ("b", 2), ("c", 1)),
                               qualifying=("a", "b"))
+
+
+_WIRE_VALUES = st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=3),
+                         st.tuples(st.integers(0, 3), st.text(max_size=2)), st.dates())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(_WIRE_VALUES, st.integers(0, 4), max_size=8), st.integers(0, 4))
+@example({}, 1)
+@example({None: 3, 2: 1, "v": 0}, 2)  # one qualifies
+@example({datetime.date(2015, 1, 1): 3, None: 3, 1.5: 4, 2: 3, "v": 3, (1, "a"): 3}, 3)
+def test_qualifying_is_the_qualifying_values_sorted_by_value_key(counts, s_threshold):
+    # it sorts only when two or more values qualify
+    expected = sorted((v for v, c in counts.items() if c >= s_threshold), key=value_key)
+    assert qualifying(counts, s_threshold) == expected
 
 
 # ----------------------------------------------------------------- states ---
