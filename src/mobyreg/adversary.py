@@ -119,10 +119,13 @@ class Strategy:
         ``kind`` is "send" for a Byzantine server's output, "leave" for the
         host an agent departs during the send (``run`` never asks for it: the
         round adopts, see ``mobyreg.engine``), and "compute" for each host it
-        holds when the compute phase ends.  Each (round, server, kind) is
-        corrupted at most once, so no two corruptions share the default
-        token; and every count (the echo tally, a read's replies, the probe)
-        takes one value per server, so no token gains a second vote.  Tied
+        holds when the compute phase ends.  ``run`` asks for a value only
+        where a correct party reads it: never, once, later (a compute token
+        in the next round) or more than once, so an override must be a pure
+        function of its arguments.  Each (round, server, kind) names one
+        corruption, so no two corruptions share the default token; and every
+        count (the echo tally, a read's replies, the probe) takes one value
+        per server, so no token gains a second vote.  Tied
         tokens order by their ``byz-<round>-s<server>`` text first.  The
         default ``byzantine_outgoing`` relies on these tokens: a subclass
         that overrides this overrides that too.

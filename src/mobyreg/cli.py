@@ -14,7 +14,8 @@ import click
 
 from . import checker as hc
 from .adversary import STRATEGIES, RandomWalk, make_strategy
-from .engine import Directive, RandomWorkload, RunResult, run, tightness_demo, value_text
+from .engine import (MAX_DEMO_F, Directive, RandomWorkload, RunResult, run, tightness_demo,
+                     value_text)
 from .model import ConfigError, ModelId, is_int, lookup, make_config
 
 EXIT_OK = 0
@@ -300,6 +301,9 @@ def cmd_tightness(model, f, report_out):
     """Reproduce the boundary indistinguishability scenario for one model."""
     model = ModelId.parse(model)
     _derived_n(model, f, 0, "--f")
+    if f > MAX_DEMO_F:
+        raise ConfigError(f"--f {f} is too large: a tightness demo lists at most "
+                          f"{MAX_DEMO_F} servers a wave")
     report = tightness_demo(model, f)
     if report_out:
         _write_file(report_out,

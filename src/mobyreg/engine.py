@@ -27,19 +27,27 @@ every server, and a round that adopts a value ends its compute phase with
 every server holding it.
 
 The engine therefore keeps one ``shared`` value for all servers and an
-``own`` value only for those that may differ.  Invariant: at every round
-boundary a server outside ``own`` holds ``shared``, and ``own`` maps the
-unrestored servers, those an agent has held since the last adoption, to the
-agents' compute corruptions.  A round adopting a value makes it ``shared``,
-empties ``own``, and lets the agents corrupt their hosts again.  Servers send
-in classes of one output, each counted (``count_servers``) once, at its
-lowest id and with its size: the shared servers, each ``own`` one not
-Byzantine, and the classes of the round's one ``Strategy.byzantine_outgoing``
-call; each but the shared class routes once.  A token class, whose servers
-each send their own token, is routed a class per server, and only where one
-of its tokens could count (listed there).  A client's state is its running
-operation.  So a round's work, and its events in memory, grow with ``own``,
-the classes and the running operations, not with n or the Byzantine servers.
+``own`` value only for those that may differ.  Invariant: at the end of
+round r each server in ``occupied``, the agents' hosts, holds its compute
+token ``corrupt_value(r, i, "compute")`` by name, not stored; ``own`` maps
+the other unrestored servers, those an agent has left since the last
+adoption, to the tokens they were left with; every other server holds
+``shared``.  A token is a pure function of its round, server and kind, so
+the engine asks for one only where a correct party reads it: when a host
+left at round start sends without being Byzantine, and when a round that
+adopts nothing writes each host the agents leave into ``own`` and drops the
+ones they hold from it.  A round adopting a value makes it ``shared`` and
+empties ``own``.  The probe counts the hosts as faulty without their values.
+Servers send in classes of one output, each counted (``count_servers``)
+once, at its lowest id and with its size: the shared servers, each ``own``
+one and each cured host not Byzantine, and the classes of the round's one
+``Strategy.byzantine_outgoing`` call; each but the shared class routes once.
+A token class, whose servers each send their own token, is routed a class
+per server, and only where one of its tokens could count (listed there).  A
+client's state is its running operation.  So a round's work, and its
+events in memory, grow with ``own``, the classes and the running
+operations, not with n, and its corruptions with the cured hosts that send,
+not with f.
 An event with actor ``servers`` stands for every server: the echo-tie
 diagnostic is one event, and ``trace_lines`` writes it once per server, s0 to
 s(n-1).  ``record_messages`` changes what is recorded, not what is counted:
@@ -51,9 +59,10 @@ deliveries follow from them by ``_route``, and ``trace_lines`` writes them.
 An agent corrupts each server it holds when the compute phase ends; the one
 it holds when the send starts sends as a Byzantine server, so nothing reads
 its value then.  Nor is the host it leaves during the send (buhrman)
-corrupted: ``own`` then lies within the round's Byzantine senders, so the
-n - f >= s others echo ``shared`` and the round adopts.  A view that lets a
-departing host skip adoption (ROADMAP item 12, stage B) must store it again.
+corrupted: ``own`` and the hosts then lie within the round's Byzantine
+senders, so the n - f >= s others echo ``shared`` and the round adopts.  A
+view that lets a departing host skip adoption (ROADMAP item 12, stage B)
+must store its "leave" token in ``own``.
 """
 
 from __future__ import annotations
@@ -376,17 +385,20 @@ def probe_agreement(values: dict, faulty: frozenset,
                     shared_value: object, n: int) -> tuple[object, int]:
     """Modal value among non-faulty servers and its support.
 
-    Each of the servers 0..n-1 that ``values`` leaves out holds
-    ``shared_value``.  In admissible runs the support must reach n - f at the
-    end of every round; the caller records a violation otherwise.
+    Every ``faulty`` server counts as listed, whether or not ``values``
+    names it, and each of the servers 0..n-1 that neither lists holds
+    ``shared_value``.  So the cost grows with ``values``' entries, not with
+    ``faulty``.  In admissible runs the support must reach n - f at the end
+    of every round; the caller records a violation otherwise.
     """
     at = 0  # the lowest of the others, which count as one class
-    while at in values:
+    while at in values or at in faulty:
         at += 1
     counted = {i: v for i, v in values.items() if i not in faulty}
+    others = n - len(faulty) - len(counted)
     if at < n:
         counted[at] = shared_value
-    counts = count_servers(counted, {at: n - len(values)})
+    counts = count_servers(counted, {at: others})
     if len(counts) == 1:
         (modal,) = counts.items()
         return modal
@@ -501,11 +513,11 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
 
     result = RunResult(config=config, rounds=rounds, seed=seed)
     shared: object = BOTTOM                  # the value of every server not in own
-    own: dict[int, object] = {}              # the unrestored servers (module docstring)
+    own: dict[int, object] = {}              # the unrestored non-hosts (module docstring)
     readers: frozenset = frozenset()         # last round's tally.current_reads
     crashed: set[int] = set()
     pending_op: dict[int, OpRecord] = {}     # client -> running operation
-    occupied: frozenset = frozenset()        # end-of-previous-round agent positions
+    occupied: frozenset = frozenset()        # end-of-previous-round hosts, tokens by name
 
     def trace(round_no, phase, kind, actor, payload):
         result.trace.append(TraceEvent(round_no, phase, kind, actor, payload))
@@ -548,9 +560,12 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         client_out = [(rec.client, Write(rec.argument) if rec.kind == "write" else Read())
                       for rec in invoked if rec.client not in crashed]
         # each class of one output counts at its lowest id with its size, the
-        # shared servers' from sharing; with an oracle an own sender is cured
+        # shared servers' from sharing; with an oracle an own sender is cured,
+        # and so is a host left at round start, which sends last round's token
         out = {i: server_send(own[i], readers, oracle_enabled) for i in own.keys() - byzantine}
-        busy = own.keys() | byzantine
+        out.update((i, server_send(strategy.corrupt_value(r - 1, i, "compute"), readers,
+                                   oracle_enabled)) for i in cured_now - byzantine)
+        busy = own.keys() | occupied | byzantine
         at = 0  # the lowest of the others, which hold shared: their class
         while at in busy:
             at += 1
@@ -647,8 +662,12 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             # every server holds the adopted value; the agents' hosts lose it again
             shared = note.value
             own.clear()
-        for i in post_occupied:
-            own[i] = strategy.corrupt_value(r, i, "compute")
+        else:
+            # a host the agents leave keeps the token they named it by
+            for i in occupied - post_occupied:
+                own[i] = strategy.corrupt_value(r - 1, i, "compute")
+            for i in post_occupied:
+                own.pop(i, None)
 
         # --- end-of-round probe -----------------------------------------------
         modal, support = probe_agreement(own, post_occupied, shared, n)
@@ -679,6 +698,7 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
 
 HONEST_VALUE = "written-value"
 FAKE_VALUE = "planted-value"
+MAX_DEMO_F = 100_000  # the largest f a demo lists: about 1 s and 120 MB at n = 4f
 
 
 def tightness_demo(model: ModelId, f: int = 2) -> dict:
@@ -687,11 +707,15 @@ def tightness_demo(model: ModelId, f: int = 2) -> dict:
     A value is written, then read; the scripted split-vote schedule balances
     the reader's reply multiset between the written and a planted value, so
     no selection rule can be correct and the read fails.  It draws nothing.
+    Each wave lists its f servers, so f is at most ``MAX_DEMO_F``.
     """
     if not is_int(f):
         raise ConfigError(f"f {f!r} is not an integer")
     if f < 1:
         raise ConfigError(f"a tightness demo needs f >= 1, got f={f}")
+    if f > MAX_DEMO_F:
+        raise ConfigError(f"a tightness demo lists at most {MAX_DEMO_F} servers a wave, "
+                          f"got f={f}")
     params = lookup(model)
     n = params.alpha * f
     config = SystemConfig(n=n, f=f, params=params)

@@ -16,7 +16,7 @@ import mobyreg
 from mobyreg.adversary import STRATEGIES, RandomWalk, SplitVote, make_strategy
 from mobyreg.checker import check_all, history_from_records
 from mobyreg.cli import _write_artifacts, main
-from mobyreg.engine import FAKE_VALUE, Directive, RandomWorkload, run
+from mobyreg.engine import FAKE_VALUE, MAX_DEMO_F, Directive, RandomWorkload, run
 from mobyreg.model import ModelId, lookup, make_config
 from mobyreg.protocol import ComputeNote
 from oracles import per_server_run, trace_line, trace_text
@@ -359,7 +359,10 @@ def test_sweep_bad_cell_option_is_config_error(option, value, fragment, jobs):
     (("run", "--n", "0", "--f", "-1", "--rounds", "5"), "f must be >= 0, got -1"),
     (("tightness", "--model", "garay", "--f", "9999999999999999999"),
      f"--f 9999999999999999999 is too large: garay's n = 3f would exceed {sys.maxsize}"),
-], ids=["tightness-negative", "tightness-zero", "sweep", "run", "tightness-unindexable"])
+    (("tightness", "--model", "buhrman", "--f", "4611686018427387903"),
+     f"--f 4611686018427387903 is too large: a tightness demo lists at most {MAX_DEMO_F}"),
+], ids=["tightness-negative", "tightness-zero", "sweep", "run", "tightness-unindexable",
+        "tightness-unlistable"])
 def test_bad_fault_budget_is_named_not_a_derived_n(tmp_path, args, fragment):
     result = invoke(*args, *(("--out-dir", str(tmp_path)) if args[0] == "run" else ()))
     assert_config_error(result, fragment)

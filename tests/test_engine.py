@@ -13,7 +13,7 @@ import mobyreg.engine
 from mobyreg.adversary import (TOKENS, NoFaults, RandomColluder, RandomWalk, Scripted,
                                SplitVote, Stationary, Strategy, Sweep, SweepColluder)
 from mobyreg.checker import check_all, history_from_records
-from mobyreg.engine import (Directive, RandomWorkload, RoundMessages, RunResult,
+from mobyreg.engine import (MAX_DEMO_F, Directive, RandomWorkload, RoundMessages, RunResult,
                             TraceEvent, probe_agreement, run, tightness_demo,
                             validate_directives)
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
@@ -370,6 +370,12 @@ def test_probe_agreement_counts_nonfaulty_modal():
     assert probe_agreement(values, frozenset(values), 9, 4) == (BOTTOM, 0)
 
 
+def test_probe_counts_every_faulty_server_as_listed():
+    # the agents' hosts are faulty whether or not the values name them: the
+    # shared value is held by the n - 2 others
+    assert probe_agreement({}, frozenset({0, 1}), "v", 5) == ("v", 3)
+
+
 def test_probe_initial_rounds_agree_on_default():
     res = run(m1_config(), RandomWalk(), [], rounds=3, seed=5)
     for p in res.probes:
@@ -465,6 +471,11 @@ def test_tightness_demo_refuses_an_f_that_is_not_an_int(f):
     # the message names the f given, not the n = alpha * f derived from it
     with pytest.raises(ConfigError, match=re.escape(f"f {f!r} is not an integer")):
         tightness_demo(ModelId.GARAY, f)
+
+
+def test_tightness_demo_refuses_an_f_it_cannot_list():
+    with pytest.raises(ConfigError, match=f"lists at most {MAX_DEMO_F} servers a wave"):
+        tightness_demo(ModelId.BUHRMAN, MAX_DEMO_F + 1)
 
 
 # ----------------------------------------------- checker on real histories -
@@ -1135,9 +1146,10 @@ def test_a_lost_adoption_lets_the_tokens_count(written):
 
 
 def test_byzantine_work_does_not_grow_with_f(monkeypatch):
-    # the Byzantine servers answer in one hook call a round, and a run whose
-    # reads all succeed lists no send token: a round's Byzantine work grows
-    # with the classes of senders, not with f
+    # the Byzantine servers answer in one hook call a round, a run whose
+    # reads all succeed lists no send token, and in sasaki no correct server
+    # reads a host's compute token: a round's Byzantine work grows with the
+    # classes of senders, not with f
     calls, kinds = Counter(), Counter()
     outgoing, corrupt = Strategy.byzantine_outgoing, Strategy.corrupt_value
 
@@ -1160,4 +1172,73 @@ def test_byzantine_work_does_not_grow_with_f(monkeypatch):
             reads = [op for op in res.history if op.kind == "read"]
             assert reads and not any(op.failed for op in reads)
             assert len(calls) == 20 and set(calls.values()) == {1}
-            assert kinds["compute"] == 20 * f and kinds["send"] == 0
+            assert kinds["compute"] == 0 and kinds["send"] == 0
+
+
+@pytest.mark.parametrize("model", ModelId)
+@pytest.mark.parametrize("strategy", [RandomWalk, RandomColluder])
+def test_a_host_token_is_asked_for_only_where_a_cured_host_sends(model, strategy,
+                                                                 monkeypatch):
+    # the hosts hold their compute tokens by name: in an admissible run every
+    # round adopts, so a token is asked for only by a cured host that sends,
+    # in the round after it was left; in sasaki a cured host is Byzantine and
+    # in buhrman no host is left at round start, so no token is asked for.
+    # In bonnet a cured host echoes its token, so some are asked for
+    asked = Counter()  # round -> compute tokens asked for in it
+    corrupt = Strategy.corrupt_value
+
+    def corrupt_value(self, round_no, server, kind):
+        if kind == "compute":
+            asked[round_no + 1] += 1
+        return corrupt(self, round_no, server, kind)
+
+    monkeypatch.setattr(Strategy, "corrupt_value", corrupt_value)
+    f = 3
+    res = run(make_config(model, lookup(model).alpha * f + 1, f), strategy(),
+              RandomWorkload(0.5, 0.5), rounds=30, seed=4, n_clients=3)
+    cured = [set(p["end_occupied"]) - set(q["pre_send_occupied"])
+             for p, q in zip(res.probes, res.probes[1:])]
+    if model in (ModelId.SASAKI, ModelId.BUHRMAN):
+        assert not asked
+    else:
+        assert all(asked[r] <= len(left) for r, left in enumerate(cured, start=2))
+    if model is ModelId.BONNET:
+        assert asked
+    assert set(asked) <= set(range(2, 31))
+
+
+class ComputesOne(RandomWalk):
+    """Leaves 1 or True, by the round's parity, on every host it holds: a
+    value equal to a written one and across hosts, but shown by its type."""
+
+    def corrupt_value(self, round_no, server, kind):
+        if kind == "compute":
+            return (1, True)[round_no % 2]
+        return super().corrupt_value(round_no, server, kind)
+
+
+@pytest.mark.parametrize("record_messages", [False, True])
+def test_deferred_host_tokens_match_the_per_server_loop(record_messages):
+    # bonnet at n = 4f: cured hosts send the token they were left in the
+    # round before.  Every bonnet round adopts, so both loops drop every
+    # third adoption, and the hosts the agents leave then keep their token
+    # into later rounds
+    def make(run):
+        calls = []
+
+        def compute(*args):
+            calls.append(args)
+            return ComputeNote() if len(calls) % 3 == 0 else server_compute(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (mobyreg.engine, oracles):
+                patch.setattr(module, "server_compute", compute)
+            workload = [Directive(r, 0, "write", (1, True)[r % 2]) for r in range(1, 24, 4)]
+            workload += [Directive(r, 1, "read") for r in range(2, 24, 2)]
+            res = run(make_config("bonnet", 12, 3), ComputesOne(), workload, rounds=24,
+                      seed=6, n_clients=2, allow_inadmissible=True,
+                      record_messages=record_messages)
+        assert len(calls) == 24
+        return res
+
+    assert run_digest(make(run)) == run_digest(make(per_server_run))
