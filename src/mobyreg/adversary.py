@@ -260,9 +260,11 @@ class Scripted(Strategy):
 class SplitVote(Scripted):
     """Scripted occupation pushing a single alternative value.
 
-    Encodes the indistinguishability constructions from the impossibility
-    proofs: every occupied server presents ``fake_value`` so that a reader at
-    the resilience boundary sees two values with equal support.
+    Every occupied server replies ``fake_value`` to each reader.  In the
+    tightness demo, at the resilience boundary, the reader's reply counts
+    then tie between the written and the planted value, so this protocol's
+    count-based reader fails.  That no reader rule could tell the two apart
+    is not shown.
     """
 
     name = "split_vote"

@@ -211,10 +211,10 @@ def _write_artifacts(result: RunResult, verdicts, out_dir, trace_out, report_out
 
 
 def _run_one(config, strategy, workload, *, rounds, seed, clients,
-             allow_inadmissible=False, record_trace=True, record_messages=False):
+             allow_inadmissible=False, record_messages=False):
     result = run(config, strategy, workload, rounds=rounds, seed=seed,
                  n_clients=clients, allow_inadmissible=allow_inadmissible,
-                 record_trace=record_trace, record_messages=record_messages)
+                 record_messages=record_messages)
     ops = hc.history_from_records(result.history)
     return result, hc.check_all(ops, result.crashed_clients)
 
@@ -320,10 +320,10 @@ def cmd_tightness(model, f, report_out):
 
 
 def _sweep_cell(args):
-    """One table row: a run of a seed's expanded random workload, untraced."""
+    """One table row: a run of a seed's expanded random workload; no trace is written."""
     model, config, seed, rounds, clients, directives = args
     result, verdicts = _run_one(config, RandomWalk(), directives, rounds=rounds,
-                                seed=seed, clients=clients, record_trace=False)
+                                seed=seed, clients=clients)
     ok = not result.violations and all(v.passed for v in verdicts.values())
     return {"model": model, "f": config.f, "n": config.n, "seed": seed,
             "pass": ok, "min_support": result.min_support,

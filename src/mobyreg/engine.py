@@ -5,15 +5,17 @@ clients.  All messages sent in a round are delivered in that round's receive
 phase (channels are reliable and authenticated).  The adversary relocates its
 agents per the fault model, corrupts occupied servers, and substitutes their
 outgoing messages; the channel drops each ``Write`` or ``Read`` in them and
-traces a violation for each, since a server cannot pose as a client.  The run
-records an operation history, per-round agreement probes and any property
-violations, and, unless ``record_trace`` is off, an event trace; with it off
-no event or payload is built at all.  A directive's round and client, and the
-run's rounds and clients, must be integers.  ``run`` validates the directives
-it is handed, not those a ``RandomWorkload`` draws, which are valid as drawn.
+records each drop, since a server cannot pose as a client.  The run records
+an operation history, per-round agreement probes, any property violations
+and failed reads, and the few facts the trace shows that none of those hold
+(``RunResult``); it builds no trace event.  ``RunResult.trace_lines``
+renders the trace from these records after the run.  A directive's round and
+client, and the run's rounds and clients, must be integers.  ``run``
+validates the directives it is handed, not those a ``RandomWorkload`` draws,
+which are valid as drawn.
 
-A ``Directive`` and every trace event are NamedTuples.  An ``OpRecord`` and the
-``RunResult``, which ``run`` fills in as it goes, are plain ``__slots__``
+A ``Directive`` and a ``RoundMessages`` are NamedTuples.  An ``OpRecord`` and
+the ``RunResult``, which ``run`` fills in as it goes, are plain ``__slots__``
 classes, and so is a ``RandomWorkload``, which ``run`` tells from a directive
 sequence by its type.
 
@@ -45,16 +47,14 @@ one and each cured host not Byzantine, and the classes of the round's one
 A token class, whose servers each send their own token, is routed a class
 per server, and only where one of its tokens could count (listed there).  A
 client's state is its running operation.  So a round's work, and its
-events in memory, grow with ``own``, the classes and the running
-operations, not with n, and its corruptions with the cured hosts that send,
-not with f.
-An event with actor ``servers`` stands for every server: the echo-tie
-diagnostic is one event, and ``trace_lines`` writes it once per server, s0 to
-s(n-1).  ``record_messages`` changes what is recorded, not what is counted:
-a round's messages are two ``RoundMessages`` records, for its send and its
-receive phase, each holding the round's sends (a class member's are its
-head's, an unlisted token sender's its token's) and its open clients; the
-deliveries follow from them by ``_route``, and ``trace_lines`` writes them.
+records, grow with ``own``, the classes and the running operations, not
+with n, and its corruptions with the cured hosts that send, not with f.
+A round's echo tie is one record, and ``trace_lines`` writes it once per
+server, s0 to s(n-1).  ``record_messages`` changes what is recorded, not
+what is counted: a round's messages are one ``RoundMessages`` record holding
+the round's sends (a class member's are its head's, an unlisted token
+sender's its token's) and its open clients; the deliveries follow from them
+by ``_route``, and ``trace_lines`` writes both.
 
 An agent corrupts each server it holds when the compute phase ends; the one
 it holds when the send starts sends as a Byzantine server, so nothing reads
@@ -69,8 +69,7 @@ from __future__ import annotations
 
 import json
 import sys
-from itertools import groupby
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .adversary import TOKENS, SplitVote, Strategy, is_send_token, rng_stream
@@ -230,25 +229,8 @@ class OpRecord:
         return f"OpRecord({', '.join(f'{k}={v!r}' for k, v in self.as_dict().items())})"
 
 
-class TraceEvent(NamedTuple):
-    round: int
-    phase: str
-    kind: str
-    actor: str
-    payload: dict
-
-
-class OpEvent(NamedTuple):
-    """An "op_invoke" (phase "send") or "op_response" ("compute") of ``rec``."""
-
-    round: int
-    phase: str
-    kind: str
-    rec: OpRecord
-
-
 class RoundMessages(NamedTuple):
-    """A round's messages, for its send (kind "send") or deliver lines.
+    """A round's messages, from which its send and deliver lines are written.
 
     ``clients`` holds the clients' ``(client, msg)`` broadcasts, ``own_out``
     the own and Byzantine servers' output by id, ``shared_out`` each other
@@ -257,8 +239,6 @@ class RoundMessages(NamedTuple):
     """
 
     round: int
-    phase: str
-    kind: str
     clients: list
     own_out: dict
     shared_out: tuple
@@ -277,85 +257,136 @@ def value_text(value, encode) -> str:
 
 
 class RunResult:
-    """What ``run`` records, filled in round by round: a plain ``__slots__`` class."""
+    """What ``run`` records, filled in round by round: a plain ``__slots__`` class.
 
-    __slots__ = ("config", "rounds", "seed", "history", "trace", "probes", "violations",
-                 "protocol_failures", "crashed_clients")
+    ``trace_lines`` renders the trace from these records; the last four hold
+    what the trace shows and no other record does.
+    """
+
+    __slots__ = ("config", "rounds", "seed", "history", "probes", "violations",
+                 "protocol_failures", "crash_rounds", "forged_drops", "echo_ties",
+                 "messages")
 
     def __init__(self, config: SystemConfig, rounds: int, seed: int) -> None:
         self.config, self.rounds, self.seed = config, rounds, seed
-        self.history = []            # OpRecord
-        self.trace = []              # TraceEvent, OpEvent, RoundMessages
+        self.history = []            # OpRecord, in invoke order
         self.probes = []             # per-round dicts
-        self.violations = []         # agreement-probe dips etc.
+        self.violations = []         # agreement-probe dips
         self.protocol_failures = []
-        self.crashed_clients = frozenset()
+        self.crash_rounds = {}       # client -> the round it crashed in
+        self.forged_drops = {}       # round -> a server id per message dropped, sorted
+        self.echo_ties = {}          # round -> the values tied at the echo threshold
+        self.messages = []           # a RoundMessages a round, with record_messages
+
+    @property
+    def crashed_clients(self) -> frozenset:
+        return frozenset(self.crash_rounds)
 
     def trace_lines(self, out) -> None:
-        """Write the trace to the text stream ``out`` as JSON lines, a round at a time.
+        """Write the trace, rendered from the records, to the text stream ``out``.
 
-        Each line is an event's five fields, keys sorted, compact.  A round's
-        lines are rendered, joined and written with one ``out.write``, each
-        ending in a newline, so the most trace text held at once is one
-        round's.  Sorted, the keys come as actor, kind, payload, phase, round;
-        every actor, kind and phase is an identifier the engine chooses, so a
-        line is an f-string head, the payload and the phase's tail.  An event
-        with actor ``servers`` stands for every server: it is written once per
-        server, s0 to s(n-1).  The servers' names are built once, and only
-        for a trace that holds such an event or a ``RoundMessages`` record,
-        so a trace that names no server costs nothing in n.  An ``OpEvent``'s
-        payload is a fixed template filled from its record's fields.
+        Each line is an event's five fields, keys sorted, compact: actor,
+        kind, payload, phase, round.  Every actor, kind and phase is an
+        identifier, so a line is an f-string head, the payload and the
+        phase's tail.  A round's lines are joined and written with one
+        ``out.write``, each ending in a newline, so the most trace text held
+        at once is one round's.  A round, from its probe and the other
+        records, is: the hosts, cured servers and planned moves
+        (``fault_move``, derived from this probe's and the last one's hosts);
+        each client's ``op_invoke``, or its crash after any operation it
+        started; the forged-sender drops, the send lines, each planned move
+        and the deliver lines; the echo tie, once per server, s0 to s(n-1);
+        each client's ``op_response`` or failed read; the probe and its
+        violation.  The servers' names are built only for a trace with a tie
+        or messages, so a trace that names no server costs nothing in n.
 
-        A ``RoundMessages`` record is written from one list of senders in
-        inbox order: each client with its broadcast, then each server in id
-        order with its ``own_out`` entry or ``shared_out``.  The send lines are
-        a line per sender and message; the deliver lines are ``_route`` over
+        A ``RoundMessages`` is written from one list of senders in inbox
+        order: each client with its broadcast, then each server in id order
+        with its ``own_out`` entry or ``shared_out``.  The send lines are a
+        line per sender and message; the deliver lines are ``_route`` over
         the same list, the server row once per server and then each open
         client's.  Each message is rendered once a round (cache keyed by
-        ``id``: the records hold their messages for the call), with ``"\\0"``
+        ``id``: the record holds its messages for the call), with ``"\\0"``
         for its sender's id, which each line replaces.
         """
-        servers = None  # every server's name, built for the first record that needs it
+        # every server's name, built only for a trace with a line per server
+        servers = ([f"s{i}" for i in range(self.config.n)]
+                   if self.messages or self.echo_ties else [])
         bodies: dict = {}  # id(msg) -> _message_body(msg), for this round
-        for round_no, events in groupby(self.trace, attrgetter("round")):
-            bodies.clear()  # messages are built per round
-            lines = []
-            for phase, events in groupby(events, attrgetter("phase")):
-                tail = f',"phase":"{phase}","round":{round_no}}}'
-                for ev in events:
-                    if type(ev) is OpEvent:
-                        lines.append(_joined(f"c{ev.rec.client}", ev.kind,
-                                             (_op_payload(ev) + tail,)))
-                        continue
-                    if type(ev) is TraceEvent and ev.actor != SERVERS:
-                        lines.append(_joined(ev.actor, ev.kind, (_ENCODE(ev.payload) + tail,)))
-                        continue
-                    servers = servers or [f"s{i}" for i in range(self.config.n)]
-                    if type(ev) is TraceEvent:
-                        text = _ENCODE(ev.payload) + tail
-                        lines += [_joined(name, ev.kind, (text,)) for name in servers]
-                        continue
-                    # (actor, id, output) of each sender, in inbox order
-                    senders = [(f"c{c}", str(c), ((SERVERS, msg),)) for c, msg in ev.clients]
-                    senders += [(name, str(i), ev.own_out.get(i, ev.shared_out))
-                                for i, name in enumerate(servers)]
-                    if ev.kind == "send":
-                        lines += [_joined(actor, "send",
-                                          [f'{{"dest":{_party(dest)}' + _body(bodies, msg, sid)
-                                           + tail for dest, msg in out_msgs])
-                                  for actor, sid, out_msgs in senders if out_msgs]
-                        continue
-                    to_servers, to_clients = [], {c: [] for c in ev.open_clients}
-                    _route([sender[1:] for sender in senders], to_servers, to_clients)
-                    row = [f'{{"from":{sid}' + _body(bodies, msg, sid) + tail
-                           for sid, msg in to_servers]
-                    lines += [_joined(name, "deliver", row) for name in servers if row]
-                    lines += [_joined(f"c{c}", "deliver",
-                                      [f'{{"from":{sid}' + _body(bodies, msg, sid) + tail
+        starts: dict = {}  # round -> [(client, OpRecord, or None for a crash)]
+        ends: dict = {}    # round -> [(client, responding OpRecord or failure)]
+        for rec in self.history:
+            starts.setdefault(rec.invoke_round, []).append((rec.client, rec))
+            if rec.response_round is not None:
+                ends.setdefault(rec.response_round, []).append((rec.client, rec))
+        for client, round_no in self.crash_rounds.items():
+            starts.setdefault(round_no, []).append((client, None))
+        for failure in self.protocol_failures:
+            ends.setdefault(failure["round"], []).append((failure["client"], failure))
+        violations = {v["round"]: v for v in self.violations}
+        left = []  # the last round's end_occupied
+        for probe in self.probes:
+            round_no = probe["round"]
+            start, send, receive, compute, end = (
+                f',"phase":"{phase}","round":{round_no}}}'
+                for phase in ("round_start", "send", "receive", "compute", "end"))
+            hosts, kept = probe["pre_send_occupied"], probe["end_occupied"]
+            cured = [] if left == hosts else sorted(set(left).difference(hosts))
+            moves = [] if kept == hosts else list(zip(
+                sorted(set(hosts).difference(kept)), sorted(set(kept).difference(hosts))))
+            lines = [_joined("adversary", "fault_move", (_ENCODE(
+                {"cured": cured, "occupied": hosts, "planned_moves": moves}) + start,))]
+            # a client's crash follows an operation it started in the round
+            for client, rec in sorted(starts.get(round_no, ()), key=itemgetter(0)):
+                lines.append(_joined(f"c{client}", "op_invoke", (
+                    '{"kind":"crash"}' + start if rec is None
+                    else _op_payload(rec, rec.argument) + send,)))
+            lines += [_joined(f"s{i}", "violation",
+                              ('{"reason":"forged sender rejected"}' + send,))
+                      for i in self.forged_drops.get(round_no, ())]
+            delivered = []  # the receive phase's lines, which follow the moves
+            if self.messages:
+                bodies.clear()  # messages are built per round
+                msgs = self.messages[round_no - 1]
+                # (actor, id, output) of each sender, in inbox order
+                senders = [(f"c{c}", str(c), ((SERVERS, msg),)) for c, msg in msgs.clients]
+                senders += [(name, str(i), msgs.own_out.get(i, msgs.shared_out))
+                            for i, name in enumerate(servers)]
+                lines += [_joined(actor, "send",
+                                  [f'{{"dest":{_party(dest)}' + _body(bodies, msg, sid)
+                                   + send for dest, msg in out_msgs])
+                          for actor, sid, out_msgs in senders if out_msgs]
+                to_servers, to_clients = [], {c: [] for c in msgs.open_clients}
+                _route([sender[1:] for sender in senders], to_servers, to_clients)
+                row = [f'{{"from":{sid}' + _body(bodies, msg, sid) + receive
+                       for sid, msg in to_servers]
+                delivered = [_joined(name, "deliver", row) for name in servers if row]
+                delivered += [_joined(f"c{c}", "deliver",
+                                      [f'{{"from":{sid}' + _body(bodies, msg, sid) + receive
                                        for sid, msg in pairs])
                               for c, pairs in to_clients.items() if pairs]
+            lines += [_joined("adversary", "fault_move", (f'{{"from":{a},"to":{b}}}' + send,))
+                      for a, b in moves]
+            lines += delivered
+            tied = self.echo_ties.get(round_no)
+            if tied:
+                text = _ENCODE({"diagnostic": "echo threshold tie", "tied": tied}) + compute
+                lines += [_joined(name, "state_transition", (text,)) for name in servers]
+            for client, ev in sorted(ends.get(round_no, ()), key=itemgetter(0)):
+                if type(ev) is dict:  # a failed read
+                    kind, payload = "violation", _ENCODE(dict(ev, reason="protocol_failure"))
+                elif ev.kind == "write":
+                    kind, payload = "op_response", f'{{"kind":"write","op_id":{ev.op_id}}}'
+                else:
+                    kind, payload = "op_response", _op_payload(ev, ev.result)
+                lines.append(_joined(f"c{client}", kind, (payload + compute,)))
+            lines.append(_joined("engine", "probe", (_ENCODE(probe) + end,)))
+            if round_no in violations:
+                lines.append(_joined("engine", "violation",
+                                     (_ENCODE(violations[round_no]) + end,)))
             lines.append("")  # the last line's newline, without copying the text
             out.write("\n".join(lines))
+            left = kept
 
     @property
     def min_support(self) -> Optional[int]:
@@ -449,13 +480,11 @@ def _joined(actor: str, kind: str, texts) -> str:
     return head + ("\n" + head).join(texts)
 
 
-def _op_payload(ev: OpEvent) -> str:
-    """An operation's invocation or response payload as ``json`` writes it."""
-    rec = ev.rec
-    if ev.kind == "op_response" and rec.kind == "write":
-        return f'{{"kind":"write","op_id":{rec.op_id}}}'
-    value = value_text(rec.argument if ev.kind == "op_invoke" else rec.result, _ENCODE)
-    return f'{{"kind":"{rec.kind}","op_id":{rec.op_id},"value":{value}}}'
+def _op_payload(rec: OpRecord, value) -> str:
+    """An invocation's payload, or a read's response's, as ``json`` writes it:
+    ``value`` is the operation's argument or the read's result."""
+    return (f'{{"kind":"{rec.kind}","op_id":{rec.op_id},'
+            f'"value":{value_text(value, _ENCODE)}}}')
 
 
 def _party(dest) -> str:
@@ -469,21 +498,17 @@ def _party(dest) -> str:
 
 def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         rounds: int, seed: int = 0, n_clients: int = 3,
-        allow_inadmissible: bool = False, record_trace: bool = True,
-        record_messages: bool = False) -> RunResult:
+        allow_inadmissible: bool = False, record_messages: bool = False) -> RunResult:
     """Execute one deterministic simulation.
 
-    With ``record_trace`` off the result's ``trace`` stays empty and no
-    event or payload is built; its history, probes, violations and protocol
-    failures are the same.  ``record_messages`` adds each round's messages
-    to the trace, as two ``RoundMessages`` records, so it needs
-    ``record_trace``.
+    The result holds records, not a trace: ``RunResult.trace_lines``
+    renders the trace from them.  ``record_messages`` adds each round's
+    messages to the records, as one ``RoundMessages``; nothing else it
+    records or counts changes.
 
     Raises ConfigError before round 1 on malformed input or when the
     configuration is inadmissible and ``allow_inadmissible`` is not set.
     """
-    if record_messages and not record_trace:
-        raise ConfigError("record_messages needs record_trace")
     for name, x in (("rounds", rounds), ("n_clients", n_clients)):
         if not is_int(x):
             raise ConfigError(f"{name} {x!r} is not an integer")
@@ -515,23 +540,15 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
     shared: object = BOTTOM                  # the value of every server not in own
     own: dict[int, object] = {}              # the unrestored non-hosts (module docstring)
     readers: frozenset = frozenset()         # last round's tally.current_reads
-    crashed: set[int] = set()
+    crashed = result.crash_rounds            # client -> the round it crashed
     pending_op: dict[int, OpRecord] = {}     # client -> running operation
     occupied: frozenset = frozenset()        # end-of-previous-round hosts, tokens by name
-
-    def trace(round_no, phase, kind, actor, payload):
-        result.trace.append(TraceEvent(round_no, phase, kind, actor, payload))
 
     for r in range(1, rounds + 1):
         # --- agent movement (at round start, or during send: moves_in_send) ---
         occ = strategy.occupancy(config, r, occupied, rng_stream(seed, "sched", r))
-        pre_send, moves = occ.pre_send, occ.moves
+        pre_send = occ.pre_send
         cured_now = occupied - pre_send      # vacated at this round's start
-        if record_trace:
-            trace(r, "round_start", "fault_move", "adversary",
-                  {"occupied": sorted(pre_send),
-                   "cured": sorted(cured_now),
-                   "planned_moves": [list(m) for m in moves]})
 
         # occupied servers send as Byzantine ones in every model
         byzantine = pre_send | cured_now if cured_byzantine else pre_send
@@ -541,18 +558,14 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         for d in by_round.get(r, ()):
             if d.op == "crash":
                 # a crashed client never sends or responds again
-                crashed.add(d.client)
+                crashed[d.client] = r
                 pending_op.pop(d.client, None)
-                if record_trace:
-                    trace(r, "round_start", "op_invoke", f"c{d.client}", {"kind": "crash"})
                 continue
             rec = pending_op[d.client] = OpRecord(
                 op_id=len(result.history), client=d.client, kind=d.op,
                 argument=d.value if d.op == "write" else None, invoke_round=r)
             invoked.append(rec)
             result.history.append(rec)
-            if record_trace:
-                result.trace.append(OpEvent(r, "send", "op_invoke", rec))
 
         # --- send phase ---------------------------------------------------
         # a client broadcasts each operation it starts; the server inbox
@@ -561,10 +574,12 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                       for rec in invoked if rec.client not in crashed]
         # each class of one output counts at its lowest id with its size, the
         # shared servers' from sharing; with an oracle an own sender is cured,
-        # and so is a host left at round start, which sends last round's token
+        # and so is a host left at round start, which is silent then and
+        # else sends last round's token
         out = {i: server_send(own[i], readers, oracle_enabled) for i in own.keys() - byzantine}
-        out.update((i, server_send(strategy.corrupt_value(r - 1, i, "compute"), readers,
-                                   oracle_enabled)) for i in cured_now - byzantine)
+        out.update((i, () if oracle_enabled else server_send(
+            strategy.corrupt_value(r - 1, i, "compute"), readers, False))
+            for i in cured_now - byzantine)
         busy = own.keys() | occupied | byzantine
         at = 0  # the lowest of the others, which hold shared: their class
         while at in busy:
@@ -587,8 +602,8 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             out.update((i, server_send(strategy.corrupt_value(r, i, "send"), readers, False))
                        for i in tokens)
             tokens = []
-        for i in sorted(forged) if record_trace else ():
-            trace(r, "send", "violation", f"s{i}", {"reason": "forged sender rejected"})
+        if forged:
+            result.forged_drops[r] = sorted(forged)
 
         # route each class's messages once, clients' first (count_servers sorts)
         server_inbox = list(client_out)
@@ -599,27 +614,22 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                              if msgs is not TOKENS for i in ids}
             own_out.update((i, server_send(strategy.corrupt_value(r, i, "send"), readers,
                                            False)) for i in tokens)
-            messages = (client_out, own_out, server_send(shared, readers, False),
-                        tuple(client_inbox))
-            result.trace.append(RoundMessages(r, "send", "send", *messages))
+            result.messages.append(RoundMessages(r, client_out, own_out,
+                                                 server_send(shared, readers, False),
+                                                 tuple(client_inbox)))
 
         # --- in-send movement (moves_in_send models: no leave corruption) ------
         post_occupied = occ.post_send
-        for src, dst in moves if record_trace else ():
-            trace(r, "send", "fault_move", "adversary", {"from": src, "to": dst})
 
         # --- receive phase --------------------------------------------------
-        if record_messages:
-            result.trace.append(RoundMessages(r, "receive", "deliver", *messages))
         tally = server_receive(Tally(), server_inbox)
         echo_counts = count_servers({**tally.echo_vals, **sharing}, votes)
 
         # --- compute phase ---------------------------------------------------
         note = server_compute(tally.current_writes, echo_counts, s_threshold)
         readers = tally.current_reads
-        if note.tied_values and record_trace:
-            trace(r, "compute", "state_transition", SERVERS,
-                  {"diagnostic": "echo threshold tie", "tied": list(note.tied_values)})
+        if note.tied_values:
+            result.echo_ties[r] = note.tied_values
         # a write is confirmed in its round; a read is decided from the
         # replies of its reply round, the round after its request, and no other
         for c in sorted(pending_op):
@@ -630,8 +640,6 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             if rec.kind == "write":
                 rec.response_round = r
                 rec.result = "write_confirmation"
-                if record_trace:
-                    result.trace.append(OpEvent(r, "compute", "op_response", rec))
                 continue
             # a reader counts each server's first Reply to it, and a failed
             # read lists every value: each token sender replied its token
@@ -645,18 +653,13 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
             if isinstance(response, ReadOk):
                 rec.response_round = r
                 rec.result = response.value
-                if record_trace:
-                    result.trace.append(OpEvent(r, "compute", "op_response", rec))
             else:
                 rec.failed = True
-                failure = {"round": r, "client": c, "op_id": rec.op_id,
-                           "reply_counts": [[v, cnt] for v, cnt in response.counts],
-                           "qualifying": list(response.qualifying),
-                           "threshold": s_threshold}
-                result.protocol_failures.append(failure)
-                if record_trace:
-                    trace(r, "compute", "violation", f"c{c}",
-                          dict(failure, reason="protocol_failure"))
+                result.protocol_failures.append(
+                    {"round": r, "client": c, "op_id": rec.op_id,
+                     "reply_counts": [[v, cnt] for v, cnt in response.counts],
+                     "qualifying": list(response.qualifying),
+                     "threshold": s_threshold})
 
         if note.adopted:
             # every server holds the adopted value; the agents' hosts lose it again
@@ -671,24 +674,17 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
 
         # --- end-of-round probe -----------------------------------------------
         modal, support = probe_agreement(own, post_occupied, shared, n)
-        probe = {"round": r, "modal": modal, "support": support,
-                 "non_faulty": n - len(post_occupied),
-                 "pre_send_occupied": sorted(pre_send),
-                 "byzantine_senders": senders,
-                 "end_occupied": sorted(post_occupied)}
-        result.probes.append(probe)
-        if record_trace:
-            trace(r, "end", "probe", "engine", dict(probe))
+        result.probes.append({"round": r, "modal": modal, "support": support,
+                              "non_faulty": n - len(post_occupied),
+                              "pre_send_occupied": sorted(pre_send),
+                              "byzantine_senders": senders,
+                              "end_occupied": sorted(post_occupied)})
         if config.admissible and support < n - f:
-            violation = {"round": r, "kind": "agreement_probe", "modal": modal,
-                         "support": support, "required": n - f}
-            result.violations.append(violation)
-            if record_trace:
-                trace(r, "end", "violation", "engine", dict(violation))
+            result.violations.append({"round": r, "kind": "agreement_probe", "modal": modal,
+                                      "support": support, "required": n - f})
 
         occupied = post_occupied
 
-    result.crashed_clients = frozenset(crashed)
     return result
 
 
@@ -706,7 +702,7 @@ def tightness_demo(model: ModelId, f: int = 2) -> dict:
 
     A value is written, then read; the scripted split-vote schedule balances
     the reader's reply multiset between the written and a planted value, so
-    no selection rule can be correct and the read fails.  It draws nothing.
+    the count-based read finds no unique value and fails.  It draws nothing.
     Each wave lists its f servers, so f is at most ``MAX_DEMO_F``.
     """
     if not is_int(f):
@@ -733,7 +729,7 @@ def tightness_demo(model: ModelId, f: int = 2) -> dict:
     strategy = SplitVote(FAKE_VALUE, schedule)
     workload = [Directive(1, 0, "write", HONEST_VALUE), Directive(2, 1, "read")]
     res = run(config, strategy, workload, rounds=3, n_clients=2,
-              allow_inadmissible=True, record_trace=False)
+              allow_inadmissible=True)
 
     failure = res.protocol_failures[0] if res.protocol_failures else None
     ranked = failure["reply_counts"] if failure else []   # ranked by client_compute

@@ -6,9 +6,10 @@ by pair and searches it for a cycle, in O(ops²) time and memory.
 write against every read.  Both assume unique written values.
 ``brute_force_linearizable`` enumerates every precedence-respecting total
 order of a small history.
-``trace_line`` encodes one trace event on its own, the reference for
-``RunResult.trace_lines``; ``trace_text`` is what that writes, as a string,
-and ``trace_events`` the events it writes, one per line.
+``trace_line`` encodes one ``TraceEvent`` on its own, the reference for
+``RunResult.trace_lines``, which renders a run's trace from its records;
+``trace_text`` is what a result's ``trace_lines`` writes, as a string, and
+``trace_events`` the events it writes, one per line.
 ``per_server_run`` is the round loop that ``mobyreg.engine.run`` replaced:
 a value, pending reads and a cure flag kept for each server, every protocol
 phase called for each of them, the agreement probe counted server by server,
@@ -16,7 +17,9 @@ a state machine for each client that queues, sends, collects replies and
 finishes its operations in every round, and a random workload drawn inside
 the round loop from each client's state, where ``run`` expands it before
 round 1.  It asks the Byzantine hook once a round and gives each sender of
-a class its own output, where ``run`` counts a class once.  ``run`` keeps
+a class its own output, where ``run`` counts a class once.  It appends each
+event to its result's own list as it happens, and its ``trace_lines`` writes
+that list a ``trace_line`` per event.  ``run`` keeps
 only a server's value and a client's running operation, and takes the
 readers, cure flags and a read's reply-round inbox as round data; it must
 give the same artifacts, byte for byte.
@@ -36,8 +39,8 @@ from typing import Mapping, NamedTuple, Optional
 
 from mobyreg.adversary import TOKENS, Strategy, rng_stream
 from mobyreg.checker import CheckerInputError, Verdict, precedes
-from mobyreg.engine import (Directive, OpRecord, RandomWorkload, RunResult,
-                            TraceEvent, Workload, validate_directives)
+from mobyreg.engine import (Directive, OpRecord, RandomWorkload, RunResult, Workload,
+                            validate_directives)
 from mobyreg.model import ConfigError, SystemConfig
 from mobyreg.protocol import (BOTTOM, SERVERS, Echo, Read, ReadFailed, ReadOk, Reply,
                               Tally, Write, server_compute, server_receive, server_send,
@@ -200,6 +203,16 @@ def _find_cycle(keys, edges):
     return None
 
 
+class TraceEvent(NamedTuple):
+    """One line of a trace: its five fields."""
+
+    round: int
+    phase: str
+    kind: str
+    actor: str
+    payload: dict
+
+
 def trace_line(ev):
     """One trace event as ``json.dumps`` writes it, without its newline."""
     return json.dumps(
@@ -303,10 +316,23 @@ def _client_compute(state: _ClientState, round_no: int, s_threshold: int):
     return state, None
 
 
+class EventResult(RunResult):
+    """A ``RunResult`` that holds its trace as a list of ``TraceEvent``s."""
+
+    __slots__ = ("trace",)
+
+    def __init__(self, config, rounds, seed):
+        super().__init__(config, rounds, seed)
+        self.trace = []
+
+    def trace_lines(self, out):
+        out.writelines(trace_line(ev) + "\n" for ev in self.trace)
+
+
 def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
                    rounds: int, seed: int = 0, n_clients: int = 3,
                    allow_inadmissible: bool = False,
-                   record_messages: bool = False) -> RunResult:
+                   record_messages: bool = False) -> EventResult:
     """``mobyreg.engine.run`` with each server's value, reads and cure flag, and
     each client's state machine, every round."""
     if rounds < 0:
@@ -330,7 +356,7 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
     else:
         scripted = validate_directives(list(workload), rounds, n_clients)
 
-    result = RunResult(config=config, rounds=rounds, seed=seed)
+    result = EventResult(config=config, rounds=rounds, seed=seed)
     values = {i: BOTTOM for i in range(n)}
     reads = {i: frozenset() for i in range(n)}  # readers to answer in the next send
     cured = {i: False for i in range(n)}
@@ -399,6 +425,7 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
         for d in sorted(todays, key=lambda d: d.client):
             if d.op == "crash":
                 crashed.add(d.client)
+                result.crash_rounds[d.client] = r
                 trace(r, "round_start", "op_invoke", f"c{d.client}", {"kind": "crash"})
                 continue
             invoke(r, d)
@@ -549,5 +576,4 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
 
         occupied = post_occupied
 
-    result.crashed_clients = frozenset(crashed)
     return result

@@ -36,7 +36,7 @@ def grid():
             config = make_config(model, alpha * f + 1, f)
             for seed in SEEDS:
                 result = run(config, RandomWalk(), directives[seed], rounds=ROUNDS,
-                             seed=seed, n_clients=CLIENTS, record_trace=False)
+                             seed=seed, n_clients=CLIENTS)
                 verdicts = check_all(history_from_records(result.history),
                                      result.crashed_clients)
                 cells.append((config, seed, result, verdicts))

@@ -137,7 +137,7 @@ def test_faulty_is_byzantine_and_correct_is_honest():
     for model in ModelId:
         c = cfg(model=model.value, n=9, f=2)
         res = run(c, RandomWalk(), [], rounds=30, seed=1)
-        moves = [ev.payload for ev in res.trace
+        moves = [ev.payload for ev in trace_events(res)
                  if (ev.phase, ev.kind) == ("round_start", "fault_move")]
         # in-send movers leave their hosts during send, never at round start
         cured_at_start = any(move["cured"] for move in moves)

@@ -19,7 +19,7 @@ from mobyreg.cli import _write_artifacts, main
 from mobyreg.engine import FAKE_VALUE, MAX_DEMO_F, Directive, RandomWorkload, run
 from mobyreg.model import ModelId, lookup, make_config
 from mobyreg.protocol import ComputeNote
-from oracles import per_server_run, trace_line, trace_text
+from oracles import per_server_run, trace_events, trace_line, trace_text
 
 
 def invoke(*args):
@@ -222,7 +222,6 @@ def test_sweep_rows_are_those_of_traced_runs_of_each_cell(jobs, monkeypatch):
             for seed in (3, 0):
                 res = run(config, RandomWalk(), RandomWorkload(), rounds=40, seed=seed,
                           n_clients=2)
-                assert res.trace
                 verdicts = check_all(history_from_records(res.history),
                                      res.crashed_clients)
                 ok = not res.violations and all(v.passed for v in verdicts.values())
@@ -411,7 +410,7 @@ def test_run_trace_on_disk_is_the_rendered_trace(tmp_path, rounds):
     res = run(make_config("bonnet", 9, 2), make_strategy("random"),
               RandomWorkload(0.5, 0.8), rounds=rounds, seed=3, n_clients=4,
               record_messages=True)
-    assert len({ev.round for ev in res.trace}) == rounds
+    assert len({ev.round for ev in trace_events(res)}) == rounds
     assert (tmp_path / "trace.jsonl").read_bytes() == trace_text(res).encode()
 
 

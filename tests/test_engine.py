@@ -13,14 +13,13 @@ import mobyreg.engine
 from mobyreg.adversary import (TOKENS, NoFaults, RandomColluder, RandomWalk, Scripted,
                                SplitVote, Stationary, Strategy, Sweep, SweepColluder)
 from mobyreg.checker import check_all, history_from_records
-from mobyreg.engine import (MAX_DEMO_F, Directive, RandomWorkload, RoundMessages, RunResult,
-                            TraceEvent, probe_agreement, run, tightness_demo,
-                            validate_directives)
+from mobyreg.engine import (MAX_DEMO_F, Directive, RandomWorkload, RunResult, probe_agreement,
+                            run, tightness_demo, validate_directives)
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
 from mobyreg.protocol import (BOTTOM, SERVERS, ComputeNote, Echo, Read, Reply, Tally,
                               Write, server_compute, server_send)
 import oracles
-from oracles import per_server_run, trace_events, trace_line, trace_text
+from oracles import TraceEvent, per_server_run, trace_events, trace_line, trace_text
 
 
 def m1_config(n=7, f=2):
@@ -140,8 +139,7 @@ def test_run_counts_a_senders_first_echo_and_reply():
                   record_messages=True)
     res = run(*args, **kwargs)
     assert [f["reply_counts"] for f in res.protocol_failures] == [[["v", 2], ["x", 1]]]
-    ties = [ev for ev in res.trace if ev.kind == "state_transition"]
-    assert [(ev.round, ev.actor) for ev in ties] == [(2, SERVERS), (3, SERVERS)]
+    assert list(res.echo_ties) == [2, 3]
     lines = [json.loads(line) for line in trace_text(res).splitlines()]
     assert [(ev["round"], ev["actor"]) for ev in lines
             if ev["kind"] == "state_transition"] == [(r, f"s{i}") for r in (2, 3)
@@ -269,73 +267,63 @@ def test_repeat_run_gives_byte_identical_trace():
     assert [r.as_dict() for r in a.history] == [r.as_dict() for r in b.history]
 
 
-UNTRACED_RUNS = {
+RANDOM_40 = dict(rounds=40, seed=5, n_clients=4)
+RANDOM_60 = dict(rounds=60, seed=7, n_clients=3)
+# name: (config, strategy, workload, run() keywords)
+COUNTED_RUNS = {
+    "bonnet-random": (make_config("bonnet", 17, 2), RandomWalk(), RandomWorkload(0.5, 0.5),
+                      RANDOM_40),
+    "sasaki-inadmissible-random": (make_config("sasaki", 8, 2), RandomWalk(),
+                                   RandomWorkload(0.5, 0.5),
+                                   dict(RANDOM_40, allow_inadmissible=True)),
+    "garay-collude-random": (m1_config(9, 2), RandomColluder(), RandomWorkload(0.5, 0.5),
+                             RANDOM_40),
     **{f"{model.value}-minimal": (make_config(model, lookup(model).alpha * 2 + 1, 2),
-                                  RandomWalk(), RandomWorkload(op_rate=0.5), {})
+                                  RandomWalk(), RandomWorkload(op_rate=0.5), RANDOM_60)
        for model in ModelId},
     "garay-inadmissible": (make_config("garay", 6, 2), Stationary(fake_value="evil"),
-                           RandomWorkload(op_rate=0.5), dict(allow_inadmissible=True)),
+                           RandomWorkload(op_rate=0.5),
+                           dict(RANDOM_60, allow_inadmissible=True)),
     "garay-crashes": (m1_config(), RandomWalk(),
                       [Directive(1, 0, "write", "a"), Directive(2, 1, "read"),
                        Directive(3, 1, "crash"), Directive(4, 0, "read"),
-                       Directive(4, 2, "crash")], {}),
-    "garay-no-adoption": (m1_config(), RandomWalk(), RandomWorkload(op_rate=0.5), {}),
-}
-
-
-@pytest.mark.parametrize("name", UNTRACED_RUNS)
-def test_untraced_run_records_all_but_the_trace(name, monkeypatch):
-    config, strategy, workload, extra = UNTRACED_RUNS[name]
-    if name == "garay-no-adoption":
-        # every round fails the agreement probe
-        monkeypatch.setattr("mobyreg.engine.server_compute",
-                            lambda writes, echo_counts, s: ComputeNote())
-    kwargs = dict(rounds=60, seed=7, n_clients=3, **extra)
-    traced = run(config, strategy, workload, **kwargs)
-    untraced = run(config, strategy, workload, record_trace=False, **kwargs)
-    assert traced.trace and untraced.trace == []
-    for field_name in ("history", "probes", "violations", "protocol_failures",
-                       "crashed_clients"):
-        assert getattr(untraced, field_name) == getattr(traced, field_name), field_name
-    # each special run records what it is there for
-    if name == "garay-inadmissible":
-        assert traced.protocol_failures
-    elif name == "garay-crashes":
-        assert traced.crashed_clients == {1, 2}
-    elif name == "garay-no-adoption":
-        assert traced.violations
-
-
-COUNTED_RUNS = {
-    "bonnet-random": (make_config("bonnet", 17, 2), RandomWalk(), {}),
-    "sasaki-inadmissible-random": (make_config("sasaki", 8, 2), RandomWalk(),
-                                   dict(allow_inadmissible=True)),
-    "garay-collude-random": (m1_config(9, 2), RandomColluder(), {}),
+                       Directive(4, 2, "crash")], RANDOM_60),
+    "garay-no-adoption": (m1_config(), RandomWalk(), RandomWorkload(op_rate=0.5), RANDOM_60),
 }
 
 
 @pytest.mark.parametrize("name", COUNTED_RUNS)
 def test_tracing_does_not_change_what_is_counted(name, monkeypatch):
-    # the servers and the readers decide on the same counts whether the run
-    # is untraced, traced, or traced with its messages
+    # the servers and the readers decide on the same counts, and the run
+    # keeps the same records, whether or not it records its messages
+    if name == "garay-no-adoption":
+        # every round fails the agreement probe
+        monkeypatch.setattr("mobyreg.engine.server_compute",
+                            lambda writes, echo_counts, s: ComputeNote())
     calls = []
     for fn in ("server_compute", "client_compute"):
         phase = getattr(mobyreg.engine, fn)
         monkeypatch.setattr(mobyreg.engine, fn, lambda *a, fn=fn, phase=phase: (
             calls[-1].append((fn, a)), phase(*a))[1])
-    config, strategy, extra = COUNTED_RUNS[name]
-    for options in (dict(record_trace=False), {}, dict(record_messages=True)):
+    config, strategy, workload, kwargs = COUNTED_RUNS[name]
+    results = []
+    for options in ({}, dict(record_messages=True)):
         calls.append([])
-        run(config, strategy, RandomWorkload(0.5, 0.5), rounds=40, seed=5, n_clients=4,
-            **options, **extra)
+        results.append(run(config, strategy, workload, **kwargs, **options))
+    plain, with_messages = results
     assert any(fn == "client_compute" for fn, _ in calls[0])
-    assert calls[0] == calls[1] == calls[2]
-
-
-def test_message_events_need_the_trace():
-    with pytest.raises(ConfigError, match="record_messages needs record_trace"):
-        run(m1_config(), NoFaults(), [], rounds=1, record_trace=False,
-            record_messages=True)
+    assert calls[0] == calls[1]
+    assert plain.messages == [] and len(with_messages.messages) == kwargs["rounds"]
+    for field_name in ("history", "probes", "violations", "protocol_failures",
+                       "crash_rounds", "forged_drops", "echo_ties"):
+        assert getattr(plain, field_name) == getattr(with_messages, field_name), field_name
+    # each special run records what it is there for
+    if name == "garay-inadmissible":
+        assert plain.protocol_failures
+    elif name == "garay-crashes":
+        assert plain.crash_rounds == {1: 3, 2: 4} and plain.crashed_clients == {1, 2}
+    elif name == "garay-no-adoption":
+        assert plain.violations
 
 
 def test_different_seeds_differ():
@@ -490,7 +478,7 @@ def test_a_colluder_breaks_every_model_at_the_bound_and_none_above(model, collud
     # enough to break every run, and at alpha*f + 1 never is
     def breaks(n, seed):
         res = run(make_config(model, n, 1), colluder(), RandomWorkload(0.5, 0.5),
-                  rounds=40, seed=seed, allow_inadmissible=True, record_trace=False)
+                  rounds=40, seed=seed, allow_inadmissible=True)
         verdicts = check_all(history_from_records(res.history), res.crashed_clients)
         return bool(res.protocol_failures or res.violations
                     or not all(v.passed for v in verdicts.values()))
@@ -638,7 +626,7 @@ def test_verdicts_match_masked_digest():
                 for seed in (0, 1):
                     res = run(make_config(model, n, f), RandomWalk(),
                               RandomWorkload(0.5, 0.5), rounds=60, seed=seed,
-                              allow_inadmissible=True, record_trace=False)
+                              allow_inadmissible=True)
                     text = json.dumps([[r.as_dict() for r in res.history], res.probes,
                                        res.violations, res.protocol_failures],
                                       sort_keys=True, default=str)
@@ -699,12 +687,26 @@ def _crash_forgery_dip_run():
                    rounds=4, seed=0, n_clients=3, record_messages=True)
 
 
+def _crash_order_run():
+    # round 2: client 1 crashes with its read of round 1 pending, between
+    # clients 0's and 2's invocations; round 3: client 3 writes and crashes
+    return run(m1_config(), RandomWalk(),
+               [Directive(1, 0, "write", "a"), Directive(1, 1, "read"),
+                Directive(1, 2, "write", "b"), Directive(2, 0, "read"),
+                Directive(2, 1, "crash"), Directive(2, 2, "write", "c"),
+                Directive(3, 3, "write", "d"), Directive(3, 3, "crash"),
+                Directive(4, 2, "read")],
+               rounds=5, seed=2, n_clients=4, record_messages=True)
+
+
 # GOLDEN_RUNS's makers, and runs that hold the events those lack
 TRACE_RUNS = {**{name: make for name, (make, _) in GOLDEN_RUNS.items()},
-              "garay-crash-forgery-dip": _crash_forgery_dip_run}
+              "garay-crash-forgery-dip": _crash_forgery_dip_run,
+              "garay-crash-order": _crash_order_run}
 
 
 @pytest.mark.parametrize("name,phase,kind", [
+    ("garay-crash-order", "round_start", "op_invoke"),
     ("sasaki-inadmissible-messages", "receive", "deliver"),
     ("buhrman-in-send-moves", "send", "fault_move"),
     ("garay-inadmissible-echo-ties", "compute", "state_transition"),
@@ -731,8 +733,7 @@ def test_trace_lines_match_the_per_event_encoding(name, phase, kind, monkeypatch
     assert sent and all(messages(ev for ev in delivered if ev.actor == f"s{i}") == sent
                         for i in range(res.config.n))
     assert all(ev.actor[0] in "sc" for ev in delivered)
-    assert [(ev.round, ev.kind) for ev in res.trace if type(ev) is RoundMessages] == [
-        (r, kind) for r in range(1, res.rounds + 1) for kind in ("send", "deliver")]
+    assert [msgs.round for msgs in res.messages] == list(range(1, res.rounds + 1))
     monkeypatch.setitem(globals(), "run", per_server_run)  # what make() calls
     reference = make().trace
     assert not any(ev.actor == SERVERS for ev in reference)
@@ -778,18 +779,22 @@ def test_trace_lines_encode_destinations_that_reach_no_client():
 
 
 def test_trace_lines_write_each_servers_event_where_it_falls():
-    # the echo-tie diagnostic, run()'s one "servers" event, is written once
-    # per server, s0 to s(n-1), in its own round and phase
-    res = RunResult(config=make_config("garay", 4, 1), rounds=2, seed=0)
-    ties = [{"diagnostic": "echo threshold tie", "tied": tied}
-            for tied in (["a", "b"], [1, "1"])]
-    res.trace = [TraceEvent(1, "compute", "state_transition", SERVERS, ties[0]),
-                 TraceEvent(2, "compute", "state_transition", SERVERS, ties[1]),
-                 TraceEvent(2, "end", "probe", "engine", {"round": 2, "support": 4})]
-    servers = [f"s{i}" for i in range(4)]
-    assert trace_text(res).split("\n")[:-1] == [
-        trace_line(TraceEvent(ev.round, ev.phase, ev.kind, actor, ev.payload))
-        for ev in res.trace for actor in (servers if ev.actor == SERVERS else [ev.actor])]
+    # an echo tie, one record a round, is written once per server, s0 to
+    # s(n-1), in its own round and phase
+    res = RunResult(config=make_config("garay", 4, 1), rounds=3, seed=0)
+    res.echo_ties = {1: ("a", "b"), 3: (1, "1")}
+    res.probes = [{"round": r, "support": 4, "pre_send_occupied": [], "end_occupied": []}
+                  for r in (1, 2, 3)]
+    events = []
+    for probe in res.probes:
+        r = probe["round"]
+        events.append(TraceEvent(r, "round_start", "fault_move", "adversary",
+                                 {"cured": [], "occupied": [], "planned_moves": []}))
+        events += [TraceEvent(r, "compute", "state_transition", f"s{i}",
+                              {"diagnostic": "echo threshold tie", "tied": res.echo_ties[r]})
+                   for i in range(4) if r in res.echo_ties]
+        events.append(TraceEvent(r, "end", "probe", "engine", probe))
+    assert trace_text(res).split("\n")[:-1] == [trace_line(ev) for ev in events]
 
 
 class CharCount:
@@ -995,20 +1000,21 @@ def test_a_reader_crashed_in_its_reply_round_gets_no_reply(model):
 
 
 def test_message_records_do_not_grow_with_n():
-    # a round's messages are two records however many servers send them
+    # a round's messages are one record however many servers send them
     def records(n):
         return len(run(make_config("bonnet", n, 2), RandomWalk(), RandomWorkload(0.5, 0.5),
-                       rounds=60, seed=3, n_clients=4, record_messages=True).trace)
+                       rounds=60, seed=3, n_clients=4, record_messages=True).messages)
 
-    assert records(9) == records(901) > 2 * 60
+    assert records(9) == records(901) == 60
 
 
 def test_run_without_adoption_keeps_every_server_apart(monkeypatch):
     # garay n=3, f=2 (inadmissible): from round 2 on, two silent Byzantine
     # hosts and one silent cured server leave no echo to adopt, so every
-    # server keeps a value of its own: server_send runs for the shared value
-    # alone in round 1, whose own servers are both Byzantine, then for the
-    # shared value and the cured server
+    # server keeps a value of its own.  server_send runs only for the shared
+    # value, for each round's message record: the own servers are Byzantine,
+    # and the cured server knows it is cured, so it sends nothing and its
+    # token is not asked for; the record still lists it, silent
     calls = []
     send = mobyreg.engine.server_send
     monkeypatch.setattr(mobyreg.engine, "server_send",
@@ -1019,7 +1025,12 @@ def test_run_without_adoption_keeps_every_server_apart(monkeypatch):
     kwargs = dict(rounds=8, seed=2, n_clients=1, allow_inadmissible=True,
                   record_messages=True)
     res = run(*args, **kwargs)
-    assert len(calls) == 1 + 7 * 2
+    assert len(calls) == 8
+    cured = [set(p["end_occupied"]) - set(q["pre_send_occupied"])
+             for p, q in zip(res.probes, res.probes[1:])]
+    assert all(len(servers) == 1 for servers in cured)
+    assert all(msgs.own_out[i] == () for msgs, servers in zip(res.messages[1:], cured)
+               for i in servers)
     assert run_digest(res) == run_digest(per_server_run(*args, **kwargs))
 
 
@@ -1107,9 +1118,7 @@ def test_a_token_that_another_class_sends_counts_twice():
             [Directive(1, 0, "read")])
     kwargs = dict(rounds=3, seed=0, n_clients=1, allow_inadmissible=True)
     res = run(*args, **kwargs)
-    ties = [ev.payload["tied"] for ev in res.trace if type(ev) is TraceEvent
-            and ev.kind == "state_transition"]
-    assert ties[0] == [BOTTOM, "byz-1-s1-send"]
+    assert res.echo_ties[1] == (BOTTOM, "byz-1-s1-send")
     assert run_digest(res) == run_digest(per_server_run(*args, **kwargs))
 
 
@@ -1181,9 +1190,10 @@ def test_a_host_token_is_asked_for_only_where_a_cured_host_sends(model, strategy
                                                                  monkeypatch):
     # the hosts hold their compute tokens by name: in an admissible run every
     # round adopts, so a token is asked for only by a cured host that sends,
-    # in the round after it was left; in sasaki a cured host is Byzantine and
-    # in buhrman no host is left at round start, so no token is asked for.
-    # In bonnet a cured host echoes its token, so some are asked for
+    # in the round after it was left; in garay a cured host knows it is cured
+    # and is silent, in sasaki it is Byzantine and in buhrman no host is left
+    # at round start, so no token is asked for.  In bonnet a cured host
+    # echoes its token, so some are asked for
     asked = Counter()  # round -> compute tokens asked for in it
     corrupt = Strategy.corrupt_value
 
@@ -1198,13 +1208,11 @@ def test_a_host_token_is_asked_for_only_where_a_cured_host_sends(model, strategy
               RandomWorkload(0.5, 0.5), rounds=30, seed=4, n_clients=3)
     cured = [set(p["end_occupied"]) - set(q["pre_send_occupied"])
              for p, q in zip(res.probes, res.probes[1:])]
-    if model in (ModelId.SASAKI, ModelId.BUHRMAN):
-        assert not asked
-    else:
-        assert all(asked[r] <= len(left) for r, left in enumerate(cured, start=2))
     if model is ModelId.BONNET:
-        assert asked
-    assert set(asked) <= set(range(2, 31))
+        assert asked and set(asked) <= set(range(2, 31))
+        assert all(asked[r] <= len(left) for r, left in enumerate(cured, start=2))
+    else:
+        assert not asked
 
 
 class ComputesOne(RandomWalk):
