@@ -6,11 +6,10 @@ admissible run, 2 configuration or usage error.
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import sys
-
-import click
 
 from . import checker as hc
 from .adversary import STRATEGIES, RandomWalk, make_strategy
@@ -219,51 +218,13 @@ def _run_one(config, strategy, workload, *, rounds, seed, clients,
     return result, hc.check_all(ops, result.crashed_clients)
 
 
-class _Main(click.Group):
-    """The command group: malformed input ends any command with exit 2."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (ConfigError, hc.CheckerInputError) as exc:
-            click.echo(f"configuration error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
-
-
-@click.group(cls=_Main)
-def main():
-    """Mobile-Byzantine-tolerant atomic register simulator and checker."""
-
-
-@main.command("run")
-@click.option("--config", "config_file", type=click.Path(exists=True),
-              help="YAML config; flags override its keys.")
-@click.option("--model", default=None, help="garay|bonnet|sasaki|buhrman (or m1..m4)")
-@click.option("--n", "n", type=int, default=None, help="server count")
-@click.option("--f", "f", type=int, default=None, help="fault budget per round")
-@click.option("--rounds", type=int, default=None, help="rounds to simulate (default 100)")
-@click.option("--seed", type=int, default=None,
-              help="seed of the adversary's and the workload's draws (default 0)")
-@click.option("--clients", type=int, default=None, help="client count (default 3)")
-@click.option("--workload", default=None,
-              help="'random[:rate[:ratio]]' or a directives file")
-@click.option("--adversary", default=None, help="|".join(STRATEGIES))
-@click.option("--allow-inadmissible", is_flag=True, default=False)
-@click.option("--trace-out", default=None,
-              help="trace path (default trace.jsonl in --out-dir)")
-@click.option("--report-out", default=None,
-              help="verdicts.json path (default in --out-dir); probe_report.json "
-                   "stays in --out-dir")
-@click.option("--out-dir", default=".", help="directory for the artifacts")
-@click.option("--trace-messages", is_flag=True, default=False,
-              help="record per-message send/deliver events")
 def cmd_run(config_file, model, n, f, rounds, seed, clients, workload, adversary,
             allow_inadmissible, trace_out, report_out, out_dir, trace_messages):
     """Run one simulation, write artifacts, and check the register properties."""
     def pick(flag, key, default):
         return flag if flag is not None else file_cfg.get(key, default)
 
-    file_cfg = _load_config_file(config_file) if config_file else {}
+    file_cfg = {} if config_file is None else _load_config_file(config_file)
     model = pick(model, "model", "garay")
     n = _config_int(pick(n, "n", 7), "n")
     f = _config_int(pick(f, "f", 2), "f")
@@ -282,21 +243,17 @@ def cmd_run(config_file, model, n, f, rounds, seed, clients, workload, adversary
     failed = list(result.violations)
     for name, v in verdicts.items():
         status = "pass" if v.passed else "FAIL"
-        click.echo(f"{name}: {status}")
+        print(f"{name}: {status}")
         if not v.passed:
             failed.append(name)
     if result.violations:
-        click.echo(f"agreement probe: FAIL ({len(result.violations)} rounds)")
+        print(f"agreement probe: FAIL ({len(result.violations)} rounds)")
     elif result.probes:
-        click.echo(f"agreement probe: pass (min support {result.min_support})")
-    click.echo(f"history: {len(result.history)} operations over {rounds} rounds")
+        print(f"agreement probe: pass (min support {result.min_support})")
+    print(f"history: {len(result.history)} operations over {rounds} rounds")
     sys.exit(EXIT_VIOLATION if (failed and result.config.admissible) else EXIT_OK)
 
 
-@main.command("tightness")
-@click.option("--model", required=True, help="garay|bonnet|sasaki|buhrman (or m1..m4)")
-@click.option("--f", "f", type=int, default=2)
-@click.option("--report-out", default=None)
 def cmd_tightness(model, f, report_out):
     """Reproduce the boundary indistinguishability scenario for one model."""
     model = ModelId.parse(model)
@@ -309,13 +266,12 @@ def cmd_tightness(model, f, report_out):
         _write_file(report_out,
                     _text(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"),
                     "report")
-    click.echo(f"model {report['model']}: n={report['n']} f={report['f']} "
-               f"(boundary, threshold {report['threshold']})")
-    click.echo(f"reader reply support: "
-               + ", ".join(f"{v!r}x{c}" for v, c in report["reply_counts"])
-               + (f", {report['silent']} silent" if report["silent"] else ""))
-    click.echo("protocol failure emitted: "
-               + ("yes" if report["failure_emitted"] else "NO"))
+    print(f"model {report['model']}: n={report['n']} f={report['f']} "
+          f"(boundary, threshold {report['threshold']})")
+    print(f"reader reply support: "
+          + ", ".join(f"{v!r}x{c}" for v, c in report["reply_counts"])
+          + (f", {report['silent']} silent" if report["silent"] else ""))
+    print("protocol failure emitted: " + ("yes" if report["failure_emitted"] else "NO"))
     sys.exit(EXIT_OK)
 
 
@@ -331,15 +287,6 @@ def _sweep_cell(args):
             "ops": len(result.history)}
 
 
-@main.command("sweep")
-@click.option("--models", default="garay,bonnet,sasaki,buhrman",
-              help="comma-separated model names")
-@click.option("--f-values", default="1,2", help="comma-separated fault budgets")
-@click.option("--seeds", default="0,1,2,3,4", help="comma-separated seeds")
-@click.option("--rounds", type=int, default=100)
-@click.option("--clients", type=int, default=3)
-@click.option("--jobs", type=int, default=1)
-@click.option("--out", "out_path", default=None, help="write the TSV table here")
 def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
     """Run a models x f x seeds grid at n = alpha*f + 1; emit a summary table."""
     model_list = [m.strip() for m in models.split(",") if m.strip()]
@@ -381,7 +328,7 @@ def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
     table = "\n".join(lines) + "\n"
     if out_path:
         _write_file(out_path, _text(table), "table")
-    click.echo(table, nl=False)
+    sys.stdout.write(table)
     sys.exit(EXIT_OK if all(r["pass"] for r in rows) else EXIT_VIOLATION)
 
 
@@ -438,9 +385,6 @@ def _read_history(path):
     return ops
 
 
-@main.command("check")
-@click.argument("history_file", type=click.Path(exists=True))
-@click.option("--crashed", default="", help="comma-separated crashed client ids")
 def cmd_check(history_file, crashed):
     """Check a standalone history file (one JSON operation record per line)."""
     crashed_ids = {_config_int(x, "--crashed id") for x in crashed.split(",")
@@ -448,11 +392,125 @@ def cmd_check(history_file, crashed):
     verdicts = hc.check_all(_read_history(history_file), crashed_ids)
     ok = True
     for name, v in verdicts.items():
-        click.echo(f"{name}: {'pass' if v.passed else 'FAIL'}")
+        print(f"{name}: {'pass' if v.passed else 'FAIL'}")
         if not v.passed:
             ok = False
-            click.echo(f"  witness: {json.dumps(v.witness, default=str)}")
+            print(f"  witness: {json.dumps(v.witness, default=str)}")
     sys.exit(EXIT_OK if ok else EXIT_VIOLATION)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage error is one stderr line and exit 2."""
+
+    def error(self, message):
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.exit(EXIT_CONFIG)
+
+
+_TEXT = {"metavar": "TEXT"}
+_INT = {"type": int, "metavar": "INTEGER"}
+_MODEL_HELP = "garay|bonnet|sasaki|buhrman (or m1..m4)"
+
+
+def _build_parser():
+    """The ``mobyreg`` parser, and the option strings that take a value."""
+    def parser(**kwargs):
+        p = _Parser(add_help=False, allow_abbrev=False, **kwargs)
+        p.add_argument("--help", action="help", help="Show this message and exit.")
+        return p
+
+    top = parser(prog="mobyreg",
+                 description="Mobile-Byzantine-tolerant atomic register simulator and checker.")
+    commands = top.add_subparsers(title="commands", metavar="COMMAND", required=True,
+                                  parser_class=parser)
+    takes_value = set()
+
+    def command(fn):
+        """Add ``fn`` as a command named after it; return its option adder."""
+        sub = commands.add_parser(fn.__name__.removeprefix("cmd_"), help=fn.__doc__,
+                                  description=fn.__doc__)
+        sub.set_defaults(command=fn)
+
+        def option(*names, **kwargs):
+            action = sub.add_argument(*names, **kwargs)
+            if action.nargs is None:
+                takes_value.update(action.option_strings)
+        return option
+
+    # every default that a config file key may stand for is None: see cmd_run's pick
+    option = command(cmd_run)
+    option("--config", dest="config_file", metavar="PATH",
+           help="YAML config; flags override its keys.")
+    option("--model", **_TEXT, help=_MODEL_HELP)
+    option("--n", **_INT, help="server count")
+    option("--f", **_INT, help="fault budget per round")
+    option("--rounds", **_INT, help="rounds to simulate (default 100)")
+    option("--seed", **_INT, help="seed of the adversary's and the workload's draws (default 0)")
+    option("--clients", **_INT, help="client count (default 3)")
+    option("--workload", **_TEXT, help="'random[:rate[:ratio]]' or a directives file")
+    option("--adversary", **_TEXT, help="|".join(STRATEGIES))
+    option("--allow-inadmissible", action="store_true")
+    option("--trace-out", **_TEXT, help="trace path (default trace.jsonl in --out-dir)")
+    option("--report-out", **_TEXT, help="verdicts.json path (default in --out-dir); "
+                                         "probe_report.json stays in --out-dir")
+    option("--out-dir", **_TEXT, default=".", help="directory for the artifacts")
+    option("--trace-messages", action="store_true", help="record per-message send/deliver events")
+
+    option = command(cmd_tightness)
+    option("--model", **_TEXT, required=True, help=_MODEL_HELP)
+    option("--f", **_INT, default=2)
+    option("--report-out", **_TEXT)
+
+    option = command(cmd_sweep)
+    option("--models", **_TEXT, default="garay,bonnet,sasaki,buhrman",
+           help="comma-separated model names")
+    option("--f-values", **_TEXT, default="1,2", help="comma-separated fault budgets")
+    option("--seeds", **_TEXT, default="0,1,2,3,4", help="comma-separated seeds")
+    option("--rounds", **_INT, default=100)
+    option("--clients", **_INT, default=3)
+    option("--jobs", **_INT, default=1)
+    option("--out", dest="out_path", **_TEXT, help="write the TSV table here")
+
+    option = command(cmd_check)
+    option("history_file", metavar="HISTORY_FILE")
+    option("--crashed", **_TEXT, default="", help="comma-separated crashed client ids")
+    return top, frozenset(takes_value)
+
+
+_PARSER, _TAKES_VALUE = _build_parser()
+
+
+def _attach_values(args):
+    """``args`` with each value that starts with "-" attached to its option.
+
+    ``--seeds -1,2`` becomes ``--seeds=-1,2``: argparse would read a
+    separate such token as an option, not as the value.  A lone "--" is
+    left alone: argparse drops it from any value it is in.
+    """
+    args = list(args)
+    i = 0
+    while i < len(args) - 1 and args[i] != "--":
+        if args[i] in _TAKES_VALUE and args[i + 1].startswith("-") and args[i + 1] != "--":
+            args[i:i + 2] = [f"{args[i]}={args[i + 1]}"]
+        i += 1
+    return args
+
+
+def main(args=None, standalone_mode=True):
+    """Run the command that ``args`` (default ``sys.argv[1:]``) name.
+
+    Every command ends by raising ``SystemExit`` with its exit code; a usage,
+    configuration or checker input error exits 2 with one stderr line.
+    ``standalone_mode`` is accepted for callers written against click's
+    ``main`` and changes nothing.
+    """
+    opts = vars(_PARSER.parse_args(_attach_values(sys.argv[1:] if args is None else args)))
+    command = opts.pop("command")
+    try:
+        command(**opts)
+    except (ConfigError, hc.CheckerInputError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,16 @@
+import contextlib
 import datetime
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+from typing import NamedTuple
 
 import pytest
 import yaml
-from click.testing import CliRunner
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +24,23 @@ from mobyreg.protocol import ComputeNote
 from oracles import per_server_run, trace_events, trace_line, trace_text
 
 
+class Result(NamedTuple):
+    exit_code: int
+    output: str  # stdout and stderr together
+    exception: BaseException | None
+
+
 def invoke(*args):
-    return CliRunner().invoke(main, list(args))
+    """Run ``mobyreg *args`` in this process; an uncaught exception exits 1."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            main(list(args))
+        except SystemExit as exc:
+            return Result(exc.code, out.getvalue(), exc)
+        except Exception as exc:
+            return Result(1, out.getvalue(), exc)
+    return Result(0, out.getvalue(), None)
 
 
 def test_run_writes_artifacts_and_exits_zero(tmp_path):
@@ -150,7 +167,49 @@ def test_tightness_bad_model_is_config_error():
 def test_tightness_takes_no_seed():
     # the demo's schedule is scripted and its workload fixed: nothing draws
     result = invoke("tightness", "--model", "m3", "--seed", "1")
-    assert result.exit_code == 2 and "No such option '--seed'" in result.output
+    assert result.exit_code == 2 and "unrecognized arguments: --seed" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["tightness", "--model", "m3", "--seed", "1"],
+    ["run", "--n", "abc"],
+    ["run", "--round", "5"],
+    ["tightness"],
+    ["check"],
+    ["run", "--config", "missing.yaml"],
+    ["run", "--config", ""],
+    ["run", "--model", "--", "--rounds", "2"],
+    [],
+], ids=["unknown-option", "not-an-integer", "abbreviation", "missing-option",
+        "missing-argument", "missing-config-file", "empty-config-path", "lone-dashes-value",
+        "no-command"])
+def test_usage_error_is_one_stderr_line(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit:
+        main(args)
+    out, err = capsys.readouterr()
+    assert exit.value.code == 2 and out == ""
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert "Traceback" not in err
+
+
+def test_an_option_value_may_start_with_a_dash(tmp_path):
+    result = invoke("sweep", "--models", "garay", "--f-values", "1", "--seeds", "-1,0",
+                    "--rounds", "5")
+    assert result.exit_code == 0, result.output
+    assert [row.split("\t")[3] for row in result.output.splitlines()[1:]] == ["-1", "0"]
+    result = invoke("run", "--rounds", "5", "--workload", "-x", "--out-dir", str(tmp_path))
+    assert_config_error(result, "workload file -x does not exist")
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--rounds", "5"], 0), (["--n", "2", "--f", "3"], 2),
+], ids=["good-run", "fault-budget-above-n"])
+def test_the_benchmarks_call_form_ends_in_system_exit(tmp_path, args, code):
+    # bench/run.py calls main(args, standalone_mode=False) and reads the exit code
+    with pytest.raises(SystemExit) as exit:
+        main(["run", *args, "--out-dir", str(tmp_path)], standalone_mode=False)
+    assert exit.value.code == code
 
 
 def test_sweep_table_and_exit_code(tmp_path):
@@ -230,9 +289,9 @@ def test_sweep_rows_are_those_of_traced_runs_of_each_cell(jobs, monkeypatch):
     assert result.output.splitlines()[1:] == ["\t".join(map(str, row)) for row in rows]
 
 
-def test_importing_the_cli_loads_neither_yaml_nor_a_process_pool():
-    code = ("import sys, mobyreg.cli; "
-            "print(sorted({'yaml', 'concurrent.futures', 'dataclasses'} & sys.modules.keys()))")
+def test_importing_the_cli_loads_neither_click_nor_yaml_nor_a_process_pool():
+    code = ("import sys, mobyreg.cli; print(sorted("
+            "{'click', 'yaml', 'concurrent.futures', 'dataclasses'} & sys.modules.keys()))")
     src = os.path.dirname(os.path.dirname(mobyreg.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -727,3 +786,100 @@ def test_sweep_never_ends_in_a_traceback(models, f_values, seeds, rounds, client
     assert result.exit_code in (0, 1, 2), result.output
     assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
     assert "Traceback" not in result.output
+
+
+# small integers, their strings, and values that no integer field takes
+INTS = (st.integers(0, 9) | st.integers(0, 9).map(str)
+        | st.sampled_from([-1, 2.0, 2.5, True, None, "x", "", [1], {"a": 1}]))
+CONFIG_VALUES = {
+    "model": st.sampled_from(["garay", "m2", " Sasaki", "buhrman", "nonsense", "", 5, None]),
+    "n": INTS, "f": INTS, "rounds": INTS, "seed": INTS, "clients": INTS,
+    "workload": st.sampled_from(["random", "random:0.5:0.5", "random:x", "random:1:0:1", 3]),
+    "adversary": st.sampled_from([*STRATEGIES, " Sweep", "nonsense", [], None]),
+    "allow_inadmissible": st.sampled_from([True, False, "true", 1, None]),
+}
+# the flags that a config key stands for, with text a flag may carry
+RUN_FLAGS = {
+    "--model": st.sampled_from(["garay", "m3", "bonnet", "--", "nonsense", ""]),
+    **{flag: st.sampled_from([*map(str, range(10)), "-1", "x", "2.0", "", "--"])
+       for flag in ("--n", "--f", "--rounds", "--seed", "--clients")},
+    "--workload": st.sampled_from(["random", "random:0.2:0.9", "random:-1"]),
+    "--adversary": st.sampled_from([*STRATEGIES, "nonsense"]),
+    "--allow-inadmissible": st.none(),
+}
+
+
+def write_input(path, data, as_json):
+    """``data`` as a JSON or a YAML file at ``path``."""
+    path.write_text(json.dumps(data) if as_json else yaml.safe_dump(data))
+
+
+def assert_no_traceback(result):
+    assert result.exit_code in (0, 1, 2), result.output
+    assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
+    assert "Traceback" not in result.output
+
+
+def as_flags(options):
+    """Command-line arguments for a mapping of flag to value (None for a flag alone)."""
+    return [arg for flag, value in options.items()
+            for arg in ((flag,) if value is None else (flag, value))]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=st.fixed_dictionaries({}, optional=CONFIG_VALUES),
+       flags=st.fixed_dictionaries({}, optional=RUN_FLAGS), as_json=st.booleans())
+# keys that a flag default other than None would override
+@example(config={"rounds": 3, "n": 9, "model": "bonnet"}, flags={"--f": "2"}, as_json=False)
+@example(config={"model": "m2"}, flags={}, as_json=True)  # bonnet needs n > 4f
+@example(config={"allow_inadmissible": True, "n": 6}, flags={}, as_json=False)
+@example(config={"workload": "random:0.5:0.5"}, flags={}, as_json=True)
+def test_run_config_file_never_ends_in_a_traceback(tmp_path, config, flags, as_json):
+    # a key means what its flag means, and a flag given wins over the key
+    config.setdefault("rounds", 4)
+    cfg = tmp_path / "cfg.yaml"
+    write_input(cfg, config, as_json)
+    out = tmp_path / "out"
+    result = invoke("run", "--config", str(cfg), *as_flags(flags), "--out-dir", str(out))
+    assert_no_traceback(result)
+    if str(cfg) in result.output:  # the file is malformed, whatever the flags
+        return
+    history = (out / "history.jsonl").read_bytes() if result.exit_code != 2 else None
+    keys = {f"--{key.replace('_', '-')}": None if value is True else str(value)
+            for key, value in config.items() if value is not False}
+    again = invoke("run", *as_flags({**keys, **flags}), "--out-dir", str(out))
+    assert again.exit_code == result.exit_code, again.output
+    if history is not None:  # an error's message names a key or a flag
+        assert again.output == result.output
+        assert (out / "history.jsonl").read_bytes() == history
+
+
+# a directive that often fits a run of 4 or more rounds and 3 clients, or not
+DIRECTIVE = st.fixed_dictionaries(
+    {"round": st.integers(1, 4) | INTS, "client": st.integers(0, 2) | INTS,
+     "op": st.sampled_from(["write", "read", "crash", "jump", 1, None])},
+    optional={"value": SCALARS | st.lists(st.integers(), max_size=2) | st.just({"a": 1})})
+DIRECTIVES = (st.lists(DIRECTIVE, max_size=4)
+              | st.lists(DIRECTIVE | st.sampled_from([5, "x", [1], None]), max_size=4)
+              | st.sampled_from([5, "x", {"round": 1}, None]))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(directives=DIRECTIVES, flags=st.fixed_dictionaries({}, optional={
+           "--rounds": st.integers(0, 6).map(str), "--clients": st.integers(1, 3).map(str),
+           "--seed": st.integers(0, 9).map(str),
+           "--adversary": st.sampled_from(sorted(STRATEGIES)),
+           "--allow-inadmissible": st.none()}),
+       as_json=st.booleans())
+def test_run_directives_file_never_ends_in_a_traceback(tmp_path, directives, flags,
+                                                        as_json):
+    wl = tmp_path / "wl.yaml"
+    try:
+        write_input(wl, directives, as_json)
+    except (TypeError, yaml.YAMLError):  # a value that one format cannot hold
+        assume(False)
+    result = invoke("run", "--workload", str(wl), *as_flags(flags),
+                    "--out-dir", str(tmp_path / "out"))
+    assert_no_traceback(result)
