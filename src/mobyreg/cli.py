@@ -100,6 +100,13 @@ def _load_config_file(path):
     if not isinstance(data.get("allow_inadmissible", False), bool):
         raise ConfigError(f"config file {path}: allow_inadmissible "
                           f"{data['allow_inadmissible']!r} is not a boolean")
+    # checked whatever the flags, so that a flag hides no bad key
+    for key in ("n", "f", "rounds", "seed", "clients"):
+        if key in data:
+            try:
+                data[key] = _config_int(data[key], key)
+            except ConfigError as exc:
+                raise ConfigError(f"config file {path}: {exc}") from None
     return data
 
 
@@ -226,11 +233,9 @@ def cmd_run(config_file, model, n, f, rounds, seed, clients, workload, adversary
 
     file_cfg = {} if config_file is None else _load_config_file(config_file)
     model = pick(model, "model", "garay")
-    n = _config_int(pick(n, "n", 7), "n")
-    f = _config_int(pick(f, "f", 2), "f")
-    rounds = _config_int(pick(rounds, "rounds", 100), "rounds")
-    seed = _config_int(pick(seed, "seed", 0), "seed")
-    clients = _config_int(pick(clients, "clients", 3), "clients")
+    n, f = pick(n, "n", 7), pick(f, "f", 2)
+    rounds, seed = pick(rounds, "rounds", 100), pick(seed, "seed", 0)
+    clients = pick(clients, "clients", 3)
     workload = pick(workload, "workload", "random")
     adversary = pick(adversary, "adversary", "random")
     allow_inadmissible = allow_inadmissible or file_cfg.get("allow_inadmissible", False)

@@ -54,7 +54,9 @@ server, s0 to s(n-1).  ``record_messages`` changes what is recorded, not
 what is counted: a round's messages are one ``RoundMessages`` record holding
 the round's sends (a class member's are its head's, an unlisted token
 sender's its token's) and its open clients; the deliveries follow from them
-by ``_route``, and ``trace_lines`` writes both.
+by ``_route``, and ``trace_lines`` writes both, rendering each distinct
+output once a round (``_plan``), so that its text work grows with a round's
+outputs and its bytes with its lines.
 
 An agent corrupts each server it holds when the compute phase ends; the one
 it holds when the send starts sends as a Byzantine server, so nothing reads
@@ -300,19 +302,20 @@ class RunResult:
         violation.  The servers' names are built only for a trace with a tie
         or messages, so a trace that names no server costs nothing in n.
 
-        A ``RoundMessages`` is written from one list of senders in inbox
-        order: each client with its broadcast, then each server in id order
-        with its ``own_out`` entry or ``shared_out``.  The send lines are a
-        line per sender and message; the deliver lines are ``_route`` over
-        the same list, the server row once per server and then each open
-        client's.  Each message is rendered once a round (cache keyed by
-        ``id``: the record holds its messages for the call), with ``"\\0"``
-        for its sender's id, which each line replaces.
+        A ``RoundMessages`` is written by ``_message_lines``, senders in
+        inbox order: each client with its broadcast, then each server in id
+        order with its ``own_out`` entry or ``shared_out``.  The send lines
+        are a line per sender and message; the deliver lines are ``_route``
+        over the same outputs, the server row once per server and then each
+        open client's.  Each distinct output is rendered once a round, as a
+        ``_plan`` with ``"\\0"`` for its sender's id, and each sender then
+        replaces the id in its plan's texts; each message body is rendered
+        once a round per type and value.
         """
         # every server's name, built only for a trace with a line per server
-        servers = ([f"s{i}" for i in range(self.config.n)]
-                   if self.messages or self.echo_ties else [])
-        bodies: dict = {}  # id(msg) -> _message_body(msg), for this round
+        ids = ([str(i) for i in range(self.config.n)]
+               if self.messages or self.echo_ties else [])
+        servers = ["s" + sid for sid in ids]
         starts: dict = {}  # round -> [(client, OpRecord, or None for a crash)]
         ends: dict = {}    # round -> [(client, responding OpRecord or failure)]
         for rec in self.history:
@@ -344,27 +347,10 @@ class RunResult:
             lines += [_joined(f"s{i}", "violation",
                               ('{"reason":"forged sender rejected"}' + send,))
                       for i in self.forged_drops.get(round_no, ())]
-            delivered = []  # the receive phase's lines, which follow the moves
-            if self.messages:
-                bodies.clear()  # messages are built per round
-                msgs = self.messages[round_no - 1]
-                # (actor, id, output) of each sender, in inbox order
-                senders = [(f"c{c}", str(c), ((SERVERS, msg),)) for c, msg in msgs.clients]
-                senders += [(name, str(i), msgs.own_out.get(i, msgs.shared_out))
-                            for i, name in enumerate(servers)]
-                lines += [_joined(actor, "send",
-                                  [f'{{"dest":{_party(dest)}' + _body(bodies, msg, sid)
-                                   + send for dest, msg in out_msgs])
-                          for actor, sid, out_msgs in senders if out_msgs]
-                to_servers, to_clients = [], {c: [] for c in msgs.open_clients}
-                _route([sender[1:] for sender in senders], to_servers, to_clients)
-                row = [f'{{"from":{sid}' + _body(bodies, msg, sid) + receive
-                       for sid, msg in to_servers]
-                delivered = [_joined(name, "deliver", row) for name in servers if row]
-                delivered += [_joined(f"c{c}", "deliver",
-                                      [f'{{"from":{sid}' + _body(bodies, msg, sid) + receive
-                                       for sid, msg in pairs])
-                              for c, pairs in to_clients.items() if pairs]
+            sent, delivered = (_message_lines(self.messages[round_no - 1], ids, servers,
+                                              send, receive)
+                               if self.messages else ((), ()))
+            lines += sent
             lines += [_joined("adversary", "fault_move", (f'{{"from":{a},"to":{b}}}' + send,))
                       for a, b in moves]
             lines += delivered
@@ -454,24 +440,103 @@ def _route(senders, server_inbox: list, client_inbox: dict) -> None:
                 client_inbox[dest].append((i, msg))
 
 
-def _message_body(msg) -> str:
+def _message_head(cls) -> str:
+    """A message type's trace text from ``,"msg":`` to its value, with
+    ``"\\0"`` for its sender's id: the sender under "server" (Echo, Reply)
+    or "client" (Write, Read), then its type, keys sorted."""
+    role = "server" if issubclass(cls, (Echo, Reply)) else "client"
+    return f',"msg":{{"{role}":\0,"type":{_ENCODE(cls.__name__.lower())}'
+
+
+_HEADS = {cls: _message_head(cls) for cls in (Echo, Write, Read, Reply)}
+# the value types whose equal values are written alike
+_EXACT = frozenset({str, int, bool, type(None)})
+
+
+def _body(bodies: dict, msg) -> str:
     """A message's trace text from ``,"msg":`` on, with ``"\\0"`` for its
-    sender's id: its type, its value, and the sender the channel supplied,
-    under "server" (Echo, Reply) or "client" (Write, Read), keys sorted."""
-    role = "server" if isinstance(msg, (Echo, Reply)) else "client"
-    text = f',"msg":{{"{role}":\0,"type":{_ENCODE(type(msg).__name__.lower())}'
-    if not isinstance(msg, Read):
-        text += f',"value":{_ENCODE(msg.value)}'
-    return text + "}}"
-
-
-def _body(bodies: dict, msg, sender: str) -> str:
-    """``_message_body(msg)`` with ``sender`` for its sender's id, cached in
-    ``bodies`` by ``id(msg)``: clear it before a message it holds can go."""
-    body = bodies.get(id(msg))
+    sender's id, cached in ``bodies``: by type and value where equal values
+    are written alike (1, True and 1.0 are equal and are not; nor are 0.0
+    and -0.0), else by ``id``, so clear it before a message it holds can go."""
+    cls = type(msg)
+    if isinstance(msg, Read):
+        key = cls
+    else:
+        value = msg.value
+        key = (cls, type(value), value) if type(value) in _EXACT else id(msg)
+    body = bodies.get(key)
     if body is None:
-        body = bodies[id(msg)] = _message_body(msg)
-    return body.replace("\0", sender)
+        head = _HEADS.get(cls) or _message_head(cls)
+        body = bodies[key] = (head + "}}" if key is cls else
+                              f'{head},"value":{value_text(value, _ENCODE)}}}}}')
+    return body
+
+
+def _plan(actor: str, out_msgs, bodies: dict, inbox: dict, send: str,
+          receive: str) -> tuple:
+    """A sender's output as text, with ``"\\0"`` for its id: its send lines
+    as ``actor``, its deliver texts for the servers, and a ``(client, text)``
+    for each client it reaches, routed by ``_route`` with ``"\\0"`` as
+    sender; ``inbox`` is ``_route``'s client inbox, left empty."""
+    routed, texts = [], []
+    for dest, msg in out_msgs:
+        body = _body(bodies, msg)
+        routed.append((dest, body))
+        texts.append(f'{{"dest":{_party(dest)}{body}{send}')
+    to_servers, to_clients = [], []
+    _route((("\0", routed),), to_servers, inbox)
+    for c, pairs in inbox.items():
+        if pairs:
+            for i, body in pairs:
+                to_clients.append((c, f'{{"from":{i}{body}{receive}'))
+            pairs.clear()
+    return (_joined(actor + "\0", "send", texts),
+            [f'{{"from":{i}{body}{receive}' for i, body in to_servers], to_clients)
+
+
+def _message_lines(msgs: RoundMessages, ids: list, servers: list, send: str,
+                   receive: str):
+    """A round's send lines and deliver lines, from one ``_plan`` per output.
+
+    The senders come in inbox order: each client with its broadcast, then
+    each server in id order with its ``own_out`` entry or ``shared_out``.
+    A server's plan is keyed by its output's ``id`` (the record holds it for
+    the call), so a class's members share one, and a client's by its
+    message's text, so the readers share one.  Each sender then costs one
+    ``str.replace`` for its send lines and one per message it delivers.
+    The server row is written once per server, then each open client's.
+    """
+    bodies: dict = {}  # _body's cache, for this round
+    plans: dict = {}   # id(output), or a client message's text -> its _plan
+    inbox = {c: [] for c in msgs.open_clients}  # _plan's, for _route
+    senders = []       # (id, plan) of each sender, in inbox order
+    for c, msg in msgs.clients:
+        body = _body(bodies, msg)
+        plan = plans.get(body)
+        if plan is None:
+            plan = plans[body] = _plan("c", ((SERVERS, msg),), bodies, inbox, send, receive)
+        senders.append((str(c), plan))
+    own_out, shared_out = msgs.own_out, msgs.shared_out
+    for i, sid in enumerate(ids):
+        out_msgs = own_out.get(i, shared_out)
+        if out_msgs:
+            plan = plans.get(id(out_msgs))
+            if plan is None:
+                plan = plans[id(out_msgs)] = _plan("s", out_msgs, bodies, inbox, send,
+                                                   receive)
+            senders.append((sid, plan))
+    sent, to_servers = [], []
+    to_clients = {c: [] for c in msgs.open_clients}
+    for sid, (block, server_texts, client_texts) in senders:
+        sent.append(block.replace("\0", sid))
+        for text in server_texts:
+            to_servers.append(text.replace("\0", sid))
+        for c, text in client_texts:
+            to_clients[c].append(text.replace("\0", sid))
+    delivered = [_joined(name, "deliver", to_servers) for name in servers] if to_servers else []
+    delivered += [_joined(f"c{c}", "deliver", texts)
+                  for c, texts in to_clients.items() if texts]
+    return sent, delivered
 
 
 def _joined(actor: str, kind: str, texts) -> str:

@@ -661,6 +661,20 @@ def test_run_config_integers_are_not_truncated(tmp_path, text, fragment):
     assert_config_error(result, fragment)
 
 
+@pytest.mark.parametrize("text, flag, fragment", [
+    ("n: 2.0", ["--n", "9"], "n 2.0 is not an integer"),
+    ("seed: abc", ["--seed", "1"], "seed 'abc' is not an integer"),
+], ids=["n", "seed"])
+def test_a_flag_does_not_hide_a_bad_config_integer(tmp_path, capsys, text, flag, fragment):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exit:
+        main(["run", "--config", str(cfg), *flag, "--rounds", "3", "--out-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert exit.value.code == 2 and out == ""
+    assert err == f"configuration error: config file {cfg}: {fragment}\n"
+
+
 @pytest.mark.parametrize("key, value", [
     ("round", 1.9), ("round", True), ("client", 0.5), ("client", False),
 ])

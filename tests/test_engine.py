@@ -699,10 +699,18 @@ def _crash_order_run():
                rounds=5, seed=2, n_clients=4, record_messages=True)
 
 
+def _traced_reads_run():
+    # the benchmark's traced-reads shape, shortened: many readers, token
+    # senders and a shared class in the same round
+    return run(make_config("bonnet", 17, 4), RandomWalk(), RandomWorkload(0.5, 0.8),
+               rounds=18, seed=7, n_clients=12, record_messages=True)
+
+
 # GOLDEN_RUNS's makers, and runs that hold the events those lack
 TRACE_RUNS = {**{name: make for name, (make, _) in GOLDEN_RUNS.items()},
               "garay-crash-forgery-dip": _crash_forgery_dip_run,
-              "garay-crash-order": _crash_order_run}
+              "garay-crash-order": _crash_order_run,
+              "bonnet-traced-reads": _traced_reads_run}
 
 
 @pytest.mark.parametrize("name,phase,kind", [
@@ -712,6 +720,7 @@ TRACE_RUNS = {**{name: make for name, (make, _) in GOLDEN_RUNS.items()},
     ("garay-inadmissible-echo-ties", "compute", "state_transition"),
     ("garay-exotic-values-messages", "compute", "op_response"),
     ("garay-crash-forgery-dip", "end", "violation"),
+    ("bonnet-traced-reads", "receive", "deliver"),
 ])
 def test_trace_lines_match_the_per_event_encoding(name, phase, kind, monkeypatch):
     # run() holds a round's messages in two records, and trace_lines writes
@@ -776,6 +785,26 @@ def test_trace_lines_encode_destinations_that_reach_no_client():
                         if ev.kind == "deliver" and ev.payload["from"] == 4)
     assert all(delivered[f"s{i}", "again"] == 3 for i in range(res.config.n))
     assert delivered["c0", "unread"] == 3
+
+
+def test_equal_values_render_apart():
+    # round 2 carries the written 1 (echoes, replies), the agents' True
+    # (echoes, replies) and a written 1.0, and round 3 the writes of 0.0 and
+    # -0.0: equal values, each with its own text
+    def make(run):
+        return run(m1_config(), Scripted({1: {0, 1}}, fake_value=True),
+                   [Directive(1, 0, "write", 1), Directive(1, 1, "read"),
+                    Directive(2, 2, "write", 1.0), Directive(3, 0, "write", 0.0),
+                    Directive(3, 2, "write", -0.0)],
+                   rounds=3, seed=0, n_clients=3, record_messages=True)
+
+    lines = trace_text(make(run)).split("\n")[:-1]
+    assert lines == [trace_line(ev) for ev in make(per_server_run).trace]
+    for r, kind, value in [(2, "echo", "1"), (2, "echo", "true"), (2, "reply", "1"),
+                           (2, "reply", "true"), (2, "write", "1.0"), (3, "write", "0.0"),
+                           (3, "write", "-0.0")]:
+        assert any(f'"type":"{kind}","value":{value}}}' in line
+                   and line.endswith(f'"round":{r}}}') for line in lines), (r, kind, value)
 
 
 def test_trace_lines_write_each_servers_event_where_it_falls():
