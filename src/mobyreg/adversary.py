@@ -132,7 +132,7 @@ class Strategy:
         """
         if self.fake_value is not None:
             return self.fake_value
-        return f"byz-{round_no}-s{server}-{kind}"
+        return default_token(round_no, server, kind)
 
     def byzantine_outgoing(self, config: SystemConfig, round_no: int,
                            senders: list, readers: frozenset) -> list:
@@ -163,8 +163,8 @@ class Strategy:
         It lists them, one ``corrupt_value`` call per sender, only where
         they could matter: when s <= 1 (only in inadmissible runs), when a
         counted value could equal one of them, and when a read fails (its
-        ``reply_counts`` list every value).  A message trace records each
-        sender's token, but counts them the same way.
+        ``reply_counts`` list every value).  A message trace needs the
+        default tokens too: it keeps the class's ids and writes their tokens.
 
         The default pushes one wrong value into the echo exchange and to
         every pending reader in ``readers``: the ``fake_value`` of all the
@@ -179,10 +179,19 @@ class Strategy:
 TOKENS = "tokens"
 
 
+def default_token(round_no: int, server, kind: str) -> str:
+    """A corruption's default token; the trace's has ``"\\0"`` for its server."""
+    return f"byz-{round_no}-s{server}-{kind}"
+
+
+# a send token's text around its server's id, the round left to format
+_SEND_HEAD, _, _SEND_TAIL = default_token("{}", "\0", "send").partition("\0")
+
+
 def is_send_token(value: object, round_no: int) -> bool:
     """Whether ``value`` could equal a default send token of round ``round_no``."""
-    return (isinstance(value, str) and value.endswith("-send")
-            and value.startswith(f"byz-{round_no}-s"))
+    return (isinstance(value, str) and value.endswith(_SEND_TAIL)
+            and value.startswith(_SEND_HEAD.format(round_no)))
 
 
 class NoFaults(Strategy):
@@ -263,8 +272,9 @@ class SplitVote(Scripted):
     Every occupied server replies ``fake_value`` to each reader.  In the
     tightness demo, at the resilience boundary, the reader's reply counts
     then tie between the written and the planted value, so this protocol's
-    count-based reader fails.  That no reader rule could tell the two apart
-    is not shown.
+    count-based reader fails.  No reader rule does better: the run swapping
+    the two values, its agents on the written value's repliers, gives the
+    reader the same view (``test_the_bound_is_an_indistinguishable_pair``).
     """
 
     name = "split_vote"

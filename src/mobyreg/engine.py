@@ -53,9 +53,9 @@ A round's echo tie is one record, and ``trace_lines`` writes it once per
 server, s0 to s(n-1).  ``record_messages`` changes what is recorded, not
 what is counted: a round's messages are one ``RoundMessages`` record holding
 the round's sends (a class member's are its head's, an unlisted token
-sender's its token's) and its open clients; the deliveries follow from them
-by ``_route``, and ``trace_lines`` writes both, rendering each distinct
-output once a round (``_plan``), so that its text work grows with a round's
+class is its ids) and its open clients; the deliveries follow from them by
+``_route``, and ``trace_lines`` writes both, rendering each distinct output
+once a round (``_plan``), so that its text work grows with a round's
 outputs and its bytes with its lines.
 
 An agent corrupts each server it holds when the compute phase ends; the one
@@ -74,7 +74,8 @@ import sys
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .adversary import TOKENS, SplitVote, Strategy, is_send_token, rng_stream
+from .adversary import (TOKENS, SplitVote, Strategy, default_token, is_send_token,
+                        rng_stream)
 from .model import ConfigError, ModelId, SystemConfig, is_int, lookup
 from .protocol import (BOTTOM, SERVERS, Echo, Read, ReadOk, Reply, Tally, Write,
                        client_compute, server_compute, server_receive, server_send,
@@ -235,9 +236,10 @@ class RoundMessages(NamedTuple):
     """A round's messages, from which its send and deliver lines are written.
 
     ``clients`` holds the clients' ``(client, msg)`` broadcasts, ``own_out``
-    the own and Byzantine servers' output by id, ``shared_out`` each other
-    server's, and ``open_clients`` the clients a message can reach.
-    Channels are reliable, so the deliveries are ``_route`` over the sends.
+    the own and Byzantine servers' output by id, ``tokens`` the unlisted
+    token class's ids, ``shared_out`` each other server's output, and
+    ``open_clients`` the clients a message can reach.  Channels are
+    reliable, so the deliveries are ``_route`` over the sends.
     """
 
     round: int
@@ -245,6 +247,7 @@ class RoundMessages(NamedTuple):
     own_out: dict
     shared_out: tuple
     open_clients: tuple
+    tokens: tuple
 
 
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str).encode
@@ -304,13 +307,13 @@ class RunResult:
 
         A ``RoundMessages`` is written by ``_message_lines``, senders in
         inbox order: each client with its broadcast, then each server in id
-        order with its ``own_out`` entry or ``shared_out``.  The send lines
-        are a line per sender and message; the deliver lines are ``_route``
-        over the same outputs, the server row once per server and then each
-        open client's.  Each distinct output is rendered once a round, as a
-        ``_plan`` with ``"\\0"`` for its sender's id, and each sender then
-        replaces the id in its plan's texts; each message body is rendered
-        once a round per type and value.
+        order with its ``own_out`` entry, token or ``shared_out``.  The send
+        lines are a line per sender and message; the deliver lines are
+        ``_route`` over the same outputs, the server row once per server and
+        then each open client's.  Each distinct output is rendered once a
+        round, as a ``_plan`` with ``"\\0"`` for its sender's id, and each
+        sender then replaces the id in its plan's texts; each message body is
+        rendered once a round per type and value.
         """
         # every server's name, built only for a trace with a line per server
         ids = ([str(i) for i in range(self.config.n)]
@@ -499,11 +502,11 @@ def _message_lines(msgs: RoundMessages, ids: list, servers: list, send: str,
     """A round's send lines and deliver lines, from one ``_plan`` per output.
 
     The senders come in inbox order: each client with its broadcast, then
-    each server in id order with its ``own_out`` entry or ``shared_out``.
-    A server's plan is keyed by its output's ``id`` (the record holds it for
-    the call), so a class's members share one, and a client's by its
-    message's text, so the readers share one.  Each sender then costs one
-    ``str.replace`` for its send lines and one per message it delivers.
+    each server in id order with its ``own_out`` entry, token or
+    ``shared_out``.  A server's plan is keyed by its output's ``id`` (the
+    record holds it for the call), so a class's members share one, and a
+    client's by its message's text, so the readers share one.  Each sender
+    then costs one ``str.replace`` for its send lines and one per message.
     The server row is written once per server, then each open client's.
     """
     bodies: dict = {}  # _body's cache, for this round
@@ -517,6 +520,13 @@ def _message_lines(msgs: RoundMessages, ids: list, servers: list, send: str,
             plan = plans[body] = _plan("c", ((SERVERS, msg),), bodies, inbox, send, receive)
         senders.append((str(c), plan))
     own_out, shared_out = msgs.own_out, msgs.shared_out
+    if msgs.tokens:  # one plan, a raw "\0" in its token too: its bodies stay out of bodies
+        token = default_token(msgs.round, "\0", "send")
+        out = tuple((dest, type(msg)(token)) for dest, msg in shared_out)
+        text = ',"value":' + _ENCODE_STR(token).replace(r"\u0000", "\0") + "}}"
+        plans[id(out)] = _plan("s", out, {(cls, str, token): _HEADS[cls] + text
+                                          for cls in (Echo, Reply)}, inbox, send, receive)
+        own_out = dict.fromkeys(msgs.tokens, out) | own_out
     for i, sid in enumerate(ids):
         out_msgs = own_out.get(i, shared_out)
         if out_msgs:
@@ -674,14 +684,12 @@ def run(config: SystemConfig, strategy: Strategy, workload: Workload, *,
         server_inbox = list(client_out)
         client_inbox = {c: [] for c in range(n_clients) if c not in crashed}
         _route(out.items(), server_inbox, client_inbox)
-        if record_messages:  # each server's output: its class head's, or its token's
+        if record_messages:  # each server's output, its class head's; token senders' ids
             own_out = out | {i: out[min(ids)] for ids, msgs in classes
                              if msgs is not TOKENS for i in ids}
-            own_out.update((i, server_send(strategy.corrupt_value(r, i, "send"), readers,
-                                           False)) for i in tokens)
             result.messages.append(RoundMessages(r, client_out, own_out,
                                                  server_send(shared, readers, False),
-                                                 tuple(client_inbox)))
+                                                 tuple(client_inbox), tuple(tokens)))
 
         # --- in-send movement (moves_in_send models: no leave corruption) ------
         post_occupied = occ.post_send

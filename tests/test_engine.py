@@ -13,8 +13,9 @@ import mobyreg.engine
 from mobyreg.adversary import (TOKENS, NoFaults, RandomColluder, RandomWalk, Scripted,
                                SplitVote, Stationary, Strategy, Sweep, SweepColluder)
 from mobyreg.checker import check_all, history_from_records
-from mobyreg.engine import (MAX_DEMO_F, Directive, RandomWorkload, RunResult, probe_agreement,
-                            run, tightness_demo, validate_directives)
+from mobyreg.engine import (FAKE_VALUE, HONEST_VALUE, MAX_DEMO_F, Directive, RandomWorkload,
+                            RunResult, probe_agreement, run, tightness_demo,
+                            validate_directives)
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
 from mobyreg.protocol import (BOTTOM, SERVERS, ComputeNote, Echo, Read, Reply, Tally,
                               Write, server_compute, server_send)
@@ -454,6 +455,52 @@ def test_tightness_reader_sees_written_and_planted_value():
     assert values == {"written-value", "planted-value"}
 
 
+def _split_vote_world(model, n, f, written, planted, schedule):
+    return run(make_config(model, n, f), SplitVote(planted, schedule),
+               [Directive(1, 0, "write", written), Directive(2, 1, "read")],
+               rounds=3, n_clients=2, allow_inadmissible=True, record_messages=True)
+
+
+def _reader_view(res):
+    """Reader 1's round-3 replies, sender -> value, from the trace's deliver lines."""
+    return {ev.payload["from"]: ev.payload["msg"]["value"] for ev in trace_events(res)
+            if (ev.round, ev.kind, ev.actor) == (3, "deliver", "c1")
+            and ev.payload["msg"]["type"] == "reply"}
+
+
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("model", ModelId)
+def test_the_bound_is_an_indistinguishable_pair(model, f):
+    # world A is the tightness demo's run: A is written, B planted.  World B
+    # writes B and plants A, and its agents take the servers that replied A
+    # honestly in world A, each in place of one that replied B there (in id
+    # order); a host that was silent in A stays one.  At n = alpha*f the
+    # reader's views, silent servers included, are equal while the written
+    # values differ, so no deterministic reader is right in both worlds.  At
+    # alpha*f + 1 one more server replies the written value, and the views of
+    # the same construction differ
+    written, planted = HONEST_VALUE, FAKE_VALUE
+    params = lookup(model)
+    waves = {1: range(f)} if params.moves_in_send else {1: range(f), 3: range(f, 2 * f)}
+    for n in (params.alpha * f, params.alpha * f + 1):
+        a = _split_vote_world(model, n, f, written, planted, waves)
+        view = _reader_view(a)
+        honest = sorted(i for i, value in view.items() if value == written)
+        rename = dict(zip(sorted(view.keys() - honest), honest))
+        b = _split_vote_world(model, n, f, planted, written, {
+            probe["round"]: {rename.get(i, i) for i in probe["pre_send_occupied"]}
+            for probe in a.probes})
+        if n == params.alpha * f:
+            report = tightness_demo(model, f)
+            assert a.protocol_failures[0]["reply_counts"] == report["reply_counts"]
+            assert [op.as_dict() for op in a.history] == report["history"]
+            assert _reader_view(b) == view
+            assert a.history[0].argument != b.history[0].argument
+            assert a.history[1].failed and b.history[1].failed
+        else:
+            assert _reader_view(b) != view
+
+
 @pytest.mark.parametrize("f", [2.0, 1.5, "2"])
 def test_tightness_demo_refuses_an_f_that_is_not_an_int(f):
     # the message names the f given, not the n = alpha * f derived from it
@@ -706,11 +753,44 @@ def _traced_reads_run():
                rounds=18, seed=7, n_clients=12, record_messages=True)
 
 
-# GOLDEN_RUNS's makers, and runs that hold the events those lack
+PLACEHOLDER_TOKENS = [f"byz-{r}-s\0-send" for r in (1, 2, 4)]
+
+
+def _placeholder_tokens_run():
+    # the token class's plan holds "byz-<round>-s\0-send", with a raw "\0"
+    # for each sender's id.  A client writes that very text in rounds 1 and
+    # 2, whose tokens stay unlisted, and the next round's echoes carry each,
+    # as do the replies to the read of round 2.  The write of round 3 could
+    # equal a round-4 token, so round 4 lists the tokens
+    written = dict(zip((1, 2, 3), PLACEHOLDER_TOKENS))
+    return run(m1_config(), Stationary(),
+               [Directive(r, 0, "write", value) for r, value in written.items()]
+               + [Directive(2, 1, "read"), Directive(4, 1, "read")],
+               rounds=5, seed=0, n_clients=2, record_messages=True)
+
+
+def _selection_threshold_one_run():
+    # buhrman at n = 2, f = 1: s = 1, so every round lists its tokens
+    return run(make_config("buhrman", 2, 1), RandomWalk(), RandomWorkload(1.0, 0.5),
+               rounds=8, seed=1, n_clients=2, allow_inadmissible=True,
+               record_messages=True)
+
+
+def _tokens_beside_a_planted_class_run():
+    # a TOKENS class beside a class of one output, which lists the tokens
+    return run(make_config("garay", 6, 2), PlantsTheNextToken({1: {0, 1}, 2: {2, 3}}),
+               [Directive(1, 0, "read")], rounds=3, seed=0, n_clients=1,
+               allow_inadmissible=True, record_messages=True)
+
+
+# GOLDEN_RUNS's makers, and runs that hold the events or token classes those lack
 TRACE_RUNS = {**{name: make for name, (make, _) in GOLDEN_RUNS.items()},
               "garay-crash-forgery-dip": _crash_forgery_dip_run,
               "garay-crash-order": _crash_order_run,
-              "bonnet-traced-reads": _traced_reads_run}
+              "bonnet-traced-reads": _traced_reads_run,
+              "garay-placeholder-tokens": _placeholder_tokens_run,
+              "buhrman-threshold-one": _selection_threshold_one_run,
+              "garay-tokens-beside-a-planted-class": _tokens_beside_a_planted_class_run}
 
 
 @pytest.mark.parametrize("name,phase,kind", [
@@ -721,6 +801,9 @@ TRACE_RUNS = {**{name: make for name, (make, _) in GOLDEN_RUNS.items()},
     ("garay-exotic-values-messages", "compute", "op_response"),
     ("garay-crash-forgery-dip", "end", "violation"),
     ("bonnet-traced-reads", "receive", "deliver"),
+    ("garay-placeholder-tokens", "send", "send"),
+    ("buhrman-threshold-one", "send", "fault_move"),
+    ("garay-tokens-beside-a-planted-class", "compute", "state_transition"),
 ])
 def test_trace_lines_match_the_per_event_encoding(name, phase, kind, monkeypatch):
     # run() holds a round's messages in two records, and trace_lines writes
@@ -749,6 +832,20 @@ def test_trace_lines_match_the_per_event_encoding(name, phase, kind, monkeypatch
     text = trace_text(res)
     assert text.endswith("\n")
     assert text.split("\n")[:-1] == [trace_line(ev) for ev in reference]
+
+
+def test_a_written_placeholder_token_keeps_its_json():
+    # json writes a "\0" as \u0000: the client's text keeps it, while each
+    # token sender's "\0" becomes its id
+    res = _placeholder_tokens_run()
+    assert [msgs.round for msgs in res.messages if msgs.tokens] == [1, 2, 3, 5]
+    text = trace_text(res)
+    assert "\0" not in text
+    for r, token in zip((1, 2), PLACEHOLDER_TOKENS):
+        write = json.dumps({"client": 0, "type": "write", "value": token},
+                           separators=(",", ":"))
+        assert f'"dest":"servers","msg":{write}}},"phase":"send","round":{r}}}' in text
+        assert all(f'"value":"{token.replace(chr(0), str(i))}"' in text for i in (0, 1))
 
 
 class StrayReplies(Stationary):
@@ -1211,6 +1308,35 @@ def test_byzantine_work_does_not_grow_with_f(monkeypatch):
             assert reads and not any(op.failed for op in reads)
             assert len(calls) == 20 and set(calls.values()) == {1}
             assert kinds["compute"] == 0 and kinds["send"] == 0
+
+
+def test_a_traced_run_asks_for_no_send_token(monkeypatch):
+    # with record_messages, a round whose tokens stay unlisted records the
+    # token class's ids, not their outputs, and asks for none of its tokens:
+    # the trace writes each from the class's one plan.  So a round's record
+    # holds the same outputs at every f
+    asked = Counter()
+    corrupt = Strategy.corrupt_value
+
+    def corrupt_value(self, round_no, server, kind):
+        asked[kind] += 1
+        return corrupt(self, round_no, server, kind)
+
+    monkeypatch.setattr(Strategy, "corrupt_value", corrupt_value)
+    outputs = {}
+    for f in (1, 10, 30):
+        asked.clear()
+        res = run(make_config("sasaki", 4 * f + 1, f), RandomWalk(),
+                  RandomWorkload(0.5, 0.5), rounds=20, seed=3, n_clients=3,
+                  record_messages=True)
+        reads = [op for op in res.history if op.kind == "read"]
+        assert reads and not any(op.failed for op in reads)
+        assert asked["send"] == 0
+        assert [list(msgs.tokens) for msgs in res.messages] == \
+            [probe["byzantine_senders"] for probe in res.probes]
+        assert not any(msgs.own_out.keys() & set(msgs.tokens) for msgs in res.messages)
+        outputs[f] = [len(msgs.own_out) for msgs in res.messages]
+    assert outputs[1] == outputs[10] == outputs[30]
 
 
 @pytest.mark.parametrize("model", ModelId)
