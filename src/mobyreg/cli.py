@@ -163,14 +163,15 @@ def _load_workload(workload_spec):
     return directives
 
 
-def _derived_n(model: ModelId, f: int, plus: int, option: str) -> int:
-    """n = alpha*f + plus in ``model``; an ``f`` that takes n past ``sys.maxsize``
-    is refused as the ``option`` the user gave, not as an n they never gave."""
+def _derived_n(model: ModelId, f: int) -> int:
+    """A sweep cell's n = alpha*f + 1 in ``model``; an ``f`` that takes n past
+    ``sys.maxsize`` is refused as the entry the user gave, not as an n they
+    never gave."""
     alpha = lookup(model).alpha
-    if alpha * f + plus > sys.maxsize:
-        raise ConfigError(f"{option} {f} is too large: {model}'s n = {alpha}f"
-                          f"{f' + {plus}' if plus else ''} would exceed {sys.maxsize}")
-    return alpha * f + plus
+    if alpha * f + 1 > sys.maxsize:
+        raise ConfigError(f"--f-values entry {f} is too large: {model}'s n = {alpha}f + 1 "
+                          f"would exceed {sys.maxsize}")
+    return alpha * f + 1
 
 
 def _write_file(path, write, what):
@@ -262,7 +263,6 @@ def cmd_run(config_file, model, n, f, rounds, seed, clients, workload, adversary
 def cmd_tightness(model, f, report_out):
     """Reproduce the boundary indistinguishability scenario for one model."""
     model = ModelId.parse(model)
-    _derived_n(model, f, 0, "--f")
     if f > MAX_DEMO_F:
         raise ConfigError(f"--f {f} is too large: a tightness demo lists at most "
                           f"{MAX_DEMO_F} servers a wave")
@@ -300,7 +300,7 @@ def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
     if not model_list or not f_list or not seed_list:
         raise ConfigError("models, f-values, and seeds must all be nonempty")
     # every cell's config, built before the first cell runs, rejects a bad f
-    configs = {(m, f): make_config(m, _derived_n(ModelId.parse(m), f, 1, "--f-values entry"), f)
+    configs = {(m, f): make_config(m, _derived_n(ModelId.parse(m), f), f)
                for m in model_list for f in f_list}
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")

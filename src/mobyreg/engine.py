@@ -312,8 +312,9 @@ class RunResult:
         ``_route`` over the same outputs, the server row once per server and
         then each open client's.  Each distinct output is rendered once a
         round, as a ``_plan`` with ``"\\0"`` for its sender's id, and each
-        sender then replaces the id in its plan's texts; each message body is
-        rendered once a round per type and value.
+        sender then replaces the id in its plan's texts.  The token class's
+        plan is ``shared_out``'s with the token, its server a ``"\\0"`` too,
+        written for every value.
         """
         # every server's name, built only for a trace with a line per server
         ids = ([str(i) for i in range(self.config.n)]
@@ -452,38 +453,27 @@ def _message_head(cls) -> str:
 
 
 _HEADS = {cls: _message_head(cls) for cls in (Echo, Write, Read, Reply)}
-# the value types whose equal values are written alike
-_EXACT = frozenset({str, int, bool, type(None)})
 
 
-def _body(bodies: dict, msg) -> str:
+def _body(msg, value: Optional[str] = None) -> str:
     """A message's trace text from ``,"msg":`` on, with ``"\\0"`` for its
-    sender's id, cached in ``bodies``: by type and value where equal values
-    are written alike (1, True and 1.0 are equal and are not; nor are 0.0
-    and -0.0), else by ``id``, so clear it before a message it holds can go."""
-    cls = type(msg)
+    sender's id; ``value``, if given, is the text written for its value."""
+    head = _HEADS.get(type(msg)) or _message_head(type(msg))
     if isinstance(msg, Read):
-        key = cls
-    else:
-        value = msg.value
-        key = (cls, type(value), value) if type(value) in _EXACT else id(msg)
-    body = bodies.get(key)
-    if body is None:
-        head = _HEADS.get(cls) or _message_head(cls)
-        body = bodies[key] = (head + "}}" if key is cls else
-                              f'{head},"value":{value_text(value, _ENCODE)}}}}}')
-    return body
+        return head + "}}"
+    return f'{head},"value":{value_text(msg.value, _ENCODE) if value is None else value}}}}}'
 
 
-def _plan(actor: str, out_msgs, bodies: dict, inbox: dict, send: str,
-          receive: str) -> tuple:
+def _plan(actor: str, out_msgs, inbox: dict, send: str, receive: str,
+          value: Optional[str] = None) -> tuple:
     """A sender's output as text, with ``"\\0"`` for its id: its send lines
     as ``actor``, its deliver texts for the servers, and a ``(client, text)``
     for each client it reaches, routed by ``_route`` with ``"\\0"`` as
-    sender; ``inbox`` is ``_route``'s client inbox, left empty."""
+    sender; ``inbox`` is ``_route``'s client inbox, left empty.  ``value``,
+    if given, is written for every message's value (``_body``)."""
     routed, texts = [], []
     for dest, msg in out_msgs:
-        body = _body(bodies, msg)
+        body = _body(msg, value)
         routed.append((dest, body))
         texts.append(f'{{"dest":{_party(dest)}{body}{send}')
     to_servers, to_clients = [], []
@@ -504,48 +494,43 @@ def _message_lines(msgs: RoundMessages, ids: list, servers: list, send: str,
     The senders come in inbox order: each client with its broadcast, then
     each server in id order with its ``own_out`` entry, token or
     ``shared_out``.  A server's plan is keyed by its output's ``id`` (the
-    record holds it for the call), so a class's members share one, and a
-    client's by its message's text, so the readers share one.  Each sender
-    then costs one ``str.replace`` for its send lines and one per message.
-    The server row is written once per server, then each open client's.
+    record holds it for the call), so a class's members share one; the token
+    class's, ``shared_out``'s with the token for every value, by its ids'
+    tuple; and a client's by its message's text, so the readers share one.
+    Each sender then costs one ``str.replace`` for its send lines and one
+    per message.  The server row is written once per server, then each open
+    client's.
     """
-    bodies: dict = {}  # _body's cache, for this round
     plans: dict = {}   # id(output), or a client message's text -> its _plan
-    inbox = {c: [] for c in msgs.open_clients}  # _plan's, for _route
+    inbox = {c: [] for c in msgs.open_clients}  # _plan's, left empty, then each client's deliveries
     senders = []       # (id, plan) of each sender, in inbox order
     for c, msg in msgs.clients:
-        body = _body(bodies, msg)
+        body = _body(msg)
         plan = plans.get(body)
         if plan is None:
-            plan = plans[body] = _plan("c", ((SERVERS, msg),), bodies, inbox, send, receive)
+            plan = plans[body] = _plan("c", ((SERVERS, msg),), inbox, send, receive)
         senders.append((str(c), plan))
     own_out, shared_out = msgs.own_out, msgs.shared_out
-    if msgs.tokens:  # one plan, a raw "\0" in its token too: its bodies stay out of bodies
-        token = default_token(msgs.round, "\0", "send")
-        out = tuple((dest, type(msg)(token)) for dest, msg in shared_out)
-        text = ',"value":' + _ENCODE_STR(token).replace(r"\u0000", "\0") + "}}"
-        plans[id(out)] = _plan("s", out, {(cls, str, token): _HEADS[cls] + text
-                                          for cls in (Echo, Reply)}, inbox, send, receive)
-        own_out = dict.fromkeys(msgs.tokens, out) | own_out
+    if msgs.tokens:  # the token's "\0" kept raw, where json writes \u0000
+        token = _ENCODE_STR(default_token(msgs.round, "\0", "send")).replace(r"\u0000", "\0")
+        plans[id(msgs.tokens)] = _plan("s", shared_out, inbox, send, receive, token)
+        own_out = dict.fromkeys(msgs.tokens, msgs.tokens) | own_out
     for i, sid in enumerate(ids):
         out_msgs = own_out.get(i, shared_out)
         if out_msgs:
             plan = plans.get(id(out_msgs))
             if plan is None:
-                plan = plans[id(out_msgs)] = _plan("s", out_msgs, bodies, inbox, send,
-                                                   receive)
+                plan = plans[id(out_msgs)] = _plan("s", out_msgs, inbox, send, receive)
             senders.append((sid, plan))
     sent, to_servers = [], []
-    to_clients = {c: [] for c in msgs.open_clients}
     for sid, (block, server_texts, client_texts) in senders:
         sent.append(block.replace("\0", sid))
         for text in server_texts:
             to_servers.append(text.replace("\0", sid))
         for c, text in client_texts:
-            to_clients[c].append(text.replace("\0", sid))
+            inbox[c].append(text.replace("\0", sid))
     delivered = [_joined(name, "deliver", to_servers) for name in servers] if to_servers else []
-    delivered += [_joined(f"c{c}", "deliver", texts)
-                  for c, texts in to_clients.items() if texts]
+    delivered += [_joined(f"c{c}", "deliver", texts) for c, texts in inbox.items() if texts]
     return sent, delivered
 
 

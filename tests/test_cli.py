@@ -416,7 +416,7 @@ def test_sweep_bad_cell_option_is_config_error(option, value, fragment, jobs):
      "f must be >= 0, got -1"),
     (("run", "--n", "0", "--f", "-1", "--rounds", "5"), "f must be >= 0, got -1"),
     (("tightness", "--model", "garay", "--f", "9999999999999999999"),
-     f"--f 9999999999999999999 is too large: garay's n = 3f would exceed {sys.maxsize}"),
+     f"--f 9999999999999999999 is too large: a tightness demo lists at most {MAX_DEMO_F}"),
     (("tightness", "--model", "buhrman", "--f", "4611686018427387903"),
      f"--f 4611686018427387903 is too large: a tightness demo lists at most {MAX_DEMO_F}"),
 ], ids=["tightness-negative", "tightness-zero", "sweep", "run", "tightness-unindexable",

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import mobyreg.engine
 from mobyreg.adversary import (TOKENS, NoFaults, RandomColluder, RandomWalk, Scripted,
-                               SplitVote, Stationary, Strategy, Sweep, SweepColluder)
+                               SplitVote, Stationary, Strategy, Sweep, SweepColluder,
+                               default_token)
 from mobyreg.checker import check_all, history_from_records
 from mobyreg.engine import (FAKE_VALUE, HONEST_VALUE, MAX_DEMO_F, Directive, RandomWorkload,
                             RunResult, probe_agreement, run, tightness_demo,
@@ -548,6 +549,58 @@ def test_random_runs_satisfy_register_properties(model):
     assert res.violations == []
 
 
+# ------------------------------------------------- server relabelling -----
+
+@st.composite
+def relabelled_schedules(draw):
+    """A model, f, n at or just above the bound, a 10-round schedule (buhrman's
+    agents move in pairs, so its sets keep one size), an adversary's
+    ``fake_value`` (None: each agent's own token) and a permutation of the
+    server ids."""
+    model = draw(st.sampled_from(ModelId))
+    f = draw(st.integers(1, 2))
+    params = lookup(model)
+    n = params.alpha * f + draw(st.integers(0, 1))
+    low, high = (draw(st.integers(0, f)),) * 2 if params.moves_in_send else (0, f)
+    hosts = st.sets(st.integers(0, n - 1), min_size=low, max_size=high)
+    schedule = dict(enumerate(draw(st.lists(hosts, min_size=10, max_size=10)), 1))
+    return (make_config(model, n, f), schedule, draw(st.sampled_from((None, "colluded"))),
+            draw(st.permutations(range(n))))
+
+
+TOKEN = re.compile(r"byz-(\d+)-s(\d+)-(\w+)")
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled_schedules(), st.integers(0, 2**32))
+def test_server_relabelling_is_a_symmetry(drawn, seed):
+    # ROADMAP item 17: renaming the servers changes nothing the register
+    # decides, in the history (each token renamed), the support or the failures
+    config, schedule, fake_value, perm = drawn
+
+    def replay(schedule):
+        return run(config, Scripted(schedule, fake_value), RandomWorkload(0.5, 0.5),
+                   rounds=len(schedule), seed=seed, allow_inadmissible=True)
+
+    def renamed(value):
+        token = TOKEN.fullmatch(value) if isinstance(value, str) else None
+        if token is None:
+            return value
+        r, i, kind = token.groups()
+        return default_token(int(r), perm[int(i)], kind)
+
+    res = replay(schedule)
+    moved = replay({r: {perm[i] for i in hosts} for r, hosts in schedule.items()})
+    history = [dict(rec.as_dict(), argument=renamed(rec.argument), result=renamed(rec.result))
+               for rec in res.history]
+    # dicts compare their values by ==: count_servers keys equal values of
+    # different types (1, True, 1.0) by the lowest id's object, so a
+    # relabelling may change the type a read returns, not its equality class
+    assert history == [rec.as_dict() for rec in moved.history]
+    assert [p["support"] for p in res.probes] == [p["support"] for p in moved.probes]
+    assert len(res.protocol_failures) == len(moved.protocol_failures)
+
+
 # ------------------------------------------------- shared receive phase ----
 
 def run_digest(res, edit=str):
@@ -783,6 +836,32 @@ def _tokens_beside_a_planted_class_run():
                allow_inadmissible=True, record_messages=True)
 
 
+class LoudEcho(Echo):
+    __slots__ = ()
+
+
+class LoudReply(Reply):
+    __slots__ = ()
+
+
+class SendsSubclasses(Scripted):
+    """Sends its echo as a ``LoudEcho`` and its replies as ``LoudReply``s:
+    the channel keeps both, and a trace names each by its own type."""
+
+    def byzantine_outgoing(self, config, round_no, senders, readers):
+        return [(ids, tuple((dest, (LoudEcho if dest == SERVERS else LoudReply)(msg.value))
+                            for dest, msg in out))
+                for ids, out in super().byzantine_outgoing(config, round_no, senders, readers)]
+
+
+def _message_subclasses_run():
+    # message classes outside the four the renderer knows by name
+    return run(m1_config(), SendsSubclasses({1: {0, 1}, 3: {2, 3}}, fake_value="loud"),
+               [Directive(1, 0, "write", "good"), Directive(2, 1, "read"),
+                Directive(3, 2, "read")],
+               rounds=4, seed=0, n_clients=3, record_messages=True)
+
+
 # GOLDEN_RUNS's makers, and runs that hold the events or token classes those lack
 TRACE_RUNS = {**{name: make for name, (make, _) in GOLDEN_RUNS.items()},
               "garay-crash-forgery-dip": _crash_forgery_dip_run,
@@ -790,7 +869,8 @@ TRACE_RUNS = {**{name: make for name, (make, _) in GOLDEN_RUNS.items()},
               "bonnet-traced-reads": _traced_reads_run,
               "garay-placeholder-tokens": _placeholder_tokens_run,
               "buhrman-threshold-one": _selection_threshold_one_run,
-              "garay-tokens-beside-a-planted-class": _tokens_beside_a_planted_class_run}
+              "garay-tokens-beside-a-planted-class": _tokens_beside_a_planted_class_run,
+              "garay-message-subclasses": _message_subclasses_run}
 
 
 @pytest.mark.parametrize("name,phase,kind", [
@@ -804,6 +884,7 @@ TRACE_RUNS = {**{name: make for name, (make, _) in GOLDEN_RUNS.items()},
     ("garay-placeholder-tokens", "send", "send"),
     ("buhrman-threshold-one", "send", "fault_move"),
     ("garay-tokens-beside-a-planted-class", "compute", "state_transition"),
+    ("garay-message-subclasses", "receive", "deliver"),
 ])
 def test_trace_lines_match_the_per_event_encoding(name, phase, kind, monkeypatch):
     # run() holds a round's messages in two records, and trace_lines writes
