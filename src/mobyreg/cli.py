@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import pathlib
+import stat
 import sys
 
 from . import checker as hc
@@ -37,49 +40,40 @@ def _history_line(rec) -> str:
             f'"result": {value_text(rec.result, _HISTORY_ENCODE)}}}\n')
 
 
-def _refuse_constant(name):
-    raise ValueError(f"{name} is not a JSON number")
+def _finite_float(text):
+    """A JSON number's float, or ``ValueError`` for one that is not finite:
+    ``NaN``, ``Infinity`` or one that overflows, such as ``1e400``."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is not a finite number")
+    return x
 
 
-_MAX_YAML_DEPTH = 100  # directive files nest 2 deep
+def _parse_json(text, where):
+    """The one RFC 8259 JSON value in ``text``, its numbers all finite;
+    anything else is a configuration error whose message starts with ``where``."""
+    try:
+        return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+    except RecursionError:
+        raise ConfigError(f"{where}: nests too deeply") from None
+    except ValueError as exc:
+        raise ConfigError(f"{where}: not valid JSON ({exc})") from None
 
 
-def _load_yaml(path):
-    """A config or directives file: read as JSON if it parses as JSON, else as YAML.
-
-    YAML 1.1 misreads some JSON (``1e3`` is a string to it, and a surrogate
-    pair escape an error).  JSON's ``NaN`` and ``Infinity`` are refused, so a
-    file holding them is read as YAML, which reads them as strings.  YAML
-    nested deeper than ``_MAX_YAML_DEPTH`` is refused before libyaml's loader,
-    which would overflow the C stack on it, sees it; its parser streams it.
-    """
+def _load_json(path):
+    """The JSON value that the file at ``path`` holds."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read YAML file: {exc}") from None
-    try:
-        return json.loads(data, parse_constant=_refuse_constant)  # detects the encoding
-    except RecursionError:  # libyaml would overflow the C stack on it
-        raise ConfigError(f"{path} nests too deeply") from None
-    except ValueError:
-        pass
-    import yaml  # only a file that is not JSON needs it
+        raise ConfigError(f"cannot read JSON file: {exc}") from None
+    return _parse_json(data, path)  # json detects the encoding
 
-    # libyaml's loader where PyYAML was built with it; same results, far faster
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    try:
-        depth = 0
-        for event in yaml.parse(data, Loader=loader):  # detects the encoding
-            if isinstance(event, yaml.CollectionStartEvent):
-                depth += 1
-                if depth > _MAX_YAML_DEPTH:
-                    raise ConfigError(f"{path} nests too deeply")
-            elif isinstance(event, yaml.CollectionEndEvent):
-                depth -= 1
-        return yaml.load(data, Loader=loader)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path} is not valid YAML: {' '.join(str(exc).split())}") from None
+
+def _refuse_unknown_keys(data, keys):
+    for key in data:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r}; expected one of {', '.join(keys)}")
 
 
 _CONFIG_KEYS = ("model", "n", "f", "rounds", "seed", "clients", "workload", "adversary",
@@ -87,26 +81,23 @@ _CONFIG_KEYS = ("model", "n", "f", "rounds", "seed", "clients", "workload", "adv
 
 
 def _load_config_file(path):
-    data = _load_yaml(path) or {}
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
-    for key in data:
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"config file {path}: unknown key {key!r}; "
-                              f"expected one of {', '.join(_CONFIG_KEYS)}")
-    for key in ("model", "workload", "adversary"):
-        if not isinstance(data.get(key, ""), str):
-            raise ConfigError(f"config file {path}: {key} {data[key]!r} is not a string")
-    if not isinstance(data.get("allow_inadmissible", False), bool):
-        raise ConfigError(f"config file {path}: allow_inadmissible "
-                          f"{data['allow_inadmissible']!r} is not a boolean")
-    # checked whatever the flags, so that a flag hides no bad key
-    for key in ("n", "f", "rounds", "seed", "clients"):
-        if key in data:
-            try:
+    try:
+        _refuse_unknown_keys(data, _CONFIG_KEYS)
+        for key in ("model", "workload", "adversary"):
+            if not isinstance(data.get(key, ""), str):
+                raise ConfigError(f"{key} {data[key]!r} is not a string")
+        if not isinstance(data.get("allow_inadmissible", False), bool):
+            raise ConfigError(f"allow_inadmissible {data['allow_inadmissible']!r} "
+                              f"is not a boolean")
+        # checked whatever the flags, so that a flag hides no bad key
+        for key in ("n", "f", "rounds", "seed", "clients"):
+            if key in data:
                 data[key] = _config_int(data[key], key)
-            except ConfigError as exc:
-                raise ConfigError(f"config file {path}: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
     return data
 
 
@@ -133,7 +124,7 @@ def _fraction(text, name):
 
 
 def _load_workload(workload_spec):
-    """'random[:rate[:read_ratio]]' or a YAML/JSON file of directives."""
+    """'random[:rate[:read_ratio]]' or a JSON file of directives."""
     if workload_spec == "random" or workload_spec.startswith("random:"):
         parts = workload_spec.split(":")
         if len(parts) > 3:
@@ -145,21 +136,24 @@ def _load_workload(workload_spec):
     path = pathlib.Path(workload_spec)
     if not path.exists():
         raise ConfigError(f"workload file {workload_spec} does not exist")
-    entries = _load_yaml(path) or []
+    entries = _load_json(path)
     if not isinstance(entries, list):
         raise ConfigError(f"workload file {workload_spec} must hold a list of directives")
     directives = []
     for e in entries:
         try:
+            if not isinstance(e, dict):
+                raise ConfigError("not a mapping")
+            _refuse_unknown_keys(e, Directive._fields)
             directives.append(Directive(
                 round=_config_int(e["round"], "round"),
                 client=_config_int(e["client"], "client"), op=e["op"], value=e.get("value")))
         except ConfigError as exc:
             raise ConfigError(f"workload file {workload_spec}: bad directive {e!r} "
                               f"({exc})") from None
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ConfigError(f"workload file {workload_spec}: bad directive {e!r} "
-                              f"({type(exc).__name__}: {exc})") from None
+                              f"(KeyError: {exc})") from None
     return directives
 
 
@@ -177,14 +171,18 @@ def _derived_n(model: ModelId, f: int) -> int:
 def _write_file(path, write, what):
     """Open ``path`` for text, creating missing parents, and call ``write`` on it.
 
-    An ``OSError`` at the open, at any write or at the flush on close is a
-    configuration error naming ``what``.
+    A regular file is truncated after the last write, not at the open: on
+    ext4, a write after truncating at the open waits for the old contents'
+    flush.  An ``OSError`` at the open, at any write or at the flush on close
+    is a configuration error naming ``what``.
     """
     path = pathlib.Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as out:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as out:
             write(out)
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate()  # at the position the writes ended
     except OSError as exc:
         raise ConfigError(f"cannot write {what}: {exc}") from None
 
@@ -366,13 +364,7 @@ def _read_history(path):
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(
-                        f"{path} line {lineno}: not JSON ({exc.msg})") from None
-                except RecursionError:
-                    raise ConfigError(f"{path} line {lineno}: nests too deeply") from None
+                record = _parse_json(line, f"{path} line {lineno}")
                 if not isinstance(record, dict):
                     raise ConfigError(f"{path} line {lineno}: not a JSON object")
                 try:
@@ -445,7 +437,7 @@ def _build_parser():
     # every default that a config file key may stand for is None: see cmd_run's pick
     option = command(cmd_run)
     option("--config", dest="config_file", metavar="PATH",
-           help="YAML config; flags override its keys.")
+           help="JSON config; flags override its keys.")
     option("--model", **_TEXT, help=_MODEL_HELP)
     option("--n", **_INT, help="server count")
     option("--f", **_INT, help="fault budget per round")
