@@ -52,6 +52,9 @@ def rng_stream(seed: int, *key) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+_INT = frozenset({int})  # the type of every server id
+
+
 class Occupancy(NamedTuple):
     """Agent positions for one round.
 
@@ -63,14 +66,6 @@ class Occupancy(NamedTuple):
 
     pre_send: frozenset
     post_send: frozenset
-
-    @property
-    def moves(self) -> tuple:
-        """The (src, dst) relocations during the send phase, paired in id order."""
-        if self.pre_send is self.post_send:
-            return ()
-        return tuple(zip(sorted(self.pre_send - self.post_send),
-                         sorted(self.post_send - self.pre_send)))
 
 
 class Strategy:
@@ -87,7 +82,8 @@ class Strategy:
                   prev: frozenset, rng: random.Random) -> Occupancy:
         """The round's occupation; the one place its rules are enforced.
 
-        The target holds at most f known servers.  Agents take it at round
+        The target holds at most f known servers, each an ``int`` id (not a
+        bool, which would equal server 0 or 1).  Agents take it at round
         start, or in a ``moves_in_send`` model by paired (src, dst) moves
         during the send phase; there, after round 1, the target must have
         as many servers as the current occupation, since an agent that
@@ -96,11 +92,16 @@ class Strategy:
         not this.
         """
         target = frozenset(self.target_set(config, round_no, prev, rng))
+        if not _INT.issuperset(map(type, target)):
+            bad = min((i for i in target if type(i) is not int), key=repr)
+            raise ConfigError(f"strategy {self.name!r} targets server {bad!r}, "
+                              f"which is not an int id")
         if len(target) > config.f:
             raise ConfigError(
                 f"strategy {self.name!r} occupies {len(target)} servers in "
                 f"round {round_no}, but f={config.f}")
-        if target and (min(target) < 0 or max(target) >= config.n):
+        ids = sorted(target)  # ints sort faster than min() and max() scan
+        if ids and (ids[0] < 0 or ids[-1] >= config.n):
             raise ConfigError(f"strategy {self.name!r} targets an unknown server")
         if config.params.moves_in_send and round_no > 1:
             # Agents only relocate with the messages: the pre-send set is

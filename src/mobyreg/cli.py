@@ -16,8 +16,8 @@ import sys
 
 from . import checker as hc
 from .adversary import STRATEGIES, RandomWalk, make_strategy
-from .engine import (MAX_DEMO_F, Directive, RandomWorkload, RunResult, run, tightness_demo,
-                     value_text)
+from .engine import (MAX_DEMO_F, Directive, IdTexts, RandomWorkload, RunResult, probe_text,
+                     run, tightness_demo, value_text)
 from .model import ConfigError, ModelId, is_int, lookup, make_config
 
 EXIT_OK = 0
@@ -25,19 +25,20 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 
 
-# json.dumps(value, sort_keys=True, default=str), for a value in a history line
-_HISTORY_ENCODE = json.JSONEncoder(sort_keys=True, default=str).encode
+# json.dumps(value, sort_keys=True, default=str), for a history line's values
+# and the probe report's
+_ENCODE = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
 def _history_line(rec) -> str:
     """``json.dumps(rec.as_dict(), sort_keys=True, default=str)`` and a newline;
     ``run`` makes each other field an int, a bool, None or a kind."""
     response = "null" if rec.response_round is None else rec.response_round
-    return (f'{{"argument": {value_text(rec.argument, _HISTORY_ENCODE)}, '
+    return (f'{{"argument": {value_text(rec.argument, _ENCODE)}, '
             f'"client": {rec.client}, "failed": {"true" if rec.failed else "false"}, '
             f'"invoke_round": {rec.invoke_round}, "kind": "{rec.kind}", '
             f'"op_id": {rec.op_id}, "response_round": {response}, '
-            f'"result": {value_text(rec.result, _HISTORY_ENCODE)}}}\n')
+            f'"result": {value_text(rec.result, _ENCODE)}}}\n')
 
 
 def _finite_float(text):
@@ -193,22 +194,26 @@ def _text(text):
 
 
 def _write_artifacts(result: RunResult, verdicts, out_dir, trace_out, report_out):
+    """Write a run's trace, history, probe report and verdicts.
+
+    ``probe_report.json`` is ``json.dumps(report, sort_keys=True,
+    default=str)`` of its keys, each written by ``_ENCODE`` but "probes",
+    whose records ``probe_text`` writes from one table of server-id texts.
+    No indent: with one, json falls back to its pure-Python encoder.
+    """
     out = pathlib.Path(out_dir)
     _write_file(trace_out or out / "trace.jsonl", result.trace_lines, "artifacts")
     _write_file(out / "history.jsonl", lambda fh: fh.writelines(
         map(_history_line, result.history)), "artifacts")
-    probe_report = {
-        "rounds": result.rounds,
-        "seed": result.seed,
-        "min_support": result.min_support,
-        "violations": result.violations,
-        "protocol_failures": result.protocol_failures,
-        "probes": result.probes,
-    }
-    # compact: with an indent, json falls back to its pure-Python encoder
-    _write_file(out / "probe_report.json",
-                _text(json.dumps(probe_report, sort_keys=True, default=str) + "\n"),
-                "artifacts")
+    texts = IdTexts()
+    report = {key: _ENCODE(value) for key, value in (
+        ("rounds", result.rounds), ("seed", result.seed), ("min_support", result.min_support),
+        ("violations", result.violations), ("protocol_failures", result.protocol_failures))}
+    report["probes"] = "[" + ", ".join(
+        probe_text(p, texts, _ENCODE, ", ", ": ") for p in result.probes) + "]"
+    _write_file(out / "probe_report.json", _text(
+        "{" + ", ".join(f'"{key}": {report[key]}' for key in sorted(report)) + "}\n"),
+        "artifacts")
     _write_file(report_out or out / "verdicts.json", _text(json.dumps(
         {name: {"passed": v.passed, "witness": v.witness}
          for name, v in verdicts.items()},

@@ -56,7 +56,9 @@ the round's sends (a class member's are its head's, an unlisted token
 class is its ids) and its open clients; the deliveries follow from them by
 ``_route``, and ``trace_lines`` writes both, rendering each distinct output
 once a round (``_plan``), so that its text work grows with a round's
-outputs and its bytes with its lines.
+outputs and its bytes with its lines.  A probe, in the trace and in the
+CLI's probe report, is written by ``probe_text`` from a table of server-id
+texts (``IdTexts``), byte for byte as ``json`` writes the record.
 
 An agent corrupts each server it holds when the compute phase ends; the one
 it holds when the send starts sends as a Byzantine server, so nothing reads
@@ -261,6 +263,39 @@ def value_text(value, encode) -> str:
     return "null" if value is None else encode(value)
 
 
+class IdTexts(dict):
+    """Server id -> ``str(id)``, each text made when first asked for, so a
+    table costs nothing for the ids no line names."""
+
+    __slots__ = ()
+
+    def __missing__(self, i: int) -> str:
+        self[i] = text = str(i)
+        return text
+
+    def listed(self, ids, item: str = ",") -> str:
+        """The int ids ``ids`` as ``json`` writes a list, with ``item`` between them."""
+        return "[" + item.join(map(self.__getitem__, ids)) + "]"
+
+
+def probe_text(probe: dict, ids: IdTexts, encode, item: str = ",", key: str = ":",
+               hosts: Optional[str] = None) -> str:
+    """A probe record of ``run``'s as ``json`` writes it with sorted keys and
+    the separators ``item`` and ``key``: its id lists joined from ``ids``, its
+    counts by ``str``, its modal value by ``value_text(modal, encode)``, for
+    an ``encode`` with the same separators.  ``hosts`` is its
+    ``pre_send_occupied`` text, if already made."""
+    pre = probe["pre_send_occupied"]
+    hosts = hosts or ids.listed(pre, item)
+    end = probe["end_occupied"]
+    return (f'{{"byzantine_senders"{key}{ids.listed(probe["byzantine_senders"], item)}'
+            f'{item}"end_occupied"{key}{hosts if end == pre else ids.listed(end, item)}'
+            f'{item}"modal"{key}{value_text(probe["modal"], encode)}'
+            f'{item}"non_faulty"{key}{probe["non_faulty"]}'
+            f'{item}"pre_send_occupied"{key}{hosts}{item}"round"{key}{probe["round"]}'
+            f'{item}"support"{key}{probe["support"]}}}')
+
+
 class RunResult:
     """What ``run`` records, filled in round by round: a plain ``__slots__`` class.
 
@@ -302,8 +337,13 @@ class RunResult:
         started; the forged-sender drops, the send lines, each planned move
         and the deliver lines; the echo tie, once per server, s0 to s(n-1);
         each client's ``op_response`` or failed read; the probe and its
-        violation.  The servers' names are built only for a trace with a tie
-        or messages, so a trace that names no server costs nothing in n.
+        violation.  The id lists of the probe and ``fault_move`` lines are
+        joined from one ``IdTexts`` table, each text made the first time its
+        id is named: the probe line by ``probe_text``, and the
+        ``fault_move`` line's ``occupied`` is the probe's
+        ``pre_send_occupied`` text, made once.  The servers' names are built
+        only for a trace with a tie or messages, so a trace that names few
+        servers costs nothing in n.
 
         A ``RoundMessages`` is written by ``_message_lines``, senders in
         inbox order: each client with its broadcast, then each server in id
@@ -316,8 +356,9 @@ class RunResult:
         plan is ``shared_out``'s with the token, its server a ``"\\0"`` too,
         written for every value.
         """
+        texts = IdTexts()  # server id -> its text, made on first use
         # every server's name, built only for a trace with a line per server
-        ids = ([str(i) for i in range(self.config.n)]
+        ids = ([texts[i] for i in range(self.config.n)]
                if self.messages or self.echo_ties else [])
         servers = ["s" + sid for sid in ids]
         starts: dict = {}  # round -> [(client, OpRecord, or None for a crash)]
@@ -338,11 +379,14 @@ class RunResult:
                 f',"phase":"{phase}","round":{round_no}}}'
                 for phase in ("round_start", "send", "receive", "compute", "end"))
             hosts, kept = probe["pre_send_occupied"], probe["end_occupied"]
-            cured = [] if left == hosts else sorted(set(left).difference(hosts))
+            cured = ("[]" if left == hosts
+                     else texts.listed(sorted(set(left).difference(hosts))))
             moves = [] if kept == hosts else list(zip(
                 sorted(set(hosts).difference(kept)), sorted(set(kept).difference(hosts))))
-            lines = [_joined("adversary", "fault_move", (_ENCODE(
-                {"cured": cured, "occupied": hosts, "planned_moves": moves}) + start,))]
+            occupied = texts.listed(hosts)
+            lines = [_joined("adversary", "fault_move", (
+                f'{{"cured":{cured},"occupied":{occupied},"planned_moves":'
+                f'[{",".join(map(texts.listed, moves))}]}}' + start,))]
             # a client's crash follows an operation it started in the round
             for client, rec in sorted(starts.get(round_no, ()), key=itemgetter(0)):
                 lines.append(_joined(f"c{client}", "op_invoke", (
@@ -370,7 +414,8 @@ class RunResult:
                 else:
                     kind, payload = "op_response", _op_payload(ev, ev.result)
                 lines.append(_joined(f"c{client}", kind, (payload + compute,)))
-            lines.append(_joined("engine", "probe", (_ENCODE(probe) + end,)))
+            lines.append(_joined("engine", "probe",
+                                 (probe_text(probe, texts, _ENCODE, hosts=occupied) + end,)))
             if round_no in violations:
                 lines.append(_joined("engine", "violation",
                                      (_ENCODE(violations[round_no]) + end,)))

@@ -27,6 +27,10 @@ give the same artifacts, byte for byte.
 the SHA-256 of the stream's name seed a ``random.Random``.  The golden
 digests were recorded with these streams, and ``mobyreg.adversary.rng_stream``
 must return a generator in the same state for every name.
+``send_moves`` pairs an ``Occupancy``'s in-send relocations, which ``run``
+and ``RunResult.trace_lines`` derive for themselves.
+``probe_report`` is the text ``json.dumps`` writes for a run's
+``probe_report.json``, the reference for the CLI's own rendering.
 """
 
 import hashlib
@@ -233,6 +237,14 @@ def trace_events(result):
     return [TraceEvent(**json.loads(line)) for line in trace_text(result).splitlines()]
 
 
+def probe_report(result):
+    """``probe_report.json``'s text for ``result``: ``json.dumps`` of the report."""
+    return json.dumps({"rounds": result.rounds, "seed": result.seed,
+                       "min_support": result.min_support, "violations": result.violations,
+                       "protocol_failures": result.protocol_failures,
+                       "probes": result.probes}, sort_keys=True, default=str) + "\n"
+
+
 def _msg_payload(msg, sender: int) -> dict:
     """A message as traces show it: its type, its value, and the sender the
     channel supplied, under "server" (Echo, Reply) or "client" (Write, Read)."""
@@ -241,6 +253,15 @@ def _msg_payload(msg, sender: int) -> dict:
     if not isinstance(msg, Read):
         d["value"] = msg.value
     return d
+
+
+def send_moves(occ) -> tuple:
+    """An ``Occupancy``'s (src, dst) relocations during the send phase, paired
+    in id order."""
+    if occ.pre_send is occ.post_send:
+        return ()
+    return tuple(zip(sorted(occ.pre_send - occ.post_send),
+                     sorted(occ.post_send - occ.pre_send)))
 
 
 def mt_rng_stream(seed, *key):
@@ -386,14 +407,14 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
     for r in range(1, rounds + 1):
         # --- agent movement (at round start, or during send: moves_in_send) ---
         occ = strategy.occupancy(config, r, occupied, rng_stream(seed, "sched", r))
-        pre_send = occ.pre_send
+        pre_send, moves = occ.pre_send, send_moves(occ)
         cured_now = occupied - pre_send      # vacated at this round's start
         for i in cured_now:
             restored[i] = False
         trace(r, "round_start", "fault_move", "adversary",
               {"occupied": sorted(pre_send),
                "cured": sorted(cured_now),
-               "planned_moves": [list(m) for m in occ.moves]})
+               "planned_moves": [list(m) for m in moves]})
 
         # occupied servers send as Byzantine ones in every model
         byzantine = pre_send | cured_now if cured_byzantine else pre_send
@@ -471,9 +492,9 @@ def per_server_run(config: SystemConfig, strategy: Strategy, workload: Workload,
 
         # --- in-send movement (moves_in_send models) ---------------------------
         post_occupied = pre_send
-        if occ.moves:
+        if moves:
             moved = set(pre_send)
-            for src, dst in occ.moves:
+            for src, dst in moves:
                 moved.discard(src)
                 moved.add(dst)
                 # Departing host: the register value keeps the agent's corruption.

@@ -9,7 +9,7 @@ from mobyreg.adversary import (TOKENS, NoFaults, Occupancy, RandomWalk, Scripted
 from mobyreg.engine import Directive, run
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
 from mobyreg.protocol import SERVERS, Echo, Read, Reply, Write
-from oracles import mt_rng_stream, trace_events
+from oracles import mt_rng_stream, send_moves, trace_events
 
 
 def cfg(model="garay", n=7, f=2):
@@ -21,14 +21,14 @@ def cfg(model="garay", n=7, f=2):
 def test_stationary_keeps_its_set():
     s = Stationary({1, 2})
     occ = s.occupancy(cfg(), 5, frozenset({1, 2}), rng_stream(0, 5))
-    assert occ.pre_send == frozenset({1, 2}) and occ.moves == ()
+    assert occ.pre_send == frozenset({1, 2}) and send_moves(occ) == ()
 
 
 def test_one_set_before_and_after_the_send_moves_nothing():
     s = frozenset({1, 2})
-    assert Occupancy(s, s).moves == ()
-    assert Occupancy(s, frozenset({1, 2})).moves == ()
-    assert Occupancy(s, frozenset({1, 4})).moves == ((2, 4),)
+    assert send_moves(Occupancy(s, s)) == ()
+    assert send_moves(Occupancy(s, frozenset({1, 2}))) == ()
+    assert send_moves(Occupancy(s, frozenset({1, 4}))) == ((2, 4),)
 
 
 def test_sweep_rotates_deterministically():
@@ -71,16 +71,24 @@ def test_scripted_unknown_server_is_config_error():
         s.occupancy(cfg(), 1, frozenset(), rng_stream(0, 1))
 
 
+@pytest.mark.parametrize("server", [True, 1.0, 1.5, None, "1"])
+def test_scripted_server_that_is_not_an_int_is_config_error(server):
+    # True would pass as server 1, a float would be written as one, and None
+    # or "1" would end in a TypeError
+    with pytest.raises(ConfigError, match=f"targets server {server!r}, which is not an int"):
+        run(cfg(), Scripted({1: {server}}), [], rounds=2, seed=0)
+
+
 def test_buhrman_movement_happens_during_send():
     c = cfg(model="buhrman", n=5, f=2)
     s = Scripted({1: {0, 1}, 2: {0, 4}})
     occ1 = s.occupancy(c, 1, frozenset(), rng_stream(0, 1))
-    assert occ1.pre_send == occ1.post_send == frozenset({0, 1}) and occ1.moves == ()
+    assert occ1.pre_send == occ1.post_send == frozenset({0, 1}) and send_moves(occ1) == ()
     occ2 = s.occupancy(c, 2, occ1.post_send, rng_stream(0, 2))
     # the pre-send set is still last round's; the change rides on the send
     assert occ2.pre_send == frozenset({0, 1})
     assert occ2.post_send == frozenset({0, 4})
-    assert occ2.moves == ((1, 4),)
+    assert send_moves(occ2) == ((1, 4),)
     probes = run(c, s, [], rounds=2, seed=0).probes
     assert [p["pre_send_occupied"] for p in probes] == [[0, 1], [0, 1]]
     assert [p["end_occupied"] for p in probes] == [[0, 1], [0, 4]]
@@ -99,7 +107,7 @@ def test_round_start_models_never_move_mid_send():
     for model in ("garay", "bonnet", "sasaki"):
         c = cfg(model=model, n=9, f=2)
         occ = Sweep().occupancy(c, 3, frozenset({0, 1}), rng_stream(0, 3))
-        assert occ.moves == ()
+        assert send_moves(occ) == ()
 
 
 # ----------------------------------------------------------- cured powers ---

@@ -1,5 +1,6 @@
 import contextlib
 import datetime
+import hashlib
 import io
 import json
 import math
@@ -22,7 +23,7 @@ from mobyreg.cli import _write_artifacts, main
 from mobyreg.engine import FAKE_VALUE, MAX_DEMO_F, Directive, RandomWorkload, run
 from mobyreg.model import ModelId, lookup, make_config
 from mobyreg.protocol import ComputeNote
-from oracles import per_server_run, trace_events, trace_line, trace_text
+from oracles import per_server_run, probe_report, trace_events, trace_line, trace_text
 
 
 class Result(NamedTuple):
@@ -56,6 +57,95 @@ def test_run_writes_artifacts_and_exits_zero(tmp_path):
     assert all(v["passed"] for v in verdicts.values())
     report = json.loads((tmp_path / "probe_report.json").read_text())
     assert report["min_support"] >= 7 - 2 and report["violations"] == []
+
+
+ARTIFACTS = ("trace.jsonl", "history.jsonl", "probe_report.json", "verdicts.json")
+
+# run options -> each artifact's SHA-256, recorded while probe_report.json was
+# one json.dumps call and each probe line one json encoding of its record
+GOLDEN_ARTIFACTS = {
+    "sasaki-4f+1": (
+        ("--model", "sasaki", "--n", "9", "--f", "2", "--rounds", "40", "--seed", "2"),
+        {
+            "trace.jsonl":
+                "407220b45df5e158dd0264faa1b8e22bcd3965530fa6ec7a4c6739c6f1c12c83",
+            "history.jsonl":
+                "ac43778cef9ec2f432601b1940b5b01a0b196d22710378682b1966149ecc85e1",
+            "probe_report.json":
+                "106379095be3b6995798b7f96d1f27e310c4fb66dadbb03ee890199c7fb99f1f",
+            "verdicts.json":
+                "f73f969546758017a002e18f0d8fc352db37f97da18cf3c04b220afc60781480",
+        }),
+    "garay-many-clients": (
+        ("--model", "garay", "--n", "7", "--f", "2", "--rounds", "30", "--seed", "5",
+         "--clients", "16", "--workload", "random:1.0:0.5"),
+        {
+            "trace.jsonl":
+                "0eed666cac2549e3383934145744f1f7accf50bb5cb6fcb7e1fc499fc3d2ca10",
+            "history.jsonl":
+                "76ec565d42b6870c99ba824e633ed5d1a150a40f075b9cdacdd0f2e927112a0a",
+            "probe_report.json":
+                "c159e0c97650052c66a948d7c07ab27f85970acaa57c91877ea781c0c19b3331",
+            "verdicts.json":
+                "f73f969546758017a002e18f0d8fc352db37f97da18cf3c04b220afc60781480",
+        }),
+    "bonnet-messages": (
+        ("--model", "bonnet", "--n", "9", "--f", "2", "--rounds", "20", "--seed", "3",
+         "--clients", "5", "--workload", "random:0.5:0.8", "--trace-messages"),
+        {
+            "trace.jsonl":
+                "f93cbe46726f7bb3a1eaef8c1648b566e54852a1e0614ab0cbc7e4785129a79e",
+            "history.jsonl":
+                "84f7e9c4f14de43ebf6d8a86c88250e78dc3433c0d78f7a8c1a346de627fc12d",
+            "probe_report.json":
+                "977e428912501e0b714bbfb8696b580e2abac824c320da6ed3ecc3fe2d3f1c58",
+            "verdicts.json":
+                "f73f969546758017a002e18f0d8fc352db37f97da18cf3c04b220afc60781480",
+        }),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_ARTIFACTS)
+def test_run_artifacts_match_golden_digests(tmp_path, name):
+    args, digests = GOLDEN_ARTIFACTS[name]
+    result = invoke("run", *args, "--out-dir", str(tmp_path))
+    assert result.exit_code == 0, result.output
+    assert {a: hashlib.sha256((tmp_path / a).read_bytes()).hexdigest()
+            for a in ARTIFACTS} == digests
+
+
+NUMBERS_WRITTEN = [Directive(1, 0, "write", 5), Directive(2, 1, "write", True),
+                   Directive(3, 2, "read"), Directive(4, 0, "write", 2.5),
+                   Directive(5, 1, "write", -0.0), Directive(6, 2, "read"),
+                   Directive(8, 0, "write", 10**20), Directive(9, 1, "read")]
+
+
+@pytest.mark.parametrize("model, n, f, adversary, workload", [
+    # agents that move with the messages: a planned move most rounds
+    ("buhrman", 5, 2, "random", None),
+    # numbers and booleans written, with colluders at the bound: failed reads
+    ("garay", 6, 2, "collude-random", NUMBERS_WRITTEN),
+])
+def test_probe_report_is_the_json_encoding_of_the_report(tmp_path, model, n, f, adversary,
+                                                          workload):
+    args = ["--model", model, "--n", str(n), "--f", str(f), "--adversary", adversary,
+            "--rounds", "12", "--seed", "4", "--out-dir", str(tmp_path / "out"),
+            "--allow-inadmissible"]
+    if workload is not None:
+        path = tmp_path / "directives.json"
+        path.write_text(json.dumps([d._asdict() for d in workload]))
+        args += ["--workload", str(path)]
+    result = invoke("run", *args)
+    assert result.exit_code == 0, result.output
+    res = run(make_config(model, n, f), make_strategy(adversary),
+              RandomWorkload() if workload is None else workload, rounds=12, seed=4,
+              n_clients=3, allow_inadmissible=True)
+    assert (tmp_path / "out" / "probe_report.json").read_text() == probe_report(res)
+    if workload is None:
+        assert any(p["pre_send_occupied"] != p["end_occupied"] for p in res.probes)
+    else:
+        assert res.protocol_failures
+        assert {type(p["modal"]) for p in res.probes} == {int, bool, float}
 
 
 def test_run_config_file_with_flag_override(tmp_path):

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
+import mobyreg.cli
 import mobyreg.engine
 from mobyreg.adversary import (TOKENS, NoFaults, RandomColluder, RandomWalk, Scripted,
                                SplitVote, Stationary, Strategy, Sweep, SweepColluder,
                                default_token)
 from mobyreg.checker import check_all, history_from_records
-from mobyreg.engine import (FAKE_VALUE, HONEST_VALUE, MAX_DEMO_F, Directive, RandomWorkload,
-                            RunResult, probe_agreement, run, tightness_demo,
-                            validate_directives)
+from mobyreg.engine import (FAKE_VALUE, HONEST_VALUE, MAX_DEMO_F, Directive, IdTexts,
+                            RandomWorkload, RunResult, probe_agreement, probe_text, run,
+                            tightness_demo, validate_directives)
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
 from mobyreg.protocol import (BOTTOM, SERVERS, ComputeNote, Echo, Read, Reply, Tally,
                               Write, server_compute, server_send)
@@ -990,7 +991,8 @@ def test_trace_lines_write_each_servers_event_where_it_falls():
     # s(n-1), in its own round and phase
     res = RunResult(config=make_config("garay", 4, 1), rounds=3, seed=0)
     res.echo_ties = {1: ("a", "b"), 3: (1, "1")}
-    res.probes = [{"round": r, "support": 4, "pre_send_occupied": [], "end_occupied": []}
+    res.probes = [{"round": r, "modal": None, "support": 4, "non_faulty": 4,
+                   "pre_send_occupied": [], "byzantine_senders": [], "end_occupied": []}
                   for r in (1, 2, 3)]
     events = []
     for probe in res.probes:
@@ -1045,6 +1047,36 @@ def test_trace_lines_name_the_servers_only_for_a_line_per_server():
               rounds=3, seed=0)
     peak, chars = trace_lines_peak(res)
     assert chars and peak < 1_000_000
+
+
+ID_LISTS = st.lists(st.one_of(st.integers(0, 300), st.integers(0, 2**70)), max_size=8,
+                    unique=True).map(sorted)
+MODAL_VALUES = st.one_of(
+    st.none(), st.text(),
+    st.sampled_from(['say "hi"', "\x00\x1f\n\\", "naïve ☃ 值", "\ud800"]),
+    st.integers(-2**70, 2**70), st.booleans(), st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
+    st.tuples(st.integers(), st.text(max_size=3)), st.dates())
+
+
+@given(st.data())
+def test_probe_text_is_the_json_encoding(data):
+    # each id list is empty, drawn on its own, or equal to another one
+    lists = [data.draw(ID_LISTS)]
+    for _ in range(2):
+        lists.append(data.draw(st.one_of(ID_LISTS, st.sampled_from(lists).map(list))))
+    pre, byzantine, end = data.draw(st.permutations(lists))
+    probe = {"round": data.draw(st.integers(1, 10**6)), "modal": data.draw(MODAL_VALUES),
+             "support": data.draw(st.integers(0, 10**6)),
+             "non_faulty": data.draw(st.integers(0, 10**6)), "pre_send_occupied": pre,
+             "byzantine_senders": byzantine, "end_occupied": end}
+    ids = IdTexts()
+    trace = json.dumps(probe, sort_keys=True, separators=(",", ":"), default=str)
+    assert probe_text(probe, ids, mobyreg.engine._ENCODE) == trace
+    assert probe_text(probe, ids, mobyreg.engine._ENCODE, hosts=ids.listed(pre)) == trace
+    assert probe_text(probe, ids, mobyreg.cli._ENCODE, ", ", ": ") == json.dumps(
+        probe, sort_keys=True, default=str)
+    assert set(ids) <= {*pre, *byzantine, *end}
 
 
 @pytest.mark.parametrize("model,f", GOLDEN_TIGHTNESS)
