@@ -37,7 +37,7 @@ import hashlib
 import random
 from typing import NamedTuple
 
-from .model import ConfigError, SystemConfig
+from .model import ConfigError, SystemConfig, is_int
 from .protocol import Reply, server_send
 
 
@@ -257,7 +257,11 @@ class Scripted(Strategy):
     name = "scripted"
 
     def __init__(self, schedule: dict, fake_value=None):
-        self.schedule = {int(r): frozenset(s) for r, s in schedule.items()}
+        for r in schedule:
+            if not is_int(r) or r < 1:
+                raise ConfigError(f"strategy {self.name!r} schedules round {r!r}, "
+                                  f"which is not an int >= 1")
+        self.schedule = {r: frozenset(s) for r, s in schedule.items()}
         self.fake_value = fake_value
 
     def target_set(self, config, round_no, prev, rng):

@@ -77,8 +77,22 @@ def _refuse_unknown_keys(data, keys):
             raise ConfigError(f"unknown key {key!r}; expected one of {', '.join(keys)}")
 
 
-_CONFIG_KEYS = ("model", "n", "f", "rounds", "seed", "clients", "workload", "adversary",
-                "allow_inadmissible")
+_MODEL_HELP = f"{'|'.join(m.value for m in ModelId)} (or m1..m{len(ModelId)})"
+
+# each ``run`` setting, a config file key and a flag: its default, whose type
+# is the setting's, and its help text
+_RUN_SETTINGS = {
+    "model": (ModelId.GARAY.value, _MODEL_HELP),
+    "n": (7, "server count"),
+    "f": (2, "fault budget per round"),
+    "rounds": (100, "rounds to simulate"),
+    "seed": (0, "seed of the adversary's and the workload's draws"),
+    "clients": (3, "client count"),
+    "workload": ("random", "'random[:rate[:ratio]]' or a directives file"),
+    "adversary": ("random", "|".join(STRATEGIES)),
+    "allow_inadmissible": (False, "run a config with n <= alpha*f, below the model's bound"),
+}
+_TYPE_NAMES = {str: "a string", bool: "a boolean"}
 
 
 def _load_config_file(path):
@@ -86,17 +100,16 @@ def _load_config_file(path):
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
     try:
-        _refuse_unknown_keys(data, _CONFIG_KEYS)
-        for key in ("model", "workload", "adversary"):
-            if not isinstance(data.get(key, ""), str):
-                raise ConfigError(f"{key} {data[key]!r} is not a string")
-        if not isinstance(data.get("allow_inadmissible", False), bool):
-            raise ConfigError(f"allow_inadmissible {data['allow_inadmissible']!r} "
-                              f"is not a boolean")
-        # checked whatever the flags, so that a flag hides no bad key
-        for key in ("n", "f", "rounds", "seed", "clients"):
-            if key in data:
+        _refuse_unknown_keys(data, _RUN_SETTINGS)
+        # checked whatever the flags, so that a flag hides no bad key; the
+        # string and boolean keys before the integer ones
+        for key, (default, _) in sorted(_RUN_SETTINGS.items(), key=lambda kv: is_int(kv[1][0])):
+            if key not in data:
+                continue
+            if is_int(default):
                 data[key] = _config_int(data[key], key)
+            elif not isinstance(data[key], type(default)):
+                raise ConfigError(f"{key} {data[key]!r} is not {_TYPE_NAMES[type(default)]}")
     except ConfigError as exc:
         raise ConfigError(f"config file {path}: {exc}") from None
     return data
@@ -229,23 +242,15 @@ def _run_one(config, strategy, workload, *, rounds, seed, clients,
     return result, hc.check_all(ops, result.crashed_clients)
 
 
-def cmd_run(config_file, model, n, f, rounds, seed, clients, workload, adversary,
-            allow_inadmissible, trace_out, report_out, out_dir, trace_messages):
+def cmd_run(config_file, trace_out, report_out, out_dir, trace_messages, **settings):
     """Run one simulation, write artifacts, and check the register properties."""
-    def pick(flag, key, default):
-        return flag if flag is not None else file_cfg.get(key, default)
-
     file_cfg = {} if config_file is None else _load_config_file(config_file)
-    model = pick(model, "model", "garay")
-    n, f = pick(n, "n", 7), pick(f, "f", 2)
-    rounds, seed = pick(rounds, "rounds", 100), pick(seed, "seed", 0)
-    clients = pick(clients, "clients", 3)
-    workload = pick(workload, "workload", "random")
-    adversary = pick(adversary, "adversary", "random")
-    allow_inadmissible = allow_inadmissible or file_cfg.get("allow_inadmissible", False)
+    s = {key: file_cfg.get(key, default) if settings[key] is None else settings[key]
+         for key, (default, _) in _RUN_SETTINGS.items()}
     result, verdicts = _run_one(
-        make_config(model, n, f), make_strategy(adversary), _load_workload(workload),
-        rounds=rounds, seed=seed, clients=clients, allow_inadmissible=allow_inadmissible,
+        make_config(s["model"], s["n"], s["f"]), make_strategy(s["adversary"]),
+        _load_workload(s["workload"]), rounds=s["rounds"], seed=s["seed"],
+        clients=s["clients"], allow_inadmissible=s["allow_inadmissible"],
         record_messages=trace_messages)
     _write_artifacts(result, verdicts, out_dir, trace_out, report_out)
 
@@ -259,7 +264,7 @@ def cmd_run(config_file, model, n, f, rounds, seed, clients, workload, adversary
         print(f"agreement probe: FAIL ({len(result.violations)} rounds)")
     elif result.probes:
         print(f"agreement probe: pass (min support {result.min_support})")
-    print(f"history: {len(result.history)} operations over {rounds} rounds")
+    print(f"history: {len(result.history)} operations over {result.rounds} rounds")
     sys.exit(EXIT_VIOLATION if (failed and result.config.admissible) else EXIT_OK)
 
 
@@ -283,16 +288,18 @@ def cmd_tightness(model, f, report_out):
     sys.exit(EXIT_OK)
 
 
+_SWEEP_COLUMNS = ("model", "f", "n", "seed", "pass", "min_support", "probe_violations", "ops")
+
+
 def _sweep_cell(args):
-    """One table row: a run of a seed's expanded random workload; no trace is written."""
+    """One table row, in ``_SWEEP_COLUMNS``' order: a run of a seed's expanded
+    random workload; no trace is written."""
     model, config, seed, rounds, clients, directives = args
     result, verdicts = _run_one(config, RandomWalk(), directives, rounds=rounds,
                                 seed=seed, clients=clients)
     ok = not result.violations and all(v.passed for v in verdicts.values())
-    return {"model": model, "f": config.f, "n": config.n, "seed": seed,
-            "pass": ok, "min_support": result.min_support,
-            "probe_violations": len(result.violations),
-            "ops": len(result.history)}
+    return (model, config.f, config.n, seed, ok, result.min_support, len(result.violations),
+            len(result.history))
 
 
 def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
@@ -328,16 +335,12 @@ def cmd_sweep(models, f_values, seeds, rounds, clients, jobs, out_path):
     else:
         rows = [_sweep_cell(c) for c in cells]
 
-    header = ["model", "f", "n", "seed", "pass", "min_support",
-              "probe_violations", "ops"]
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(str(row[h]) for h in header))
-    table = "\n".join(lines) + "\n"
+    table = "".join("\t".join(map(str, row)) + "\n" for row in [_SWEEP_COLUMNS, *rows])
     if out_path:
         _write_file(out_path, _text(table), "table")
     sys.stdout.write(table)
-    sys.exit(EXIT_OK if all(r["pass"] for r in rows) else EXIT_VIOLATION)
+    passed = _SWEEP_COLUMNS.index("pass")
+    sys.exit(EXIT_OK if all(row[passed] for row in rows) else EXIT_VIOLATION)
 
 
 def _record_type_error(record):
@@ -411,7 +414,6 @@ class _Parser(argparse.ArgumentParser):
 
 _TEXT = {"metavar": "TEXT"}
 _INT = {"type": int, "metavar": "INTEGER"}
-_MODEL_HELP = "garay|bonnet|sasaki|buhrman (or m1..m4)"
 
 
 def _build_parser():
@@ -439,19 +441,14 @@ def _build_parser():
                 takes_value.update(action.option_strings)
         return option
 
-    # every default that a config file key may stand for is None: see cmd_run's pick
     option = command(cmd_run)
     option("--config", dest="config_file", metavar="PATH",
            help="JSON config; flags override its keys.")
-    option("--model", **_TEXT, help=_MODEL_HELP)
-    option("--n", **_INT, help="server count")
-    option("--f", **_INT, help="fault budget per round")
-    option("--rounds", **_INT, help="rounds to simulate (default 100)")
-    option("--seed", **_INT, help="seed of the adversary's and the workload's draws (default 0)")
-    option("--clients", **_INT, help="client count (default 3)")
-    option("--workload", **_TEXT, help="'random[:rate[:ratio]]' or a directives file")
-    option("--adversary", **_TEXT, help="|".join(STRATEGIES))
-    option("--allow-inadmissible", action="store_true")
+    for key, (default, text) in _RUN_SETTINGS.items():
+        # None, so that cmd_run sees which flags were given
+        kind = {bool: {"action": "store_true"}, int: _INT, str: _TEXT}[type(default)]
+        option("--" + key.replace("_", "-"), **kind, default=None,
+               help=f"{text} (default {default})")
     option("--trace-out", **_TEXT, help="trace path (default trace.jsonl in --out-dir)")
     option("--report-out", **_TEXT, help="verdicts.json path (default in --out-dir); "
                                          "probe_report.json stays in --out-dir")
@@ -464,12 +461,12 @@ def _build_parser():
     option("--report-out", **_TEXT)
 
     option = command(cmd_sweep)
-    option("--models", **_TEXT, default="garay,bonnet,sasaki,buhrman",
+    option("--models", **_TEXT, default=",".join(m.value for m in ModelId),
            help="comma-separated model names")
     option("--f-values", **_TEXT, default="1,2", help="comma-separated fault budgets")
     option("--seeds", **_TEXT, default="0,1,2,3,4", help="comma-separated seeds")
-    option("--rounds", **_INT, default=100)
-    option("--clients", **_INT, default=3)
+    option("--rounds", **_INT, default=_RUN_SETTINGS["rounds"][0])
+    option("--clients", **_INT, default=_RUN_SETTINGS["clients"][0])
     option("--jobs", **_INT, default=1)
     option("--out", dest="out_path", **_TEXT, help="write the TSV table here")
 

@@ -31,15 +31,13 @@ class ModelId(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "ModelId":
+        """The model that ``text`` names by its value or as m1..m4, in member order."""
         t = text.strip().lower()
-        aliases = {"m1": cls.GARAY, "m2": cls.BONNET, "m3": cls.SASAKI, "m4": cls.BUHRMAN}
-        if t in aliases:
-            return aliases[t]
-        for member in cls:
-            if member.value == t:
+        for i, member in enumerate(cls, 1):
+            if t in (member.value, f"m{i}"):
                 return member
         raise ConfigError(f"unknown fault model {text!r} (expected one of "
-                          f"{', '.join(m.value for m in cls)} or m1..m4)")
+                          f"{', '.join(m.value for m in cls)} or m1..m{len(cls)})")
 
 
 class ModelParams(NamedTuple):

@@ -79,6 +79,14 @@ def test_scripted_server_that_is_not_an_int_is_config_error(server):
         run(cfg(), Scripted({1: {server}}), [], rounds=2, seed=0)
 
 
+@pytest.mark.parametrize("round_no", [1.7, True, "x", 0])
+def test_scripted_round_that_is_not_an_int_from_one_is_config_error(round_no):
+    # 1.7 and True would run as round 1, 0 would act in round 1, and "x"
+    # would end in a ValueError
+    with pytest.raises(ConfigError, match=f"schedules round {round_no!r}, which is not an int"):
+        Scripted({round_no: {0}})
+
+
 def test_buhrman_movement_happens_during_send():
     c = cfg(model="buhrman", n=5, f=2)
     s = Scripted({1: {0, 1}, 2: {0, 4}})

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import stat
 import subprocess
 import sys
@@ -899,6 +900,42 @@ def test_run_unknown_config_key_is_config_error(tmp_path, text, key):
     cfg.write_text(text)
     result = invoke("run", "--config", str(cfg), "--out-dir", str(tmp_path))
     assert_config_error(result, f"unknown key {key};")
+
+
+
+@pytest.mark.parametrize("text, fragment", [
+    # a string or boolean key is named before an integer one, each kind in
+    # the order model, workload, adversary, allow_inadmissible; n, f,
+    # rounds, seed, clients
+    ('{"n": "x", "model": 5}', "model 5 is not a string"),
+    ('{"seed": true, "adversary": 3, "workload": 2}', "workload 2 is not a string"),
+    ('{"clients": "x", "allow_inadmissible": 1}', "allow_inadmissible 1 is not a boolean"),
+    ('{"rounds": 1.5, "n": "x"}', "n 'x' is not an integer"),
+], ids=["model-before-n", "workload-before-adversary", "boolean-before-clients",
+        "n-before-rounds"])
+def test_a_config_file_with_two_bad_keys_names_the_first_checked(tmp_path, capsys, text,
+                                                                  fragment):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exit:
+        main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert exit.value.code == 2
+    assert capsys.readouterr().err == f"configuration error: config file {cfg}: {fragment}\n"
+
+
+def test_run_help_shows_every_settings_default(capsys):
+    with pytest.raises(SystemExit) as exit:
+        main(["run", "--help"])
+    assert exit.value.code == 0
+    options = capsys.readouterr().out.partition("options:")[2]
+    # one entry an option, its wrapped help joined
+    helps = {entry.split()[0]: " ".join(entry.split())
+             for entry in re.split(r"\n  (?=--)", options) if entry.strip()}
+    for flag, default in [("--model", "garay"), ("--n", "7"), ("--f", "2"),
+                          ("--rounds", "100"), ("--seed", "0"), ("--clients", "3"),
+                          ("--workload", "random"), ("--adversary", "random"),
+                          ("--allow-inadmissible", "False")]:
+        assert helps[flag].endswith(f"(default {default})"), helps[flag]
 
 
 JSON = st.recursive(

@@ -16,7 +16,7 @@ from mobyreg.adversary import (TOKENS, NoFaults, RandomColluder, RandomWalk, Scr
                                default_token)
 from mobyreg.checker import check_all, history_from_records
 from mobyreg.engine import (FAKE_VALUE, HONEST_VALUE, MAX_DEMO_F, Directive, IdTexts,
-                            RandomWorkload, RunResult, probe_agreement, probe_text, run,
+                            OpRecord, RandomWorkload, RunResult, probe_agreement, probe_text, run,
                             tightness_demo, validate_directives)
 from mobyreg.model import ConfigError, ModelId, lookup, make_config
 from mobyreg.protocol import (BOTTOM, SERVERS, ComputeNote, Echo, Read, Reply, Tally,
@@ -1518,3 +1518,14 @@ def test_deferred_host_tokens_match_the_per_server_loop(record_messages):
         return res
 
     assert run_digest(make(run)) == run_digest(make(per_server_run))
+
+
+@pytest.mark.parametrize("record", [
+    OpRecord(0, 1, "write", argument="a", invoke_round=3, response_round=3),
+    OpRecord(4, 2, "read", result=None, invoke_round=5, response_round=6, failed=True),
+    OpRecord(7, 0, "read", invoke_round=9),
+], ids=["write", "failed-read", "pending-read"])
+def test_an_op_records_repr_rebuilds_an_equal_record(record):
+    rebuilt = eval(repr(record), {"OpRecord": OpRecord})
+    assert rebuilt is not record and rebuilt == record
+    assert record != record.as_dict()  # a record equals only a record

@@ -104,3 +104,31 @@ def test_system_config_threshold_and_raw_formula():
 
 def test_model_serialization_names():
     assert [m.value for m in ModelId] == ["garay", "bonnet", "sasaki", "buhrman"]
+
+
+def test_configs_with_equal_fields_are_equal_and_hash_alike():
+    a, b = make_config("sasaki", 9, 2), make_config("m3", 9, 2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("other", [
+    make_config("sasaki", 10, 2), make_config("bonnet", 9, 2), make_config("sasaki", 9, 1),
+], ids=["n", "model", "f"])
+def test_configs_that_differ_in_a_field_are_unequal(other):
+    assert make_config("sasaki", 9, 2) != other
+
+
+def test_a_config_is_not_equal_to_the_tuple_of_its_fields():
+    cfg = make_config("garay", 7, 2)
+    assert cfg != (cfg.n, cfg.f, cfg.params)
+    assert (cfg.n, cfg.f, cfg.params) != cfg
+
+
+@pytest.mark.parametrize("text", ["m0", "m5", "garay,bonnet"])
+def test_parse_names_each_model_in_its_error(text):
+    message = (f"unknown fault model {text!r} (expected one of garay, bonnet, sasaki, "
+               f"buhrman or m1..m4)")
+    with pytest.raises(ConfigError) as exc:
+        ModelId.parse(text)
+    assert str(exc.value) == message
